@@ -25,16 +25,26 @@ from nhcz.reports import VerificationReport, family_digest, write_csv_atomic, wr
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
 
+def _positive(kind):
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nhcz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, tol=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="reports", help="output directory (default: reports)")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--threads", type=_positive(int), default=1)
+        p.add_argument("--tol", type=_positive(float), default=tol)
         return p
 
     p = add("generate", "draw an admissible family and save it as JSON")
@@ -49,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("validate", "exact admissibility checks of a family file")
     p.add_argument("--family", required=True)
 
-    p = add("norm", "operator-norm estimate on the measure")
+    p = add("norm", "operator-norm estimate on the measure", tol=1e-6)
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--variant", choices=["modified", "adjoint", "full", "local"], default="modified")
@@ -77,12 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, default=8)
 
-    p = add("decompose", "full = modified + local operator identity")
+    p = add("decompose", "full = modified + local operator identity", tol=1e-12)
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--trials", type=int, default=4)
 
-    p = add("beurling", "spectral isometry check on a periodic grid")
+    p = add("beurling", "spectral isometry check on a periodic grid", tol=1e-12)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--trials", type=int, default=4)
 
@@ -133,11 +143,10 @@ def _emit(args, name, report: VerificationReport) -> int:
 
 def _cmd_generate(args) -> int:
     count = _parse_int_list(args.M)[0]
-    if args.kmin is None or args.kmax is None:
-        k_range = suggest_generation_range(count, args.d, args.packing_target)
-        k_range = (args.kmin or k_range[0], args.kmax or k_range[1])
-    else:
-        k_range = (args.kmin, args.kmax)
+    k_range = (args.kmin, args.kmax)
+    if None in k_range:
+        lo, hi = suggest_generation_range(count, args.d, args.packing_target)
+        k_range = (lo if args.kmin is None else args.kmin, hi if args.kmax is None else args.kmax)
     box = tuple(float(v) for v in args.box.split(","))
     if len(box) != 4:
         raise ValueError(f"bad box {args.box!r}; expected x0,y0,x1,y1")
@@ -190,7 +199,7 @@ def _cmd_norm(args) -> int:
     est = operator_norm(
         kernels.KernelSpec(args.variant, fam),
         cloud,
-        tol=args.tol or 1e-6,
+        tol=args.tol,
         seed=args.seed,
         threads=args.threads,
     )
@@ -204,7 +213,7 @@ def _cmd_norm(args) -> int:
         },
         constants=est.to_json_dict(),
         witnesses={},
-        thresholds={"tol": args.tol or 1e-6},
+        thresholds={"tol": args.tol},
         passed=bool(est.converged),
         runtime_s=time.perf_counter() - t0,
     )
@@ -241,38 +250,29 @@ def _cmd_czcheck(args) -> int:
     return _emit(args, "czcheck", report)
 
 
-def _cmd_growth(args) -> int:
+# subcommand -> (ball-ratio constant of the measure, report key)
+_BALL_CONSTANTS = {
+    "growth": (measure.growth_constant, "c_growth"),
+    "a2": (measure.a2_constant, "c_a2"),
+}
+
+
+def _cmd_ball_constant(args) -> int:
+    constant, key = _BALL_CONSTANTS[args.command]
     fam = _load_family(args.family)
     cloud = build_quadrature(build_measure(fam), args.n)
     t0 = time.perf_counter()
-    c, witness = measure.growth_constant(cloud)
+    c, witness = constant(cloud)
     report = VerificationReport(
-        check="growth",
+        check=args.command,
         inputs={"family_digest": family_digest(fam), "n_per_side": args.n},
-        constants={"c_growth": c},
+        constants={key: c},
         witnesses={"ball": {"cx": witness.cx, "cy": witness.cy, "radius": witness.radius}},
         thresholds={"sample": "all nodes x dyadic radius ladder"},
         passed=bool(np.isfinite(c)),
         runtime_s=time.perf_counter() - t0,
     )
-    return _emit(args, "growth", report)
-
-
-def _cmd_a2(args) -> int:
-    fam = _load_family(args.family)
-    cloud = build_quadrature(build_measure(fam), args.n)
-    t0 = time.perf_counter()
-    c, witness = measure.a2_constant(cloud)
-    report = VerificationReport(
-        check="a2",
-        inputs={"family_digest": family_digest(fam), "n_per_side": args.n},
-        constants={"c_a2": c},
-        witnesses={"ball": {"cx": witness.cx, "cy": witness.cy, "radius": witness.radius}},
-        thresholds={"sample": "all nodes x dyadic radius ladder"},
-        passed=bool(np.isfinite(c)),
-        runtime_s=time.perf_counter() - t0,
-    )
-    return _emit(args, "a2", report)
+    return _emit(args, args.command, report)
 
 
 def _cmd_t1(args) -> int:
@@ -296,7 +296,7 @@ def _cmd_t1(args) -> int:
 def _cmd_decompose(args) -> int:
     fam = _load_family(args.family)
     report = verify.check_decomposition(
-        fam, n_per_side=args.n, trials=args.trials, seed=args.seed, rel_tol=args.tol or 1e-12
+        fam, n_per_side=args.n, trials=args.trials, seed=args.seed, rel_tol=args.tol
     )
     return _emit(args, "decompose", report)
 
@@ -306,7 +306,6 @@ def _cmd_beurling(args) -> int:
         raise ValueError(f"grid size must be even and >= 2, got {args.n}")
     t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
-    tol = args.tol or 1e-12
     worst = 0.0
     for _ in range(args.trials):
         g = rng.standard_normal((args.n, args.n)) + 1j * rng.standard_normal((args.n, args.n))
@@ -318,8 +317,8 @@ def _cmd_beurling(args) -> int:
         inputs={"grid": args.n, "trials": args.trials, "seed": args.seed},
         constants={"max_norm_ratio_deviation": worst},
         witnesses={},
-        thresholds={"max_norm_ratio_deviation": tol},
-        passed=bool(worst <= tol),
+        thresholds={"max_norm_ratio_deviation": args.tol},
+        passed=bool(worst <= args.tol),
         runtime_s=time.perf_counter() - t0,
     )
     return _emit(args, "beurling", report)
@@ -378,8 +377,8 @@ _HANDLERS = {
     "norm": _cmd_norm,
     "dominate": _cmd_dominate,
     "czcheck": _cmd_czcheck,
-    "growth": _cmd_growth,
-    "a2": _cmd_a2,
+    "growth": _cmd_ball_constant,
+    "a2": _cmd_ball_constant,
     "t1": _cmd_t1,
     "decompose": _cmd_decompose,
     "beurling": _cmd_beurling,

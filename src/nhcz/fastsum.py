@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcz.kernels import KernelSpec
+from nhcz.kernels import KernelSpec, source_charges, target_scale
 from nhcz.measure import QuadratureCloud, build_measure, build_quadrature
 from nhcz.geometry import generate_family, suggest_generation_range
 from nhcz.operators import Field, apply_direct, apply_direct_targets
@@ -181,19 +181,14 @@ def build_tree(cloud: QuadratureCloud, leaf_cap: int = 32) -> QuadTree:
 
 def apply_fast(spec: KernelSpec, tree: QuadTree, f: Field, params: ExpansionParams) -> Field:
     """Treecode application of the modified or adjoint kernel operator."""
-    if spec.variant not in ("modified", "adjoint"):
+    if spec.rule[0] != "cross_square":
         raise ValueError("fast summation supports the modified/adjoint variants; use apply_direct")
     cloud = tree.cloud
     if len(f.values) != len(cloud):
         raise ValueError("field length does not match the cloud")
-    if spec.variant == "modified":
-        charges = f.values * cloud.area_weight
-    else:
-        charges = f.values * cloud.mu_weight
-    out = _downward(tree, charges, params)
-    if spec.variant == "adjoint":
-        out = out * cloud.node_side**spec.d
-    return Field(out, "mu")
+    transposed = spec.rule[1]
+    out = _downward(tree, source_charges(cloud, f.values, transposed), params)
+    return Field(target_scale(cloud, spec.d, out, transposed), "mu")
 
 
 def _downward(tree, charges, params):

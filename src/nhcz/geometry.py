@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+
+from nhcz.atomic import atomic_open
 
 # Generations are capped so scaled coordinates fit comfortably in int64.
 MAX_ABS_GENERATION = 40
@@ -260,15 +260,8 @@ class SquareFamily:
 
     def save(self, path) -> None:
         text = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_open(path) as fh:
+            fh.write(text)
 
     @classmethod
     def load(cls, path) -> "SquareFamily":

@@ -22,6 +22,53 @@ from nhcz.measure import QuadratureCloud
 Variant = Literal["full", "modified", "adjoint", "local"]
 VARIANTS = ("full", "modified", "adjoint", "local")
 
+# variant -> (exclusion mode, transposed).  Every variant is the Cauchy-square
+# kernel 1/(x-y)^2 restricted by its exclusion mode.  A forward variant
+# charges sources with the area weight; a transposed one charges them with
+# the measure weight and scales the output by the target's side^d.  On the
+# cross-square mode that is the side^d factor of the modified (source side)
+# and adjoint (target side) kernels.  The measure-weighted adjoint of any
+# variant is conj o (same mode, transposition flipped) o conj.
+VARIANT_RULES = {
+    "full": ("off_diagonal", False),
+    "local": ("same_square", False),
+    "modified": ("cross_square", False),
+    "adjoint": ("cross_square", True),
+}
+
+
+def exclusion_mask(mode: str, dz, sq_target, sq_source):
+    """Pairs the mode drops: coincident nodes, plus cross-square pairs
+    (same_square) or same-square pairs (cross_square)."""
+    if mode == "off_diagonal":
+        return dz == 0
+    mask = sq_target == sq_source
+    if mode == "same_square":
+        mask = ~mask | (dz == 0)
+    return mask
+
+
+def source_charges(cloud: QuadratureCloud, values, transposed: bool):
+    """Field values times the forward (area) or transposed (measure) weight."""
+    return values * (cloud.mu_weight if transposed else cloud.area_weight)
+
+
+def target_scale(cloud: QuadratureCloud, d: float, out, transposed: bool, targets=None):
+    """Raw sums at the targets, times side^d when the rule is transposed."""
+    if not transposed:
+        return out
+    side = cloud.node_side if targets is None else cloud.node_side[targets]
+    return out * side**d
+
+
+def _side_factor(spec, cloud, p, q):
+    """side^d of the source node (forward) or the target node (transposed)
+    of a cross-square variant; None for the unscaled modes."""
+    mode, transposed = spec.rule
+    if mode != "cross_square":
+        return None
+    return cloud.node_side[p if transposed else q] ** spec.d
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -35,6 +82,10 @@ class KernelSpec:
     @property
     def d(self) -> float:
         return self.family.d
+
+    @property
+    def rule(self) -> tuple[str, bool]:
+        return VARIANT_RULES[self.variant]
 
 
 def locate_square(family: SquareFamily, x: float, y: float) -> int | None:
@@ -87,22 +138,16 @@ def kernel_rows(spec: KernelSpec, cloud: QuadratureCloud, rows: np.ndarray) -> n
     variants is zeroed (midpoint principal-value convention).
     """
     z, sq = cloud.z, cloud.square_index
-    dz = z[rows][:, None] - z[None, :]
-    self_mask = dz == 0
-    dz = np.where(self_mask, 1.0, dz)
+    p = np.asarray(rows)[:, None]
+    q = np.arange(len(cloud))[None, :]
+    dz = z[p] - z[q]
+    mask = exclusion_mask(spec.rule[0], dz, sq[p], sq[q])
+    dz = np.where(mask, 1.0, dz)
     vals = 1.0 / (dz * dz)
-    same = sq[rows][:, None] == sq[None, :]
-    if spec.variant == "modified":
-        vals = vals * cloud.node_side[None, :] ** spec.d
-        vals[same] = 0.0
-    elif spec.variant == "adjoint":
-        vals = vals * cloud.node_side[rows][:, None] ** spec.d
-        vals[same] = 0.0
-    elif spec.variant == "local":
-        vals[~same] = 0.0
-        vals[self_mask] = 0.0
-    else:
-        vals[self_mask] = 0.0
+    side = _side_factor(spec, cloud, p, q)
+    if side is not None:
+        vals = vals * side
+    vals[mask] = 0.0
     return vals
 
 
@@ -304,11 +349,13 @@ def _iii2_audit_exhaustive(dist, same) -> int:
 
 
 def _kernel_pairs(spec, cloud, p_idx, q_idx):
+    sq = cloud.square_index
     dz = cloud.z[p_idx] - cloud.z[q_idx]
-    same = cloud.square_index[p_idx] == cloud.square_index[q_idx]
-    dz = np.where(same, 1.0, dz)
-    vals = cloud.node_side[q_idx] ** spec.d / (dz * dz)
-    vals[same] = 0.0
+    mask = exclusion_mask(spec.rule[0], dz, sq[p_idx], sq[q_idx])
+    dz = np.where(mask, 1.0, dz)
+    side = _side_factor(spec, cloud, p_idx, q_idx)
+    vals = (1.0 if side is None else side) / (dz * dz)
+    vals[mask] = 0.0
     return vals
 
 

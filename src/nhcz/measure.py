@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from nhcz.atomic import atomic_open
 from nhcz.geometry import SquareFamily
 
 
@@ -243,23 +242,16 @@ def borderline_exponent(t: float, k_qc: float) -> float:
 
 def export_cloud_csv(cloud: QuadratureCloud, path) -> None:
     """Node table: x, y, square_index, area_weight, mu_weight."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "square_index", "area_weight", "mu_weight"])
-            for p in range(len(cloud)):
-                writer.writerow(
-                    [
-                        repr(float(cloud.xy[p, 0])),
-                        repr(float(cloud.xy[p, 1])),
-                        int(cloud.square_index[p]),
-                        repr(float(cloud.area_weight[p])),
-                        repr(float(cloud.mu_weight[p])),
-                    ]
-                )
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "square_index", "area_weight", "mu_weight"])
+        for p in range(len(cloud)):
+            writer.writerow(
+                [
+                    repr(float(cloud.xy[p, 0])),
+                    repr(float(cloud.xy[p, 1])),
+                    int(cloud.square_index[p]),
+                    repr(float(cloud.area_weight[p])),
+                    repr(float(cloud.mu_weight[p])),
+                ]
+            )

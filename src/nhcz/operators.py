@@ -1,27 +1,29 @@
 """Discrete operators on quadrature clouds.
 
-Kernel applications integrate against the weight natural to the variant:
-area weights for the full/local kernels, measure weights for the modified
-and adjoint kernels.  The self-node term of the singular variants is
-dropped; by midpoint symmetry the omitted cell's principal value is zero.
-Norm estimates run power iteration in the measure-weighted inner product,
-where the adjoint of the modified-kernel operator is the adjoint-kernel
-operator with conjugated values.
+Each kernel application reads its variant's row of ``kernels.VARIANT_RULES``.
+A forward variant (full, local, modified) sums area-weighted charges; since
+the area weight is the measure weight times the source side^d, the modified
+kernel integrates against the measure.  A transposed variant (adjoint) sums
+measure-weighted charges and scales each output by the target's side^d.
+The self-node term of the singular variants is dropped; by midpoint
+symmetry the omitted cell's principal value is zero.  Norm estimates run
+power iteration in the measure-weighted inner product, where the adjoint of
+a variant is the same exclusion mode with the transposition flipped, taken
+between complex conjugations.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from nhcz.atomic import atomic_open
 from nhcz.geometry import SquareFamily
-from nhcz.kernels import KernelSpec
+from nhcz.kernels import KernelSpec, exclusion_mask, source_charges, target_scale
 from nhcz.measure import BallQuery, QuadratureCloud, ball_mass, dyadic_radius_ladder
 
 
@@ -61,11 +63,8 @@ def random_field(cloud: QuadratureCloud, seed: int, weight: str = "mu", nonnegat
     return Field(vals, weight)
 
 
-_MODES = ("off_diagonal", "cross_square", "same_square")
-
-
 def _cauchy_square_apply(cloud, charges, mode, block=256, threads=1, targets=None):
-    """Sum of charges_q / (z_p - z_q)^2 with the mode's exclusion rule.
+    """Sum of charges_q / (z_p - z_q)^2 over the pairs the mode keeps.
 
     ``targets`` restricts the output to the given node indices (default all).
     """
@@ -77,12 +76,7 @@ def _cauchy_square_apply(cloud, charges, mode, block=256, threads=1, targets=Non
         b1 = min(b0 + block, tgt.size)
         rows = tgt[b0:b1]
         dz = z[rows][:, None] - z[None, :]
-        if mode == "off_diagonal":
-            mask = dz == 0
-        else:
-            mask = sq[rows][:, None] == sq[None, :]
-            if mode == "same_square":
-                mask = ~mask | (dz == 0)
+        mask = exclusion_mask(mode, dz, sq[rows][:, None], sq[None, :])
         dzm = np.where(mask, 1.0, dz)
         vals = 1.0 / (dzm * dzm)
         vals[mask] = 0.0
@@ -98,56 +92,36 @@ def _cauchy_square_apply(cloud, charges, mode, block=256, threads=1, targets=Non
     return out
 
 
-def apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, block=256, threads=1) -> Field:
-    """Dense kernel application in fixed node order, blocked over targets."""
+def _apply_rule(spec, cloud, values, transposed, block, threads, targets=None):
+    """Dense sums of the spec's exclusion mode read forward or transposed."""
+    charges = source_charges(cloud, values, transposed)
+    out = _cauchy_square_apply(cloud, charges, spec.rule[0], block, threads, targets=targets)
+    return target_scale(cloud, spec.d, out, transposed, targets)
+
+
+def apply_direct(
+    spec: KernelSpec, cloud: QuadratureCloud, f: Field, block=256, threads=1, targets=None
+) -> Field:
+    """Dense kernel application in fixed node order, blocked over targets.
+
+    ``targets`` restricts the output to those node indices (default all).
+    """
     if len(f.values) != len(cloud):
         raise ValueError("field length does not match the cloud")
-    v = f.values
-    if spec.variant == "full":
-        out = _cauchy_square_apply(cloud, v * cloud.area_weight, "off_diagonal", block, threads)
-    elif spec.variant == "local":
-        out = _cauchy_square_apply(cloud, v * cloud.area_weight, "same_square", block, threads)
-    elif spec.variant == "modified":
-        # source factor side^d times the mu-weight collapses to the area weight
-        out = _cauchy_square_apply(cloud, v * cloud.area_weight, "cross_square", block, threads)
-    elif spec.variant == "adjoint":
-        out = _cauchy_square_apply(cloud, v * cloud.mu_weight, "cross_square", block, threads)
-        out *= cloud.node_side**spec.d
-    else:
-        raise ValueError(f"unknown variant {spec.variant!r}")
-    return Field(out, "mu")
+    return Field(_apply_rule(spec, cloud, f.values, spec.rule[1], block, threads, targets), "mu")
 
 
 def apply_direct_targets(spec: KernelSpec, cloud: QuadratureCloud, f: Field, targets) -> np.ndarray:
     """``apply_direct`` restricted to the given target nodes (oracle helper)."""
-    v = f.values
-    targets = np.asarray(targets)
-    if spec.variant == "full":
-        return _cauchy_square_apply(cloud, v * cloud.area_weight, "off_diagonal", targets=targets)
-    if spec.variant == "local":
-        return _cauchy_square_apply(cloud, v * cloud.area_weight, "same_square", targets=targets)
-    if spec.variant == "modified":
-        return _cauchy_square_apply(cloud, v * cloud.area_weight, "cross_square", targets=targets)
-    if spec.variant == "adjoint":
-        out = _cauchy_square_apply(cloud, v * cloud.mu_weight, "cross_square", targets=targets)
-        return out * cloud.node_side[targets] ** spec.d
-    raise ValueError(f"unknown variant {spec.variant!r}")
+    return apply_direct(spec, cloud, f, targets=targets).values
 
 
 def adjoint_apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, block=256, threads=1) -> Field:
     """The measure-weighted adjoint of ``apply_direct`` for the same spec."""
-    v = f.values
-    if spec.variant == "modified":
-        out = np.conj(apply_direct(KernelSpec("adjoint", spec.family), cloud, Field(np.conj(v), "mu"), block, threads).values)
-    elif spec.variant == "adjoint":
-        out = np.conj(apply_direct(KernelSpec("modified", spec.family), cloud, Field(np.conj(v), "mu"), block, threads).values)
-    elif spec.variant in ("full", "local"):
-        mode = "off_diagonal" if spec.variant == "full" else "same_square"
-        raw = _cauchy_square_apply(cloud, np.conj(v) * cloud.mu_weight, mode, block, threads)
-        out = cloud.node_side**spec.d * np.conj(raw)
-    else:
-        raise ValueError(f"unknown variant {spec.variant!r}")
-    return Field(out, "mu")
+    if len(f.values) != len(cloud):
+        raise ValueError("field length does not match the cloud")
+    out = _apply_rule(spec, cloud, np.conj(f.values), not spec.rule[1], block, threads)
+    return Field(np.conj(out), "mu")
 
 
 def maximal_function(cloud: QuadratureCloud, f: Field, kappa: float = 3.0, exact_limit=4096, block=256) -> Field:
@@ -263,33 +237,17 @@ def operator_norm(
     tol: float = 1e-6,
     max_iter: int = 500,
     seed: int = 0,
-    use_fast: bool = False,
-    fast_params=None,
     block: int = 256,
     threads: int = 1,
     rel_tol: float = 0.0,
 ) -> NormEstimate:
-    """Measure-weighted operator norm of the chosen kernel's discrete operator."""
-    if use_fast and spec.variant in ("modified", "adjoint"):
-        from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
+    """Measure-weighted operator norm of the chosen kernel's dense operator."""
 
-        params = fast_params or ExpansionParams()
-        tree = build_tree(cloud, params.leaf_cap)
-        partner = KernelSpec("adjoint" if spec.variant == "modified" else "modified", spec.family)
+    def apply_fn(v):
+        return apply_direct(spec, cloud, Field(v, "mu"), block, threads).values
 
-        def apply_fn(v):
-            return apply_fast(spec, tree, Field(v, "mu"), params).values
-
-        def adjoint_fn(v):
-            return np.conj(apply_fast(partner, tree, Field(np.conj(v), "mu"), params).values)
-
-    else:
-
-        def apply_fn(v):
-            return apply_direct(spec, cloud, Field(v, "mu"), block, threads).values
-
-        def adjoint_fn(v):
-            return adjoint_apply_direct(spec, cloud, Field(v, "mu"), block, threads).values
+    def adjoint_fn(v):
+        return adjoint_apply_direct(spec, cloud, Field(v, "mu"), block, threads).values
 
     return power_iteration(apply_fn, adjoint_fn, cloud.mu_weight, len(cloud), tol, max_iter, seed, rel_tol)
 
@@ -412,18 +370,11 @@ def t1_testing(
 
 def export_field_csv(f: Field, path) -> None:
     """Field table: node index, real part, imaginary part."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node", "re", "im"])
-            for p, v in enumerate(f.values):
-                writer.writerow([p, repr(float(v.real)), repr(float(v.imag))])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node", "re", "im"])
+        for p, v in enumerate(f.values):
+            writer.writerow([p, repr(float(v.real)), repr(float(v.imag))])
 
 
 def load_field_csv(path, weight: str = "mu") -> Field:

@@ -10,12 +10,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
+from nhcz.atomic import atomic_open
 from nhcz.geometry import DyadicSquare, SquareFamily
 
 SCHEMA = "nhcz/1"
@@ -90,16 +89,8 @@ class VerificationReport:
 
 
 def write_text_atomic(path, text: str) -> None:
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def write_json_atomic(path, obj) -> None:
@@ -107,15 +98,7 @@ def write_json_atomic(path, obj) -> None:
 
 
 def write_csv_atomic(path, header, rows) -> None:
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

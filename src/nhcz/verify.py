@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcz.geometry import SquareFamily, generate_cascade_family
-from nhcz.kernels import KernelSpec
+from nhcz.geometry import SquareFamily, _scaled_centers_halves, generate_cascade_family
+from nhcz.kernels import KernelSpec, kernel_rows
 from nhcz.measure import BallQuery, QuadratureCloud, ball_mass, build_measure, build_quadrature, growth_constant
 from nhcz.operators import (
     Field,
@@ -24,7 +24,7 @@ from nhcz.operators import (
     apply_direct,
     default_t1_balls,
     field_norm,
-    operator_norm,
+    power_iteration,
     t1_testing,
 )
 from nhcz.reports import VerificationReport, family_digest
@@ -44,12 +44,6 @@ def _base_inputs(family, n_per_side, seed, **extra):
     }
     inputs.update(extra)
     return inputs
-
-
-def _use_fast(cloud, override):
-    if override is None:
-        return len(cloud) > FAST_NODE_THRESHOLD
-    return bool(override)
 
 
 def _fast_apply_pair(family, cloud, params=None):
@@ -74,6 +68,31 @@ def _direct_apply_pair(family, cloud):
     )
 
 
+def _apply_pair(family, cloud):
+    """The one backend choice of a check: treecode applies above
+    ``FAST_NODE_THRESHOLD`` nodes, dense sums otherwise.
+
+    Returns (fast, apply_modified, apply_adjoint).
+    """
+    fast = len(cloud) > FAST_NODE_THRESHOLD
+    return (fast, *(_fast_apply_pair if fast else _direct_apply_pair)(family, cloud))
+
+
+def _adjoint_norm(cloud, apply_mod, apply_adj, tol, max_iter, seed, rel_tol=0.0):
+    """Measure-weighted norm of the adjoint-kernel operator from an apply
+    pair; its measure adjoint is conj o modified o conj."""
+    return power_iteration(
+        lambda v: apply_adj(Field(v, "mu")).values,
+        lambda v: np.conj(apply_mod(Field(np.conj(v), "mu")).values),
+        cloud.mu_weight,
+        len(cloud),
+        tol,
+        max_iter,
+        seed,
+        rel_tol,
+    )
+
+
 def check_main_inequality(
     family: SquareFamily,
     n_per_side: int = 8,
@@ -81,7 +100,6 @@ def check_main_inequality(
     seed: int = 0,
     tol: float = 1e-6,
     max_iter: int = 500,
-    use_fast: bool | None = None,
 ) -> VerificationReport:
     """Operator-norm bound for the adjoint-kernel operator on the measure.
 
@@ -91,11 +109,8 @@ def check_main_inequality(
     """
     t0 = time.perf_counter()
     cloud = build_quadrature(build_measure(family), n_per_side)
-    fast = _use_fast(cloud, use_fast)
-    est = operator_norm(
-        KernelSpec("adjoint", family), cloud, tol=tol, max_iter=max_iter, seed=seed, use_fast=fast
-    )
-    apply_adj = (_fast_apply_pair if fast else _direct_apply_pair)(family, cloud)[1]
+    fast, apply_mod, apply_adj = _apply_pair(family, cloud)
+    est = _adjoint_norm(cloud, apply_mod, apply_adj, tol, max_iter, seed)
     rng = np.random.default_rng(seed + 1)
     max_ratio, max_trial = 0.0, -1
     for t in range(trials):
@@ -145,14 +160,15 @@ class AnnulusDiagnostic:
         }
 
 
-def _scaled_int_geometry(family):
-    kmax = max(s.k for s in family.squares)
-    data = []
-    for s in family.squares:
-        h = 1 << (kmax - s.k)  # half-side in units of 2^-(kmax+1)
-        cx, cy = (2 * s.i + 1) * h, (2 * s.j + 1) * h
-        data.append((cx, cy, h))
-    return kmax, data
+def _annulus_of(geom, j, i) -> int:
+    """Annulus index of square i around square j from the integer centers
+    and half-sides of ``_scaled_centers_halves(squares, lam_num=1)``."""
+    cx, cy, h = geom
+    dist = max(abs(cx[i] - cx[j]), abs(cy[i] - cy[j]))
+    a = 0
+    while (h[j] << (a + 1)) < dist:
+        a += 1
+    return a
 
 
 def annulus_index(family: SquareFamily, j: int, i: int) -> int:
@@ -161,40 +177,28 @@ def annulus_index(family: SquareFamily, j: int, i: int) -> int:
     closed 2^a-dilate."""
     if i == j:
         raise ValueError("annulus index needs two distinct squares")
-    _, data = _scaled_int_geometry(family)
-    cx_j, cy_j, h_j = data[j]
-    cx_i, cy_i, _ = data[i]
-    dist = max(abs(cx_i - cx_j), abs(cy_i - cy_j))
-    a = 0
-    while (h_j << (a + 1)) < dist:
-        a += 1
-    return a
+    return _annulus_of(_scaled_centers_halves(family.squares, lam_num=1), j, i)
 
 
 def _annulus_audits(family):
     """Exact integer audits of the annulus geometry over all ordered pairs:
     minimal index, and containment of each annulus square in the ball of
     radius 8 * 2^(a+1) * side_j around any point of Q_j."""
-    _, data = _scaled_int_geometry(family)
+    geom = cx, cy, h = _scaled_centers_halves(family.squares, lam_num=1)
     m = len(family.squares)
     min_a = None
     containment_violations = 0
     for j in range(m):
-        cx_j, cy_j, h_j = data[j]
         for i in range(m):
             if i == j:
                 continue
-            cx_i, cy_i, h_i = data[i]
-            dist = max(abs(cx_i - cx_j), abs(cy_i - cy_j))
-            a = 0
-            while (h_j << (a + 1)) < dist:
-                a += 1
+            a = _annulus_of(geom, j, i)
             if min_a is None or a < min_a:
                 min_a = a
             # farthest point pair between the two closed squares, exactly
-            dx = max(abs(cx_i - cx_j) + h_i + h_j, 0)
-            dy = max(abs(cy_i - cy_j) + h_i + h_j, 0)
-            r_int = (2 * h_j) << (a + 4)  # 8 * 2^(a+1) * side_j, scaled
+            dx = max(abs(cx[i] - cx[j]) + h[i] + h[j], 0)
+            dy = max(abs(cy[i] - cy[j]) + h[i] + h[j], 0)
+            r_int = (2 * h[j]) << (a + 4)  # 8 * 2^(a+1) * side_j, scaled
             if dx * dx + dy * dy > r_int * r_int:
                 containment_violations += 1
     return min_a, containment_violations
@@ -231,15 +235,13 @@ def check_domination(
     n_per_side: int = 8,
     trials: int = 4,
     seed: int = 0,
-    use_fast: bool | None = None,
 ) -> VerificationReport:
     """Pointwise bound of the adjoint-kernel operator by the dilated maximal
     operator, with exact annulus-geometry audits and a per-annulus breakdown
     of the witness value."""
     t0 = time.perf_counter()
     cloud = build_quadrature(build_measure(family), n_per_side)
-    fast = _use_fast(cloud, use_fast)
-    apply_adj = (_fast_apply_pair if fast else _direct_apply_pair)(family, cloud)[1]
+    fast, _, apply_adj = _apply_pair(family, cloud)
     fields = _domination_fields(cloud, trials, seed)
     maximal = _maximal_many(cloud, [f for _, f in fields], kappa=3.0)
     c_dom = 0.0
@@ -268,11 +270,7 @@ def check_domination(
                 by_a.setdefault(annulus_index(family, j, i), []).append(i)
         partition_ok = sum(len(v) for v in by_a.values()) == len(family) - 1
         adj = KernelSpec("adjoint", family)
-        z = cloud.z
-        dz = z[node] - z
-        dz = np.where(dz == 0, 1.0, dz)
-        kern = family.squares[j].side ** family.d / (dz * dz)
-        contrib = kern * f.values * cloud.mu_weight
+        contrib = kernel_rows(adj, cloud, [node])[0] * f.values * cloud.mu_weight
         total = 0j
         x = (float(cloud.xy[node, 0]), float(cloud.xy[node, 1]))
         ell_j = family.squares[j].side
@@ -291,7 +289,7 @@ def check_domination(
                     ball_mass_3r=ball_mass(cloud, BallQuery(x[0], x[1], 3.0 * r_a)),
                 )
             )
-        full = complex(apply_direct(adj, cloud, f).values[node])
+        full = complex(apply_direct(adj, cloud, f, targets=[node]).values[0])
         reconstruction_ok = abs(total - full) <= 1e-12 * max(abs(full), 1e-300) + 1e-300
 
     passed = bool(
@@ -389,7 +387,6 @@ def scaling_study(
     norm_tol: float = 1e-5,
     norm_max_iter: int = 150,
     norm_rel_tol: float = 1e-3,
-    use_fast: bool | None = None,
 ):
     """One row of measured constants per requested family size.
 
@@ -402,23 +399,14 @@ def scaling_study(
         fam_seed = 1_000_003 * seed + m_req
         fam = generate_cascade_family(seed=fam_seed, count=m_req, d=d, packing_target=packing_target)
         cloud = build_quadrature(build_measure(fam), n_per_side)
-        fast = _use_fast(cloud, use_fast)
         if len(cloud) > MAXIMAL_TARGET_CAP:
             g_rng = np.random.default_rng(seed + 77 * idx)
             g_centers = cloud.xy[np.sort(g_rng.choice(len(cloud), size=MAXIMAL_TARGET_CAP, replace=False))]
         else:
             g_centers = None
         c_growth, _ = growth_constant(cloud, centers=g_centers)
-        est = operator_norm(
-            KernelSpec("adjoint", fam),
-            cloud,
-            tol=norm_tol,
-            max_iter=norm_max_iter,
-            seed=seed,
-            use_fast=fast,
-            rel_tol=norm_rel_tol,
-        )
-        apply_mod, apply_adj = (_fast_apply_pair if fast else _direct_apply_pair)(fam, cloud)
+        _, apply_mod, apply_adj = _apply_pair(fam, cloud)
+        est = _adjoint_norm(cloud, apply_mod, apply_adj, norm_tol, norm_max_iter, seed, norm_rel_tol)
         dom_fields = _domination_fields(cloud, trials=2, seed=seed + idx, max_indicators=2, deltas=1)
         rng = np.random.default_rng(seed + 31 * idx)
         norm_fields = [

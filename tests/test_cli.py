@@ -114,3 +114,30 @@ def test_bench_subcommand(tmp_path):
 
 def test_bad_m_list_is_input_error(tmp_path, capsys):
     assert run(["scaling", "--M", "4,x", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["decompose", "--tol", "0"], ["decompose", "--tol", "-0.5"], ["norm", "--tol", "0"]],
+    ids=["decompose-zero", "decompose-negative", "norm-zero"],
+)
+def test_nonpositive_tol_is_input_error(family_file, tmp_path, args):
+    assert run(args + ["--family", family_file, "--n", "3", "--out", str(tmp_path)]) == 2
+
+
+def test_zero_threads_is_input_error(family_file, tmp_path):
+    assert run(["norm", "--family", family_file, "--n", "3", "--threads", "0", "--out", str(tmp_path)]) == 2
+
+
+def test_generate_honours_kmin_zero(tmp_path, monkeypatch):
+    import nhcz.cli
+
+    seen = []
+
+    def spy(seed, count, d, packing_target, k_range, box):
+        seen.append(k_range)
+        return generate_family(seed, count, d, packing_target, k_range, box)
+
+    monkeypatch.setattr(nhcz.cli, "generate_family", spy)
+    run(["generate", "--M", "8", "--kmin", "0", "--out", str(tmp_path)])
+    assert seen == [(0, 7)]

@@ -77,11 +77,12 @@ def test_apply_direct_threads_bitwise_identical():
     assert np.array_equal(a, b)
 
 
-def test_apply_direct_targets_subset():
+@pytest.mark.parametrize("variant", ["full", "modified", "adjoint", "local"])
+def test_apply_direct_targets_subset(variant):
     fam, cloud = small_family(seed=8, count=2, n=3)
     rng = np.random.default_rng(2)
     f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
-    spec = KernelSpec("adjoint", fam)
+    spec = KernelSpec(variant, fam)
     full = apply_direct(spec, cloud, f).values
     rows = np.array([0, 3, 7, 11])
     assert np.array_equal(apply_direct_targets(spec, cloud, f, rows), full[rows])
@@ -155,23 +156,12 @@ def test_operator_norm_modified_equals_adjoint():
     assert a.sigma_max == pytest.approx(b.sigma_max, rel=1e-6)
 
 
-def test_mu_adjointness_pairing():
+@pytest.mark.parametrize("variant", ["full", "modified", "adjoint", "local"])
+def test_mu_adjointness(variant):
     fam, cloud = small_family(seed=11, count=3, n=3)
-    spec = KernelSpec("modified", fam)
+    spec = KernelSpec(variant, fam)
     rng = np.random.default_rng(4)
     for _ in range(5):
-        f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
-        g = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
-        lhs = field_inner(cloud, apply_direct(spec, cloud, f), g)
-        rhs = field_inner(cloud, f, adjoint_apply_direct(spec, cloud, g))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_mu_adjointness_full_and_local():
-    fam, cloud = small_family(seed=13, count=2, n=3)
-    rng = np.random.default_rng(5)
-    for variant in ("full", "local"):
-        spec = KernelSpec(variant, fam)
         f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
         g = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
         lhs = field_inner(cloud, apply_direct(spec, cloud, f), g)

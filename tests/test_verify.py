@@ -6,9 +6,10 @@ import pytest
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family
 from nhcz.kernels import KernelSpec, kernel_eval
 from nhcz.measure import build_measure, build_quadrature
-from nhcz.operators import Field, apply_direct
+from nhcz.operators import Field, apply_direct, operator_norm
 from nhcz.reports import VerificationReport, canonical_json, family_digest, jsonable
 from nhcz.verify import (
+    FAST_NODE_THRESHOLD,
     SCALING_HEADER,
     annulus_index,
     check_decomposition,
@@ -105,6 +106,17 @@ def test_main_inequality_two_square_dense_oracle():
     sigma_ref = float(np.linalg.svd(b, compute_uv=False)[0])
     assert report.constants["sigma_max"] == pytest.approx(sigma_ref, abs=1e-8)
     assert report.constants["max_field_ratio"] <= report.constants["sigma_max_sq"] + 1e-10
+
+
+def test_main_inequality_fast_norm_matches_dense():
+    fam = generate_family(seed=5, count=33, d=1.2, packing_target=4.0, k_range=(4, 6))
+    cloud = build_quadrature(build_measure(fam), 8)
+    assert len(cloud) > FAST_NODE_THRESHOLD
+    report = check_main_inequality(fam, n_per_side=8, trials=2, seed=2, tol=1e-4)
+    assert report.inputs["fast"] is True
+    assert report.passed
+    dense = operator_norm(KernelSpec("adjoint", fam), cloud, tol=1e-4, seed=2, threads=2)
+    assert report.constants["sigma_max"] == pytest.approx(dense.sigma_max, rel=1e-5)
 
 
 def test_main_inequality_single_square_zero():
