@@ -39,13 +39,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nhcz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, tol=None):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="reports", help="output directory (default: reports)")
-        p.add_argument("--threads", type=_positive(int), default=1)
-        p.add_argument("--tol", type=_positive(float), default=tol)
         return p
+
+    def add_tol(p, default):
+        p.add_argument("--tol", type=_positive(float), default=default)
 
     p = add("generate", "draw an admissible family and save it as JSON")
     p.add_argument("--M", default="16", help="member count")
@@ -59,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("validate", "exact admissibility checks of a family file")
     p.add_argument("--family", required=True)
 
-    p = add("norm", "operator-norm estimate on the measure", tol=1e-6)
+    p = add("norm", "operator-norm estimate on the measure")
+    add_tol(p, 1e-6)
+    p.add_argument("--threads", type=_positive(int), default=1)
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--variant", choices=["modified", "adjoint", "full", "local"], default="modified")
@@ -87,16 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, default=8)
 
-    p = add("decompose", "full = modified + local operator identity", tol=1e-12)
+    p = add("decompose", "full = modified + local operator identity")
+    add_tol(p, 1e-12)
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--trials", type=int, default=4)
 
-    p = add("beurling", "spectral isometry check on a periodic grid", tol=1e-12)
+    p = add("beurling", "spectral isometry check on a periodic grid")
+    add_tol(p, 1e-12)
     p.add_argument("--n", type=int, default=256)
     p.add_argument("--trials", type=int, default=4)
 
     p = add("bench", "direct vs fast summation timing ladder")
+    add_tol(p, None)
     p.add_argument("--sizes", default="1024,4096,16384")
     p.add_argument("--p", type=int, default=12)
     p.add_argument("--theta", type=float, default=0.5)

@@ -5,6 +5,19 @@ its total mass is ``side^(2-d)``.  Clouds discretize both the area measure
 and the weighted measure with composite midpoint nodes; discrete balls are
 node-inclusion balls, and their accuracy contract is refinement convergence
 rather than exact disc geometry.
+
+Growth, a2 and the ladder maximal function share one ball-sum engine
+(``_square_ball_sums``).  It uses the fact that a square's nodes form a
+uniform grid: for each (centre, square) pair it compares the squared
+distance of the grid's farthest node, and of its nearest node (taken as 0
+when the centre lies inside the grid's box), with the squared radii.
+A square wholly inside a ball adds its precomputed weight totals, a square
+wholly outside adds nothing, and only a square that straddles a radius has
+its nodes tested one by one.  A node is in a ball iff ``d^2 <= r^2`` in
+float arithmetic.  Float subtraction, squaring and addition are monotone,
+so the bounds from the extreme nodes agree with that per-node test node for
+node, and a node that lies exactly on a circle stays inside.  ``ball_mass``
+and ``a2_ratio`` stay the O(N) single-ball references.
 """
 
 from __future__ import annotations
@@ -146,32 +159,75 @@ def dyadic_radius_ladder(cloud: QuadratureCloud, base: float | None = None) -> n
     return base * 2.0 ** np.arange(steps + 1)
 
 
-def _ladder_ball_sums(cloud, radii, weight_list, centers=None, block=256):
+# (centre, square) pairs classified per block of centres, and straddling
+# nodes binned per chunk; both bound the engine's scratch arrays
+_PAIR_BLOCK = 1 << 16
+
+
+def _add_to_bins(acc, keys, values):
+    for row, v in zip(acc, values):
+        row += np.bincount(keys, v, minlength=row.size)
+
+
+def _square_ball_sums(cloud, r2, weights, centers):
+    """Sums of each weight row over the nodes with ``d^2 <= r2``.
+
+    ``r2`` holds squared radii in any order and ``weights`` has shape
+    (n_weights, N).  Returns (n_centers, r2.size, n_weights).  Each node
+    falls in the bin of the smallest radius whose ball holds it, and a
+    cumulative sum over the bins gives every radius at once.  A square whose
+    nearest and farthest grid nodes share a bin adds its totals to that bin.
+    """
+    pts = np.asarray(centers, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    order = np.argsort(r2, kind="stable")
+    r2s = r2[order]
+    n_bins = r2s.size + 1  # the last bin lies outside every ball
+    w = np.asarray(weights, dtype=float)
+    nn = cloud.n_per_side**2
+    m_count = len(cloud.family)
+    xy = cloud.xy
+    grid = xy.reshape(m_count, nn, 2)
+    lo, hi = grid[:, 0], grid[:, -1]  # lowest and highest node coordinates
+    totals = w.reshape(w.shape[0], m_count, nn).sum(axis=2)
+    local = np.arange(nn)
+    out = np.empty((pts.shape[0], r2s.size, w.shape[0]))
+    step = max(1, _PAIR_BLOCK // m_count)
+    for b0 in range(0, pts.shape[0], step):
+        c = pts[b0 : b0 + step]
+        near2 = far2 = 0.0
+        for a in (0, 1):
+            ca = c[:, a : a + 1]
+            d_lo = (ca - lo[None, :, a]) ** 2
+            d_hi = (ca - hi[None, :, a]) ** 2
+            inside = (lo[None, :, a] <= ca) & (ca <= hi[None, :, a])
+            near2 = near2 + np.where(inside, 0.0, np.minimum(d_lo, d_hi))
+            far2 = far2 + np.maximum(d_lo, d_hi)
+        k_near = np.searchsorted(r2s, near2, side="left")
+        k_far = np.searchsorted(r2s, far2, side="left")
+        acc = np.zeros((w.shape[0], c.shape[0] * n_bins))
+        bw, mw = np.nonzero(k_near == k_far)
+        _add_to_bins(acc, bw * n_bins + k_near[bw, mw], totals[:, mw])
+        bs, ms = np.nonzero(k_near != k_far)
+        chunk = max(1, _PAIR_BLOCK // nn)
+        for s0 in range(0, bs.size, chunk):
+            b, nodes = bs[s0 : s0 + chunk], ms[s0 : s0 + chunk, None] * nn + local
+            d2 = (c[b, 0:1] - xy[nodes, 0]) ** 2 + (c[b, 1:2] - xy[nodes, 1]) ** 2
+            keys = b[:, None] * n_bins + np.searchsorted(r2s, d2, side="left")
+            _add_to_bins(acc, keys.ravel(), w[:, nodes].reshape(w.shape[0], -1))
+        cums = np.cumsum(acc.reshape(w.shape[0], c.shape[0], n_bins)[:, :, :-1], axis=2)
+        out[b0 : b0 + step][:, order, :] = cums.transpose(1, 2, 0)
+    return out
+
+
+def _ladder_ball_sums(cloud, radii, weight_list, centers=None):
     """Ball sums for every center x radius x weight vector.
 
     Centers default to all node positions.  Returns (n_centers, n_radii,
-    n_weights); per-center distances are sorted once and shared by all radii
-    and weight vectors.
+    n_weights).
     """
-    pts = cloud.xy if centers is None else np.asarray(centers, dtype=float)
-    r2 = np.asarray(radii, dtype=float) ** 2
-    nw = len(weight_list)
-    out = np.empty((pts.shape[0], r2.size, nw))
-    for b0 in range(0, pts.shape[0], block):
-        chunk = pts[b0 : b0 + block]
-        d2 = (
-            (chunk[:, 0:1] - cloud.xy[None, :, 0]) ** 2
-            + (chunk[:, 1:2] - cloud.xy[None, :, 1]) ** 2
-        )
-        order = np.argsort(d2, axis=1, kind="stable")
-        d2s = np.take_along_axis(d2, order, axis=1)
-        cums = [np.cumsum(np.asarray(w)[order], axis=1) for w in weight_list]
-        for r in range(chunk.shape[0]):
-            idx = np.searchsorted(d2s[r], r2, side="right")
-            for wi in range(nw):
-                row = cums[wi][r]
-                out[b0 + r, :, wi] = np.where(idx > 0, row[np.maximum(idx - 1, 0)], 0.0)
-    return out
+    pts = cloud.xy if centers is None else centers
+    return _square_ball_sums(cloud, np.asarray(radii, dtype=float) ** 2, np.stack(weight_list), pts)
 
 
 def growth_constant(

@@ -24,7 +24,7 @@ import numpy as np
 from nhcz.atomic import atomic_open
 from nhcz.geometry import SquareFamily
 from nhcz.kernels import KernelSpec, exclusion_mask, source_charges, target_scale
-from nhcz.measure import BallQuery, QuadratureCloud, ball_mass, dyadic_radius_ladder
+from nhcz.measure import BallQuery, QuadratureCloud, _square_ball_sums, ball_mass, dyadic_radius_ladder
 
 
 @dataclass
@@ -138,18 +138,27 @@ def maximal_function(cloud: QuadratureCloud, f: Field, kappa: float = 3.0, exact
 
 
 def _maximal_many(cloud, fields, kappa, exact_limit=4096, block=256, targets=None):
-    """Maximal-function values for several fields at once; distance sorting
-    is shared across fields.  ``targets`` restricts the evaluation nodes."""
+    """Maximal-function values for several fields at once.  ``targets``
+    restricts the evaluation nodes.
+
+    Above ``exact_limit`` nodes the radius ladder goes through the
+    square-level ball-sum engine; at or below it every node distance is a
+    candidate radius too, so each block of targets sorts its distances once
+    and shares the order across fields.
+    """
     n = len(cloud)
     tgt = np.arange(n, dtype=np.int64) if targets is None else np.asarray(targets)
     kappa2 = kappa * kappa
     num_w = [np.abs(f.values) * cloud.mu_weight for f in fields]
     den_w = cloud.mu_weight
-    outs = [np.empty(tgt.size) for _ in fields]
-    ladder = dyadic_radius_ladder(cloud, base=cloud.finest_spacing)
-    ladder2 = ladder**2
-    exact = n <= exact_limit
+    ladder2 = dyadic_radius_ladder(cloud, base=cloud.finest_spacing) ** 2
     xy = cloud.xy
+    if n > exact_limit:
+        r2 = np.concatenate([ladder2, kappa2 * ladder2])
+        sums = _square_ball_sums(cloud, r2, np.stack([den_w] + num_w), xy[tgt])
+        ratios = sums[:, : ladder2.size, 1:] / sums[:, ladder2.size :, :1]
+        return [ratios[:, :, fi].max(axis=1) for fi in range(len(fields))]
+    outs = [np.empty(tgt.size) for _ in fields]
     for b0 in range(0, tgt.size, block):
         rows_idx = tgt[b0 : b0 + block]
         d2 = (xy[rows_idx, 0:1] - xy[None, :, 0]) ** 2 + (xy[rows_idx, 1:2] - xy[None, :, 1]) ** 2
@@ -159,7 +168,7 @@ def _maximal_many(cloud, fields, kappa, exact_limit=4096, block=256, targets=Non
         cnums = [np.cumsum(w[order], axis=1) for w in num_w]
         for r in range(rows_idx.size):
             row = d2s[r]
-            cand2 = np.concatenate([row, ladder2]) if exact else ladder2
+            cand2 = np.concatenate([row, ladder2])
             ni = np.searchsorted(row, cand2, side="right") - 1
             di = np.searchsorted(row, kappa2 * cand2, side="right") - 1
             den = cden[r][di]

@@ -27,6 +27,19 @@ def apply_bruteforce(spec, cloud, f):
     return out
 
 
+def ball_sums_bruteforce(cloud, centers, radii, weight_list):
+    """Per-ball node masks, one centre and one radius at a time, with the
+    implementation's inclusion test ``d^2 <= r^2``."""
+    out = np.zeros((len(centers), len(radii), len(weight_list)))
+    for c, (cx, cy) in enumerate(centers):
+        d2 = (cloud.xy[:, 0] - cx) ** 2 + (cloud.xy[:, 1] - cy) ** 2
+        for r, radius in enumerate(radii):
+            mask = d2 <= float(radius) ** 2
+            for k, w in enumerate(weight_list):
+                out[c, r, k] = np.asarray(w)[mask].sum()
+    return out
+
+
 def maximal_bruteforce(cloud, f, kappa=3.0, exact_limit=4096):
     """Direct scan over the same candidate radius set, with the squared-
     distance comparison convention of the implementation."""

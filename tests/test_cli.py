@@ -129,6 +129,15 @@ def test_zero_threads_is_input_error(family_file, tmp_path):
     assert run(["norm", "--family", family_file, "--n", "3", "--threads", "0", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["growth", "--tol", "5"], ["growth", "--threads", "7"], ["dominate", "--threads", "2"], ["t1", "--tol", "1e-3"]],
+    ids=["growth-tol", "growth-threads", "dominate-threads", "t1-tol"],
+)
+def test_flag_on_subcommand_that_ignores_it_is_input_error(family_file, tmp_path, args):
+    assert run(args + ["--family", family_file, "--n", "3", "--out", str(tmp_path)]) == 2
+
+
 def test_generate_honours_kmin_zero(tmp_path, monkeypatch):
     import nhcz.cli
 

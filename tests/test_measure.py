@@ -1,11 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from nhcz.geometry import DyadicSquare, SquareFamily, generate_family
+from nhcz.geometry import DyadicSquare, SquareFamily, generate_cascade_family, generate_family
 from nhcz.measure import (
     BallQuery,
+    _ladder_ball_sums,
     a2_constant,
     a2_ratio,
     ball_mass,
@@ -16,6 +20,8 @@ from nhcz.measure import (
     export_cloud_csv,
     growth_constant,
 )
+
+from oracles import ball_sums_bruteforce
 
 
 def unit_square_family(d=1.0):
@@ -106,6 +112,69 @@ def test_ball_mass_monotone_in_radius():
         radii = np.sort(rng.uniform(0.01, 2.0, size=5))
         masses = [ball_mass(cloud, BallQuery(cx, cy, r)) for r in radii]
         assert all(a <= b + 1e-15 for a, b in zip(masses, masses[1:]))
+
+
+@st.composite
+def ball_sum_cases(draw):
+    """A random admissible family and cloud, centres at nodes, at dyadic
+    square corners and at arbitrary points, and dyadic radii with their
+    3-dilates in shuffled order."""
+    d = draw(st.sampled_from([0.02, 0.3, 1.0, 1.7, 1.98]))
+    k_lo = draw(st.integers(0, 4))
+    fam = generate_family(
+        seed=draw(st.integers(0, 2**16)),
+        count=draw(st.integers(1, 6)),
+        d=d,
+        packing_target=8.0,
+        k_range=(k_lo, k_lo + draw(st.integers(0, 3))),
+    )
+    cloud = build_quadrature(build_measure(fam), draw(st.sampled_from([1, 2, 3, 8])))
+    node_ids = draw(st.lists(st.integers(0, len(cloud) - 1), min_size=1, max_size=4))
+    corners = []
+    for sq, a, b in draw(st.lists(st.tuples(st.sampled_from(fam.squares), st.integers(0, 1), st.integers(0, 1)), max_size=3)):
+        corners.append(((sq.i + a) * sq.side, (sq.j + b) * sq.side))
+    points = draw(st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), max_size=3))
+    centers = np.concatenate([cloud.xy[node_ids], np.array(corners + points).reshape(-1, 2)])
+    ks = draw(st.lists(st.integers(-1, 12), min_size=1, max_size=6, unique=True))
+    radii = draw(st.permutations([2.0**-k for k in ks] + [3.0 * 2.0**-k for k in ks]))
+    return cloud, centers, np.array(radii)
+
+
+def nearest_nodes_on_a_circle():
+    # from the first square's nodes, the second square's nearest nodes lie
+    # exactly at radius 1 and its farthest nodes inside radius 1.5
+    fam = SquareFamily.build([DyadicSquare(3, 0, 0), DyadicSquare(3, 8, 0)], 1.2, 4.0)
+    cloud = build_quadrature(build_measure(fam), 2)
+    return cloud, cloud.xy, np.array([2.0, 1.0, 3.0, 1.5, 0.5, 0.75])
+
+
+@given(ball_sum_cases())
+@example(nearest_nodes_on_a_circle())
+def test_ball_sum_engine_matches_mask_oracle(case):
+    cloud, centers, radii = case
+    weights = [np.ones(len(cloud)), cloud.mu_weight, cloud.area_weight * cloud.node_side**cloud.d]
+    got = _ladder_ball_sums(cloud, radii, weights, centers=centers)
+    ref = ball_sums_bruteforce(cloud, centers, radii, weights)
+    # unit weights count the nodes in each ball: membership must be identical
+    assert np.array_equal(got[:, :, 0], ref[:, :, 0])
+    np.testing.assert_allclose(got[:, :, 1:], ref[:, :, 1:], rtol=1e-12, atol=0.0)
+    nearest2 = ((centers[:, None, :] - cloud.xy[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+    assert np.all(got[radii[None, :] ** 2 < nearest2[:, None]] == 0.0)
+
+
+def test_growth_engine_memory_stays_small():
+    # the 16,384-node scaling row at M=256 with its 4096 sampled centres
+    fam = generate_cascade_family(seed=256, count=256, d=1.2, packing_target=4.0)
+    cloud = build_quadrature(build_measure(fam), 8)
+    rng = np.random.default_rng(0)
+    centers = cloud.xy[np.sort(rng.choice(len(cloud), size=4096, replace=False))]
+    tracemalloc.start()
+    try:
+        growth_constant(cloud, centers=centers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_growth_constant_single_square():

@@ -120,6 +120,17 @@ def test_maximal_random_matches_bruteforce():
     assert np.abs(got - ref).max() <= 1e-12 * max(ref.max(), 1.0)
 
 
+@pytest.mark.parametrize("d", [0.8, 1.2, 1.6])
+def test_maximal_ladder_mode_matches_bruteforce(d):
+    # exact_limit=0 sends every cloud through the radius-ladder engine
+    fam, cloud = small_family(seed=4, count=4, d=d, n=4)
+    rng = np.random.default_rng(7)
+    f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
+    got = maximal_function(cloud, f, exact_limit=0).values.real
+    ref = maximal_bruteforce(cloud, f, exact_limit=0)
+    assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+
 def test_maximal_rejects_bad_dilation():
     fam, cloud = small_family()
     with pytest.raises(ValueError):
