@@ -8,8 +8,26 @@ expanded when ``2 r <= theta * D``, which caps the per-source convergence
 ratio at ``theta / 2`` and keeps the truncation constant small enough that
 the delivered error sits well under ``theta^order``.  A cell holding any
 source from the target's own square is never expanded, so the same-square
-zeroing of the modified/adjoint kernels stays exact; such cells recurse and
-leaves are evaluated directly with same-square masking.
+zeroing of the modified/adjoint kernels stays exact.
+
+Which pairs are expanded and which are summed directly depends on the cloud
+and ``theta`` alone, so each tree walks itself once per opening parameter
+and caches the result as an ``InteractionPlan``:
+
+- the far part is a list of (cell, target leaf, packed slot mask) entries;
+  an apply evaluates each far cell as a (targets x order) power matrix
+  times the cell's (order x k) moments;
+- the near part keeps the (target leaf, source leaf) blocks the walk
+  reaches, with the target slots that meet a source from another square.
+  A block in which every pair shares a square holds only zeros of the
+  cross-square kernel, so it is dropped when the plan is built; the kernel
+  values of the live blocks are computed per apply.
+
+Moments are built leaf by leaf and then shifted up one depth at a time,
+with one shift matrix per distinct child offset; on dyadic clouds those
+are the four quadrant offsets.  Charges of shape (N,) or (N, k) go through
+the same plan, ``_COLUMN_BLOCK`` columns per pass, and each column's sums
+run in the same order whatever columns come with it.
 """
 
 from __future__ import annotations
@@ -20,12 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcz.kernels import KernelSpec, source_charges, target_scale
+from nhcz.kernels import KernelSpec, exclusion_mask, source_charges, target_scale
 from nhcz.measure import QuadratureCloud, build_measure, build_quadrature
 from nhcz.geometry import generate_family, suggest_generation_range
 from nhcz.operators import Field, apply_direct, apply_direct_targets
 
 _MAX_DEPTH = 48
+_COLUMN_BLOCK = 8  # charge columns per pass; bounds the moment and output arrays
+_ENTRY_BLOCK = 256  # far entries per power matrix (at most 256 x leaf size rows)
+_NEAR_BLOCK = 64  # near leaf blocks per dense kernel evaluation
 
 
 @dataclass(frozen=True)
@@ -41,6 +62,34 @@ class ExpansionParams:
             raise ValueError(f"opening parameter must lie in (0, 1), got {self.theta}")
         if self.leaf_cap < 1:
             raise ValueError(f"leaf capacity must be >= 1, got {self.leaf_cap}")
+
+
+@dataclass(frozen=True)
+class InteractionPlan:
+    """The expanded and the directly summed pairs of one tree at one opening
+    parameter.  Leaves are named by their row in the tree's leaf pads, and a
+    slot mask packs one bit per pad slot (``np.packbits`` along rows)."""
+
+    far_cells: np.ndarray  # cells that serve some target by expansion
+    far_ptr: np.ndarray  # far_cells[i] owns entries far_ptr[i]:far_ptr[i + 1]
+    far_leaf: np.ndarray  # target leaf of each entry
+    far_bits: np.ndarray  # the entry's expanded target slots
+    near_target: np.ndarray  # target leaf of each live near block
+    near_source: np.ndarray  # source leaf of each live near block
+    near_bits: np.ndarray  # the block's target slots with a live pair
+    near_blocks_skipped: int  # near blocks whose pairs all share a square
+
+    @property
+    def far_entries(self) -> int:
+        return int(self.far_leaf.size)
+
+    @property
+    def near_blocks(self) -> int:
+        return int(self.near_target.size)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
 
 
 class QuadTree:
@@ -66,19 +115,21 @@ class QuadTree:
         start: list[int] = []
         end: list[int] = []
         depth: list[int] = []
+        parent: list[int] = []
         children: list[list[int]] = []
         square_ids: list[np.ndarray] = []
         perm: list[np.ndarray] = []
         z = cloud.z
         sq = cloud.square_index
 
-        def rec(idx: np.ndarray, ccx: float, ccy: float, h: float, dep: int) -> int:
+        def rec(idx: np.ndarray, ccx: float, ccy: float, h: float, dep: int, up: int) -> int:
             cell = len(centers)
             c = complex(ccx, ccy)
             centers.append(c)
             radius.append(float(np.abs(z[idx] - c).max()))
             halves.append(h)
             depth.append(dep)
+            parent.append(up)
             square_ids.append(np.unique(sq[idx]))
             start.append(-1)
             end.append(-1)
@@ -98,7 +149,7 @@ class QuadTree:
                     continue
                 nx = ccx + (h / 2.0 if q & 1 else -h / 2.0)
                 ny = ccy + (h / 2.0 if q & 2 else -h / 2.0)
-                kids.append(rec(sub, nx, ny, h / 2.0, dep + 1))
+                kids.append(rec(sub, nx, ny, h / 2.0, dep + 1, cell))
             children[cell] = kids
             start[cell] = start[kids[0]]
             end[cell] = end[kids[-1]]
@@ -109,7 +160,7 @@ class QuadTree:
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 10_000))
         try:
-            rec(np.arange(len(cloud), dtype=np.int64), float(cx), float(cy), half, 0)
+            rec(np.arange(len(cloud), dtype=np.int64), float(cx), float(cy), half, 0, -1)
         finally:
             sys.setrecursionlimit(old_limit)
 
@@ -119,18 +170,23 @@ class QuadTree:
         self.start = np.array(start, dtype=np.int64)
         self.end = np.array(end, dtype=np.int64)
         self.depth = np.array(depth, dtype=np.int64)
+        self.parent = np.array(parent, dtype=np.int64)
         self.children = children
         self.square_ids = square_ids
         self.perm = np.concatenate(perm)
+        self.rank = np.empty_like(self.perm)  # node -> position in perm
+        self.rank[self.perm] = np.arange(self.perm.size)
         self.is_leaf = np.array([not c for c in children])
         self.n_cells = len(centers)
         self._build_leaf_pads()
+        self._plans: dict[float, InteractionPlan] = {}
 
     def _build_leaf_pads(self):
-        """Pad leaf node lists to a rectangle so moments and direct sums
-        vectorize across all leaves at once."""
+        """Pad leaf node lists to a rectangle so the plan can name a target
+        by (leaf, slot) and near blocks vectorize across leaves."""
         leaf_ids = np.flatnonzero(self.is_leaf)
-        cap = int((self.end[leaf_ids] - self.start[leaf_ids]).max())
+        sizes = self.end[leaf_ids] - self.start[leaf_ids]
+        cap = int(sizes.max())
         nodes = np.zeros((leaf_ids.size, cap), dtype=np.int64)
         mask = np.zeros((leaf_ids.size, cap), dtype=bool)
         for r, c in enumerate(leaf_ids):
@@ -138,32 +194,55 @@ class QuadTree:
             nodes[r, : ids.size] = ids
             mask[r, : ids.size] = True
         self.leaf_ids = leaf_ids
-        self.leaf_row = {int(c): r for r, c in enumerate(leaf_ids)}
         self.leaf_pad_nodes = nodes
         self.leaf_pad_mask = mask
-        self.leaf_pad_diff = np.where(mask, self.cloud.z[nodes] - self.centers[leaf_ids][:, None], 0.0)
-        self.leaf_pad_sq = np.where(mask, self.cloud.square_index[nodes], -1)
+        # offset of each node, in ``perm`` order, from its leaf's center
+        self.leaf_diff = self.cloud.z[self.perm] - np.repeat(self.centers[leaf_ids], sizes)
 
     def moments(self, charges: np.ndarray, order: int) -> np.ndarray:
-        """Per-cell moment sums sum_q c_q (w_q - center)^k, k < order."""
-        mom = np.zeros((self.n_cells, order), dtype=np.complex128)
-        ch = np.where(self.leaf_pad_mask, charges[self.leaf_pad_nodes], 0.0)
-        pw = np.ones_like(ch)
-        for k in range(order):
-            mom[self.leaf_ids, k] = (ch * pw).sum(axis=1)
-            if k + 1 < order:
-                pw = pw * self.leaf_pad_diff
+        """Per-cell moment sums sum_q c_q (w_q - center)^k, k < order.
+
+        Charges of shape (N,) give (cells, order); (N, k) give
+        (cells, order, k).  Leaves sum their nodes; each depth, deepest
+        first, then adds its cells' moments to their parents, one shift
+        matrix per distinct child-to-parent offset.  Every sum runs one
+        column at a time, so a column's moments do not depend on how many
+        columns come with it.
+        """
+        cols = charges.reshape(len(charges), -1).T
+        mom = np.zeros((cols.shape[0], self.n_cells, order), dtype=np.complex128)
+        leaf_start = self.start[self.leaf_ids]
+        for m, col in zip(mom, cols):
+            ch = col[self.perm]
+            for k in range(order):
+                m[self.leaf_ids, k] = np.add.reduceat(ch, leaf_start)
+                if k + 1 < order:
+                    ch = ch * self.leaf_diff
         binom = _binomial_table(order)
+        tri_r, tri_c = np.tril_indices(order)
         ks = np.arange(order)
-        for cell in range(self.n_cells - 1, -1, -1):
-            for kid in self.children[cell]:
-                t = self.centers[kid] - self.centers[cell]
-                tp = t ** ks  # t^0 .. t^(order-1)
+        for dep in range(int(self.depth.max()), 0, -1):
+            kids = np.flatnonzero(self.depth == dep)
+            ups = self.parent[kids]
+            offsets, group = np.unique(self.centers[kids] - self.centers[ups], return_inverse=True)
+            by_group = np.argsort(group, kind="stable")
+            bounds = np.searchsorted(group[by_group], np.arange(offsets.size + 1))
+            for g, t in enumerate(offsets):
+                sel = by_group[bounds[g] : bounds[g + 1]]
                 shift = np.zeros((order, order), dtype=np.complex128)
-                rows, cols = np.tril_indices(order)
-                shift[rows, cols] = binom[rows, cols] * tp[rows - cols]
-                mom[cell] += shift @ mom[kid]
-        return mom
+                shift[tri_r, tri_c] = binom[tri_r, tri_c] * (t**ks)[tri_r - tri_c]
+                for m in mom:
+                    # siblings have distinct offsets, so ups[sel] holds no repeats
+                    m[ups[sel]] += m[kids[sel]] @ shift.T
+        mom = np.moveaxis(mom, 0, -1)
+        return mom if charges.ndim > 1 else mom[:, :, 0]
+
+    def plan(self, theta: float) -> InteractionPlan:
+        """The interaction plan at opening parameter ``theta``, built on
+        first use and cached on the tree."""
+        if theta not in self._plans:
+            self._plans[theta] = _build_plan(self, theta)
+        return self._plans[theta]
 
 
 def _binomial_table(p: int) -> np.ndarray:
@@ -179,61 +258,154 @@ def build_tree(cloud: QuadratureCloud, leaf_cap: int = 32) -> QuadTree:
     return QuadTree(cloud, leaf_cap)
 
 
+def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
+    """One stack walk of the tree that records, instead of evaluating, the
+    targets each cell expands and the targets each leaf sums directly.
+
+    Targets travel in ``perm`` order, so the targets of one leaf are
+    consecutive wherever they go.
+    """
+    z, sq = tree.cloud.z, tree.cloud.square_index
+    n_leaves, width = tree.leaf_pad_nodes.shape
+    leaf_start = tree.start[tree.leaf_ids]
+    leaf_of = np.repeat(np.arange(n_leaves), tree.end[tree.leaf_ids] - leaf_start)  # perm slot -> leaf
+    leaf_row = np.full(tree.n_cells, -1, dtype=np.int64)
+    leaf_row[tree.leaf_ids] = np.arange(n_leaves)
+
+    def by_leaf(nodes):
+        """The leaves holding ``nodes`` and the packed slot masks of the nodes."""
+        pos = tree.rank[nodes]
+        lf = leaf_of[pos]
+        new = np.ones(lf.size, dtype=bool)
+        new[1:] = lf[1:] != lf[:-1]
+        mask = np.zeros((int(new.sum()), width), dtype=bool)
+        mask[np.cumsum(new) - 1, pos - leaf_start[lf]] = True
+        return lf[new].astype(np.int32), np.packbits(mask, axis=1)
+
+    far_cells, far_leaf, far_bits = [], [], []
+    near_target, near_source, near_bits = [], [], []
+    skipped = 0
+    in_cell = np.zeros(len(tree.cloud.family), dtype=bool)  # squares of the current cell
+    stack = [(0, tree.perm)]
+    while stack:
+        cell, targets = stack.pop()
+        adm = 2.0 * tree.radius[cell] <= theta * np.abs(z[targets] - tree.centers[cell])
+        in_cell[tree.square_ids[cell]] = True
+        adm[adm] = ~in_cell[sq[targets[adm]]]
+        in_cell[tree.square_ids[cell]] = False
+        if adm.any():
+            leaves, bits = by_leaf(targets[adm])
+            far_cells.append(cell)
+            far_leaf.append(leaves)
+            far_bits.append(bits)
+        rest = targets[~adm]
+        if rest.size == 0:
+            continue
+        if tree.is_leaf[cell]:
+            src = tree.perm[tree.start[cell] : tree.end[cell]]
+            dz = z[rest][:, None] - z[src][None, :]
+            live = ~exclusion_mask("cross_square", dz, sq[rest][:, None], sq[src][None, :]).all(axis=1)
+            leaves, bits = by_leaf(rest[live])
+            near_target.append(leaves)
+            near_source.append(np.full(leaves.size, leaf_row[cell], dtype=np.int32))
+            near_bits.append(bits)
+            skipped += np.unique(leaf_of[tree.rank[rest]]).size - leaves.size
+        else:
+            for kid in reversed(tree.children[cell]):
+                stack.append((kid, rest))
+
+    packed = (width + 7) // 8
+
+    def cat(parts, dtype, shape=(0,)):
+        return np.concatenate(parts) if parts else np.zeros(shape, dtype=dtype)
+
+    return InteractionPlan(
+        far_cells=np.array(far_cells, dtype=np.int32),
+        far_ptr=np.concatenate([[0], np.cumsum([a.size for a in far_leaf])]).astype(np.int64),
+        far_leaf=cat(far_leaf, np.int32),
+        far_bits=cat(far_bits, np.uint8, (0, packed)),
+        near_target=cat(near_target, np.int32),
+        near_source=cat(near_source, np.int32),
+        near_bits=cat(near_bits, np.uint8, (0, packed)),
+        near_blocks_skipped=int(skipped),
+    )
+
+
 def apply_fast(spec: KernelSpec, tree: QuadTree, f: Field, params: ExpansionParams) -> Field:
-    """Treecode application of the modified or adjoint kernel operator."""
+    """Treecode application of the modified or adjoint kernel operator to a
+    field of shape (N,) or (N, k)."""
     if spec.rule[0] != "cross_square":
         raise ValueError("fast summation supports the modified/adjoint variants; use apply_direct")
     cloud = tree.cloud
     if len(f.values) != len(cloud):
         raise ValueError("field length does not match the cloud")
     transposed = spec.rule[1]
-    out = _downward(tree, source_charges(cloud, f.values, transposed), params)
+    plan = tree.plan(params.theta)
+    cols = source_charges(cloud, f.values, transposed).reshape(len(cloud), -1)
+    out = np.zeros(cols.shape, dtype=np.complex128)  # rows in ``perm`` order
+    for c0 in range(0, cols.shape[1], _COLUMN_BLOCK):
+        block = slice(c0, c0 + _COLUMN_BLOCK)
+        _far_sums(tree, plan, tree.moments(cols[:, block], params.order), out[:, block])
+        _near_sums(tree, plan, cols[:, block], out[:, block])
+    del cols  # frees the charges before the output copies below
+    out = out[tree.rank].reshape(f.values.shape)
     return Field(target_scale(cloud, spec.d, out, transposed), "mu")
 
 
-def _downward(tree, charges, params):
-    cloud = tree.cloud
-    p = params.order
-    theta = params.theta
-    mom = tree.moments(charges, p)
-    z = cloud.z
-    t_sq = cloud.square_index
-    out = np.zeros(len(cloud), dtype=np.complex128)
-    coef = np.arange(1, p + 1)  # (k+1) factors
-    stack = [(0, np.arange(len(cloud), dtype=np.int64))]
-    while stack:
-        cell, targets = stack.pop()
-        dz = z[targets] - tree.centers[cell]
-        dist = np.abs(dz)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            adm = 2.0 * tree.radius[cell] <= theta * dist
-        if tree.square_ids[cell].size:
-            adm &= ~np.isin(t_sq[targets], tree.square_ids[cell])
-        if np.any(adm):
-            far = targets[adm]
-            inv = 1.0 / dz[adm]
-            acc = np.zeros(far.size, dtype=np.complex128)
-            for k in range(p - 1, -1, -1):
-                acc = acc * inv + coef[k] * mom[cell, k]
-            out[far] += acc * inv * inv
-        rest = targets[~adm]
-        if rest.size == 0:
-            continue
-        if tree.is_leaf[cell]:
-            row = tree.leaf_row[cell]
-            src_sq = tree.leaf_pad_sq[row]
-            src_nodes = tree.leaf_pad_nodes[row]
-            dzm = z[rest][:, None] - z[src_nodes][None, :]
-            mask = (t_sq[rest][:, None] == src_sq[None, :]) | ~tree.leaf_pad_mask[row][None, :]
-            mask |= dzm == 0
-            dzm = np.where(mask, 1.0, dzm)
-            vals = 1.0 / (dzm * dzm)
-            vals[mask] = 0.0
-            out[rest] += vals @ charges[src_nodes]
-        else:
-            for kid in reversed(tree.children[cell]):
-                stack.append((kid, rest))
-    return out
+def _far_sums(tree, plan, mom, out):
+    """Adds every expanded interaction to ``out`` (N, k), whose rows are in
+    ``perm`` order, one far cell at a time.  The power matrix runs in
+    u = 2^e / (z - c) with 2^e >= the cell radius, so |u| stays below 1 and
+    the moments are rescaled by exact powers of two; neither overflows at
+    any order."""
+    z = tree.cloud.z[tree.perm]
+    leaf_start = tree.start[tree.leaf_ids]
+    width = tree.leaf_pad_nodes.shape[1]
+    for cell, e0, e1 in zip(plan.far_cells, plan.far_ptr[:-1], plan.far_ptr[1:]):
+        # sources that all sit at the center have only a zeroth moment
+        order = mom.shape[1] if tree.radius[cell] > 0 else 1
+        ks = np.arange(order)
+        e = math.frexp(tree.radius[cell])[1]
+        m = mom[cell, :order].T * (ks + 1)  # one row per charge column
+        m = np.ldexp(m.real, -e * ks) + 1j * np.ldexp(m.imag, -e * ks)
+        for b0 in range(e0, e1, _ENTRY_BLOCK):
+            b1 = min(b0 + _ENTRY_BLOCK, e1)
+            entry, slot = np.nonzero(np.unpackbits(plan.far_bits[b0:b1], axis=1, count=width))
+            pos = leaf_start[plan.far_leaf[b0:b1][entry]] + slot
+            inv = 1.0 / (z[pos] - tree.centers[cell])
+            u = inv * 2.0**e
+            pw = np.empty((order, pos.size), dtype=np.complex128)  # rows inv^2 u^k
+            pw[0] = inv * inv
+            for k in range(1, order):
+                pw[k] = pw[k - 1] * u
+            # one product per column keeps each column's sums independent of
+            # k; a cell expands each target once, so ``pos`` has no repeats
+            sums = np.empty((len(m), pos.size), dtype=np.complex128)
+            for mj, sj in zip(m, sums):
+                np.matmul(mj, pw, out=sj)
+            out[pos] += sums.T
+
+
+def _near_sums(tree, plan, charges, out):
+    """Adds the direct sums of the live near blocks to ``out`` (N, k),
+    whose rows are in ``perm`` order."""
+    z, sq = tree.cloud.z, tree.cloud.square_index
+    pads, valid = tree.leaf_pad_nodes, tree.leaf_pad_mask
+    width = pads.shape[1]
+    for b0 in range(0, plan.near_blocks, _NEAR_BLOCK):
+        tgt_leaf = plan.near_target[b0 : b0 + _NEAR_BLOCK]
+        tgt = pads[tgt_leaf]
+        src_leaf = plan.near_source[b0 : b0 + _NEAR_BLOCK]
+        src = pads[src_leaf]
+        keep = np.unpackbits(plan.near_bits[b0 : b0 + _NEAR_BLOCK], axis=1, count=width).astype(bool)
+        dz = z[tgt][:, :, None] - z[src][:, None, :]
+        drop = exclusion_mask("cross_square", dz, sq[tgt][:, :, None], sq[src][:, None, :])
+        drop |= ~keep[:, :, None] | ~valid[src_leaf][:, None, :]
+        dz = np.where(drop, 1.0, dz)
+        vals = 1.0 / (dz * dz)
+        vals[drop] = 0.0
+        pos = tree.start[tree.leaf_ids[tgt_leaf]][:, None] + np.arange(width)
+        np.add.at(out, pos[keep], np.einsum("bts,bsc->btc", vals, charges[src])[keep])
 
 
 @dataclass

@@ -48,9 +48,14 @@ def exclusion_mask(mode: str, dz, sq_target, sq_source):
     return mask
 
 
+def _per_node(weights, values):
+    """``weights`` shaped to scale the rows of ``values`` ((N,) or (N, k))."""
+    return weights.reshape(weights.shape + (1,) * (np.ndim(values) - 1))
+
+
 def source_charges(cloud: QuadratureCloud, values, transposed: bool):
     """Field values times the forward (area) or transposed (measure) weight."""
-    return values * (cloud.mu_weight if transposed else cloud.area_weight)
+    return values * _per_node(cloud.mu_weight if transposed else cloud.area_weight, values)
 
 
 def target_scale(cloud: QuadratureCloud, d: float, out, transposed: bool, targets=None):
@@ -58,7 +63,7 @@ def target_scale(cloud: QuadratureCloud, d: float, out, transposed: bool, target
     if not transposed:
         return out
     side = cloud.node_side if targets is None else cloud.node_side[targets]
-    return out * side**d
+    return out * _per_node(side**d, out)
 
 
 def _side_factor(spec, cloud, p, q):

@@ -230,6 +230,25 @@ def _ladder_ball_sums(cloud, radii, weight_list, centers=None):
     return _square_ball_sums(cloud, np.asarray(radii, dtype=float) ** 2, np.stack(weight_list), pts)
 
 
+TIE_RTOL = 1e-12
+
+
+def _witness_index(ratios: np.ndarray) -> tuple[int, int]:
+    """(centre, radius) index of the witness ball: the lowest index whose
+    ratio is within ``TIE_RTOL`` of the largest.  Balls that tie up to
+    rounding then give the same witness whatever order the sums ran in."""
+    flat = ratios.ravel()
+    first = int(np.flatnonzero(flat >= flat.max() * (1.0 - TIE_RTOL))[0])
+    return divmod(first, ratios.shape[1])
+
+
+def _largest_ratio(cloud, ratios, centers, radii) -> tuple[float, BallQuery]:
+    """The largest ratio and its witness ball."""
+    ci, ri = _witness_index(ratios)
+    pts = cloud.xy if centers is None else np.asarray(centers, dtype=float)
+    return float(ratios.max()), BallQuery(float(pts[ci, 0]), float(pts[ci, 1]), float(radii[ri]))
+
+
 def growth_constant(
     cloud: QuadratureCloud,
     centers: np.ndarray | None = None,
@@ -245,11 +264,7 @@ def growth_constant(
     radii = np.asarray(radii, dtype=float)
     masses = _ladder_ball_sums(cloud, radii, [cloud.mu_weight], centers=centers)[:, :, 0]
     ratios = masses / radii[None, :] ** (2.0 - cloud.d)
-    flat = int(np.argmax(ratios))
-    ci, ri = divmod(flat, radii.size)
-    pts = cloud.xy if centers is None else np.asarray(centers, dtype=float)
-    witness = BallQuery(float(pts[ci, 0]), float(pts[ci, 1]), float(radii[ri]))
-    return float(ratios[ci, ri]), witness
+    return _largest_ratio(cloud, ratios, centers, radii)
 
 
 def a2_ratio(cloud: QuadratureCloud, ball: BallQuery) -> float:
@@ -280,11 +295,7 @@ def a2_constant(
     sums = _ladder_ball_sums(cloud, radii, [cloud.mu_weight, inv_density_w], centers=centers)
     disc = math.pi * radii**2
     ratios = (sums[:, :, 0] / disc[None, :]) * (sums[:, :, 1] / disc[None, :])
-    flat = int(np.argmax(ratios))
-    ci, ri = divmod(flat, radii.size)
-    pts = cloud.xy if centers is None else np.asarray(centers, dtype=float)
-    witness = BallQuery(float(pts[ci, 0]), float(pts[ci, 1]), float(radii[ri]))
-    return float(ratios[ci, ri]), witness
+    return _largest_ratio(cloud, ratios, centers, radii)
 
 
 def borderline_exponent(t: float, k_qc: float) -> float:

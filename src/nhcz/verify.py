@@ -78,6 +78,14 @@ def _apply_pair(family, cloud):
     return (fast, *(_fast_apply_pair if fast else _direct_apply_pair)(family, cloud))
 
 
+def _columns(fields, n):
+    """The fields' values as the columns of one (n, len(fields)) field."""
+    cols = np.zeros((n, len(fields)), dtype=np.complex128)
+    for col, f in enumerate(fields):
+        cols[:, col] = f.values
+    return Field(cols, "mu")
+
+
 def _adjoint_norm(cloud, apply_mod, apply_adj, tol, max_iter, seed, rel_tol=0.0):
     """Measure-weighted norm of the adjoint-kernel operator from an apply
     pair; its measure adjoint is conj o modified o conj."""
@@ -112,11 +120,12 @@ def check_main_inequality(
     fast, apply_mod, apply_adj = _apply_pair(family, cloud)
     est = _adjoint_norm(cloud, apply_mod, apply_adj, tol, max_iter, seed)
     rng = np.random.default_rng(seed + 1)
+    n = len(cloud)
+    trial_fields = [Field(rng.standard_normal(n) + 1j * rng.standard_normal(n), "mu") for _ in range(trials)]
+    images = apply_adj(_columns(trial_fields, n)).values
     max_ratio, max_trial = 0.0, -1
-    for t in range(trials):
-        v = rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud))
-        f = Field(v, "mu")
-        r = (field_norm(cloud, apply_adj(f)) / field_norm(cloud, f)) ** 2
+    for t, f in enumerate(trial_fields):
+        r = (field_norm(cloud, Field(images[:, t], "mu")) / field_norm(cloud, f)) ** 2
         if r > max_ratio:
             max_ratio, max_trial = r, t
     passed = bool(est.converged and max_ratio <= est.sigma_max**2 + tol)
@@ -247,8 +256,9 @@ def check_domination(
     c_dom = 0.0
     witness = {"field": None, "node": -1}
     witness_tf = None
-    for (label, f), denom in zip(fields, maximal):
-        tf = np.abs(apply_adj(f).values)
+    images = np.abs(apply_adj(_columns([f for _, f in fields], len(cloud))).values)
+    for col, ((label, f), denom) in enumerate(zip(fields, maximal)):
+        tf = images[:, col]
         ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)
         node = int(np.argmax(ratios))
         if ratios[node] > c_dom:
@@ -423,8 +433,9 @@ def scaling_study(
             targets = np.arange(len(cloud))
         maximal = _maximal_many(cloud, [f for _, f in all_fields], kappa=3.0, targets=targets)
         c_dom = 0.0
-        for (label, f), denom in zip(dom_fields, maximal[: len(dom_fields)]):
-            tf = np.abs(apply_adj(f).values[targets])
+        images = np.abs(apply_adj(_columns([f for _, f in dom_fields], len(cloud))).values[targets])
+        for col, denom in enumerate(maximal[: len(dom_fields)]):
+            tf = images[:, col]
             ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)
             c_dom = max(c_dom, float(ratios.max()))
         c_max_op = 0.0

@@ -1,16 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nhcz.fastsum import (
     BENCH_HEADER,
     ExpansionParams,
+    _max_rel_err,
     apply_fast,
     benchmark,
     build_tree,
     fit_cost_exponent,
 )
-from nhcz.geometry import DyadicSquare, SquareFamily, generate_family
-from nhcz.kernels import KernelSpec
+from nhcz.geometry import (
+    MAX_ABS_GENERATION,
+    DyadicSquare,
+    SquareFamily,
+    generate_cascade_family,
+    generate_family,
+    suggest_generation_range,
+)
+from nhcz.kernels import KernelSpec, kernel_rows
 from nhcz.measure import build_measure, build_quadrature
 from nhcz.operators import Field, apply_direct
 
@@ -52,19 +62,22 @@ def test_tree_deterministic():
     assert np.array_equal(t1.start, t2.start)
 
 
-def test_moments_match_direct_sums():
+@pytest.mark.parametrize("columns", [None, 3])
+def test_moments_match_direct_sums(columns):
     fam, cloud = cloud_for(5, 6, seed=4)
     tree = build_tree(cloud, leaf_cap=8)
     rng = np.random.default_rng(0)
-    charges = rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud))
+    shape = (len(cloud),) if columns is None else (len(cloud), columns)
+    charges = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     p = 7
     mom = tree.moments(charges, p)
+    assert mom.shape == (tree.n_cells, p) + shape[1:]
     for cell in range(0, tree.n_cells, max(tree.n_cells // 20, 1)):
         ids = tree.perm[tree.start[cell] : tree.end[cell]]
         diffs = cloud.z[ids] - tree.centers[cell]
         for k in range(p):
-            direct = np.sum(charges[ids] * diffs**k)
-            assert mom[cell, k] == pytest.approx(direct, rel=1e-10, abs=1e-12)
+            direct = np.tensordot(diffs**k, charges[ids], axes=1)
+            np.testing.assert_allclose(mom[cell, k], direct, rtol=1e-10, atol=1e-12)
 
 
 def test_moment_zero_order_conserved_on_level_covers():
@@ -164,3 +177,111 @@ def test_fit_cost_exponent_recovers_slope():
     ns = np.array([1e3, 4e3, 1.6e4, 6.4e4])
     times = 5.0 * ns**1.3
     assert fit_cost_exponent(ns, times) == pytest.approx(1.3, abs=1e-6)
+
+
+def _plan_pairs(tree, plan):
+    """(target, source) node pairs the plan expands and sums directly."""
+    pads, width = tree.leaf_pad_nodes, tree.leaf_pad_nodes.shape[1]
+    far, near = [], []
+    for cell, e0, e1 in zip(plan.far_cells, plan.far_ptr[:-1], plan.far_ptr[1:]):
+        entry, slot = np.nonzero(np.unpackbits(plan.far_bits[e0:e1], axis=1, count=width))
+        sources = tree.perm[tree.start[cell] : tree.end[cell]]
+        far.extend((t, s) for t in pads[plan.far_leaf[e0:e1][entry], slot] for s in sources)
+    keep = np.unpackbits(plan.near_bits, axis=1, count=width).astype(bool)
+    for t_leaf, s_leaf, slots in zip(plan.near_target, plan.near_source, keep):
+        sources = pads[s_leaf][tree.leaf_pad_mask[s_leaf]]
+        near.extend((t, s) for t in pads[t_leaf][slots] for s in sources)
+    return far, near
+
+
+def test_plan_covers_every_cross_square_pair_once():
+    fam, cloud = cloud_for(6, 5, seed=10)
+    tree = build_tree(cloud, leaf_cap=4)
+    far, near = _plan_pairs(tree, tree.plan(0.5))
+    sq = cloud.square_index
+    seen = np.zeros((len(cloud), len(cloud)), dtype=np.int64)
+    for t, s in far + near:
+        seen[t, s] += 1
+    cross = sq[:, None] != sq[None, :]
+    assert np.all(seen[cross] == 1)
+    assert all(sq[t] != sq[s] for t, s in far)  # expansions never meet a same-square source
+    assert np.all(seen <= 1)
+
+
+def test_plan_counters_and_memory_on_the_ladder_family():
+    # the 8,192-node rung of the treecode ladder
+    fam = generate_family(
+        seed=0, count=32, d=1.2, packing_target=4.0, k_range=suggest_generation_range(32, 1.2, 4.0)
+    )
+    cloud = build_quadrature(build_measure(fam), 16)
+    tree = build_tree(cloud, leaf_cap=32)
+    plan = tree.plan(0.5)
+    assert tree.plan(0.5) is plan
+    far_pairs = int(np.unpackbits(plan.far_bits).sum())
+    assert far_pairs * 8 > 1.4e6  # what per-pair int64 target lists would hold
+    assert plan.nbytes < 0.5e6
+    assert plan.far_entries == plan.far_leaf.size > 0
+    assert plan.near_blocks > 0 and plan.near_blocks_skipped > plan.near_blocks
+
+
+def test_cascade_plan_keeps_no_near_blocks():
+    fam = generate_cascade_family(seed=16, count=16, d=1.2, packing_target=4.0)
+    cloud = build_quadrature(build_measure(fam), 8)
+    tree = build_tree(cloud, leaf_cap=32)
+    plan = tree.plan(0.5)
+    assert plan.near_blocks == 0 and plan.near_blocks_skipped > 0
+    rng = np.random.default_rng(5)
+    f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
+    spec = KernelSpec("modified", fam)
+    fast = apply_fast(spec, tree, f, ExpansionParams()).values
+    direct = apply_direct(spec, cloud, f).values
+    assert np.abs(fast - direct).max() <= 1e-6 * np.abs(direct).max()
+
+
+@st.composite
+def treecode_cases(draw):
+    """A random admissible family whose generations span up to the cap, a
+    quadrature cloud on it, a leaf capacity and a few random columns."""
+    k_lo = draw(st.integers(0, 4))
+    fam = generate_family(
+        seed=draw(st.integers(0, 2**16)),
+        count=draw(st.integers(2, 8)),
+        d=draw(st.sampled_from([0.02, 0.3, 1.0, 1.7, 1.98])),
+        packing_target=8.0,
+        k_range=(k_lo, k_lo + draw(st.integers(0, MAX_ABS_GENERATION - k_lo))),
+    )
+    cloud = build_quadrature(build_measure(fam), draw(st.sampled_from([2, 4, 8])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = (len(cloud), draw(st.integers(2, 5)))
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return fam, cloud, draw(st.sampled_from([1, 4, 16])), values
+
+
+@given(treecode_cases())
+@settings(max_examples=30)
+def test_treecode_matches_direct_and_batches_columns(case):
+    fam, cloud, leaf_cap, values = case
+    default, tight = ExpansionParams(), ExpansionParams(order=16, theta=0.1, leaf_cap=leaf_cap)
+    trees = {p: build_tree(cloud, p.leaf_cap) for p in (default, tight)}
+    for variant in ("modified", "adjoint"):
+        spec = KernelSpec(variant, fam)
+        backends = {
+            "direct": lambda f: apply_direct(spec, cloud, f).values,
+            "fast": lambda f: apply_fast(spec, trees[tight], f, tight).values,
+        }
+        for apply in backends.values():
+            batched = apply(Field(values, "mu"))
+            for j in range(values.shape[1]):
+                single = apply(Field(values[:, j], "mu"))
+                assert np.abs(batched[:, j] - single).max() <= 1e-15 * np.abs(single).max()
+        rows = kernel_rows(spec, cloud, np.arange(len(cloud)))
+        for j in range(values.shape[1]):
+            f = Field(values[:, j], "mu")
+            direct = backends["direct"](f)
+            assert _max_rel_err(backends["fast"](f), direct) <= 1e-12
+            # at the defaults the truncation bound holds against each target's
+            # sum of absolute terms; sums that cancel can leave a target's
+            # error above 1e-6 of the largest output
+            scale = np.abs(rows * (f.values * cloud.mu_weight)).sum(axis=1)
+            default_err = np.abs(apply_fast(spec, trees[default], f, default).values - direct)
+            assert np.all(default_err <= 1e-6 * scale)

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_cascade_family, generate_family
 from nhcz.measure import (
+    TIE_RTOL,
     BallQuery,
     _ladder_ball_sums,
+    _witness_index,
     a2_constant,
     a2_ratio,
     ball_mass,
@@ -175,6 +177,40 @@ def test_growth_engine_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_growth_and_a2_witnesses_do_not_depend_on_summation_order():
+    fam = generate_family(seed=1, count=12, d=1.2, packing_target=4, k_range=(3, 5))
+    cloud = build_quadrature(build_measure(fam), 8)
+    radii = dyadic_radius_ladder(cloud)
+    weights = [cloud.mu_weight, cloud.area_weight * cloud.node_side**cloud.d]
+    engine = _ladder_ball_sums(cloud, radii, weights)
+    brute = ball_sums_bruteforce(cloud, cloud.xy, radii, weights)
+    disc = math.pi * radii**2
+
+    def growth(sums):
+        return sums[:, :, 0] / radii[None, :] ** (2.0 - cloud.d)
+
+    def a2(sums):
+        return (sums[:, :, 0] / disc[None, :]) * (sums[:, :, 1] / disc[None, :])
+
+    for ratios, constant in ((growth, growth_constant), (a2, a2_constant)):
+        got, ref = ratios(engine), ratios(brute)
+        ci, ri = _witness_index(got)
+        assert (ci, ri) == _witness_index(ref)
+        c, ball = constant(cloud)
+        assert c == got.max()
+        assert (ball.cx, ball.cy, ball.radius) == (cloud.xy[ci, 0], cloud.xy[ci, 1], radii[ri])
+    # several balls tie at the growth maximum on this family
+    ties = growth(engine) >= growth(engine).max() * (1.0 - TIE_RTOL)
+    assert ties.sum() > 1
+
+
+def test_witness_index_takes_the_first_of_tied_ratios():
+    ratios = np.array([[0.5, 1.0], [1.0 + 4e-16, 0.3]])  # argmax would take (1, 0)
+    assert _witness_index(ratios) == (0, 1)
+    assert _witness_index(np.array([[0.5, 1.0], [1.0 + 1e-9, 0.3]])) == (1, 0)
+    assert _witness_index(np.zeros((2, 3))) == (0, 0)
 
 
 def test_growth_constant_single_square():
