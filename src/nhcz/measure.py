@@ -243,10 +243,11 @@ def _witness_index(ratios: np.ndarray) -> tuple[int, int]:
 
 
 def _largest_ratio(cloud, ratios, centers, radii) -> tuple[float, BallQuery]:
-    """The largest ratio and its witness ball."""
+    """The witness ball and its own ratio, which is within ``TIE_RTOL`` of
+    the largest, so the constant always belongs to the reported ball."""
     ci, ri = _witness_index(ratios)
     pts = cloud.xy if centers is None else np.asarray(centers, dtype=float)
-    return float(ratios.max()), BallQuery(float(pts[ci, 0]), float(pts[ci, 1]), float(radii[ri]))
+    return float(ratios[ci, ri]), BallQuery(float(pts[ci, 0]), float(pts[ci, 1]), float(radii[ri]))
 
 
 def growth_constant(
@@ -254,7 +255,8 @@ def growth_constant(
     centers: np.ndarray | None = None,
     radii: np.ndarray | None = None,
 ) -> tuple[float, BallQuery]:
-    """Largest ratio mu(B(x, r)) / r^(2-d) over the sample.
+    """Largest ratio mu(B(x, r)) / r^(2-d) over the sample, as the ratio of
+    the first ball that reaches it up to ``TIE_RTOL``, with that ball.
 
     Default sample: every node position crossed with the dyadic radius
     ladder between the finest square side and the diameter.

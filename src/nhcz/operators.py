@@ -366,9 +366,8 @@ def t1_testing(
     if apply_adj_fn is None:
         apply_adj_fn = lambda f: apply_direct(adj, cloud, f)
     tested = [(ball, mass) for ball in balls if (mass := ball_mass(cloud, ball)) != 0.0]
-    chi = np.zeros((len(cloud), len(tested)), dtype=np.complex128)
-    for col, (ball, _) in enumerate(tested):
-        chi[:, col] = (cloud.xy[:, 0] - ball.cx) ** 2 + (cloud.xy[:, 1] - ball.cy) ** 2 <= ball.radius**2
+    cx, cy, r = np.array([(ball.cx, ball.cy, ball.radius) for ball, _ in tested]).reshape(-1, 3).T
+    chi = ((cloud.xy[:, :1] - cx) ** 2 + (cloud.xy[:, 1:] - cy) ** 2 <= r**2).astype(np.complex128)
 
     def norms2(images):
         return [field_norm(cloud, Field(images[:, col], "mu")) ** 2 for col in range(len(tested))]

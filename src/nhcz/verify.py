@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nhcz.fastsum import _COLUMN_BLOCK
 from nhcz.geometry import SquareFamily, _scaled_centers_halves, generate_cascade_family
 from nhcz.kernels import KernelSpec, kernel_rows
 from nhcz.measure import BallQuery, QuadratureCloud, ball_mass, build_measure, build_quadrature, growth_constant
@@ -78,12 +79,14 @@ def _apply_pair(family, cloud):
     return (fast, *(_fast_apply_pair if fast else _direct_apply_pair)(family, cloud))
 
 
-def _columns(fields, n):
-    """The fields' values as the columns of one (n, len(fields)) field."""
-    cols = np.zeros((n, len(fields)), dtype=np.complex128)
-    for col, f in enumerate(fields):
-        cols[:, col] = f.values
-    return Field(cols, "mu")
+def _images(apply, fields):
+    """Each field's image under ``apply``, in field order.  The fields go
+    through ``_COLUMN_BLOCK`` at a time as the columns of one field, so the
+    apply's transients stay O(N * _COLUMN_BLOCK) however many fields there
+    are."""
+    for c0 in range(0, len(fields), _COLUMN_BLOCK):
+        block = fields[c0 : c0 + _COLUMN_BLOCK]
+        yield from apply(Field(np.stack([f.values for f in block], axis=1), "mu")).values.T
 
 
 def _adjoint_norm(cloud, apply_mod, apply_adj, tol, max_iter, seed, rel_tol=0.0):
@@ -122,10 +125,9 @@ def check_main_inequality(
     rng = np.random.default_rng(seed + 1)
     n = len(cloud)
     trial_fields = [Field(rng.standard_normal(n) + 1j * rng.standard_normal(n), "mu") for _ in range(trials)]
-    images = apply_adj(_columns(trial_fields, n)).values
     max_ratio, max_trial = 0.0, -1
-    for t, f in enumerate(trial_fields):
-        r = (field_norm(cloud, Field(images[:, t], "mu")) / field_norm(cloud, f)) ** 2
+    for t, (f, image) in enumerate(zip(trial_fields, _images(apply_adj, trial_fields))):
+        r = (field_norm(cloud, Field(image, "mu")) / field_norm(cloud, f)) ** 2
         if r > max_ratio:
             max_ratio, max_trial = r, t
     passed = bool(est.converged and max_ratio <= est.sigma_max**2 + tol)
@@ -256,9 +258,9 @@ def check_domination(
     c_dom = 0.0
     witness = {"field": None, "node": -1}
     witness_tf = None
-    images = np.abs(apply_adj(_columns([f for _, f in fields], len(cloud))).values)
-    for col, ((label, f), denom) in enumerate(zip(fields, maximal)):
-        tf = images[:, col]
+    images = _images(apply_adj, [f for _, f in fields])
+    for (label, f), denom, image in zip(fields, maximal, images):
+        tf = np.abs(image)
         ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)
         node = int(np.argmax(ratios))
         if ratios[node] > c_dom:
@@ -433,9 +435,9 @@ def scaling_study(
             targets = np.arange(len(cloud))
         maximal = _maximal_many(cloud, [f for _, f in all_fields], kappa=3.0, targets=targets)
         c_dom = 0.0
-        images = np.abs(apply_adj(_columns([f for _, f in dom_fields], len(cloud))).values[targets])
-        for col, denom in enumerate(maximal[: len(dom_fields)]):
-            tf = images[:, col]
+        images = _images(apply_adj, [f for _, f in dom_fields])
+        for denom, image in zip(maximal[: len(dom_fields)], images):
+            tf = np.abs(image[targets])
             ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)
             c_dom = max(c_dom, float(ratios.max()))
         c_max_op = 0.0

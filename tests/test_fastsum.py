@@ -75,8 +75,9 @@ def _check_moments_match_direct_sums(columns):
         ids = tree.perm[tree.start[cell] : tree.end[cell]]
         diffs = cloud.z[ids] - tree.centers[cell]
         for k in range(p):
-            direct = np.tensordot(diffs**k, charges[ids], axes=1)
-            np.testing.assert_allclose(mom[cell, k], direct, rtol=1e-10, atol=1e-12)
+            powers = (diffs**k).reshape((-1,) + (1,) * (charges.ndim - 1))
+            direct = np.sum(charges[ids] * powers, axis=0)
+            assert mom[cell, k] == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
 def test_moments_match_direct_sums():

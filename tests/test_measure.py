@@ -199,7 +199,7 @@ def test_growth_and_a2_witnesses_do_not_depend_on_summation_order():
         ci, ri = _witness_index(got)
         assert (ci, ri) == _witness_index(ref)
         c, ball = constant(cloud)
-        assert c == got.max()
+        assert c == got[ci, ri] >= got.max() * (1.0 - TIE_RTOL)
         assert (ball.cx, ball.cy, ball.radius) == (cloud.xy[ci, 0], cloud.xy[ci, 1], radii[ri])
     # several balls tie at the growth maximum on this family
     ties = growth(engine) >= growth(engine).max() * (1.0 - TIE_RTOL)

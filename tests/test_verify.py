@@ -7,6 +7,8 @@ from nhcz.geometry import DyadicSquare, SquareFamily, generate_family
 from nhcz.kernels import KernelSpec, kernel_eval
 from nhcz.measure import build_measure, build_quadrature
 from nhcz.operators import Field, apply_direct, operator_norm
+from nhcz import verify
+from nhcz.fastsum import _COLUMN_BLOCK
 from nhcz.reports import VerificationReport, canonical_json, family_digest, jsonable
 from nhcz.verify import (
     FAST_NODE_THRESHOLD,
@@ -73,6 +75,27 @@ def test_domination_constants_and_audits():
     assert sum(a["member_count"] for a in annuli) == len(fam) - 1
     for a in annuli:
         assert a["ball_mass_3R_a"] >= a["ball_mass_R_a"] >= 0
+
+
+def test_domination_applies_its_fields_in_column_blocks(monkeypatch):
+    widths = []
+
+    def recording_pair(family, cloud):
+        mod, adj = direct_pair(family, cloud)
+
+        def recorded_adj(f):
+            widths.append(f.values.shape[1])
+            return adj(f)
+
+        return mod, recorded_adj
+
+    direct_pair = verify._direct_apply_pair
+    monkeypatch.setattr(verify, "_direct_apply_pair", recording_pair)
+    fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
+    report = check_domination(fam, n_per_side=4, trials=3, seed=1)
+    assert report.passed
+    # 3 uniforms, 10 square indicators and 3 deltas, at most a block per apply
+    assert sum(widths) == 16 and max(widths) == _COLUMN_BLOCK < 16
 
 
 def test_annulus_index_matches_float_oracle():
