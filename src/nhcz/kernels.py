@@ -136,23 +136,30 @@ def kernel_eval(spec: KernelSpec, x, y) -> complex:
     return 1.0 / (zx - zy) ** 2
 
 
+def cauchy_square_block(cloud: QuadratureCloud, rows, mode: str) -> np.ndarray:
+    """The raw Cauchy-square kernel 1/(z_p - z_q)^2 for targets p in ``rows``
+    against all nodes, with the pairs the exclusion mode drops set to exact
+    zeros."""
+    z, sq = cloud.z, cloud.square_index
+    rows = np.asarray(rows)
+    dz = z[rows][:, None] - z[None, :]
+    mask = exclusion_mask(mode, dz, sq[rows][:, None], sq[None, :])
+    dzm = np.where(mask, 1.0, dz)
+    vals = 1.0 / (dzm * dzm)
+    vals[mask] = 0.0
+    return vals
+
+
 def kernel_rows(spec: KernelSpec, cloud: QuadratureCloud, rows: np.ndarray) -> np.ndarray:
     """Kernel values K(x_p, y_q) for targets p in ``rows`` against all nodes.
 
     Structurally-zero entries are exact zeros; the diagonal of the singular
     variants is zeroed (midpoint principal-value convention).
     """
-    z, sq = cloud.z, cloud.square_index
-    p = np.asarray(rows)[:, None]
-    q = np.arange(len(cloud))[None, :]
-    dz = z[p] - z[q]
-    mask = exclusion_mask(spec.rule[0], dz, sq[p], sq[q])
-    dz = np.where(mask, 1.0, dz)
-    vals = 1.0 / (dz * dz)
-    side = _side_factor(spec, cloud, p, q)
+    vals = cauchy_square_block(cloud, rows, spec.rule[0])
+    side = _side_factor(spec, cloud, np.asarray(rows)[:, None], np.arange(len(cloud))[None, :])
     if side is not None:
         vals = vals * side
-    vals[mask] = 0.0
     return vals
 
 

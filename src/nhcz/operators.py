@@ -6,7 +6,15 @@ the area weight is the measure weight times the source side^d, the modified
 kernel integrates against the measure.  A transposed variant (adjoint) sums
 measure-weighted charges and scales each output by the target's side^d.
 The self-node term of the singular variants is dropped; by midpoint
-symmetry the omitted cell's principal value is zero.  Norm estimates run
+symmetry the omitted cell's principal value is zero.
+
+Dense sums come in two forms with the same output bits.  ``apply_direct``
+evaluates the raw kernel block of each block of targets on the fly; it is
+the independent reference and serves any cloud size.  The checks' dense
+backend instead assembles one (N, N) ``cross_square_matrix`` per cloud, at
+most 64 MiB below the 2048-node treecode switch, and runs every modified,
+adjoint and conjugated apply as one matrix-vector product per column
+against it (``apply_cross_square_matrix``).  Norm estimates run
 power iteration in the measure-weighted inner product, where the adjoint of
 a variant is the same exclusion mode with the transposition flipped, taken
 between complex conjugations.
@@ -23,7 +31,7 @@ import numpy as np
 
 from nhcz.atomic import atomic_open
 from nhcz.geometry import SquareFamily
-from nhcz.kernels import KernelSpec, exclusion_mask, source_charges, target_scale
+from nhcz.kernels import KernelSpec, cauchy_square_block, source_charges, target_scale
 from nhcz.measure import BallQuery, QuadratureCloud, _square_ball_sums, ball_mass, dyadic_radius_ladder
 
 
@@ -69,22 +77,13 @@ def _cauchy_square_apply(cloud, charges, mode, block=256, threads=1, targets=Non
 
     ``targets`` restricts the output to the given node indices (default all).
     """
-    z, sq = cloud.z, cloud.square_index
     tgt = np.arange(len(cloud), dtype=np.int64) if targets is None else np.asarray(targets)
     cols = np.ascontiguousarray(charges.reshape(len(charges), -1).T)
     out = np.empty((tgt.size, cols.shape[0]), dtype=np.complex128)
 
     def run(b0):
         b1 = min(b0 + block, tgt.size)
-        rows = tgt[b0:b1]
-        dz = z[rows][:, None] - z[None, :]
-        mask = exclusion_mask(mode, dz, sq[rows][:, None], sq[None, :])
-        dzm = np.where(mask, 1.0, dz)
-        vals = 1.0 / (dzm * dzm)
-        vals[mask] = 0.0
-        # one product per column keeps each column's sums independent of k
-        for j, col in enumerate(cols):
-            out[b0:b1, j] = vals @ col
+        out[b0:b1] = _column_products(cauchy_square_block(cloud, tgt[b0:b1], mode), cols)
 
     starts = range(0, tgt.size, block)
     if threads <= 1:
@@ -94,6 +93,45 @@ def _cauchy_square_apply(cloud, charges, mode, block=256, threads=1, targets=Non
         with ThreadPoolExecutor(max_workers=threads) as ex:
             list(ex.map(run, starts))
     return out.reshape((tgt.size,) + charges.shape[1:])
+
+
+def _column_products(kernel, cols):
+    """``kernel @ col`` for each row of ``cols``, as the columns of the
+    result; one product per column keeps each column's sums independent of
+    the columns that come with it."""
+    out = np.empty((kernel.shape[0], len(cols)), dtype=np.complex128)
+    for j, col in enumerate(cols):
+        out[:, j] = kernel @ col
+    return out
+
+
+def cross_square_matrix(cloud: QuadratureCloud, block=256) -> np.ndarray:
+    """The dense (N, N) cross-square kernel 1/(z_p - z_q)^2 of the cloud,
+    same-square pairs exact zeros, assembled in row blocks of the raw kernel
+    block that ``_cauchy_square_apply`` evaluates, so its rows are that
+    apply's kernel rows bit for bit.  16 N^2 bytes: 64 MiB at 2048 nodes."""
+    n = len(cloud)
+    kernel = np.empty((n, n), dtype=np.complex128)
+    for b0 in range(0, n, block):
+        kernel[b0 : b0 + block] = cauchy_square_block(cloud, np.arange(b0, min(b0 + block, n)), "cross_square")
+    return kernel
+
+
+def apply_cross_square_matrix(kernel, spec: KernelSpec, cloud: QuadratureCloud, f: Field) -> Field:
+    """``apply_direct`` of a cross-square spec (modified or adjoint) to a
+    field of shape (N,) or (N, k), read from ``cross_square_matrix(cloud)``.
+
+    The rule's direction lives in the charges and the target scale, so one
+    matrix serves both variants and, between conjugations, their measure
+    adjoints; every output bit equals ``apply_direct``'s.
+    """
+    if spec.rule[0] != "cross_square":
+        raise ValueError(f"the cross-square matrix does not carry the {spec.variant} kernel")
+    transposed = spec.rule[1]
+    charges = source_charges(cloud, f.values, transposed)
+    cols = np.ascontiguousarray(charges.reshape(len(charges), -1).T)
+    out = _column_products(kernel, cols).reshape(charges.shape)
+    return Field(target_scale(cloud, spec.d, out, transposed), "mu")
 
 
 def _apply_rule(spec, cloud, values, transposed, block, threads, targets=None):
@@ -150,37 +188,38 @@ def _maximal_many(cloud, fields, kappa, exact_limit=4096, block=256, targets=Non
     Above ``exact_limit`` nodes the radius ladder goes through the
     square-level ball-sum engine; at or below it every node distance is a
     candidate radius too, so each block of targets sorts its distances once
-    and shares the order across fields.
+    and takes the cumulative masses of every field along that order as one
+    (fields, block, N) array, which is released before the next block.
     """
     n = len(cloud)
     tgt = np.arange(n, dtype=np.int64) if targets is None else np.asarray(targets)
     kappa2 = kappa * kappa
-    num_w = [np.abs(f.values) * cloud.mu_weight for f in fields]
+    num_w = np.stack([np.abs(f.values) * cloud.mu_weight for f in fields])
     den_w = cloud.mu_weight
     ladder2 = dyadic_radius_ladder(cloud, base=cloud.finest_spacing) ** 2
     xy = cloud.xy
     if n > exact_limit:
         r2 = np.concatenate([ladder2, kappa2 * ladder2])
-        sums = _square_ball_sums(cloud, r2, np.stack([den_w] + num_w), xy[tgt])
+        sums = _square_ball_sums(cloud, r2, np.concatenate([den_w[None], num_w]), xy[tgt])
         ratios = sums[:, : ladder2.size, 1:] / sums[:, ladder2.size :, :1]
         return [ratios[:, :, fi].max(axis=1) for fi in range(len(fields))]
-    outs = [np.empty(tgt.size) for _ in fields]
+    outs = np.empty((len(fields), tgt.size))
     for b0 in range(0, tgt.size, block):
         rows_idx = tgt[b0 : b0 + block]
         d2 = (xy[rows_idx, 0:1] - xy[None, :, 0]) ** 2 + (xy[rows_idx, 1:2] - xy[None, :, 1]) ** 2
         order = np.argsort(d2, axis=1, kind="stable")
         d2s = np.take_along_axis(d2, order, axis=1)
         cden = np.cumsum(den_w[order], axis=1)
-        cnums = [np.cumsum(w[order], axis=1) for w in num_w]
+        cnum = num_w[:, order]
+        np.cumsum(cnum, axis=2, out=cnum)
         for r in range(rows_idx.size):
             row = d2s[r]
             cand2 = np.concatenate([row, ladder2])
             ni = np.searchsorted(row, cand2, side="right") - 1
             di = np.searchsorted(row, kappa2 * cand2, side="right") - 1
-            den = cden[r][di]
-            for fi in range(len(fields)):
-                outs[fi][b0 + r] = float(np.max(cnums[fi][r][ni] / den))
-    return outs
+            outs[:, b0 + r] = (cnum[:, r, ni] / cden[r, di]).max(axis=1)
+        del d2, order, d2s, cden, cnum
+    return list(outs)
 
 
 @dataclass

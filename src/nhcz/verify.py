@@ -5,6 +5,12 @@ and returns a ``VerificationReport`` whose JSON form is reproducible bit for
 bit from (family, parameters, seed), wall-clock field aside.  The constants
 have no reference values; acceptance is boundedness and stability across
 scale ladders, so the scaling study is the main consumer.
+
+Each check picks its backend once (``_apply_pair``): the treecode above
+``FAST_NODE_THRESHOLD`` nodes, otherwise one cached dense cross-square
+matrix of the cloud (at most 64 MiB) that every apply of the check reads.
+The decomposition check and the domination reconstruction reference stay on
+the on-the-fly ``apply_direct`` sums.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from nhcz.measure import BallQuery, QuadratureCloud, ball_mass, build_measure, b
 from nhcz.operators import (
     Field,
     _maximal_many,
+    apply_cross_square_matrix,
     apply_direct,
+    cross_square_matrix,
     default_t1_balls,
     field_norm,
     power_iteration,
@@ -61,12 +69,22 @@ def _fast_apply_pair(family, cloud, params=None):
 
 
 def _direct_apply_pair(family, cloud):
+    """Dense (modified, adjoint) applies read from one cached
+    ``cross_square_matrix`` of the cloud.  The matrix is assembled on the
+    first apply, not here, so a check that holds the pair while it does
+    other work (the maximal pass of ``check_domination``) does not hold the
+    matrix too."""
     mod = KernelSpec("modified", family)
     adj = KernelSpec("adjoint", family)
-    return (
-        lambda f: apply_direct(mod, cloud, f),
-        lambda f: apply_direct(adj, cloud, f),
-    )
+    kernel = None
+
+    def apply(spec, f):
+        nonlocal kernel
+        if kernel is None:
+            kernel = cross_square_matrix(cloud)
+        return apply_cross_square_matrix(kernel, spec, cloud, f)
+
+    return (lambda f: apply(mod, f), lambda f: apply(adj, f))
 
 
 def _apply_pair(family, cloud):

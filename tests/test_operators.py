@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nhcz.geometry import DyadicSquare, SquareFamily, generate_family
+from nhcz.geometry import DyadicSquare, SquareFamily, generate_family, suggest_generation_range
 from nhcz.kernels import KernelSpec, kernel_eval
 from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature
 from nhcz.operators import (
     Field,
+    _maximal_many,
     adjoint_apply_direct,
     apply_direct,
     apply_direct_targets,
@@ -24,7 +26,7 @@ from nhcz.operators import (
     power_iteration,
     t1_testing,
 )
-
+from nhcz.verify import _domination_fields
 
 from oracles import apply_bruteforce, beurling_dft_bruteforce, maximal_bruteforce, weighted_sigma_max
 
@@ -129,6 +131,35 @@ def test_maximal_ladder_mode_matches_bruteforce(d):
     got = maximal_function(cloud, f, exact_limit=0).values.real
     ref = maximal_bruteforce(cloud, f, exact_limit=0)
     assert np.abs(got - ref).max() <= 1e-12 * ref.max()
+
+
+def test_maximal_many_fields_match_single_field_runs():
+    # blocks of 7 targets split the cloud unevenly; no field may see another's sums
+    fam, cloud = small_family(seed=9, count=3, n=3)
+    rng = np.random.default_rng(5)
+    fields = [Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu") for _ in range(4)]
+    targets = np.arange(1, len(cloud), 2)
+    many = _maximal_many(cloud, fields, kappa=3.0, block=7, targets=targets)
+    assert len(many) == len(fields)
+    for f, got in zip(fields, many):
+        assert np.array_equal(got, _maximal_many(cloud, [f], kappa=3.0, targets=targets)[0])
+        assert np.array_equal(got, maximal_function(cloud, f).values.real[targets])
+
+
+def test_exact_maximal_memory_holds_one_block():
+    # the 1152-node domination cloud of a 32-square family with its 39 fields
+    fam = generate_family(seed=0, count=32, d=0.8, packing_target=4.0, k_range=suggest_generation_range(32, 0.8, 4.0))
+    cloud = build_quadrature(build_measure(fam), 6)
+    fields = [f for _, f in _domination_fields(cloud, 4, 0)]
+    assert (len(cloud), len(fields)) == (1152, 39)
+    tracemalloc.start()
+    try:
+        _maximal_many(cloud, fields, kappa=3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block's cumulative masses of every field take 39 * 256 * 1152 * 8 B = 92 MB
+    assert peak < 128 * 2**20
 
 
 def test_maximal_rejects_bad_dilation():

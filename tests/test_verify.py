@@ -6,8 +6,8 @@ import pytest
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family
 from nhcz.kernels import KernelSpec, kernel_eval
 from nhcz.measure import build_measure, build_quadrature
-from nhcz.operators import Field, apply_direct, operator_norm
-from nhcz import verify
+from nhcz.operators import Field, adjoint_apply_direct, apply_direct, operator_norm
+from nhcz import operators, verify
 from nhcz.fastsum import _COLUMN_BLOCK
 from nhcz.reports import VerificationReport, canonical_json, family_digest, jsonable
 from nhcz.verify import (
@@ -96,6 +96,86 @@ def test_domination_applies_its_fields_in_column_blocks(monkeypatch):
     assert report.passed
     # 3 uniforms, 10 square indicators and 3 deltas, at most a block per apply
     assert sum(widths) == 16 and max(widths) == _COLUMN_BLOCK < 16
+
+
+@pytest.mark.parametrize("seed,count,n", [(4, 10, 4), (5, 5, 3)])
+def test_dense_pair_matches_on_the_fly_applies_bit_for_bit(seed, count, n):
+    fam = generate_family(seed=seed, count=count, d=1.2, packing_target=4.0, k_range=(2, 5))
+    cloud = build_quadrature(build_measure(fam), n)
+    mod, adj = KernelSpec("modified", fam), KernelSpec("adjoint", fam)
+    apply_mod, apply_adj = verify._direct_apply_pair(fam, cloud)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((len(cloud), 3)) + 1j * rng.standard_normal((len(cloud), 3))
+
+    def conj_mod_conj(f):
+        return np.conj(apply_mod(Field(np.conj(f.values), "mu")).values)
+
+    def conj_adj_conj(f):
+        return np.conj(apply_adj(Field(np.conj(f.values), "mu")).values)
+
+    cases = [
+        (lambda f: apply_mod(f).values, lambda f: apply_direct(mod, cloud, f).values),
+        (lambda f: apply_adj(f).values, lambda f: apply_direct(adj, cloud, f).values),
+        (conj_mod_conj, lambda f: adjoint_apply_direct(adj, cloud, f).values),
+        (conj_adj_conj, lambda f: adjoint_apply_direct(mod, cloud, f).values),
+    ]
+    for pair_fn, ref_fn in cases:
+        batched = pair_fn(Field(vals, "mu"))
+        assert batched.shape == vals.shape
+        assert np.array_equal(batched, ref_fn(Field(vals, "mu")))
+        for j in range(vals.shape[1]):
+            single = pair_fn(Field(vals[:, j], "mu"))
+            assert single.shape == (len(cloud),)
+            assert np.array_equal(single, ref_fn(Field(vals[:, j], "mu")))
+            assert np.array_equal(batched[:, j], single)
+
+
+def test_main_inequality_assembles_the_dense_kernel_once(monkeypatch):
+    assembled, on_the_fly = [], []
+    assemble, cauchy = verify.cross_square_matrix, operators._cauchy_square_apply
+
+    def counting_assemble(cloud, *args, **kwargs):
+        assembled.append(len(cloud))
+        return assemble(cloud, *args, **kwargs)
+
+    def counting_cauchy(*args, **kwargs):
+        on_the_fly.append(1)
+        return cauchy(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "cross_square_matrix", counting_assemble)
+    monkeypatch.setattr(operators, "_cauchy_square_apply", counting_cauchy)
+    fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
+    cloud = build_quadrature(build_measure(fam), 4)
+    assert len(cloud) <= FAST_NODE_THRESHOLD
+    verify._direct_apply_pair(fam, cloud)
+    assert assembled == []  # the matrix waits for the first apply
+    for checks in (1, 2):
+        report = check_main_inequality(fam, n_per_side=4, trials=3, seed=1)
+        assert report.passed and report.inputs["fast"] is False
+        assert report.constants["iterations"] > 2
+        # one assembly per check serves every norm iteration and trial field
+        assert assembled == [len(cloud)] * checks
+        assert on_the_fly == []
+
+
+def test_checks_through_the_dense_kernel_match_on_the_fly_sums(monkeypatch):
+    fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
+    cached = [
+        check_main_inequality(fam, n_per_side=4, trials=3, seed=1),
+        check_domination(fam, n_per_side=4, trials=3, seed=1),
+    ]
+
+    def on_the_fly_pair(family, cloud):
+        mod, adj = KernelSpec("modified", family), KernelSpec("adjoint", family)
+        return (lambda f: apply_direct(mod, cloud, f), lambda f: apply_direct(adj, cloud, f))
+
+    monkeypatch.setattr(verify, "_direct_apply_pair", on_the_fly_pair)
+    reference = [
+        check_main_inequality(fam, n_per_side=4, trials=3, seed=1),
+        check_domination(fam, n_per_side=4, trials=3, seed=1),
+    ]
+    for got, ref in zip(cached, reference):
+        assert got.to_json(include_runtime=False) == ref.to_json(include_runtime=False)
 
 
 def test_annulus_index_matches_float_oracle():
