@@ -5,8 +5,13 @@ half-open cells ``[i*2^-k, (i+1)*2^-k) x [j*2^-k, (j+1)*2^-k)``.  Admissible
 families must keep the 4-fold concentric dilates of their members pairwise
 disjoint and obey a packing bound: for every dyadic square Q, the sum of
 ``side^(2-d)`` over members contained in Q may not exceed a constant times
-``side(Q)^(2-d)``.  Both checks are decided here, the first one in exact
-integer arithmetic.
+``side(Q)^(2-d)``.  Both checks are decided here.  Dilate disjointness is
+decided in exact integer arithmetic.  The packing constant comes from one
+engine, ``PackingState``: a dict from integer ancestor (k, i, j) to the
+weights of the members inside it, with one correctly rounded ``math.fsum``
+per ancestor.  ``packing_constant`` inserts a whole list into it, and
+``generate_family`` inserts each accepted draw, so the generator's
+decisions and the stored ``c_pack`` round alike.
 """
 
 from __future__ import annotations
@@ -89,21 +94,27 @@ def dilated_square(sq: DyadicSquare, lam: float) -> SquareRegion:
     return SquareRegion(cx, cy, lam * sq.side / 2.0)
 
 
-def _scaled_centers_halves(squares, lam_num=4):
-    """Integer center/half-side data in units of 2^-(kmax+1).
+def _scaled_dilate(sq: DyadicSquare, k_unit: int, lam_num: int = 4) -> tuple[int, int, int]:
+    """Center and half-side of ``lam_num * sq`` as integers in units of
+    2^-(k_unit+1), for ``sq.k <= k_unit``: centers become odd multiples of
+    ``2^(k_unit - sq.k)`` and, ``lam_num`` being a positive integer, the
+    half-side stays integral, so closed-dilate overlap tests are exact."""
+    sc = 1 << (k_unit - sq.k)
+    return (2 * sq.i + 1) * sc, (2 * sq.j + 1) * sc, lam_num * sc
 
-    Centers become odd-integer multiples, the half-side of ``lam_num * Q``
-    (lam_num a positive integer) stays integral, so closed-dilate overlap
-    tests are exact.
-    """
+
+def _dilates_meet(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """Closed-square overlap of two ``_scaled_dilate`` triples of one unit;
+    touching counts as meeting."""
+    reach = a[2] + b[2]
+    return abs(a[0] - b[0]) <= reach and abs(a[1] - b[1]) <= reach
+
+
+def _scaled_centers_halves(squares, lam_num=4):
+    """Integer center/half-side lists in units of 2^-(kmax+1) (``_scaled_dilate``)."""
     kmax = max(s.k for s in squares)
-    cx, cy, h = [], [], []
-    for s in squares:
-        sc = 1 << (kmax - s.k)
-        cx.append((2 * s.i + 1) * sc)
-        cy.append((2 * s.j + 1) * sc)
-        h.append(lam_num * sc)
-    return cx, cy, h
+    cx, cy, h = zip(*(_scaled_dilate(s, kmax, lam_num) for s in squares))
+    return list(cx), list(cy), list(h)
 
 
 def check_disjointness(squares: list[DyadicSquare]) -> DisjointnessVerdict:
@@ -114,21 +125,13 @@ def check_disjointness(squares: list[DyadicSquare]) -> DisjointnessVerdict:
     """
     if not squares:
         raise ValueError("empty square list")
-    cx, cy, h = _scaled_centers_halves(squares, lam_num=4)
-    n = len(squares)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(cx[a] - cx[b]) <= h[a] + h[b] and abs(cy[a] - cy[b]) <= h[a] + h[b]:
+    kmax = max(s.k for s in squares)
+    dil = [_scaled_dilate(s, kmax) for s in squares]
+    for a in range(len(dil)):
+        for b in range(a + 1, len(dil)):
+            if _dilates_meet(dil[a], dil[b]):
                 return DisjointnessVerdict(False, (a, b))
     return DisjointnessVerdict(True, None)
-
-
-def _disjoint_from_accepted(cand_scaled, accepted_scaled) -> bool:
-    cx, cy, h = cand_scaled
-    for (ax, ay, ah) in accepted_scaled:
-        if abs(cx - ax) <= h + ah and abs(cy - ay) <= h + ah:
-            return False
-    return True
 
 
 def min_pair_distances(squares: list[DyadicSquare]) -> np.ndarray:
@@ -145,70 +148,84 @@ def min_pair_distances(squares: list[DyadicSquare]) -> np.ndarray:
     return np.asarray(out)
 
 
-def _candidate_ancestors(squares, d):
-    """Dyadic squares that can attain the packing supremum.
+class PackingState:
+    """Packing sums of a growing square list, keyed by integer ancestor (k, i, j).
 
-    Every ratio above 1 is attained at an ancestor of a member whose
-    generation is at least ``k_top``: coarser squares have ratio bounded by
-    total_weight / side^(2-d) <= 1, and every member attains exactly its own
-    (>= 1) ratio, so nothing above the cutoff is lost.
+    Every tracked ancestor keeps the weights ``side^(2-d)`` of the members
+    inside it; its ratio is one ``math.fsum`` of those weights over its own
+    weight, so the value does not depend on insertion order.  Generations
+    are tracked from ``k_floor = floor(-log2(W)/(2-d)) - 1``, where W is an
+    upper bound on the total weight ever inserted: coarser squares have
+    ratio below 1, and every member attains ratio 1.0 itself, so the floor
+    loses nothing.  A square changes only the sums of its own ancestors,
+    so the constant after an insertion is the larger of the old constant
+    and those ancestors' new ratios.  The witness is the lowest (k, i, j)
+    key among tied maxima.
     """
-    w_total = sum(s.side ** (2.0 - d) for s in squares)
-    kappa = -math.log2(w_total) / (2.0 - d)
-    k_top = math.floor(kappa) - 1  # one extra generation for float slack
-    cands = set()
-    for s in squares:
-        cands.add(s)
-        for ka in range(k_top, s.k):
-            cands.add(s.ancestor(ka))
-    return sorted(cands)
+
+    def __init__(self, d: float, weight_bound: float):
+        self.exponent = 2.0 - d
+        self.k_floor = math.floor(-math.log2(weight_bound) / self.exponent) - 1
+        self.members: dict[tuple[int, int, int], list[float]] = {}
+        self.constant = 0.0
+        self.witness: tuple[int, int, int] | None = None
+
+    def weight(self, k: int) -> float:
+        return (2.0 ** -k) ** self.exponent
+
+    def ancestors(self, sq: DyadicSquare) -> list[tuple[int, int, int]]:
+        """Keys of the tracked squares containing ``sq``, ``sq`` itself last."""
+        if sq.k <= self.k_floor:
+            raise ValueError(f"generation {sq.k} is not finer than the floor {self.k_floor}: weight bound too small")
+        return [(ka, sq.i >> (sq.k - ka), sq.j >> (sq.k - ka)) for ka in range(self.k_floor, sq.k + 1)]
+
+    def _lead(self, sums) -> tuple[float, tuple[int, int, int] | None]:
+        """Constant and witness once each (key, weights) pair of ``sums``
+        holds; ratios only rise, so untouched ancestors keep their standing."""
+        best, wit = self.constant, self.witness
+        for key, weights in sums:
+            ratio = math.fsum(weights) / self.weight(key[0])
+            if ratio > best or (ratio == best and key < wit):
+                best, wit = ratio, key
+        return best, wit
+
+    def insert(self, sq: DyadicSquare, limit: float = math.inf) -> bool:
+        """Add ``sq`` unless the constant would exceed ``limit``; True iff added."""
+        w = self.weight(sq.k)
+        keys = self.ancestors(sq)
+        best, wit = self._lead((key, [*self.members.get(key, ()), w]) for key in keys)
+        if best > limit:
+            return False
+        for key in keys:
+            self.members.setdefault(key, []).append(w)
+        self.constant, self.witness = best, wit
+        return True
+
+    def extend(self, squares) -> None:
+        """Add every square, computing each touched ancestor's ratio once."""
+        touched = set()
+        for sq in squares:
+            w = self.weight(sq.k)
+            for key in self.ancestors(sq):
+                self.members.setdefault(key, []).append(w)
+                touched.add(key)
+        self.constant, self.witness = self._lead((key, self.members[key]) for key in touched)
 
 
 def packing_constant(squares: list[DyadicSquare], d: float) -> tuple[float, DyadicSquare]:
     """Supremum over dyadic squares Q of sum(side^(2-d) of members in Q) / side(Q)^(2-d).
 
-    Returns the constant and a square attaining it.  Works for arbitrary
-    square lists (admissible or not); only finitely many candidate ancestors
-    need inspection.
+    Returns the constant and the lowest (k, i, j) square attaining it.
+    Works for arbitrary square lists (admissible or not): every square is
+    inserted into one ``PackingState`` bounded by the total weight.
     """
     if not squares:
         raise ValueError("empty square list")
     if not (0.0 < d < 2.0):
         raise ValueError(f"exponent d must lie in (0, 2), got {d}")
-
-    cands = _candidate_ancestors(squares, d)
-    mk = np.array([s.k for s in squares], dtype=np.int64)
-    mi = np.array([s.i for s in squares], dtype=np.int64)
-    mj = np.array([s.j for s in squares], dtype=np.int64)
-    w = (2.0 ** (-mk.astype(float))) ** (2.0 - d)
-
-    ck = np.array([c.k for c in cands], dtype=np.int64)
-    ci = np.array([c.i for c in cands], dtype=np.int64)
-    cj = np.array([c.j for c in cands], dtype=np.int64)
-
-    shift = mk[None, :] - ck[:, None]
-    if shift.max() > 60:
-        return _packing_constant_bigint(squares, cands, d)
-    ok = shift >= 0
-    sh = np.where(ok, shift, 0)
-    inside = ok & (np.right_shift(mi[None, :], sh) == ci[:, None]) & (
-        np.right_shift(mj[None, :], sh) == cj[:, None]
-    )
-    sums = inside @ w
-    ratios = sums / (2.0 ** (-ck.astype(float))) ** (2.0 - d)
-    best = int(np.argmax(ratios))
-    return float(ratios[best]), cands[best]
-
-
-def _packing_constant_bigint(squares, cands, d):
-    # fallback for generation spans beyond int64 shift range
-    best_ratio, best = -1.0, cands[0]
-    for c in cands:
-        tot = sum(s.side ** (2.0 - d) for s in squares if c.contains(s))
-        ratio = tot / c.side ** (2.0 - d)
-        if ratio > best_ratio:
-            best_ratio, best = ratio, c
-    return best_ratio, best
+    state = PackingState(d, math.fsum((2.0 ** -s.k) ** (2.0 - d) for s in squares))
+    state.extend(squares)
+    return state.constant, DyadicSquare(*state.witness)
 
 
 @dataclass
@@ -255,7 +272,9 @@ class SquareFamily:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SquareFamily":
-        squares = [DyadicSquare(int(s["k"]), int(s["i"]), int(s["j"])) for s in obj["squares"]]
+        squares = [DyadicSquare(*(_lattice_int(s, key) for key in "kij")) for s in obj["squares"]]
+        if any(abs(sq.k) > MAX_ABS_GENERATION for sq in squares):
+            raise ValueError(f"|generation| must be <= {MAX_ABS_GENERATION}")
         return cls.build(squares, float(obj["d"]), float(obj["packing_target"]))
 
     def save(self, path) -> None:
@@ -267,6 +286,17 @@ class SquareFamily:
     def load(cls, path) -> "SquareFamily":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def _lattice_int(square: dict, key: str) -> int:
+    """One lattice coordinate of a JSON square; integral floats pass, other
+    values (fractions, strings, booleans) are rejected."""
+    value = square[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"square {key} must be an integer, got {square[key]!r}")
+    return value
 
 
 def suggest_generation_range(count: int, d: float, packing_target: float = 4.0) -> tuple[int, int]:
@@ -354,7 +384,8 @@ def generate_family(
 
     Candidates are drawn uniformly over (generation, cell-in-box); a draw is
     kept iff its 4-dilate stays disjoint from all kept dilates (exact check)
-    and the packing constant after insertion stays within the target.
+    and the packing constant after insertion stays within the target (one
+    ``PackingState`` for the whole run).
     """
     if not (0.0 < d < 2.0):
         raise ValueError(f"exponent d must lie in (0, 2), got {d}")
@@ -375,7 +406,9 @@ def generate_family(
 
     rng = random.Random(seed)
     accepted: list[DyadicSquare] = []
-    seen: set[DyadicSquare] = set()
+    # exact dilate data of the accepted squares, in the fixed unit 2^-(k_max+1)
+    dilates: list[tuple[int, int, int]] = []
+    state = PackingState(d, count * (2.0 ** -k_min) ** (2.0 - d))
     attempts = 0
     while len(accepted) < count and attempts < max_attempts:
         attempts += 1
@@ -386,22 +419,13 @@ def generate_family(
         if ilo > ihi or jlo > jhi:
             continue
         cand = DyadicSquare(k, rng.randint(ilo, ihi), rng.randint(jlo, jhi))
-        if cand in seen:
+        dil = _scaled_dilate(cand, k_max)
+        if any(_dilates_meet(dil, other) for other in dilates):
             continue
-        # rescale the running integer state on a finer-generation arrival
-        trial = accepted + [cand]
-        kmax_now = max(s.k for s in trial)
-        scaled = []
-        for s in trial:
-            sc = 1 << (kmax_now - s.k)
-            scaled.append(((2 * s.i + 1) * sc, (2 * s.j + 1) * sc, 4 * sc))
-        if not _disjoint_from_accepted(scaled[-1], scaled[:-1]):
-            continue
-        c_pack, _ = packing_constant(trial, d)
-        if c_pack > packing_target:
+        if not state.insert(cand, packing_target):
             continue
         accepted.append(cand)
-        seen.add(cand)
+        dilates.append(dil)
     complete = len(accepted) == count
     if not accepted:
         raise ValueError("generator accepted no squares within the attempt budget")

@@ -27,6 +27,28 @@ def apply_bruteforce(spec, cloud, f):
     return out
 
 
+def packing_bruteforce(squares, d):
+    """Scan every ancestor of every member, on Python ints, up to the finest
+    generation whose ancestors are the four cells at the origin (no dyadic
+    cell straddles an axis): coarser squares hold the same members over a
+    larger side, so their ratios are smaller.  No weight bound or float
+    cutoff is involved."""
+    k_common = min(s.k for s in squares)
+    while any({a.i, a.j} - {-1, 0} for a in (s.ancestor(k_common) for s in squares)):
+        k_common -= 1
+    cands = set(squares)
+    for s in squares:
+        for ka in range(k_common, s.k):
+            cands.add(s.ancestor(ka))
+    best, best_sq = -1.0, None
+    for c in sorted(cands):
+        tot = sum(s.side ** (2.0 - d) for s in squares if c.contains(s))
+        ratio = tot / c.side ** (2.0 - d)
+        if ratio > best:
+            best, best_sq = ratio, c
+    return best, best_sq
+
+
 def ball_sums_bruteforce(cloud, centers, radii, weight_list):
     """Per-ball node masks, one centre and one radius at a time, with the
     implementation's inclusion test ``d^2 <= r^2``."""

@@ -150,3 +150,33 @@ def test_generate_honours_kmin_zero(tmp_path, monkeypatch):
     monkeypatch.setattr(nhcz.cli, "generate_family", spy)
     run(["generate", "--M", "8", "--kmin", "0", "--out", str(tmp_path)])
     assert seen == [(0, 7)]
+
+
+@pytest.mark.parametrize(
+    "square",
+    [
+        {"k": 70, "i": 2**70, "j": 0},
+        {"k": 45, "i": 0, "j": 0},
+        {"k": -41, "i": 0, "j": 0},
+        {"k": 2.5, "i": 0, "j": 0},
+        {"k": 2, "i": 0.5, "j": 0},
+        {"k": 2, "i": 0, "j": "1"},
+        {"k": True, "i": 0, "j": 0},
+    ],
+    ids=["k70_overflow", "k45", "k_minus41", "k_fraction", "i_fraction", "j_string", "k_bool"],
+)
+def test_validate_rejects_bad_lattice_coordinates(tmp_path, capsys, square):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"d": 1.0, "packing_target": 4.0, "squares": [square]}))
+    assert run(["validate", "--family", str(path), "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert not (tmp_path / "validate.json").exists()
+
+
+def test_validate_accepts_integral_float_coordinates(tmp_path):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"d": 1.0, "packing_target": 4.0, "squares": [{"k": 40.0, "i": -3.0, "j": 2**45}]}))
+    assert run(["validate", "--family", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "validate.json").read_text())
+    assert report["witnesses"]["packing_witness"] == {"k": 40, "i": -3, "j": 2**45}

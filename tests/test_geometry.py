@@ -4,10 +4,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import nhcz.geometry
 from nhcz.geometry import (
+    MAX_ABS_GENERATION,
     DyadicSquare,
+    PackingState,
     SquareFamily,
+    _dilates_meet,
+    _scaled_dilate,
     check_disjointness,
     dilated_square,
     generate_cascade_family,
@@ -17,6 +24,8 @@ from nhcz.geometry import (
     square_extent,
     suggest_generation_range,
 )
+from nhcz.cli import main
+from oracles import packing_bruteforce
 
 
 def test_square_extent_unit_cell():
@@ -113,22 +122,6 @@ def test_packing_constant_rejects_bad_exponent():
         packing_constant([DyadicSquare(0, 0, 0)], 2.0)
 
 
-def _packing_bruteforce(squares, d, extra_depth=25):
-    """Independent oracle: scan every ancestor down to a deep fixed cutoff."""
-    cands = set(squares)
-    k_floor = min(s.k for s in squares) - extra_depth
-    for s in squares:
-        for ka in range(k_floor, s.k):
-            cands.add(s.ancestor(ka))
-    best, best_sq = -1.0, None
-    for c in sorted(cands):
-        tot = sum(s.side ** (2.0 - d) for s in squares if c.contains(s))
-        ratio = tot / c.side ** (2.0 - d)
-        if ratio > best:
-            best, best_sq = ratio, c
-    return best, best_sq
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_packing_constant_matches_bruteforce(seed):
     rng = random.Random(seed)
@@ -138,7 +131,7 @@ def test_packing_constant_matches_bruteforce(seed):
         k = rng.randint(0, 5)
         squares.append(DyadicSquare(k, rng.randint(0, 2**k + 3), rng.randint(0, 2**k + 3)))
     c, _ = packing_constant(squares, d)
-    c_ref, _ = _packing_bruteforce(squares, d)
+    c_ref, _ = packing_bruteforce(squares, d)
     assert c == pytest.approx(c_ref, rel=1e-12)
 
 
@@ -163,6 +156,116 @@ def test_packing_constant_rescaling_invariant():
     halved = [DyadicSquare(s.k + 1, 2 * s.i, 2 * s.j) for s in squares]
     c1, _ = packing_constant(halved, d)
     assert c1 == pytest.approx(c0, rel=1e-12)
+
+
+@st.composite
+def square_lists(draw, k_lo=-MAX_ABS_GENERATION, k_hi=MAX_ABS_GENERATION, reach=2**12, size=8):
+    """Square lists with negative generations and indices; a square is either
+    drawn afresh or placed next to (or inside, or around) an earlier one, so
+    nested squares, duplicates and tied ratios come up."""
+    squares = []
+    for _ in range(draw(st.integers(1, size))):
+        if squares and draw(st.booleans()):
+            base = draw(st.sampled_from(squares))
+            k = draw(st.integers(max(k_lo, base.k - 2), min(k_hi, base.k + 2)))
+            shift = k - base.k
+            i0 = base.i << shift if shift >= 0 else base.i >> -shift
+            j0 = base.j << shift if shift >= 0 else base.j >> -shift
+            squares.append(DyadicSquare(k, i0 + draw(st.integers(-8, 8)), j0 + draw(st.integers(-8, 8))))
+        else:
+            k = draw(st.integers(k_lo, k_hi))
+            squares.append(DyadicSquare(k, draw(st.integers(-reach, reach)), draw(st.integers(-reach, reach))))
+    return squares
+
+
+@given(square_lists(), st.sampled_from([0.02, 0.3, 1.0, 1.7, 1.98]))
+def test_packing_state_matches_packing_constant_after_every_insertion(squares, d):
+    # the generator's bound: member count times the coarsest member's weight
+    state = PackingState(d, len(squares) * (2.0 ** -min(s.k for s in squares)) ** (2.0 - d))
+    for t, sq in enumerate(squares, start=1):
+        assert state.insert(sq)
+        c, wit = packing_constant(squares[:t], d)
+        assert state.constant == c and DyadicSquare(*state.witness) == wit
+        # one correctly rounded sum per ancestor: the order of the list is moot
+        assert packing_constant(squares[:t][::-1], d) == (c, wit)
+        c_ref, _ = packing_bruteforce(squares[:t], d)
+        assert c == pytest.approx(c_ref, rel=1e-12)
+
+
+def test_packing_state_insert_respects_the_limit():
+    state = PackingState(1.5, 2 * 0.5 ** 0.5)
+    assert state.insert(DyadicSquare(1, 0, 0), limit=1.2)
+    # the sibling lifts the parent's ratio to sqrt(2): refused, nothing stored
+    assert not state.insert(DyadicSquare(1, 1, 0), limit=1.2)
+    assert (state.constant, state.witness) == (1.0, (1, 0, 0))
+    assert state.insert(DyadicSquare(1, 1, 0), limit=1.5)
+    assert state.constant == pytest.approx(math.sqrt(2.0), rel=1e-14) and state.witness == (0, 0, 0)
+
+
+def test_packing_witness_is_the_lowest_tied_square(tmp_path, capsys):
+    # 16 members of generation 6 spaced five cells apart fill Q = (2, 0, 0)
+    # exactly: Q and every member have ratio 1.0 at d = 1, Q has the lowest key
+    squares = [DyadicSquare(6, 5 * a, 5 * b) for a in range(4) for b in range(4)]
+    fam = SquareFamily.build(squares, 1.0, 4.0)
+    assert check_disjointness(squares).ok
+    assert fam.c_pack == 1.0 and fam.c_pack_witness == DyadicSquare(2, 0, 0)
+    # without Q's fill the tie is among the members alone: the lowest wins
+    fam = SquareFamily.build(squares[::-1][:5], 1.0, 4.0)
+    assert fam.c_pack == 1.0 and fam.c_pack_witness == min(squares[::-1][:5])
+    path = tmp_path / "tied.json"
+    SquareFamily.build(squares[::-1], 1.0, 4.0).save(path)
+    assert main(["validate", "--family", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "validate.json").read_text())
+    assert report["witnesses"]["packing_witness"] == {"k": 2, "i": 0, "j": 0}
+
+
+def test_generate_family_computes_the_packing_constant_once(monkeypatch):
+    calls = []
+
+    def counting(squares, d):
+        calls.append(len(squares))
+        return packing_constant(squares, d)
+
+    monkeypatch.setattr(nhcz.geometry, "packing_constant", counting)
+    fam = generate_family(seed=7, count=32, d=1.2, packing_target=4.0, k_range=(2, 6))
+    assert calls == [32] and len(fam) == 32
+
+
+def _float_dilates_meet(a, b):
+    return dilated_square(a, 4.0).intersects(dilated_square(b, 4.0))
+
+
+# flush dilates need one generation (centres of generations k < k' differ by
+# an odd multiple of 2^-(k'+1), the reach is an even one): edge, corner, apart
+@example([DyadicSquare(3, 0, 0), DyadicSquare(3, 4, 1)])
+@example([DyadicSquare(3, 0, 0), DyadicSquare(3, -4, -4)])
+@example([DyadicSquare(3, 0, 0), DyadicSquare(3, 5, 0), DyadicSquare(4, 3, 9)])
+@given(square_lists(k_lo=-6, k_hi=12, reach=2**8, size=10))
+def test_check_disjointness_matches_float_bruteforce(squares):
+    # generations -6..12 and indices below 2^9 keep every dyadic coordinate,
+    # difference and half-side sum exact in a float
+    pairs = [
+        (a, b)
+        for a in range(len(squares))
+        for b in range(a + 1, len(squares))
+        if _float_dilates_meet(squares[a], squares[b])
+    ]
+    verdict = check_disjointness(squares)
+    assert verdict.ok == (not pairs)
+    assert verdict.witness == (pairs[0] if pairs else None)
+
+
+@given(square_lists(k_lo=-6, k_hi=12, reach=2**8, size=10), st.integers(0, 3))
+def test_generator_fixed_unit_test_matches_check_disjointness(squares, extra):
+    # keep a pairwise disjoint prefix, as the generator does, then test the rest
+    accepted = []
+    for cand in squares:
+        k_unit = max(s.k for s in squares) + extra  # the generator's k_range[1]
+        meets = any(_dilates_meet(_scaled_dilate(cand, k_unit), _scaled_dilate(a, k_unit)) for a in accepted)
+        if accepted:
+            assert meets == (not check_disjointness(accepted + [cand]).ok)
+        if not meets:
+            accepted.append(cand)
 
 
 def test_generate_single_square_family():
