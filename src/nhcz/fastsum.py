@@ -10,6 +10,12 @@ the delivered error sits well under ``theta^order``.  A cell holding any
 source from the target's own square is never expanded, so the same-square
 zeroing of the modified/adjoint kernels stays exact.
 
+The adaptive tree is built one depth at a time, as in Carrier, Greengard &
+Rokhlin (SIAM J. Sci. Stat. Comput. 9, 1988): the cells of a depth split
+together with one stable sort of (cell, quadrant) keys, so each depth costs
+time linear in the nodes it still splits.  Every cell lists the squares it
+holds nodes of, for the same-square test above.
+
 Which pairs are expanded and which are summed directly depends on the cloud
 and ``theta`` alone, so each tree walks itself once per opening parameter
 and caches the result as an ``InteractionPlan``:
@@ -93,91 +99,99 @@ class InteractionPlan:
 
 
 class QuadTree:
-    """Quadtree over cloud nodes; nodes of a cell form a contiguous slice of
-    the permutation ``perm``, children carry larger ids than their parent."""
+    """Adaptive quadtree over cloud nodes, split one depth at a time.
+
+    A cell is split into its non-empty quadrants while it holds more than
+    ``leaf_cap`` nodes and lies above depth ``_MAX_DEPTH``.  The nodes of a
+    cell form the contiguous slice ``perm[start:end]``, in cloud order within
+    each leaf.  Cells are numbered in depth-first preorder with children in
+    quadrant order (low x before high x, then low y before high y), so
+    children carry larger ids than their parent.  The children of cell ``c``
+    are ``child_ids[child_ptr[c]:child_ptr[c + 1]]`` and the squares with a
+    node in it are ``square_ids[square_ptr[c]:square_ptr[c + 1]]``, ascending.
+    """
 
     def __init__(self, cloud: QuadratureCloud, leaf_cap: int):
         if len(cloud) == 0:
             raise ValueError("cannot build a tree over an empty cloud")
         self.cloud = cloud
         self.leaf_cap = leaf_cap
-        xy = cloud.xy
+        xy, z, sq = cloud.xy, cloud.z, cloud.square_index
         lo = xy.min(axis=0)
         hi = xy.max(axis=0)
         cx, cy = (lo + hi) / 2.0
         half = float(max(hi[0] - lo[0], hi[1] - lo[1])) / 2.0
         if half == 0.0:
             half = 1.0
+        n_sq = int(sq.max()) + 1
 
-        centers: list[complex] = []
-        radius: list[float] = []
-        halves: list[float] = []
-        start: list[int] = []
-        end: list[int] = []
-        depth: list[int] = []
-        parent: list[int] = []
-        children: list[list[int]] = []
-        square_ids: list[np.ndarray] = []
-        perm: list[np.ndarray] = []
-        z = cloud.z
-        sq = cloud.square_index
+        # The cells of one depth, in ``perm`` order, split together: one
+        # stable sort of their (cell, quadrant) keys reorders their nodes in
+        # ``perm`` and the runs of that key are the next depth's cells.
+        # Cells are numbered in level order until the build ends.
+        perm = np.arange(len(cloud), dtype=np.int64)
+        x, y = np.array([cx]), np.array([cy])
+        start, size = np.zeros(1, dtype=np.int64), np.array([len(cloud)], dtype=np.int64)
+        up = np.full(1, -1, dtype=np.int64)
+        h, dep, first = half, 0, 0
+        levels = []
+        while True:
+            m = start.size
+            cell = np.repeat(np.arange(m), size)
+            pos = _ranges(start, size)
+            nodes = perm[pos]
+            c = np.empty(m, dtype=np.complex128)
+            c.real, c.imag = x, y
+            radius = np.maximum.reduceat(np.abs(z[nodes] - c[cell]), np.cumsum(size) - size)
+            pairs = np.unique(cell * n_sq + sq[nodes])  # (cell, square) keys
+            n_squares = np.bincount(pairs // n_sq, minlength=m)
+            levels.append((c, np.full(m, h), start, size, np.full(m, dep), up, radius, n_squares, pairs % n_sq))
+            if dep >= _MAX_DEPTH:
+                break
+            split = (size > leaf_cap)[cell]
+            if not split.any():
+                break
+            cell, pos, nodes = cell[split], pos[split], nodes[split]
+            key = 4 * cell + (xy[nodes, 0] >= x[cell]) + 2 * (xy[nodes, 1] >= y[cell])
+            order = np.argsort(key, kind="stable")
+            perm[pos] = nodes[order]
+            key = key[order]
+            runs = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+            kid_up, quad = key[runs] // 4, key[runs] % 4
+            h = h / 2.0
+            x = x[kid_up] + np.where(quad & 1, h, -h)
+            y = y[kid_up] + np.where(quad & 2, h, -h)
+            start, size = pos[runs], np.diff(np.append(runs, key.size))
+            up = first + kid_up
+            first += m
+            dep += 1
 
-        def rec(idx: np.ndarray, ccx: float, ccy: float, h: float, dep: int, up: int) -> int:
-            cell = len(centers)
-            c = complex(ccx, ccy)
-            centers.append(c)
-            radius.append(float(np.abs(z[idx] - c).max()))
-            halves.append(h)
-            depth.append(dep)
-            parent.append(up)
-            square_ids.append(np.unique(sq[idx]))
-            start.append(-1)
-            end.append(-1)
-            children.append([])
-            if idx.size <= leaf_cap or dep >= _MAX_DEPTH:
-                start[cell] = sum(p.size for p in perm)
-                perm.append(idx)
-                end[cell] = start[cell] + idx.size
-                return cell
-            qx = xy[idx, 0] >= ccx
-            qy = xy[idx, 1] >= ccy
-            quad = qx.astype(np.int8) + 2 * qy.astype(np.int8)
-            kids = []
-            for q in range(4):
-                sub = idx[quad == q]
-                if sub.size == 0:
-                    continue
-                nx = ccx + (h / 2.0 if q & 1 else -h / 2.0)
-                ny = ccy + (h / 2.0 if q & 2 else -h / 2.0)
-                kids.append(rec(sub, nx, ny, h / 2.0, dep + 1, cell))
-            children[cell] = kids
-            start[cell] = start[kids[0]]
-            end[cell] = end[kids[-1]]
-            return cell
-
-        import sys
-
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 10_000))
-        try:
-            rec(np.arange(len(cloud), dtype=np.int64), float(cx), float(cy), half, 0, -1)
-        finally:
-            sys.setrecursionlimit(old_limit)
-
-        self.centers = np.array(centers, dtype=np.complex128)
-        self.radius = np.array(radius)
-        self.halves = np.array(halves)
-        self.start = np.array(start, dtype=np.int64)
-        self.end = np.array(end, dtype=np.int64)
-        self.depth = np.array(depth, dtype=np.int64)
-        self.parent = np.array(parent, dtype=np.int64)
-        self.children = children
-        self.square_ids = square_ids
-        self.perm = np.concatenate(perm)
+        centers, halves, start, size, depth, up, radius, n_squares, square_ids = (
+            np.concatenate(a) for a in zip(*levels)
+        )
+        # depth-first preorder: a cell comes after every cell that starts
+        # earlier and after its ancestors, which share its start
+        order = np.lexsort((depth, start))
+        new_id = np.empty_like(order)
+        new_id[order] = np.arange(order.size)
+        self.n_cells = int(order.size)
+        self.centers = centers[order]
+        self.radius = radius[order]
+        self.halves = halves[order]
+        self.start = start[order]
+        self.end = self.start + size[order]
+        self.depth = depth[order]
+        self.parent = np.where(up[order] >= 0, new_id[up[order]], -1)
+        self.square_ptr = np.concatenate([[0], np.cumsum(n_squares[order])])
+        self.square_ids = square_ids[_ranges((np.cumsum(n_squares) - n_squares)[order], n_squares[order])]
+        # siblings carry ascending ids, so a stable sort by parent lists
+        # each cell's children in quadrant order
+        self.child_ids = np.argsort(self.parent[1:], kind="stable") + 1
+        self.child_ptr = np.concatenate([[0], np.cumsum(np.bincount(self.parent[1:], minlength=self.n_cells))])
+        self.is_leaf = self.child_ptr[1:] == self.child_ptr[:-1]
+        self.perm = perm
         self.rank = np.empty_like(self.perm)  # node -> position in perm
         self.rank[self.perm] = np.arange(self.perm.size)
-        self.is_leaf = np.array([not c for c in children])
-        self.n_cells = len(centers)
         self._build_leaf_pads()
         self._plans: dict[float, InteractionPlan] = {}
 
@@ -186,13 +200,13 @@ class QuadTree:
         by (leaf, slot) and near blocks vectorize across leaves."""
         leaf_ids = np.flatnonzero(self.is_leaf)
         sizes = self.end[leaf_ids] - self.start[leaf_ids]
-        cap = int(sizes.max())
-        nodes = np.zeros((leaf_ids.size, cap), dtype=np.int64)
-        mask = np.zeros((leaf_ids.size, cap), dtype=bool)
-        for r, c in enumerate(leaf_ids):
-            ids = self.perm[self.start[c] : self.end[c]]
-            nodes[r, : ids.size] = ids
-            mask[r, : ids.size] = True
+        # leaves in id order tile ``perm`` from left to right
+        row = np.repeat(np.arange(leaf_ids.size), sizes)
+        slot = np.arange(self.perm.size) - self.start[leaf_ids][row]
+        nodes = np.zeros((leaf_ids.size, int(sizes.max())), dtype=np.int64)
+        mask = np.zeros(nodes.shape, dtype=bool)
+        nodes[row, slot] = self.perm
+        mask[row, slot] = True
         self.leaf_ids = leaf_ids
         self.leaf_pad_nodes = nodes
         self.leaf_pad_mask = mask
@@ -254,6 +268,11 @@ def _binomial_table(p: int) -> np.ndarray:
     return b
 
 
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``starts[i] : starts[i] + sizes[i]``."""
+    return np.arange(int(sizes.sum())) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+
+
 def build_tree(cloud: QuadratureCloud, leaf_cap: int = 32) -> QuadTree:
     return QuadTree(cloud, leaf_cap)
 
@@ -286,13 +305,15 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
     near_target, near_source, near_bits = [], [], []
     skipped = 0
     in_cell = np.zeros(len(tree.cloud.family), dtype=bool)  # squares of the current cell
+    child_ptr, child_ids = tree.child_ptr.tolist(), tree.child_ids.tolist()
     stack = [(0, tree.perm)]
     while stack:
         cell, targets = stack.pop()
         adm = 2.0 * tree.radius[cell] <= theta * np.abs(z[targets] - tree.centers[cell])
-        in_cell[tree.square_ids[cell]] = True
+        squares = tree.square_ids[tree.square_ptr[cell] : tree.square_ptr[cell + 1]]
+        in_cell[squares] = True
         adm[adm] = ~in_cell[sq[targets[adm]]]
-        in_cell[tree.square_ids[cell]] = False
+        in_cell[squares] = False
         if adm.any():
             leaves, bits = by_leaf(targets[adm])
             far_cells.append(cell)
@@ -309,10 +330,11 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
             near_target.append(leaves)
             near_source.append(np.full(leaves.size, leaf_row[cell], dtype=np.int32))
             near_bits.append(bits)
-            skipped += np.unique(leaf_of[tree.rank[rest]]).size - leaves.size
+            # ``rest`` is in ``perm`` order, so each leaf's targets form one run
+            lf = leaf_of[tree.rank[rest]]
+            skipped += 1 + np.count_nonzero(lf[1:] != lf[:-1]) - leaves.size
         else:
-            for kid in reversed(tree.children[cell]):
-                stack.append((kid, rest))
+            stack.extend((kid, rest) for kid in reversed(child_ids[child_ptr[cell] : child_ptr[cell + 1]]))
 
     packed = (width + 7) // 8
 

@@ -5,6 +5,8 @@ definition and explicit loops, deliberately avoiding the library's
 vectorized paths.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from nhcz.kernels import kernel_eval
@@ -149,3 +151,141 @@ def cz_enumeration(spec, cloud, tau):
             vals = np.where(ok, diff * dist ** (s + eps) / dyy[None, :] ** eps, 0.0)
             a3 = max(a3, float(vals.max()))
     return a1, a2, a3
+
+
+def quadtree_recursive(cloud, leaf_cap, max_depth):
+    """Depth-first recursive quadtree build, one ``np.unique`` per cell.
+
+    Returns a namespace with the arrays of ``fastsum.QuadTree``, each cell's
+    children and square ids as per-cell lists, and leaf pads filled by a
+    loop over the leaves.
+    """
+    xy, z, sq = cloud.xy, cloud.z, cloud.square_index
+    lo = xy.min(axis=0)
+    hi = xy.max(axis=0)
+    cx, cy = (lo + hi) / 2.0
+    half = float(max(hi[0] - lo[0], hi[1] - lo[1])) / 2.0
+    if half == 0.0:
+        half = 1.0
+    centers, radius, halves, start, end, depth, parent = [], [], [], [], [], [], []
+    children, square_ids, perm = [], [], []
+
+    def rec(idx, ccx, ccy, h, dep, up):
+        cell = len(centers)
+        c = complex(ccx, ccy)
+        centers.append(c)
+        radius.append(float(np.abs(z[idx] - c).max()))
+        halves.append(h)
+        depth.append(dep)
+        parent.append(up)
+        square_ids.append(np.unique(sq[idx]))
+        children.append([])
+        if idx.size <= leaf_cap or dep >= max_depth:
+            start.append(len(perm))
+            perm.extend(idx.tolist())
+            end.append(len(perm))
+            return cell
+        start.append(-1)
+        end.append(-1)
+        quad = (xy[idx, 0] >= ccx).astype(np.int8) + 2 * (xy[idx, 1] >= ccy).astype(np.int8)
+        for q in range(4):
+            sub = idx[quad == q]
+            if sub.size:
+                nx = ccx + (h / 2.0 if q & 1 else -h / 2.0)
+                ny = ccy + (h / 2.0 if q & 2 else -h / 2.0)
+                children[cell].append(rec(sub, nx, ny, h / 2.0, dep + 1, cell))
+        start[cell] = start[children[cell][0]]
+        end[cell] = end[children[cell][-1]]
+        return cell
+
+    rec(np.arange(len(cloud), dtype=np.int64), float(cx), float(cy), half, 0, -1)
+    t = SimpleNamespace(
+        cloud=cloud,
+        n_cells=len(centers),
+        centers=np.array(centers, dtype=np.complex128),
+        radius=np.array(radius),
+        halves=np.array(halves),
+        start=np.array(start, dtype=np.int64),
+        end=np.array(end, dtype=np.int64),
+        depth=np.array(depth, dtype=np.int64),
+        parent=np.array(parent, dtype=np.int64),
+        perm=np.array(perm, dtype=np.int64),
+        children=children,
+        square_ids=square_ids,
+        is_leaf=np.array([not c for c in children]),
+    )
+    t.rank = np.empty_like(t.perm)
+    t.rank[t.perm] = np.arange(t.perm.size)
+    t.leaf_ids = np.flatnonzero(t.is_leaf)
+    width = int((t.end - t.start)[t.leaf_ids].max())
+    t.leaf_pad_nodes = np.zeros((t.leaf_ids.size, width), dtype=np.int64)
+    t.leaf_pad_mask = np.zeros((t.leaf_ids.size, width), dtype=bool)
+    for r, c in enumerate(t.leaf_ids):
+        ids = t.perm[t.start[c] : t.end[c]]
+        t.leaf_pad_nodes[r, : ids.size] = ids
+        t.leaf_pad_mask[r, : ids.size] = True
+    return t
+
+
+def plan_walk(tree, theta):
+    """Stack walk of a ``quadtree_recursive`` tree that records the
+    ``fastsum.InteractionPlan`` fields, counting each leaf visit's target
+    leaves with ``np.unique``."""
+    z, sq = tree.cloud.z, tree.cloud.square_index
+    n_leaves, width = tree.leaf_pad_nodes.shape
+    leaf_start = tree.start[tree.leaf_ids]
+    leaf_of = np.repeat(np.arange(n_leaves), tree.end[tree.leaf_ids] - leaf_start)
+    leaf_row = np.full(tree.n_cells, -1, dtype=np.int64)
+    leaf_row[tree.leaf_ids] = np.arange(n_leaves)
+
+    def by_leaf(nodes):
+        pos = tree.rank[nodes]
+        lf = leaf_of[pos]
+        leaves = np.unique(lf)
+        mask = np.zeros((leaves.size, width), dtype=bool)
+        mask[np.searchsorted(leaves, lf), pos - leaf_start[lf]] = True
+        return leaves.astype(np.int32), np.packbits(mask, axis=1)
+
+    far_cells, far_leaf, far_bits = [], [], []
+    near_target, near_source, near_bits = [], [], []
+    skipped = 0
+    stack = [(0, tree.perm)]
+    while stack:
+        cell, targets = stack.pop()
+        adm = 2.0 * tree.radius[cell] <= theta * np.abs(z[targets] - tree.centers[cell])
+        adm &= ~np.isin(sq[targets], tree.square_ids[cell])
+        if adm.any():
+            leaves, bits = by_leaf(targets[adm])
+            far_cells.append(cell)
+            far_leaf.append(leaves)
+            far_bits.append(bits)
+        rest = targets[~adm]
+        if rest.size == 0:
+            continue
+        if tree.is_leaf[cell]:
+            src = tree.perm[tree.start[cell] : tree.end[cell]]
+            live = (sq[rest][:, None] != sq[src][None, :]).any(axis=1)
+            leaves, bits = by_leaf(rest[live])
+            near_target.append(leaves)
+            near_source.append(np.full(leaves.size, leaf_row[cell], dtype=np.int32))
+            near_bits.append(bits)
+            skipped += np.unique(leaf_of[tree.rank[rest]]).size - leaves.size
+        else:
+            for kid in reversed(tree.children[cell]):
+                stack.append((kid, rest))
+
+    packed = (width + 7) // 8
+
+    def cat(parts, dtype, shape=(0,)):
+        return np.concatenate(parts) if parts else np.zeros(shape, dtype=dtype)
+
+    return {
+        "far_cells": np.array(far_cells, dtype=np.int32),
+        "far_ptr": np.concatenate([[0], np.cumsum([a.size for a in far_leaf])]).astype(np.int64),
+        "far_leaf": cat(far_leaf, np.int32),
+        "far_bits": cat(far_bits, np.uint8, (0, packed)),
+        "near_target": cat(near_target, np.int32),
+        "near_source": cat(near_source, np.int32),
+        "near_bits": cat(near_bits, np.uint8, (0, packed)),
+        "near_blocks_skipped": int(skipped),
+    }

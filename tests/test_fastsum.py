@@ -1,9 +1,13 @@
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhcz.fastsum import (
+    _MAX_DEPTH,
     BENCH_HEADER,
     ExpansionParams,
     _max_rel_err,
@@ -23,6 +27,7 @@ from nhcz.geometry import (
 from nhcz.kernels import KernelSpec, kernel_rows
 from nhcz.measure import build_measure, build_quadrature
 from nhcz.operators import Field, apply_direct
+from oracles import plan_walk, quadtree_recursive
 
 
 def cloud_for(count, n, seed=0, d=1.2):
@@ -216,13 +221,17 @@ def test_plan_covers_every_cross_square_pair_once():
     assert np.all(seen <= 1)
 
 
-def test_plan_counters_and_memory_on_the_ladder_family():
-    # the 8,192-node rung of the treecode ladder
+@pytest.fixture(scope="module")
+def ladder_cloud():
+    """The 8,192-node rung of the treecode ladder."""
     fam = generate_family(
         seed=0, count=32, d=1.2, packing_target=4.0, k_range=suggest_generation_range(32, 1.2, 4.0)
     )
-    cloud = build_quadrature(build_measure(fam), 16)
-    tree = build_tree(cloud, leaf_cap=32)
+    return build_quadrature(build_measure(fam), 16)
+
+
+def test_plan_counters_and_memory_on_the_ladder_family(ladder_cloud):
+    tree = build_tree(ladder_cloud, leaf_cap=32)
     plan = tree.plan(0.5)
     assert tree.plan(0.5) is plan
     far_pairs = int(np.unpackbits(plan.far_bits).sum())
@@ -293,3 +302,89 @@ def test_treecode_matches_direct_and_batches_columns(case):
             scale = np.abs(rows * (f.values * cloud.mu_weight)).sum(axis=1)
             default_err = np.abs(apply_fast(spec, trees[default], f, default).values - direct)
             assert np.all(default_err <= 1e-6 * scale)
+
+
+def _assert_tree_matches_oracle(tree, ref):
+    assert tree.n_cells == ref.n_cells
+    for name in ("centers", "radius", "halves", "start", "end", "depth", "parent", "perm", "rank", "is_leaf"):
+        got, want = getattr(tree, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    for name in ("leaf_ids", "leaf_pad_nodes", "leaf_pad_mask"):
+        assert np.array_equal(getattr(tree, name), getattr(ref, name)), name
+    for c in range(tree.n_cells):
+        kids = tree.child_ids[tree.child_ptr[c] : tree.child_ptr[c + 1]]
+        assert kids.tolist() == ref.children[c]
+        squares = tree.square_ids[tree.square_ptr[c] : tree.square_ptr[c + 1]]
+        assert np.array_equal(squares, ref.square_ids[c])
+
+
+def _assert_plan_matches_oracle(tree, ref, theta):
+    plan, want = tree.plan(theta), plan_walk(ref, theta)
+    for name, value in want.items():
+        got = getattr(plan, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and np.array_equal(got, value), name
+        else:
+            assert got == value, name
+
+
+def _check_leaf_caps_against_oracle(cloud):
+    for leaf_cap in (1, 4, 16, 32):
+        tree = build_tree(cloud, leaf_cap)
+        ref = quadtree_recursive(cloud, leaf_cap, _MAX_DEPTH)
+        _assert_tree_matches_oracle(tree, ref)
+        _assert_plan_matches_oracle(tree, ref, 0.5)
+    return tree
+
+
+@given(treecode_cases())
+@settings(max_examples=25, deadline=None)
+def test_level_build_matches_recursive_oracle(case):
+    _check_leaf_caps_against_oracle(case[1])
+
+
+def _coincident_cloud():
+    """128 nodes on two squares, 40 of them moved onto one point."""
+    fam = SquareFamily.build([DyadicSquare(0, 0, 0), DyadicSquare(2, 3, 1)], 1.2, 16.0)
+    cloud = build_quadrature(build_measure(fam), 8)
+    xy = cloud.xy.copy()
+    xy[:40] = xy[7]
+    return dataclasses.replace(cloud, xy=xy, z=xy[:, 0] + 1j * xy[:, 1])
+
+
+@pytest.mark.parametrize(
+    "cloud",
+    [
+        build_quadrature(build_measure(SquareFamily.build([DyadicSquare(0, 0, 0)], 1.0, 4.0)), 1),
+        _coincident_cloud(),
+    ],
+    ids=["single_node", "coincident_nodes"],
+)
+def test_level_build_edge_clouds_match_recursive_oracle(cloud):
+    tree = _check_leaf_caps_against_oracle(cloud)  # the last tree has leaf cap 32
+    if len(cloud) > 1:
+        # the coincident nodes cannot be split: one leaf at the depth cap
+        # holds all of them, over capacity
+        deepest = np.flatnonzero(tree.depth == _MAX_DEPTH)
+        assert deepest.size == 1 and tree.is_leaf[deepest[0]]
+        assert tree.end[deepest[0]] - tree.start[deepest[0]] == 40 > tree.leaf_cap
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.1])
+def test_ladder_plan_matches_recursive_oracle(ladder_cloud, theta):
+    tree = build_tree(ladder_cloud, leaf_cap=32)
+    ref = quadtree_recursive(ladder_cloud, 32, _MAX_DEPTH)
+    _assert_tree_matches_oracle(tree, ref)
+    _assert_plan_matches_oracle(tree, ref, theta)
+
+
+def test_tree_build_leaves_no_reference_cycle(ladder_cloud):
+    build_tree(ladder_cloud, leaf_cap=32)  # warm-up: lazy imports and caches
+    gc.collect()
+    gc.disable()
+    try:
+        tree = build_tree(ladder_cloud, leaf_cap=32)
+        del tree
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
