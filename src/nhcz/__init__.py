@@ -29,6 +29,7 @@ from nhcz.kernels import CzReport, KernelSpec, cz_constants, kernel_eval
 from nhcz.operators import (
     Field,
     NormEstimate,
+    Operator,
     apply_direct,
     beurling_spectral,
     maximal_function,

@@ -70,13 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("dominate", "pointwise maximal-operator domination check")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--trials", type=int, default=4)
+    p.add_argument("--trials", type=_positive(int), default=4)
 
     p = add("czcheck", "empirical kernel condition constants")
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--budget", type=_positive(int), default=200_000)
 
     p = add("growth", "ball-growth constant of the measure")
     p.add_argument("--family", required=True)
@@ -94,12 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_tol(p, 1e-12)
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--trials", type=int, default=4)
+    p.add_argument("--trials", type=_positive(int), default=4)
 
     p = add("beurling", "spectral isometry check on a periodic grid")
     add_tol(p, 1e-12)
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--trials", type=int, default=4)
+    p.add_argument("--trials", type=_positive(int), default=4)
 
     p = add("bench", "direct vs fast summation timing ladder")
     add_tol(p, None)
@@ -124,10 +124,7 @@ def _load_family(path) -> SquareFamily:
     if not os.path.exists(path):
         raise ValueError(f"family file not found: {path}")
     with open(path) as fh:
-        obj = json.load(fh)
-    if not obj.get("squares"):
-        raise ValueError("family file holds no squares")
-    return SquareFamily.from_json_dict(obj)
+        return SquareFamily.from_json_dict(json.load(fh))
 
 
 def _parse_int_list(text) -> list[int]:

@@ -272,10 +272,16 @@ class SquareFamily:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SquareFamily":
+        """The family of a parsed JSON file; malformed content raises ValueError."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("squares"), list):
+            raise ValueError("a family file is an object with a list of squares")
         squares = [DyadicSquare(*(_lattice_int(s, key) for key in "kij")) for s in obj["squares"]]
         if any(abs(sq.k) > MAX_ABS_GENERATION for sq in squares):
             raise ValueError(f"|generation| must be <= {MAX_ABS_GENERATION}")
-        return cls.build(squares, float(obj["d"]), float(obj["packing_target"]))
+        d, target = obj["d"], obj["packing_target"]
+        if not all(type(v) in (int, float) and abs(v) <= 1e300 for v in (d, target)):
+            raise ValueError(f"d and packing_target must be finite numbers, got {d!r} and {target!r}")
+        return cls.build(squares, float(d), float(target))
 
     def save(self, path) -> None:
         text = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
@@ -290,7 +296,9 @@ class SquareFamily:
 
 def _lattice_int(square: dict, key: str) -> int:
     """One lattice coordinate of a JSON square; integral floats pass, other
-    values (fractions, strings, booleans) are rejected."""
+    values (fractions, strings, booleans) and non-object squares are rejected."""
+    if not isinstance(square, dict):
+        raise ValueError(f"a square must be an object with k, i and j, got {square!r}")
     value = square[key]
     if isinstance(value, float) and value.is_integer():
         value = int(value)

@@ -8,13 +8,11 @@ measure-weighted charges and scales each output by the target's side^d.
 The self-node term of the singular variants is dropped; by midpoint
 symmetry the omitted cell's principal value is zero.
 
-Dense sums come in two forms with the same output bits.  ``apply_direct``
-evaluates the raw kernel block of each block of targets on the fly; it is
-the independent reference and serves any cloud size.  The checks' dense
-backend instead assembles one (N, N) ``cross_square_matrix`` per cloud, at
-most 64 MiB below the 2048-node treecode switch, and runs every modified,
-adjoint and conjugated apply as one matrix-vector product per column
-against it (``apply_cross_square_matrix``).  Norm estimates run
+``Operator(cloud, backend)`` is the one apply object behind every check,
+norm and testing condition; its docstring describes the dense and tree
+backends.  ``apply_direct`` evaluates the kernel block of each block of
+targets on the fly; it serves any cloud size and stays the independent
+reference whose bits the dense backend reproduces.  Norm estimates run
 power iteration in the measure-weighted inner product, where the adjoint of
 a variant is the same exclusion mode with the transposition flipped, taken
 between complex conjugations.
@@ -33,6 +31,8 @@ from nhcz.atomic import atomic_open
 from nhcz.geometry import SquareFamily
 from nhcz.kernels import KernelSpec, cauchy_square_block, source_charges, target_scale
 from nhcz.measure import BallQuery, QuadratureCloud, _square_ball_sums, ball_mass, dyadic_radius_ladder
+
+FAST_NODE_THRESHOLD = 2048  # largest cloud with a dense kernel matrix; the checks' treecode switch
 
 
 @dataclass
@@ -105,33 +105,15 @@ def _column_products(kernel, cols):
     return out
 
 
-def cross_square_matrix(cloud: QuadratureCloud, block=256) -> np.ndarray:
-    """The dense (N, N) cross-square kernel 1/(z_p - z_q)^2 of the cloud,
-    same-square pairs exact zeros, assembled in row blocks of the raw kernel
-    block that ``_cauchy_square_apply`` evaluates, so its rows are that
-    apply's kernel rows bit for bit.  16 N^2 bytes: 64 MiB at 2048 nodes."""
+def kernel_matrix(cloud: QuadratureCloud, mode: str, block=256) -> np.ndarray:
+    """The dense (N, N) kernel 1/(z_p - z_q)^2, the pairs the exclusion mode
+    drops exact zeros, row for row ``_cauchy_square_apply``'s kernel blocks.
+    16 N^2 bytes: 64 MiB at ``FAST_NODE_THRESHOLD`` nodes."""
     n = len(cloud)
     kernel = np.empty((n, n), dtype=np.complex128)
     for b0 in range(0, n, block):
-        kernel[b0 : b0 + block] = cauchy_square_block(cloud, np.arange(b0, min(b0 + block, n)), "cross_square")
+        kernel[b0 : b0 + block] = cauchy_square_block(cloud, np.arange(b0, min(b0 + block, n)), mode)
     return kernel
-
-
-def apply_cross_square_matrix(kernel, spec: KernelSpec, cloud: QuadratureCloud, f: Field) -> Field:
-    """``apply_direct`` of a cross-square spec (modified or adjoint) to a
-    field of shape (N,) or (N, k), read from ``cross_square_matrix(cloud)``.
-
-    The rule's direction lives in the charges and the target scale, so one
-    matrix serves both variants and, between conjugations, their measure
-    adjoints; every output bit equals ``apply_direct``'s.
-    """
-    if spec.rule[0] != "cross_square":
-        raise ValueError(f"the cross-square matrix does not carry the {spec.variant} kernel")
-    transposed = spec.rule[1]
-    charges = source_charges(cloud, f.values, transposed)
-    cols = np.ascontiguousarray(charges.reshape(len(charges), -1).T)
-    out = _column_products(kernel, cols).reshape(charges.shape)
-    return Field(target_scale(cloud, spec.d, out, transposed), "mu")
 
 
 def _apply_rule(spec, cloud, values, transposed, block, threads, targets=None):
@@ -160,11 +142,11 @@ def apply_direct_targets(spec: KernelSpec, cloud: QuadratureCloud, f: Field, tar
     return apply_direct(spec, cloud, f, targets=targets).values
 
 
-def adjoint_apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, block=256, threads=1) -> Field:
+def adjoint_apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field) -> Field:
     """The measure-weighted adjoint of ``apply_direct`` for the same spec."""
     if len(f.values) != len(cloud):
         raise ValueError("field length does not match the cloud")
-    out = _apply_rule(spec, cloud, np.conj(f.values), not spec.rule[1], block, threads)
+    out = _apply_rule(spec, cloud, np.conj(f.values), not spec.rule[1], 256, 1)
     return Field(np.conj(out), "mu")
 
 
@@ -285,25 +267,80 @@ def power_iteration(apply_fn, adjoint_fn, weights, n, tol=1e-6, max_iter=500, se
     return NormEstimate(sigma, it, residual, seed, converged, history)
 
 
+class Operator:
+    """Every kernel variant of one cloud, and its measure adjoint, through
+    one backend; the family, and with it d, is the cloud's.
+
+    ``"dense"``: up to ``FAST_NODE_THRESHOLD`` nodes, one ``kernel_matrix``
+    of the exclusion mode in use, assembled at the first apply and kept in
+    a single slot (another mode replaces it), times each column; above it,
+    the blocked ``apply_direct`` sums on ``threads`` threads.  The bits are
+    ``apply_direct``'s either way.  ``"tree"``: ``apply_fast`` at the
+    default ``ExpansionParams`` on a tree built at the first apply; modified
+    and adjoint only.
+    """
+
+    def __init__(self, cloud: QuadratureCloud, backend: str, threads: int = 1):
+        if backend not in ("dense", "tree"):
+            raise ValueError(f"unknown operator backend {backend!r}")
+        self.cloud, self.backend, self.threads = cloud, backend, threads
+        self._kernel = None  # (exclusion mode, its kernel_matrix)
+        self._tree = None
+
+    def apply(self, variant: str, f: Field) -> Field:
+        """The variant's operator on a field of shape (N,) or (N, k)."""
+        return Field(self._sums(variant, f.values, flip=False), "mu")
+
+    def adjoint(self, variant: str, f: Field) -> Field:
+        """The measure-weighted adjoint: conj o (same exclusion mode,
+        transposition flipped) o conj, as ``adjoint_apply_direct``."""
+        return Field(np.conj(self._sums(variant, np.conj(f.values), flip=True)), "mu")
+
+    def norm(self, variant: str, tol=1e-6, max_iter=500, seed=0, rel_tol=0.0) -> NormEstimate:
+        """Measure-weighted norm of the variant's operator by power iteration."""
+        return power_iteration(
+            lambda v: self.apply(variant, Field(v)).values,
+            lambda v: self.adjoint(variant, Field(v)).values,
+            self.cloud.mu_weight, len(self.cloud), tol, max_iter, seed, rel_tol,
+        )
+
+    def _sums(self, variant, values, flip):
+        cloud = self.cloud
+        if len(values) != len(cloud):
+            raise ValueError("field length does not match the cloud")
+        spec = KernelSpec(variant, cloud.family)
+        mode, transposed = spec.rule[0], spec.rule[1] != flip
+        if self.backend == "tree":
+            from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
+
+            if mode != "cross_square":
+                raise ValueError("the tree backend carries the modified/adjoint variants only")
+            params = ExpansionParams()
+            if self._tree is None:
+                self._tree = build_tree(cloud, params.leaf_cap)
+            spec = KernelSpec("adjoint" if transposed else "modified", cloud.family)
+            return apply_fast(spec, self._tree, Field(values), params).values
+        if len(cloud) > FAST_NODE_THRESHOLD:
+            return _apply_rule(spec, cloud, values, transposed, 256, self.threads)
+        if self._kernel is None or self._kernel[0] != mode:
+            self._kernel = None  # frees the old mode's matrix before the new one is built
+            self._kernel = (mode, kernel_matrix(cloud, mode))
+        charges = source_charges(cloud, values, transposed)
+        out = _column_products(self._kernel[1], np.ascontiguousarray(charges.reshape(len(charges), -1).T))
+        return target_scale(cloud, spec.d, out.reshape(charges.shape), transposed)
+
+
 def operator_norm(
     spec: KernelSpec,
     cloud: QuadratureCloud,
     tol: float = 1e-6,
     max_iter: int = 500,
     seed: int = 0,
-    block: int = 256,
     threads: int = 1,
     rel_tol: float = 0.0,
 ) -> NormEstimate:
     """Measure-weighted operator norm of the chosen kernel's dense operator."""
-
-    def apply_fn(v):
-        return apply_direct(spec, cloud, Field(v, "mu"), block, threads).values
-
-    def adjoint_fn(v):
-        return adjoint_apply_direct(spec, cloud, Field(v, "mu"), block, threads).values
-
-    return power_iteration(apply_fn, adjoint_fn, cloud.mu_weight, len(cloud), tol, max_iter, seed, rel_tol)
+    return Operator(cloud, "dense", threads).norm(spec.variant, tol, max_iter, seed, rel_tol)
 
 
 def beurling_multiplier(grid: np.ndarray) -> np.ndarray:
@@ -387,23 +424,19 @@ def t1_testing(
     cloud: QuadratureCloud,
     balls: list[BallQuery] | None = None,
     seed: int = 0,
-    apply_fn=None,
-    apply_adj_fn=None,
+    op: Operator | None = None,
 ) -> T1Report:
     """Testing-condition suprema ||T chi_B||^2 / mu(B) over the ball sample,
-    for the modified operator and its adjoint-kernel partner.
+    for the modified operator and its adjoint-kernel partner, applied by
+    ``op`` (default: the cloud's dense ``Operator``).
 
     Balls with zero discrete mass are skipped and counted.  The indicators
     of the other balls go through each apply as the columns of one field.
     """
     if balls is None:
         balls = default_t1_balls(cloud.family, seed=seed)
-    mod = KernelSpec("modified", spec.family)
-    adj = KernelSpec("adjoint", spec.family)
-    if apply_fn is None:
-        apply_fn = lambda f: apply_direct(mod, cloud, f)
-    if apply_adj_fn is None:
-        apply_adj_fn = lambda f: apply_direct(adj, cloud, f)
+    if op is None:
+        op = Operator(cloud, "dense")
     tested = [(ball, mass) for ball in balls if (mass := ball_mass(cloud, ball)) != 0.0]
     cx, cy, r = np.array([(ball.cx, ball.cy, ball.radius) for ball, _ in tested]).reshape(-1, 3).T
     chi = ((cloud.xy[:, :1] - cx) ** 2 + (cloud.xy[:, 1:] - cy) ** 2 <= r**2).astype(np.complex128)
@@ -411,8 +444,8 @@ def t1_testing(
     def norms2(images):
         return [field_norm(cloud, Field(images[:, col], "mu")) ** 2 for col in range(len(tested))]
 
-    t_norms2 = norms2(apply_fn(Field(chi, "mu")).values)
-    a_norms2 = norms2(apply_adj_fn(Field(chi, "mu")).values)
+    t_norms2 = norms2(op.apply("modified", Field(chi, "mu")).values)
+    a_norms2 = norms2(op.apply("adjoint", Field(chi, "mu")).values)
     sup_t = sup_adj = 0.0
     wit_t = wit_adj = None
     for (ball, mass), t_n2, a_n2 in zip(tested, t_norms2, a_norms2):

@@ -6,11 +6,10 @@ bit from (family, parameters, seed), wall-clock field aside.  The constants
 have no reference values; acceptance is boundedness and stability across
 scale ladders, so the scaling study is the main consumer.
 
-Each check picks its backend once (``_apply_pair``): the treecode above
-``FAST_NODE_THRESHOLD`` nodes, otherwise one cached dense cross-square
-matrix of the cloud (at most 64 MiB) that every apply of the check reads.
-The decomposition check and the domination reconstruction reference stay on
-the on-the-fly ``apply_direct`` sums.
+Each check picks the backend of its one ``operators.Operator`` once
+(``_check_operator``): the treecode above ``FAST_NODE_THRESHOLD`` nodes,
+dense otherwise.  The decomposition check and the domination reconstruction
+reference stay on the on-the-fly ``apply_direct`` sums.
 """
 
 from __future__ import annotations
@@ -26,19 +25,17 @@ from nhcz.geometry import SquareFamily, _scaled_centers_halves, generate_cascade
 from nhcz.kernels import KernelSpec, kernel_rows
 from nhcz.measure import BallQuery, QuadratureCloud, ball_mass, build_measure, build_quadrature, growth_constant
 from nhcz.operators import (
+    FAST_NODE_THRESHOLD,
     Field,
+    Operator,
     _maximal_many,
-    apply_cross_square_matrix,
     apply_direct,
-    cross_square_matrix,
     default_t1_balls,
     field_norm,
-    power_iteration,
     t1_testing,
 )
 from nhcz.reports import VerificationReport, family_digest
 
-FAST_NODE_THRESHOLD = 2048
 MAXIMAL_TARGET_CAP = 4096
 
 
@@ -55,71 +52,34 @@ def _base_inputs(family, n_per_side, seed, **extra):
     return inputs
 
 
-def _fast_apply_pair(family, cloud, params=None):
-    from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
-
-    params = params or ExpansionParams()
-    tree = build_tree(cloud, params.leaf_cap)
-    mod = KernelSpec("modified", family)
-    adj = KernelSpec("adjoint", family)
-    return (
-        lambda f: apply_fast(mod, tree, f, params),
-        lambda f: apply_fast(adj, tree, f, params),
-    )
+def _fast_apply_pair(family, cloud):
+    """The tree ``Operator`` of a check's cloud.  The name predates the
+    object; ``benchmarks/tracing.py`` wraps the two constructors by name."""
+    return Operator(cloud, "tree")
 
 
 def _direct_apply_pair(family, cloud):
-    """Dense (modified, adjoint) applies read from one cached
-    ``cross_square_matrix`` of the cloud.  The matrix is assembled on the
-    first apply, not here, so a check that holds the pair while it does
-    other work (the maximal pass of ``check_domination``) does not hold the
-    matrix too."""
-    mod = KernelSpec("modified", family)
-    adj = KernelSpec("adjoint", family)
-    kernel = None
-
-    def apply(spec, f):
-        nonlocal kernel
-        if kernel is None:
-            kernel = cross_square_matrix(cloud)
-        return apply_cross_square_matrix(kernel, spec, cloud, f)
-
-    return (lambda f: apply(mod, f), lambda f: apply(adj, f))
+    """The dense ``Operator`` of a check's cloud, named for the tracer as
+    ``_fast_apply_pair`` is.  Its kernel matrix waits for the first apply,
+    so a check holding it through other work (the maximal pass of
+    ``check_domination``) does not hold the matrix too."""
+    return Operator(cloud, "dense")
 
 
-def _apply_pair(family, cloud):
-    """The one backend choice of a check: treecode applies above
-    ``FAST_NODE_THRESHOLD`` nodes, dense sums otherwise.
-
-    Returns (fast, apply_modified, apply_adjoint).
-    """
-    fast = len(cloud) > FAST_NODE_THRESHOLD
-    return (fast, *(_fast_apply_pair if fast else _direct_apply_pair)(family, cloud))
+def _check_operator(cloud) -> Operator:
+    """A check's one backend choice: the tree above ``FAST_NODE_THRESHOLD`` nodes."""
+    pair = _fast_apply_pair if len(cloud) > FAST_NODE_THRESHOLD else _direct_apply_pair
+    return pair(cloud.family, cloud)
 
 
-def _images(apply, fields):
-    """Each field's image under ``apply``, in field order.  The fields go
-    through ``_COLUMN_BLOCK`` at a time as the columns of one field, so the
-    apply's transients stay O(N * _COLUMN_BLOCK) however many fields there
-    are."""
+def _images(op, variant, fields):
+    """Each field's image under ``op.apply(variant, .)``, in field order.
+    The fields go through ``_COLUMN_BLOCK`` at a time as the columns of one
+    field, so the apply's transients stay O(N * _COLUMN_BLOCK) however many
+    fields there are."""
     for c0 in range(0, len(fields), _COLUMN_BLOCK):
         block = fields[c0 : c0 + _COLUMN_BLOCK]
-        yield from apply(Field(np.stack([f.values for f in block], axis=1), "mu")).values.T
-
-
-def _adjoint_norm(cloud, apply_mod, apply_adj, tol, max_iter, seed, rel_tol=0.0):
-    """Measure-weighted norm of the adjoint-kernel operator from an apply
-    pair; its measure adjoint is conj o modified o conj."""
-    return power_iteration(
-        lambda v: apply_adj(Field(v, "mu")).values,
-        lambda v: np.conj(apply_mod(Field(np.conj(v), "mu")).values),
-        cloud.mu_weight,
-        len(cloud),
-        tol,
-        max_iter,
-        seed,
-        rel_tol,
-    )
+        yield from op.apply(variant, Field(np.stack([f.values for f in block], axis=1), "mu")).values.T
 
 
 def check_main_inequality(
@@ -138,20 +98,20 @@ def check_main_inequality(
     """
     t0 = time.perf_counter()
     cloud = build_quadrature(build_measure(family), n_per_side)
-    fast, apply_mod, apply_adj = _apply_pair(family, cloud)
-    est = _adjoint_norm(cloud, apply_mod, apply_adj, tol, max_iter, seed)
+    op = _check_operator(cloud)
+    est = op.norm("adjoint", tol, max_iter, seed)
     rng = np.random.default_rng(seed + 1)
     n = len(cloud)
     trial_fields = [Field(rng.standard_normal(n) + 1j * rng.standard_normal(n), "mu") for _ in range(trials)]
     max_ratio, max_trial = 0.0, -1
-    for t, (f, image) in enumerate(zip(trial_fields, _images(apply_adj, trial_fields))):
+    for t, (f, image) in enumerate(zip(trial_fields, _images(op, "adjoint", trial_fields))):
         r = (field_norm(cloud, Field(image, "mu")) / field_norm(cloud, f)) ** 2
         if r > max_ratio:
             max_ratio, max_trial = r, t
     passed = bool(est.converged and max_ratio <= est.sigma_max**2 + tol)
     return VerificationReport(
         check="main_inequality",
-        inputs=_base_inputs(family, n_per_side, seed, trials=trials, tol=tol, fast=fast),
+        inputs=_base_inputs(family, n_per_side, seed, trials=trials, tol=tol, fast=op.backend == "tree"),
         constants={
             "sigma_max": est.sigma_max,
             "sigma_max_sq": est.sigma_max**2,
@@ -270,13 +230,13 @@ def check_domination(
     of the witness value."""
     t0 = time.perf_counter()
     cloud = build_quadrature(build_measure(family), n_per_side)
-    fast, _, apply_adj = _apply_pair(family, cloud)
+    op = _check_operator(cloud)
     fields = _domination_fields(cloud, trials, seed)
     maximal = _maximal_many(cloud, [f for _, f in fields], kappa=3.0)
     c_dom = 0.0
     witness = {"field": None, "node": -1}
     witness_tf = None
-    images = _images(apply_adj, [f for _, f in fields])
+    images = _images(op, "adjoint", [f for _, f in fields])
     for (label, f), denom, image in zip(fields, maximal, images):
         tf = np.abs(image)
         ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)
@@ -331,7 +291,7 @@ def check_domination(
     )
     return VerificationReport(
         check="domination",
-        inputs=_base_inputs(family, n_per_side, seed, trials=trials, fast=fast),
+        inputs=_base_inputs(family, n_per_side, seed, trials=trials, fast=op.backend == "tree"),
         constants={
             "c_dom": c_dom,
             "min_annulus_index": min_a,
@@ -435,8 +395,8 @@ def scaling_study(
         else:
             g_centers = None
         c_growth, _ = growth_constant(cloud, centers=g_centers)
-        _, apply_mod, apply_adj = _apply_pair(fam, cloud)
-        est = _adjoint_norm(cloud, apply_mod, apply_adj, norm_tol, norm_max_iter, seed, norm_rel_tol)
+        op = _check_operator(cloud)
+        est = op.norm("adjoint", norm_tol, norm_max_iter, seed, norm_rel_tol)
         dom_fields = _domination_fields(cloud, trials=2, seed=seed + idx, max_indicators=2, deltas=1)
         rng = np.random.default_rng(seed + 31 * idx)
         norm_fields = [
@@ -453,7 +413,7 @@ def scaling_study(
             targets = np.arange(len(cloud))
         maximal = _maximal_many(cloud, [f for _, f in all_fields], kappa=3.0, targets=targets)
         c_dom = 0.0
-        images = _images(apply_adj, [f for _, f in dom_fields])
+        images = _images(op, "adjoint", [f for _, f in dom_fields])
         for denom, image in zip(maximal[: len(dom_fields)], images):
             tf = np.abs(image[targets])
             ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)
@@ -466,7 +426,7 @@ def scaling_study(
             if den > 0:
                 c_max_op = max(c_max_op, num / den)
         balls = default_t1_balls(fam, seed=seed, max_balls=16)
-        t1 = t1_testing(KernelSpec("modified", fam), cloud, balls, apply_fn=apply_mod, apply_adj_fn=apply_adj)
+        t1 = t1_testing(KernelSpec("modified", fam), cloud, balls, op=op)
         rows.append(
             [
                 m_req,

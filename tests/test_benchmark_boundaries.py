@@ -27,3 +27,30 @@ def test_traced_boundary_resolves_in_nhcz(module, attr):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+@pytest.mark.parametrize("n_per_side,fast", [(4, False), (8, True)], ids=["528-nodes", "2112-nodes"])
+def test_traced_operator_constructors_stay_on_the_check_path(monkeypatch, n_per_side, fast):
+    """The check's backend switch calls the constructors the tracer wraps,
+    so they stay live rather than becoming dead aliases."""
+    from nhcz import verify
+    from nhcz.geometry import generate_family
+
+    calls = {"_direct_apply_pair": 0, "_fast_apply_pair": 0}
+
+    def counting(name):
+        original = getattr(verify, name)
+
+        def constructor(family, cloud):
+            calls[name] += 1
+            return original(family, cloud)
+
+        return constructor
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counting(name))
+    fam = generate_family(seed=5, count=33, d=1.2, packing_target=4.0, k_range=(4, 6))
+    assert (len(fam) * n_per_side**2 > verify.FAST_NODE_THRESHOLD) is fast
+    report = verify.check_main_inequality(fam, n_per_side=n_per_side, trials=1, seed=2, tol=1e-4, max_iter=3)
+    assert report.inputs["fast"] is fast
+    assert calls == {"_direct_apply_pair": int(not fast), "_fast_apply_pair": int(fast)}

@@ -180,3 +180,45 @@ def test_validate_accepts_integral_float_coordinates(tmp_path):
     assert run(["validate", "--family", str(path), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "validate.json").read_text())
     assert report["witnesses"]["packing_witness"] == {"k": 40, "i": -3, "j": 2**45}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [1, 2],
+        {"d": 1.2, "packing_target": 4, "squares": [1, 2]},
+        {"d": None, "packing_target": 4, "squares": [{"k": 2, "i": 0, "j": 0}]},
+        {"d": 1.2, "packing_target": "4", "squares": [{"k": 2, "i": 0, "j": 0}]},
+        {"d": 1.2, "packing_target": 4, "squares": {"k": 2, "i": 0, "j": 0}},
+        {"d": 10**400, "packing_target": 4, "squares": [{"k": 2, "i": 0, "j": 0}]},
+        {"d": True, "packing_target": 4, "squares": [{"k": 2, "i": 0, "j": 0}]},
+    ],
+    ids=["top_level_list", "square_not_object", "d_null", "target_string", "squares_not_list", "d_overflow", "d_bool"],
+)
+def test_validate_rejects_malformed_family_json(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert run(["validate", "--family", str(path), "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError"
+    assert not (tmp_path / "validate.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["decompose", "--trials", "0"],
+        ["decompose", "--trials", "-3"],
+        ["dominate", "--trials", "-2"],
+        ["czcheck", "--budget", "0"],
+    ],
+    ids=["decompose-zero", "decompose-negative", "dominate-negative", "czcheck-budget-zero"],
+)
+def test_nonpositive_trials_or_budget_is_input_error(family_file, tmp_path, args):
+    assert run(args + ["--family", family_file, "--n", "3", "--out", str(tmp_path)]) == 2
+    assert os.listdir(tmp_path) == ["family.json"]
+
+
+def test_beurling_zero_trials_is_input_error(tmp_path):
+    assert run(["beurling", "--n", "8", "--trials", "0", "--out", str(tmp_path)]) == 2
+    assert os.listdir(tmp_path) == []

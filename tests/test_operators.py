@@ -7,8 +7,12 @@ import pytest
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family, suggest_generation_range
 from nhcz.kernels import KernelSpec, kernel_eval
 from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature
+from nhcz import operators
+from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
 from nhcz.operators import (
+    FAST_NODE_THRESHOLD,
     Field,
+    Operator,
     _maximal_many,
     adjoint_apply_direct,
     apply_direct,
@@ -199,16 +203,81 @@ def test_operator_norm_modified_equals_adjoint():
 
 
 @pytest.mark.parametrize("variant", ["full", "modified", "adjoint", "local"])
-def test_mu_adjointness(variant):
+def test_mu_adjointness(monkeypatch, variant):
     fam, cloud = small_family(seed=11, count=3, n=3)
     spec = KernelSpec(variant, fam)
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
-        g = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
-        lhs = field_inner(cloud, apply_direct(spec, cloud, f), g)
-        rhs = field_inner(cloud, f, adjoint_apply_direct(spec, cloud, g))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    op = Operator(cloud, "dense")
+    reference = (lambda f: apply_direct(spec, cloud, f), lambda g: adjoint_apply_direct(spec, cloud, g))
+    dense = (lambda f: op.apply(variant, f), lambda g: op.adjoint(variant, g))
+    # the on-the-fly reference, then the dense Operator on its matrix and on its blocked sums
+    for threshold, (apply_fn, adjoint_fn) in [(FAST_NODE_THRESHOLD, reference), (FAST_NODE_THRESHOLD, dense), (0, dense)]:
+        monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", threshold)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
+            g = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
+            lhs = field_inner(cloud, apply_fn(f), g)
+            rhs = field_inner(cloud, f, adjoint_fn(g))
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed,count,n", [(4, 10, 4), (5, 5, 3)])
+def test_tree_operator_matches_apply_fast_bit_for_bit(seed, count, n):
+    fam = generate_family(seed=seed, count=count, d=1.2, packing_target=4.0, k_range=(2, 5))
+    cloud = build_quadrature(build_measure(fam), n)
+    params = ExpansionParams()
+    tree = build_tree(cloud, params.leaf_cap)
+    op = Operator(cloud, "tree")
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((len(cloud), 3)) + 1j * rng.standard_normal((len(cloud), 3))
+    for v in (vals, vals[:, 1]):
+        f = Field(v, "mu")
+        for variant, partner in [("modified", "adjoint"), ("adjoint", "modified")]:
+            forward = apply_fast(KernelSpec(variant, fam), tree, f, params).values
+            assert np.array_equal(op.apply(variant, f).values, forward)
+            conj = np.conj(apply_fast(KernelSpec(partner, fam), tree, Field(np.conj(v), "mu"), params).values)
+            assert np.array_equal(op.adjoint(variant, f).values, conj)
+    built = op._tree
+    op.apply("modified", Field(vals, "mu"))
+    assert op._tree is built  # one tree serves every apply
+
+
+@pytest.mark.parametrize("variant", ["full", "local"])
+def test_tree_operator_rejects_uncompressed_variants(variant):
+    fam, cloud = small_family()
+    op = Operator(cloud, "tree")
+    f = Field(np.ones(len(cloud)), "mu")
+    with pytest.raises(ValueError):
+        op.apply(variant, f)
+    with pytest.raises(ValueError):
+        op.adjoint(variant, f)
+    with pytest.raises(ValueError):
+        Operator(cloud, "sparse")
+
+
+def test_dense_operator_keeps_one_matrix_slot(monkeypatch):
+    fam, cloud = small_family(seed=6, count=3, n=4)
+    assembled = []
+    assemble = operators.kernel_matrix
+
+    def counting_assemble(cloud, mode, *args, **kwargs):
+        assembled.append(mode)
+        return assemble(cloud, mode, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "kernel_matrix", counting_assemble)
+    op = Operator(cloud, "dense")
+    assert op._kernel is None and assembled == []
+    f = Field(np.arange(len(cloud), dtype=np.complex128), "mu")
+    op.apply("modified", f)
+    op.adjoint("adjoint", f)
+    first = op._kernel[1]
+    assert assembled == ["cross_square"] and op._kernel[0] == "cross_square"
+    op.apply("full", f)
+    assert assembled == ["cross_square", "off_diagonal"] and op._kernel[0] == "off_diagonal"
+    assert op._kernel[1] is not first
+    op.adjoint("full", f)
+    op.apply("modified", f)
+    assert assembled == ["cross_square", "off_diagonal", "cross_square"]
 
 
 def test_rayleigh_history_nondecreasing():

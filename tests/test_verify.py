@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family
-from nhcz.kernels import KernelSpec, kernel_eval
+from nhcz.kernels import VARIANTS, KernelSpec, kernel_eval
 from nhcz.measure import build_measure, build_quadrature
-from nhcz.operators import Field, adjoint_apply_direct, apply_direct, operator_norm
+from nhcz.operators import Field, Operator, adjoint_apply_direct, apply_direct, operator_norm
 from nhcz import operators, verify
 from nhcz.fastsum import _COLUMN_BLOCK
 from nhcz.reports import VerificationReport, canonical_json, family_digest, jsonable
@@ -79,70 +79,59 @@ def test_domination_constants_and_audits():
 
 def test_domination_applies_its_fields_in_column_blocks(monkeypatch):
     widths = []
+    apply = Operator.apply
 
-    def recording_pair(family, cloud):
-        mod, adj = direct_pair(family, cloud)
+    def recording_apply(self, variant, f):
+        widths.append((variant, f.values.shape[1]))
+        return apply(self, variant, f)
 
-        def recorded_adj(f):
-            widths.append(f.values.shape[1])
-            return adj(f)
-
-        return mod, recorded_adj
-
-    direct_pair = verify._direct_apply_pair
-    monkeypatch.setattr(verify, "_direct_apply_pair", recording_pair)
+    monkeypatch.setattr(Operator, "apply", recording_apply)
     fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
     report = check_domination(fam, n_per_side=4, trials=3, seed=1)
     assert report.passed
+    assert {variant for variant, _ in widths} == {"adjoint"}
+    widths = [w for _, w in widths]
     # 3 uniforms, 10 square indicators and 3 deltas, at most a block per apply
     assert sum(widths) == 16 and max(widths) == _COLUMN_BLOCK < 16
 
 
 @pytest.mark.parametrize("seed,count,n", [(4, 10, 4), (5, 5, 3)])
-def test_dense_pair_matches_on_the_fly_applies_bit_for_bit(seed, count, n):
+def test_dense_pair_matches_on_the_fly_applies_bit_for_bit(monkeypatch, seed, count, n):
     fam = generate_family(seed=seed, count=count, d=1.2, packing_target=4.0, k_range=(2, 5))
     cloud = build_quadrature(build_measure(fam), n)
-    mod, adj = KernelSpec("modified", fam), KernelSpec("adjoint", fam)
-    apply_mod, apply_adj = verify._direct_apply_pair(fam, cloud)
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((len(cloud), 3)) + 1j * rng.standard_normal((len(cloud), 3))
-
-    def conj_mod_conj(f):
-        return np.conj(apply_mod(Field(np.conj(f.values), "mu")).values)
-
-    def conj_adj_conj(f):
-        return np.conj(apply_adj(Field(np.conj(f.values), "mu")).values)
-
-    cases = [
-        (lambda f: apply_mod(f).values, lambda f: apply_direct(mod, cloud, f).values),
-        (lambda f: apply_adj(f).values, lambda f: apply_direct(adj, cloud, f).values),
-        (conj_mod_conj, lambda f: adjoint_apply_direct(adj, cloud, f).values),
-        (conj_adj_conj, lambda f: adjoint_apply_direct(mod, cloud, f).values),
-    ]
-    for pair_fn, ref_fn in cases:
-        batched = pair_fn(Field(vals, "mu"))
-        assert batched.shape == vals.shape
-        assert np.array_equal(batched, ref_fn(Field(vals, "mu")))
-        for j in range(vals.shape[1]):
-            single = pair_fn(Field(vals[:, j], "mu"))
-            assert single.shape == (len(cloud),)
-            assert np.array_equal(single, ref_fn(Field(vals[:, j], "mu")))
-            assert np.array_equal(batched[:, j], single)
+    # the kernel matrix, then the blocked sums the dense backend runs above the threshold
+    for threshold, matrix in [(FAST_NODE_THRESHOLD, True), (0, False)]:
+        monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", threshold)
+        op = verify._direct_apply_pair(fam, cloud)
+        for variant in VARIANTS:
+            spec = KernelSpec(variant, fam)
+            for op_fn, ref_fn in [(op.apply, apply_direct), (op.adjoint, adjoint_apply_direct)]:
+                batched = op_fn(variant, Field(vals, "mu")).values
+                assert batched.shape == vals.shape
+                assert np.array_equal(batched, ref_fn(spec, cloud, Field(vals, "mu")).values)
+                for j in range(vals.shape[1]):
+                    single = op_fn(variant, Field(vals[:, j], "mu")).values
+                    assert single.shape == (len(cloud),)
+                    assert np.array_equal(single, ref_fn(spec, cloud, Field(vals[:, j], "mu")).values)
+                    assert np.array_equal(batched[:, j], single)
+        assert (op._kernel is not None) is matrix
 
 
 def test_main_inequality_assembles_the_dense_kernel_once(monkeypatch):
     assembled, on_the_fly = [], []
-    assemble, cauchy = verify.cross_square_matrix, operators._cauchy_square_apply
+    assemble, cauchy = operators.kernel_matrix, operators._cauchy_square_apply
 
-    def counting_assemble(cloud, *args, **kwargs):
-        assembled.append(len(cloud))
-        return assemble(cloud, *args, **kwargs)
+    def counting_assemble(cloud, mode, *args, **kwargs):
+        assembled.append((len(cloud), mode))
+        return assemble(cloud, mode, *args, **kwargs)
 
     def counting_cauchy(*args, **kwargs):
         on_the_fly.append(1)
         return cauchy(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "cross_square_matrix", counting_assemble)
+    monkeypatch.setattr(operators, "kernel_matrix", counting_assemble)
     monkeypatch.setattr(operators, "_cauchy_square_apply", counting_cauchy)
     fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
     cloud = build_quadrature(build_measure(fam), 4)
@@ -154,8 +143,22 @@ def test_main_inequality_assembles_the_dense_kernel_once(monkeypatch):
         assert report.passed and report.inputs["fast"] is False
         assert report.constants["iterations"] > 2
         # one assembly per check serves every norm iteration and trial field
-        assert assembled == [len(cloud)] * checks
+        assert assembled == [(len(cloud), "cross_square")] * checks
         assert on_the_fly == []
+    est = operator_norm(KernelSpec("adjoint", fam), cloud, seed=1)
+    assert est.iterations > 2
+    assert assembled == [(len(cloud), "cross_square")] * 3
+    assert on_the_fly == []
+
+
+class OnTheFlyOperator(Operator):
+    """The dense backend's interface over the on-the-fly reference sums."""
+
+    def apply(self, variant, f):
+        return apply_direct(KernelSpec(variant, self.cloud.family), self.cloud, f)
+
+    def adjoint(self, variant, f):
+        return adjoint_apply_direct(KernelSpec(variant, self.cloud.family), self.cloud, f)
 
 
 def test_checks_through_the_dense_kernel_match_on_the_fly_sums(monkeypatch):
@@ -164,12 +167,8 @@ def test_checks_through_the_dense_kernel_match_on_the_fly_sums(monkeypatch):
         check_main_inequality(fam, n_per_side=4, trials=3, seed=1),
         check_domination(fam, n_per_side=4, trials=3, seed=1),
     ]
-
-    def on_the_fly_pair(family, cloud):
-        mod, adj = KernelSpec("modified", family), KernelSpec("adjoint", family)
-        return (lambda f: apply_direct(mod, cloud, f), lambda f: apply_direct(adj, cloud, f))
-
-    monkeypatch.setattr(verify, "_direct_apply_pair", on_the_fly_pair)
+    monkeypatch.setattr(verify, "_direct_apply_pair", lambda family, cloud: OnTheFlyOperator(cloud, "dense"))
+    monkeypatch.setattr(operators, "kernel_matrix", None)  # the reference must not reach the matrix
     reference = [
         check_main_inequality(fam, n_per_side=4, trials=3, seed=1),
         check_domination(fam, n_per_side=4, trials=3, seed=1),
