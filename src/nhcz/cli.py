@@ -4,22 +4,28 @@ Subcommands dispatch to the library, write canonical JSON/CSV artifacts
 atomically into the output directory, and exit 0 on pass, 1 on a threshold
 failure, 2 on an input error (with a machine-readable error JSON on stdout).
 All randomness flows from --seed (default 0).
+
+Each subcommand is one row of the ``SUBCOMMANDS`` table: its help line, its
+flags beyond --seed/--out and its handler; the parser and the dispatch both
+read that table.  The checks on a family's --n quadrature cloud share one
+runner, and each check writes its report to <out>/<subcommand>.json.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from nhcz import fastsum, kernels, measure, operators, verify
 from nhcz.geometry import SquareFamily, check_disjointness, generate_family, suggest_generation_range
 from nhcz.measure import borderline_exponent, build_measure, build_quadrature
-from nhcz.operators import operator_norm
 from nhcz.reports import VerificationReport, family_digest, write_csv_atomic, write_json_atomic
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
@@ -28,96 +34,11 @@ PASS, FAIL, INPUT_ERROR = 0, 1, 2
 def _positive(kind):
     def parse(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
         return value
 
     return parse
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nhcz", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="reports", help="output directory (default: reports)")
-        return p
-
-    def add_tol(p, default):
-        p.add_argument("--tol", type=_positive(float), default=default)
-
-    p = add("generate", "draw an admissible family and save it as JSON")
-    p.add_argument("--M", default="16", help="member count")
-    p.add_argument("--d", type=float, default=1.2)
-    p.add_argument("--packing-target", type=float, default=4.0)
-    p.add_argument("--kmin", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--box", default="0,0,1,1")
-    p.add_argument("--family", default=None, help="output family path (default: <out>/family.json)")
-
-    p = add("validate", "exact admissibility checks of a family file")
-    p.add_argument("--family", required=True)
-
-    p = add("norm", "operator-norm estimate on the measure")
-    add_tol(p, 1e-6)
-    p.add_argument("--threads", type=_positive(int), default=1)
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--variant", choices=["modified", "adjoint", "full", "local"], default="modified")
-
-    p = add("dominate", "pointwise maximal-operator domination check")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--trials", type=_positive(int), default=4)
-
-    p = add("czcheck", "empirical kernel condition constants")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--budget", type=_positive(int), default=200_000)
-
-    p = add("growth", "ball-growth constant of the measure")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, default=8)
-
-    p = add("a2", "two-weight ratio constant over discs")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, default=8)
-
-    p = add("t1", "ball testing-condition suprema")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, default=8)
-
-    p = add("decompose", "full = modified + local operator identity")
-    add_tol(p, 1e-12)
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--trials", type=_positive(int), default=4)
-
-    p = add("beurling", "spectral isometry check on a periodic grid")
-    add_tol(p, 1e-12)
-    p.add_argument("--n", type=int, default=256)
-    p.add_argument("--trials", type=_positive(int), default=4)
-
-    p = add("bench", "direct vs fast summation timing ladder")
-    add_tol(p, None)
-    p.add_argument("--sizes", default="1024,4096,16384")
-    p.add_argument("--p", type=int, default=12)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--d", type=float, default=1.2)
-
-    p = add("scaling", "constants across a family-size ladder")
-    p.add_argument("--M", default="4,16,64")
-    p.add_argument("--d", type=float, default=1.2)
-    p.add_argument("--packing-target", type=float, default=4.0)
-    p.add_argument("--n", type=int, default=8)
-
-    p = add("exponent", "borderline distortion exponent")
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--K", type=float, required=True)
-    return parser
 
 
 def _load_family(path) -> SquareFamily:
@@ -132,28 +53,48 @@ def _parse_int_list(text) -> list[int]:
         values = [int(v) for v in str(text).split(",") if v.strip()]
     except ValueError as exc:
         raise ValueError(f"bad integer list {text!r}") from exc
-    if not values:
-        raise ValueError(f"bad integer list {text!r}")
+    if not values or min(values) < 1:
+        raise ValueError(f"bad integer list {text!r}; expected positive integers")
     return values
 
 
-def _emit(args, name, report: VerificationReport) -> int:
+def _emit(args, report: VerificationReport) -> int:
     os.makedirs(args.out, exist_ok=True)
-    write_json_atomic(os.path.join(args.out, f"{name}.json"), report.to_json_dict())
-    print(f"{name}: {'PASS' if report.passed else 'FAIL'}")
+    write_json_atomic(os.path.join(args.out, f"{args.command}.json"), report.to_json_dict())
+    print(f"{args.command}: {'PASS' if report.passed else 'FAIL'}")
     return PASS if report.passed else FAIL
 
 
+def _on_cloud(work):
+    """Handler for a check on the --family measure's --n quadrature cloud.
+
+    ``work(args, family, cloud)`` returns (inputs, constants, witnesses,
+    thresholds, passed); ``inputs`` holds what the report records beyond the
+    family digest and ``n_per_side``.  Only ``work`` is timed.
+    """
+
+    def check(args):
+        fam = _load_family(args.family)
+        cloud = build_quadrature(build_measure(fam), args.n)
+        t0 = time.perf_counter()
+        inputs, constants, witnesses, thresholds, passed = work(args, fam, cloud)
+        inputs = {"family_digest": family_digest(fam), "n_per_side": args.n, **inputs}
+        return VerificationReport(
+            args.command, inputs, constants, witnesses, thresholds, bool(passed), time.perf_counter() - t0
+        )
+
+    return check
+
+
 def _cmd_generate(args) -> int:
-    count = _parse_int_list(args.M)[0]
     k_range = (args.kmin, args.kmax)
     if None in k_range:
-        lo, hi = suggest_generation_range(count, args.d, args.packing_target)
+        lo, hi = suggest_generation_range(args.M, args.d, args.packing_target)
         k_range = (lo if args.kmin is None else args.kmin, hi if args.kmax is None else args.kmax)
     box = tuple(float(v) for v in args.box.split(","))
     if len(box) != 4:
         raise ValueError(f"bad box {args.box!r}; expected x0,y0,x1,y1")
-    fam = generate_family(args.seed, count, args.d, args.packing_target, k_range, box)
+    fam = generate_family(args.seed, args.M, args.d, args.packing_target, k_range, box)
     os.makedirs(args.out, exist_ok=True)
     path = args.family or os.path.join(args.out, "family.json")
     fam.save(path)
@@ -164,23 +105,23 @@ def _cmd_generate(args) -> int:
             "check": "generate",
             "family": os.path.abspath(path),
             "family_digest": family_digest(fam),
-            "requested": count,
+            "requested": args.M,
             "generated": len(fam),
             "complete": fam.complete,
             "c_pack": fam.c_pack,
             "seed": args.seed,
         },
     )
-    print(f"generate: {len(fam)}/{count} squares -> {path}")
+    print(f"generate: {len(fam)}/{args.M} squares -> {path}")
     return PASS if fam.complete else FAIL
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> VerificationReport:
     t0 = time.perf_counter()
     fam = _load_family(args.family)
     verdict = check_disjointness(fam.squares)
     passed = verdict.ok and fam.c_pack <= fam.packing_target
-    report = VerificationReport(
+    return VerificationReport(
         check="validate",
         inputs={"family_digest": family_digest(fam), "squares": len(fam), "d": fam.d},
         constants={"c_pack": fam.c_pack, "disjoint": verdict.ok},
@@ -192,119 +133,55 @@ def _cmd_validate(args) -> int:
         passed=passed,
         runtime_s=time.perf_counter() - t0,
     )
-    return _emit(args, "validate", report)
 
 
-def _cmd_norm(args) -> int:
+def _norm(args, fam, cloud):
+    spec = kernels.KernelSpec(args.variant, fam)
+    est = operators.operator_norm(spec, cloud, tol=args.tol, seed=args.seed, threads=args.threads)
+    inputs = {"variant": args.variant, "seed": args.seed}
+    return inputs, est.to_json_dict(), {}, {"tol": args.tol}, est.converged
+
+
+def _cmd_dominate(args) -> VerificationReport:
     fam = _load_family(args.family)
-    cloud = build_quadrature(build_measure(fam), args.n)
-    t0 = time.perf_counter()
-    est = operator_norm(
-        kernels.KernelSpec(args.variant, fam),
-        cloud,
-        tol=args.tol,
-        seed=args.seed,
-        threads=args.threads,
-    )
-    report = VerificationReport(
-        check="norm",
-        inputs={
-            "family_digest": family_digest(fam),
-            "n_per_side": args.n,
-            "variant": args.variant,
-            "seed": args.seed,
-        },
-        constants=est.to_json_dict(),
-        witnesses={},
-        thresholds={"tol": args.tol},
-        passed=bool(est.converged),
-        runtime_s=time.perf_counter() - t0,
-    )
-    return _emit(args, "norm", report)
+    return verify.check_domination(fam, n_per_side=args.n, trials=args.trials, seed=args.seed)
 
 
-def _cmd_dominate(args) -> int:
-    fam = _load_family(args.family)
-    report = verify.check_domination(fam, n_per_side=args.n, trials=args.trials, seed=args.seed)
-    return _emit(args, "dominate", report)
-
-
-def _cmd_czcheck(args) -> int:
-    fam = _load_family(args.family)
-    cloud = build_quadrature(build_measure(fam), args.n)
-    t0 = time.perf_counter()
-    rep = kernels.cz_constants(
-        kernels.KernelSpec("modified", fam), cloud, tau=args.tau, budget=args.budget, seed=args.seed
-    )
+def _czcheck(args, fam, cloud):
+    spec = kernels.KernelSpec("modified", fam)
+    rep = kernels.cz_constants(spec, cloud, tau=args.tau, budget=args.budget, seed=args.seed)
+    witnesses = {
+        "size": list(rep.witness_i),
+        "first_argument": list(rep.witness_ii),
+        "second_argument": list(rep.witness_iii),
+    }
     finite = all(np.isfinite([rep.a_i, rep.a_ii, rep.a_iii]))
-    report = VerificationReport(
-        check="czcheck",
-        inputs={"family_digest": family_digest(fam), "n_per_side": args.n, "seed": args.seed},
-        constants=rep.to_json_dict(),
-        witnesses={
-            "size": list(rep.witness_i),
-            "first_argument": list(rep.witness_ii),
-            "second_argument": list(rep.witness_iii),
-        },
-        thresholds={"iii2_counterexamples": 0},
-        passed=bool(finite and rep.iii2_counterexamples == 0),
-        runtime_s=time.perf_counter() - t0,
-    )
-    return _emit(args, "czcheck", report)
+    passed = finite and rep.iii2_counterexamples == 0
+    return {"seed": args.seed}, rep.to_json_dict(), witnesses, {"iii2_counterexamples": 0}, passed
 
 
-# subcommand -> (ball-ratio constant of the measure, report key)
-_BALL_CONSTANTS = {
-    "growth": (measure.growth_constant, "c_growth"),
-    "a2": (measure.a2_constant, "c_a2"),
-}
+def _ball_constant(constant, args, fam, cloud):
+    """Work for a ball-ratio constant of the measure, reported as ``c_<subcommand>``."""
+    c, ball = constant(cloud)
+    witnesses = {"ball": {"cx": ball.cx, "cy": ball.cy, "radius": ball.radius}}
+    thresholds = {"sample": "all nodes x dyadic radius ladder"}
+    return {}, {f"c_{args.command}": c}, witnesses, thresholds, np.isfinite(c)
 
 
-def _cmd_ball_constant(args) -> int:
-    constant, key = _BALL_CONSTANTS[args.command]
-    fam = _load_family(args.family)
-    cloud = build_quadrature(build_measure(fam), args.n)
-    t0 = time.perf_counter()
-    c, witness = constant(cloud)
-    report = VerificationReport(
-        check=args.command,
-        inputs={"family_digest": family_digest(fam), "n_per_side": args.n},
-        constants={key: c},
-        witnesses={"ball": {"cx": witness.cx, "cy": witness.cy, "radius": witness.radius}},
-        thresholds={"sample": "all nodes x dyadic radius ladder"},
-        passed=bool(np.isfinite(c)),
-        runtime_s=time.perf_counter() - t0,
-    )
-    return _emit(args, args.command, report)
-
-
-def _cmd_t1(args) -> int:
-    fam = _load_family(args.family)
-    cloud = build_quadrature(build_measure(fam), args.n)
-    t0 = time.perf_counter()
+def _t1(args, fam, cloud):
     rep = operators.t1_testing(kernels.KernelSpec("modified", fam), cloud, seed=args.seed)
     finite = np.isfinite(rep.sup_t) and np.isfinite(rep.sup_t_adjoint)
-    report = VerificationReport(
-        check="t1",
-        inputs={"family_digest": family_digest(fam), "n_per_side": args.n, "seed": args.seed},
-        constants=rep.to_json_dict(),
-        witnesses={},
-        thresholds={},
-        passed=bool(finite),
-        runtime_s=time.perf_counter() - t0,
-    )
-    return _emit(args, "t1", report)
+    return {"seed": args.seed}, rep.to_json_dict(), {}, {}, finite
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> VerificationReport:
     fam = _load_family(args.family)
-    report = verify.check_decomposition(
+    return verify.check_decomposition(
         fam, n_per_side=args.n, trials=args.trials, seed=args.seed, rel_tol=args.tol
     )
-    return _emit(args, "decompose", report)
 
 
-def _cmd_beurling(args) -> int:
+def _cmd_beurling(args) -> VerificationReport:
     if args.n < 2 or args.n % 2:
         raise ValueError(f"grid size must be even and >= 2, got {args.n}")
     t0 = time.perf_counter()
@@ -315,7 +192,7 @@ def _cmd_beurling(args) -> int:
         g -= g.mean()
         out = operators.beurling_multiplier(g)
         worst = max(worst, abs(np.linalg.norm(out) / np.linalg.norm(g) - 1.0))
-    report = VerificationReport(
+    return VerificationReport(
         check="beurling",
         inputs={"grid": args.n, "trials": args.trials, "seed": args.seed},
         constants={"max_norm_ratio_deviation": worst},
@@ -324,7 +201,6 @@ def _cmd_beurling(args) -> int:
         passed=bool(worst <= args.tol),
         runtime_s=time.perf_counter() - t0,
     )
-    return _emit(args, "beurling", report)
 
 
 def _cmd_bench(args) -> int:
@@ -374,21 +250,105 @@ def _cmd_exponent(args) -> int:
     return PASS
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "validate": _cmd_validate,
-    "norm": _cmd_norm,
-    "dominate": _cmd_dominate,
-    "czcheck": _cmd_czcheck,
-    "growth": _cmd_ball_constant,
-    "a2": _cmd_ball_constant,
-    "t1": _cmd_t1,
-    "decompose": _cmd_decompose,
-    "beurling": _cmd_beurling,
-    "bench": _cmd_bench,
-    "scaling": _cmd_scaling,
-    "exponent": _cmd_exponent,
+def _flag(name, kind=None, default=None, **options):
+    """One (flag, ``add_argument`` keywords) entry of a ``SUBCOMMANDS`` row."""
+    return name, dict(type=kind, default=default, **options)
+
+
+_FAMILY = _flag("--family", required=True)
+_N = _flag("--n", int, 8)
+_TRIALS = _flag("--trials", _positive(int), 4)
+_D = _flag("--d", float, 1.2)
+_PACKING_TARGET = _flag("--packing-target", float, 4.0)
+
+# name -> (help, flags beyond --seed/--out, handler returning an exit code or a report for _emit)
+SUBCOMMANDS = {
+    "generate": (
+        "draw an admissible family and save it as JSON",
+        [
+            _flag("--M", _positive(int), 16, help="member count"),
+            _D,
+            _PACKING_TARGET,
+            _flag("--kmin", int),
+            _flag("--kmax", int),
+            _flag("--box", default="0,0,1,1"),
+            _flag("--family", help="output family path (default: <out>/family.json)"),
+        ],
+        _cmd_generate,
+    ),
+    "validate": ("exact admissibility checks of a family file", [_FAMILY], _cmd_validate),
+    "norm": (
+        "operator-norm estimate on the measure",
+        [
+            _flag("--tol", _positive(float), 1e-6),
+            _flag("--threads", _positive(int), 1),
+            _FAMILY,
+            _N,
+            _flag("--variant", choices=["modified", "adjoint", "full", "local"], default="modified"),
+        ],
+        _on_cloud(_norm),
+    ),
+    "dominate": ("pointwise maximal-operator domination check", [_FAMILY, _N, _TRIALS], _cmd_dominate),
+    "czcheck": (
+        "empirical kernel condition constants",
+        [_FAMILY, _N, _flag("--tau", float, 0.5), _flag("--budget", _positive(int), 200_000)],
+        _on_cloud(_czcheck),
+    ),
+    "growth": (
+        "ball-growth constant of the measure",
+        [_FAMILY, _N],
+        _on_cloud(partial(_ball_constant, measure.growth_constant)),
+    ),
+    "a2": (
+        "two-weight ratio constant over discs",
+        [_FAMILY, _N],
+        _on_cloud(partial(_ball_constant, measure.a2_constant)),
+    ),
+    "t1": ("ball testing-condition suprema", [_FAMILY, _N], _on_cloud(_t1)),
+    "decompose": (
+        "full = modified + local operator identity",
+        [_flag("--tol", _positive(float), 1e-12), _FAMILY, _N, _TRIALS],
+        _cmd_decompose,
+    ),
+    "beurling": (
+        "spectral isometry check on a periodic grid",
+        [_flag("--tol", _positive(float), 1e-12), _flag("--n", int, 256), _TRIALS],
+        _cmd_beurling,
+    ),
+    "bench": (
+        "direct vs fast summation timing ladder",
+        [
+            _flag("--tol", _positive(float)),
+            _flag("--sizes", default="1024,4096,16384"),
+            _flag("--p", int, 12),
+            _flag("--theta", float, 0.5),
+            _D,
+        ],
+        _cmd_bench,
+    ),
+    "scaling": (
+        "constants across a family-size ladder",
+        [_flag("--M", default="4,16,64"), _D, _PACKING_TARGET, _N],
+        _cmd_scaling,
+    ),
+    "exponent": (
+        "borderline distortion exponent",
+        [_flag("--t", float, required=True), _flag("--K", float, required=True)],
+        _cmd_exponent,
+    ),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="nhcz", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, _) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default="reports", help="output directory (default: reports)")
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -399,7 +359,8 @@ def main(argv=None) -> int:
         # argparse already printed a usage message
         return INPUT_ERROR if exc.code not in (0, None) else PASS
     try:
-        return _HANDLERS[args.command](args)
+        result = SUBCOMMANDS[args.command][2](args)
+        return _emit(args, result) if isinstance(result, VerificationReport) else result
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(json.dumps({"schema": "nhcz/1", "error": type(exc).__name__, "detail": str(exc)}))
         return INPUT_ERROR

@@ -62,15 +62,6 @@ def field_inner(cloud: QuadratureCloud, f: Field, g: Field) -> complex:
     return complex(np.sum(field_weights(cloud, f) * f.values * np.conj(g.values)))
 
 
-def random_field(cloud: QuadratureCloud, seed: int, weight: str = "mu", nonnegative=False) -> Field:
-    rng = np.random.default_rng(seed)
-    if nonnegative:
-        vals = rng.uniform(0.0, 1.0, size=len(cloud)).astype(np.complex128)
-    else:
-        vals = rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud))
-    return Field(vals, weight)
-
-
 def _cauchy_square_apply(cloud, charges, mode, block=256, threads=1, targets=None):
     """Sum of charges_q / (z_p - z_q)^2 over the pairs the mode keeps, for
     charges of shape (N,) or (N, k).

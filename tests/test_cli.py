@@ -1,10 +1,16 @@
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
-from nhcz.cli import main
+from nhcz.cli import SUBCOMMANDS, build_parser, main
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family
+from nhcz.kernels import KernelSpec, cz_constants
+from nhcz.measure import a2_constant, build_measure, build_quadrature, growth_constant
+from nhcz.operators import operator_norm, t1_testing
+from nhcz.reports import canonical_json
 
 
 @pytest.fixture
@@ -222,3 +228,105 @@ def test_nonpositive_trials_or_budget_is_input_error(family_file, tmp_path, args
 def test_beurling_zero_trials_is_input_error(tmp_path):
     assert run(["beurling", "--n", "8", "--trials", "0", "--out", str(tmp_path)]) == 2
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm", "--tol", "inf", "--family", "{family}", "--n", "3"],
+        ["norm", "--tol", "nan", "--family", "{family}", "--n", "3"],
+        ["decompose", "--tol", "inf", "--family", "{family}", "--n", "3"],
+        ["beurling", "--tol", "inf", "--n", "8"],
+        ["bench", "--tol", "inf", "--sizes", "128"],
+    ],
+    ids=["norm-inf", "norm-nan", "decompose-inf", "beurling-inf", "bench-inf"],
+)
+def test_nonfinite_tol_is_input_error(family_file, tmp_path, args):
+    out = tmp_path / "out"
+    assert run([a.format(family=family_file) for a in args] + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["6,99", "0", "-2"], ids=["list", "zero", "negative"])
+def test_generate_takes_one_positive_count(tmp_path, count):
+    out = tmp_path / "out"
+    assert run(["generate", "--M", count, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["bench", "--sizes", "0,-5"], ["bench", "--sizes", "128,0"], ["scaling", "--M", "2,0", "--n", "3"]],
+    ids=["bench-zero-negative", "bench-zero", "scaling-zero"],
+)
+def test_nonpositive_list_entry_is_input_error(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert run(args + ["--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == "ValueError"
+    assert not out.exists()
+
+
+def _norm_case(variant):
+    def expect(fam, cloud):
+        est = operator_norm(KernelSpec(variant, fam), cloud, tol=1e-4, seed=2)
+        return est.to_json_dict(), {}
+
+    return ["norm", "--variant", variant, "--tol", "1e-4", "--seed", "2"], expect
+
+
+def _ball_case(name, constant):
+    def expect(fam, cloud):
+        c, ball = constant(cloud)
+        return {f"c_{name}": c}, {"ball": {"cx": ball.cx, "cy": ball.cy, "radius": ball.radius}}
+
+    return [name], expect
+
+
+def _czcheck_expect(fam, cloud):
+    rep = cz_constants(KernelSpec("modified", fam), cloud, tau=0.6, budget=5000, seed=3)
+    witnesses = {"size": rep.witness_i, "first_argument": rep.witness_ii, "second_argument": rep.witness_iii}
+    return rep.to_json_dict(), witnesses
+
+
+def _t1_expect(fam, cloud):
+    return t1_testing(KernelSpec("modified", fam), cloud, seed=4).to_json_dict(), {}
+
+
+WIRED = {
+    **{f"norm-{v}": _norm_case(v) for v in ("modified", "adjoint", "full", "local")},
+    "growth": _ball_case("growth", growth_constant),
+    "a2": _ball_case("a2", a2_constant),
+    "czcheck": (["czcheck", "--tau", "0.6", "--budget", "5000", "--seed", "3"], _czcheck_expect),
+    "t1": (["t1", "--seed", "4"], _t1_expect),
+}
+
+
+@pytest.mark.parametrize("case", list(WIRED))
+def test_cloud_report_matches_direct_library_call(family_file, tmp_path, case):
+    args, expect = WIRED[case]
+    out = tmp_path / "out"
+    assert run(args + ["--family", family_file, "--n", "3", "--out", str(out)]) in (0, 1)
+    report = json.loads((out / f"{args[0]}.json").read_text())
+    fam = SquareFamily.from_json_dict(json.loads(Path(family_file).read_text()))
+    constants, witnesses = expect(fam, build_quadrature(build_measure(fam), 3))
+    assert report["inputs"]["n_per_side"] == 3
+    assert report["constants"] == json.loads(canonical_json(constants))
+    assert report["witnesses"] == json.loads(canonical_json(witnesses))
+
+
+def _readme_command_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("nhcz ")]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=lambda argv: argv[0])
+def test_readme_command_line_parses(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README example does not parse: nhcz {shlex.join(argv)}")
+
+
+def test_readme_shows_every_subcommand():
+    assert sorted(argv[0] for argv in _readme_command_lines()) == sorted(SUBCOMMANDS)
