@@ -17,8 +17,14 @@ time linear in the nodes it still splits.  Every cell lists the squares it
 holds nodes of, for the same-square test above.
 
 Which pairs are expanded and which are summed directly depends on the cloud
-and ``theta`` alone, so each tree walks itself once per opening parameter
-and caches the result as an ``InteractionPlan``:
+and ``theta`` alone, so each tree builds one ``InteractionPlan`` per opening
+parameter and caches it.  The plan comes from a dual-tree walk (Dehnen,
+J. Comput. Phys. 179, 2002) over (target cell, source cell) pairs, one level
+at a time.  A pair whose targets all get the same answer, as a margin on the
+target cell's disc and its square list prove, is expanded, passed to the
+source's children or skipped as a whole; only the target leaves near the
+opening boundary test their nodes one by one with the exact float test.
+The plan is the one a per-target walk down the tree would record:
 
 - the far part is a list of (cell, target leaf, packed slot mask) entries;
   an apply evaluates each far cell as a (targets x order) power matrix
@@ -53,6 +59,8 @@ _MAX_DEPTH = 48
 _COLUMN_BLOCK = 8  # charge columns per pass; bounds the moment and output arrays
 _ENTRY_BLOCK = 256  # far entries per power matrix (at most 256 x leaf size rows)
 _NEAR_BLOCK = 64  # near leaf blocks per dense kernel evaluation
+_GATHER_BLOCK = 1 << 16  # far entries per slot-mask gather when a plan is built
+_MARGIN = 1e-12  # relative slack that keeps a whole-pair decision clear of rounding
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,8 @@ class InteractionPlan:
     near_source: np.ndarray  # source leaf of each live near block
     near_bits: np.ndarray  # the block's target slots with a live pair
     near_blocks_skipped: int  # near blocks whose pairs all share a square
+    cell_pairs: int  # (target cell, source cell) pairs decided as a whole
+    target_tests: int  # (target node, source cell) opening tests made one by one
 
     @property
     def far_entries(self) -> int:
@@ -278,78 +288,154 @@ def build_tree(cloud: QuadratureCloud, leaf_cap: int = 32) -> QuadTree:
 
 
 def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
-    """One stack walk of the tree that records, instead of evaluating, the
-    targets each cell expands and the targets each leaf sums directly.
+    """Record, instead of evaluating, the targets each cell expands and the
+    targets each leaf sums directly, by walking (target cell T, source cell
+    S) pairs one level at a time from (root, root).
 
-    Targets travel in ``perm`` order, so the targets of one leaf are
-    consecutive wherever they go.
+    Every node of T reaches S, and a pair is decided as a whole only when
+    the opening test is settled for T's whole disc with ``_MARGIN`` to spare
+    (or S has radius 0) and T's squares lie all outside or all inside S's:
+
+    - all expanded: every leaf of T is a far entry of S with its full mask;
+    - none expanded: the pair moves on to S's children, or, at a source
+      leaf, becomes near blocks;
+    - all dead: T and S hold the same single square, so every block between
+      their leaves is skipped.
+
+    Any other pair splits T.  The nodes of a target leaf that cannot be
+    decided as a whole walk S's subtree one by one under the exact opening
+    and square tests.  Entries are sorted by (source cell, target leaf),
+    the order of a depth-first walk that carries each node down the tree.
     """
     z, sq = tree.cloud.z, tree.cloud.square_index
     n_leaves, width = tree.leaf_pad_nodes.shape
     leaf_start = tree.start[tree.leaf_ids]
-    leaf_of = np.repeat(np.arange(n_leaves), tree.end[tree.leaf_ids] - leaf_start)  # perm slot -> leaf
-    leaf_row = np.full(tree.n_cells, -1, dtype=np.int64)
-    leaf_row[tree.leaf_ids] = np.arange(n_leaves)
+    # a cell's leaves are the leaf rows first_leaf : first_leaf + n_leaf
+    first_leaf = np.searchsorted(leaf_start, tree.start)
+    n_leaf = np.searchsorted(leaf_start, tree.end) - first_leaf
+    full_bits = np.packbits(tree.leaf_pad_mask, axis=1)
+    n_kids = np.diff(tree.child_ptr)
+    n_sq = np.diff(tree.square_ptr)
+    one_sq = np.where(n_sq == 1, tree.square_ids[tree.square_ptr[:-1]], -1)  # a cell's only square
+    # ascending (cell, square) keys; a square-in-cell test is one binary search
+    sq_key = np.repeat(np.arange(tree.n_cells), n_sq) * len(tree.cloud.family) + tree.square_ids
 
-    def by_leaf(nodes):
-        """The leaves holding ``nodes`` and the packed slot masks of the nodes."""
-        pos = tree.rank[nodes]
-        lf = leaf_of[pos]
-        new = np.ones(lf.size, dtype=bool)
-        new[1:] = lf[1:] != lf[:-1]
-        mask = np.zeros((int(new.sum()), width), dtype=bool)
-        mask[np.cumsum(new) - 1, pos - leaf_start[lf]] = True
-        return lf[new].astype(np.int32), np.packbits(mask, axis=1)
+    def holds(cells, squares):
+        key = cells * len(tree.cloud.family) + squares
+        return sq_key[np.minimum(np.searchsorted(sq_key, key), sq_key.size - 1)] == key
 
-    far_cells, far_leaf, far_bits = [], [], []
-    near_target, near_source, near_bits = [], [], []
-    skipped = 0
-    in_cell = np.zeros(len(tree.cloud.family), dtype=bool)  # squares of the current cell
-    child_ptr, child_ids = tree.child_ptr.tolist(), tree.child_ids.tolist()
-    stack = [(0, tree.perm)]
-    while stack:
-        cell, targets = stack.pop()
-        adm = 2.0 * tree.radius[cell] <= theta * np.abs(z[targets] - tree.centers[cell])
-        squares = tree.square_ids[tree.square_ptr[cell] : tree.square_ptr[cell + 1]]
-        in_cell[squares] = True
-        adm[adm] = ~in_cell[sq[targets[adm]]]
-        in_cell[squares] = False
-        if adm.any():
-            leaves, bits = by_leaf(targets[adm])
-            far_cells.append(cell)
-            far_leaf.append(leaves)
-            far_bits.append(bits)
-        rest = targets[~adm]
-        if rest.size == 0:
-            continue
-        if tree.is_leaf[cell]:
-            src = tree.perm[tree.start[cell] : tree.end[cell]]
-            dz = z[rest][:, None] - z[src][None, :]
-            live = ~exclusion_mask("cross_square", dz, sq[rest][:, None], sq[src][None, :]).all(axis=1)
-            leaves, bits = by_leaf(rest[live])
-            near_target.append(leaves)
-            near_source.append(np.full(leaves.size, leaf_row[cell], dtype=np.int32))
-            near_bits.append(bits)
-            # ``rest`` is in ``perm`` order, so each leaf's targets form one run
-            lf = leaf_of[tree.rank[rest]]
-            skipped += 1 + np.count_nonzero(lf[1:] != lf[:-1]) - leaves.size
-        else:
-            stack.extend((kid, rest) for kid in reversed(child_ids[child_ptr[cell] : child_ptr[cell + 1]]))
+    def kids(cells):
+        """Each cell's children, with the index of their parent in ``cells``."""
+        up = np.repeat(np.arange(cells.size), n_kids[cells])
+        return tree.child_ids[_ranges(tree.child_ptr[cells], n_kids[cells])], up
 
-    packed = (width + 7) // 8
+    far = []  # (source cell, first target leaf, target leaves) with full masks
+    far_pts = []  # (source cell, perm slot) of each node expanded one by one
+    near_pts = []  # (source leaf row, perm slot, live) of each node summed directly
+    fallback = []  # (target leaf, source cell) pairs left to per-target tests
+    skipped = cell_pairs = target_tests = 0
+    tc, sc = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    while tc.size:
+        d = np.abs(tree.centers[tc] - tree.centers[sc])
+        rt, rs = tree.radius[tc], tree.radius[sc]
+        # a node of T lies within rt of T's centre, so its distance to S's
+        # centre lies in [d - rt, d + rt] up to a few roundings of d + rt
+        slack = _MARGIN * (d + rt)
+        dead = (one_sq[tc] >= 0) & (one_sq[tc] == one_sq[sc])
+        geo_none = 2.0 * rs > theta * (d + rt + slack)
+        is_open = ~(dead | geo_none)
+        pair = np.repeat(np.flatnonzero(is_open), n_sq[tc[is_open]])
+        found = holds(sc[pair], tree.square_ids[_ranges(tree.square_ptr[tc[is_open]], n_sq[tc[is_open]])])
+        shared = np.bincount(pair[found], minlength=tc.size)  # squares of T that S holds
+        geo_all = (rs == 0) | (2.0 * rs <= theta * (d - rt - slack))
+        expand = is_open & geo_all & (shared == 0)
+        descend = (geo_none & ~dead) | (is_open & (shared == n_sq[tc]))
+        split = ~(dead | expand | descend)
+        cell_pairs += int(np.count_nonzero(dead | expand | descend))
+        skipped += int((n_leaf[tc[dead]] * n_leaf[sc[dead]]).sum())
+        if expand.any():
+            far.append((sc[expand], first_leaf[tc[expand]], n_leaf[tc[expand]]))
 
-    def cat(parts, dtype, shape=(0,)):
-        return np.concatenate(parts) if parts else np.zeros(shape, dtype=dtype)
+        t_near, s_near = tc[descend], sc[descend]
+        at_leaf = tree.is_leaf[s_near]
+        size = tree.end[t_near[at_leaf]] - tree.start[t_near[at_leaf]]
+        pos = _ranges(tree.start[t_near[at_leaf]], size)
+        src = np.repeat(s_near[at_leaf], size)
+        near_pts.append((first_leaf[src], pos, one_sq[src] != sq[tree.perm[pos]]))
+
+        to_leaf = split & tree.is_leaf[tc]
+        fallback.append((tc[to_leaf], sc[to_leaf]))
+        s_kids, up = kids(s_near[~at_leaf])
+        t_kids, t_up = kids(tc[split & ~to_leaf])
+        tc = np.concatenate([t_near[~at_leaf][up], t_kids])
+        sc = np.concatenate([s_kids, sc[split & ~to_leaf][t_up]])
+
+    # the undecided target leaves: one (perm slot, source cell) pair per node
+    tl, sc = (np.concatenate(a) for a in zip(*fallback))
+    pos = _ranges(tree.start[tl], tree.end[tl] - tree.start[tl])
+    sc = np.repeat(sc, tree.end[tl] - tree.start[tl])
+    while True:
+        target_tests += pos.size
+        node = tree.perm[pos]
+        adm = 2.0 * tree.radius[sc] <= theta * np.abs(z[node] - tree.centers[sc])
+        adm[adm] = ~holds(sc[adm], sq[node[adm]])
+        far_pts.append((sc[adm], pos[adm]))
+        at_leaf = ~adm & tree.is_leaf[sc]
+        near_pts.append((first_leaf[sc[at_leaf]], pos[at_leaf], one_sq[sc[at_leaf]] != sq[node[at_leaf]]))
+        go = ~adm & ~at_leaf
+        sc, up = kids(sc[go])
+        pos = pos[go][up]
+        if not pos.size:
+            break
+
+    def by_block(keys, pos, bit):
+        """Distinct (key, target leaf) blocks of the nodes at perm slots
+        ``pos`` and each block's mask of the slots whose ``bit`` is set."""
+        lf = np.searchsorted(leaf_start, pos, side="right") - 1
+        block, inv = np.unique(keys * n_leaves + lf, return_inverse=True)
+        mask = np.zeros((block.size, width), dtype=bool)
+        mask[inv[bit], (pos - leaf_start[lf])[bit]] = True
+        return block // n_leaves, block % n_leaves, mask
+
+    cells, pos = (np.concatenate(a) for a in zip(*far_pts))
+    cells, lf, mask = by_block(cells, pos, np.ones(pos.size, dtype=bool))
+    # near blocks come out sorted by (source leaf, target leaf)
+    near_src, near_lf, near_mask = by_block(*(np.concatenate(a) for a in zip(*near_pts)))
+    hit = near_mask.any(axis=1)
+    skipped += int(hit.size - np.count_nonzero(hit))
+
+    # far records: whole target cells with full masks, then single tested leaves
+    far.append((cells, lf, np.ones_like(lf)))
+    rec_cell, rec_leaf, rec_n = (np.concatenate(a) for a in zip(*far))
+    del far, far_pts, near_pts  # the plan's arrays are built below
+    order = np.lexsort((rec_leaf, rec_cell))
+    rec_cell, rec_leaf, rec_n = rec_cell[order], rec_leaf[order], rec_n[order]
+    rec_end = np.cumsum(rec_n)
+    # a record's leaves count up from its first; a running sum of steps
+    # writes them without an index array per entry
+    step = rec_leaf.copy()
+    step[1:] -= rec_leaf[:-1] + rec_n[:-1] - 1
+    far_leaf = np.ones(int(rec_n.sum()), dtype=np.int32)
+    far_leaf[rec_end - rec_n] = step
+    np.cumsum(far_leaf, dtype=np.int32, out=far_leaf)
+    far_bits = np.empty((far_leaf.size, full_bits.shape[1]), dtype=np.uint8)
+    for b0 in range(0, far_leaf.size, _GATHER_BLOCK):  # keeps the int64 index copy small
+        np.take(full_bits, far_leaf[b0 : b0 + _GATHER_BLOCK], axis=0, out=far_bits[b0 : b0 + _GATHER_BLOCK])
+    tested = order >= rec_cell.size - cells.size  # the single-leaf records, in sorted order
+    far_bits[(rec_end - rec_n)[tested]] = np.packbits(mask, axis=1)[order[tested] - (rec_cell.size - cells.size)]
+    last = np.flatnonzero(np.diff(rec_cell, append=-1))  # each far cell's last record
 
     return InteractionPlan(
-        far_cells=np.array(far_cells, dtype=np.int32),
-        far_ptr=np.concatenate([[0], np.cumsum([a.size for a in far_leaf])]).astype(np.int64),
-        far_leaf=cat(far_leaf, np.int32),
-        far_bits=cat(far_bits, np.uint8, (0, packed)),
-        near_target=cat(near_target, np.int32),
-        near_source=cat(near_source, np.int32),
-        near_bits=cat(near_bits, np.uint8, (0, packed)),
-        near_blocks_skipped=int(skipped),
+        far_cells=rec_cell[last].astype(np.int32),
+        far_ptr=np.append(0, rec_end[last]).astype(np.int64),
+        far_leaf=far_leaf,
+        far_bits=far_bits,
+        near_target=near_lf[hit].astype(np.int32),
+        near_source=near_src[hit].astype(np.int32),
+        near_bits=np.packbits(near_mask[hit], axis=1),
+        near_blocks_skipped=skipped,
+        cell_pairs=cell_pairs,
+        target_tests=target_tests,
     )
 
 

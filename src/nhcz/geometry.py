@@ -228,6 +228,15 @@ def packing_constant(squares: list[DyadicSquare], d: float) -> tuple[float, Dyad
     return state.constant, DyadicSquare(*state.witness)
 
 
+def _check_d_and_target(d, packing_target):
+    """Rejects an exponent outside (0, 2) and a packing target that is not a
+    finite number >= 1 (NaN and infinity included)."""
+    if not (0.0 < d < 2.0):
+        raise ValueError(f"exponent d must lie in (0, 2), got {d}")
+    if not (1.0 <= packing_target < math.inf):
+        raise ValueError(f"packing target must be finite and >= 1, got {packing_target}")
+
+
 @dataclass
 class SquareFamily:
     """A square list together with its exponent and packing data.
@@ -247,10 +256,7 @@ class SquareFamily:
     def build(cls, squares, d, packing_target, complete=True) -> "SquareFamily":
         if not squares:
             raise ValueError("a family needs at least one square")
-        if not (0.0 < d < 2.0):
-            raise ValueError(f"exponent d must lie in (0, 2), got {d}")
-        if packing_target < 1.0:
-            raise ValueError(f"packing target must be >= 1, got {packing_target}")
+        _check_d_and_target(d, packing_target)
         c, wit = packing_constant(squares, d)
         return cls(list(squares), float(d), float(packing_target), c, wit, complete)
 
@@ -340,10 +346,7 @@ def generate_cascade_family(
     bottom squares is refined one generation for variety; surplus bottom
     cells beyond ``count`` are dropped at random.
     """
-    if not (0.0 < d < 2.0):
-        raise ValueError(f"exponent d must lie in (0, 2), got {d}")
-    if packing_target < 1.0:
-        raise ValueError(f"packing target must be >= 1, got {packing_target}")
+    _check_d_and_target(d, packing_target)
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
@@ -395,10 +398,7 @@ def generate_family(
     and the packing constant after insertion stays within the target (one
     ``PackingState`` for the whole run).
     """
-    if not (0.0 < d < 2.0):
-        raise ValueError(f"exponent d must lie in (0, 2), got {d}")
-    if packing_target < 1.0:
-        raise ValueError(f"packing target must be >= 1, got {packing_target}")
+    _check_d_and_target(d, packing_target)
     if count < 1:
         raise ValueError("count must be >= 1")
     k_min, k_max = k_range
@@ -409,6 +409,9 @@ def generate_family(
     x0, y0, x1, y1 = box
     if not (x0 < x1 and y0 < y1):
         raise ValueError(f"bad bounding box {box}")
+    # cell indices are the box bounds times 2^k, which must stay finite
+    if not all(math.isfinite(v * 2.0**k) for v in box for k in (k_min, k_max)):
+        raise ValueError(f"bounding box {box} is not finite at generations {k_range}")
     if max_attempts is None:
         max_attempts = max(400 * count, 4000)
 

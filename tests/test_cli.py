@@ -330,3 +330,20 @@ def test_readme_command_line_parses(argv):
 
 def test_readme_shows_every_subcommand():
     assert sorted(argv[0] for argv in _readme_command_lines()) == sorted(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--box", "0,0,inf,1"],
+        ["--box", "0,0,1e308,1"],
+        ["--packing-target", "inf"],
+        ["--packing-target", "nan"],
+    ],
+    ids=["box-inf", "box-overflows-at-generation", "packing-target-inf", "packing-target-nan"],
+)
+def test_generate_rejects_nonfinite_input(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert run(["generate", "--M", "4", *args, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == "ValueError"
+    assert not out.exists()

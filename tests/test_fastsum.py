@@ -239,6 +239,9 @@ def test_plan_counters_and_memory_on_the_ladder_family(ladder_cloud):
     assert plan.nbytes < 0.5e6
     assert plan.far_entries == plan.far_leaf.size > 0
     assert plan.near_blocks > 0 and plan.near_blocks_skipped > plan.near_blocks
+    # the walk decides whole cell pairs and tests few targets one by one; a
+    # per-target walk makes about 70 tests per node here
+    assert plan.cell_pairs + plan.target_tests < 2 * len(ladder_cloud)
 
 
 def test_cascade_plan_keeps_no_near_blocks():
@@ -333,7 +336,8 @@ def _check_leaf_caps_against_oracle(cloud):
         tree = build_tree(cloud, leaf_cap)
         ref = quadtree_recursive(cloud, leaf_cap, _MAX_DEPTH)
         _assert_tree_matches_oracle(tree, ref)
-        _assert_plan_matches_oracle(tree, ref, 0.5)
+        for theta in (0.1, 0.5, 0.9):
+            _assert_plan_matches_oracle(tree, ref, theta)
     return tree
 
 
@@ -341,6 +345,67 @@ def _check_leaf_caps_against_oracle(cloud):
 @settings(max_examples=25, deadline=None)
 def test_level_build_matches_recursive_oracle(case):
     _check_leaf_caps_against_oracle(case[1])
+
+
+@st.composite
+def cascade_clouds(draw):
+    """A cascade family's quadrature cloud.  Its dyadic geometry can put a
+    node exactly 2r/theta from a cell centre, where the plan's whole-pair
+    decisions must give way to the exact per-target test."""
+    fam = generate_cascade_family(
+        seed=draw(st.integers(0, 2**16)),
+        count=draw(st.integers(2, 40)),
+        d=draw(st.sampled_from([0.8, 1.2, 1.6])),
+        packing_target=4.0,
+    )
+    return build_quadrature(build_measure(fam), draw(st.sampled_from([1, 2, 4, 8])))
+
+
+@given(cascade_clouds())
+@settings(max_examples=15, deadline=None)
+def test_level_build_matches_recursive_oracle_on_cascades(cloud):
+    _check_leaf_caps_against_oracle(cloud)
+
+
+def _tight_thetas(tree):
+    """Opening parameters on the boundary of the plan's whole-pair bounds.
+
+    A node of a leaf T lies at distance x from a cell S's centre, and the
+    bound on T's disc puts x within [d - r_T, d + r_T], d = |c_T - c_S|.
+    Where a node's x is within 1e-9 of a bound b, the parameters 2 r_S / x
+    (an exact tie of that node's test) and 2 r_S / b (a float bound that
+    rounding puts on the wrong side of x) are returned; only the plan's
+    margins keep whole-pair decisions right there."""
+    z = tree.cloud.z
+    thetas = set()
+    for leaf in np.flatnonzero(tree.is_leaf):
+        dist = np.abs(z[tree.perm[tree.start[leaf] : tree.end[leaf]]][:, None] - tree.centers)
+        d, r = np.abs(tree.centers - tree.centers[leaf]), tree.radius[leaf]
+        for x, bound in ((dist.min(axis=0), d - r), (dist.max(axis=0), d + r)):
+            tight = (tree.radius > 0) & (x > 0) & (np.abs(x - bound) <= 1e-9 * (d + r))
+            for b in (x, bound):
+                thetas.update((2.0 * tree.radius[tight] / b[tight]).tolist())
+    return sorted(t for t in thetas if 0.0 < t < 1.0)
+
+
+@pytest.mark.parametrize(
+    "family, n, leaf_caps",
+    [
+        (generate_cascade_family(seed=0, count=16, d=1.2, packing_target=4.0), 2, (1, 4)),
+        (generate_family(seed=3, count=5, d=1.2, packing_target=8.0, k_range=(1, 6)), 4, (1,)),
+    ],
+    ids=["cascade", "uniform"],
+)
+def test_plan_matches_oracle_at_tight_opening_parameters(family, n, leaf_caps):
+    cloud = build_quadrature(build_measure(family), n)
+    for leaf_cap in leaf_caps:
+        tree = build_tree(cloud, leaf_cap)
+        ref = quadtree_recursive(cloud, leaf_cap, _MAX_DEPTH)
+        thetas = _tight_thetas(tree)
+        assert thetas
+        for t in thetas:
+            for theta in (t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)):
+                _assert_plan_matches_oracle(tree, ref, float(theta))
 
 
 def _coincident_cloud():
@@ -370,7 +435,7 @@ def test_level_build_edge_clouds_match_recursive_oracle(cloud):
         assert tree.end[deepest[0]] - tree.start[deepest[0]] == 40 > tree.leaf_cap
 
 
-@pytest.mark.parametrize("theta", [0.5, 0.1])
+@pytest.mark.parametrize("theta", [0.5, 0.1, 0.9])
 def test_ladder_plan_matches_recursive_oracle(ladder_cloud, theta):
     tree = build_tree(ladder_cloud, leaf_cap=32)
     ref = quadtree_recursive(ladder_cloud, 32, _MAX_DEPTH)

@@ -376,3 +376,9 @@ def test_generator_rejects_bad_inputs():
         generate_family(seed=0, count=1, d=1.0, packing_target=4.0, k_range=(5, 2))
     with pytest.raises(ValueError):
         generate_family(seed=0, count=1, d=1.0, packing_target=4.0, box=(0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("target", [float("inf"), float("nan"), 0.5])
+def test_family_build_rejects_bad_packing_target(target):
+    with pytest.raises(ValueError, match="packing target"):
+        SquareFamily.build([DyadicSquare(0, 0, 0)], 1.2, target)
