@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcz.kernels import KernelSpec, exclusion_mask, source_charges, target_scale
+from nhcz.kernels import KernelSpec, exclusion_mask, masked_inverse_square, source_charges, target_scale
 from nhcz.measure import QuadratureCloud, build_measure, build_quadrature
 from nhcz.geometry import generate_family, suggest_generation_range
 from nhcz.operators import Field, apply_direct, apply_direct_targets
@@ -509,9 +509,7 @@ def _near_sums(tree, plan, charges, out):
         dz = z[tgt][:, :, None] - z[src][:, None, :]
         drop = exclusion_mask("cross_square", dz, sq[tgt][:, :, None], sq[src][:, None, :])
         drop |= ~keep[:, :, None] | ~valid[src_leaf][:, None, :]
-        dz = np.where(drop, 1.0, dz)
-        vals = 1.0 / (dz * dz)
-        vals[drop] = 0.0
+        vals = masked_inverse_square(dz, drop)
         pos = tree.start[tree.leaf_ids[tgt_leaf]][:, None] + np.arange(width)
         np.add.at(out, pos[keep], np.einsum("bts,bsc->btc", vals, charges[src])[keep])
 

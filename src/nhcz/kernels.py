@@ -7,11 +7,15 @@ pairs; the adjoint kernel swaps the arguments; the local kernel keeps only
 the same-square part.  The modified kernel satisfies size and smoothness
 bounds with singularity ``s = 2 - d`` and exponent ``eps = min(1, tau*d)``;
 this module measures the implied constants by scanning node pairs/triples.
+One increment scan serves both smoothness conditions: the first-argument
+condition is the second-argument one of the transposed kernel.  Small clouds
+list every triple that can pass; larger ones draw seeded triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Literal
 
 import numpy as np
@@ -136,6 +140,14 @@ def kernel_eval(spec: KernelSpec, x, y) -> complex:
     return 1.0 / (zx - zy) ** 2
 
 
+def masked_inverse_square(dz, drop, numerator=1.0):
+    """``numerator / dz^2`` with exact zeros on the ``drop`` mask."""
+    dz = np.where(drop, 1.0, dz)
+    vals = numerator / (dz * dz)
+    vals[drop] = 0.0
+    return vals
+
+
 def cauchy_square_block(cloud: QuadratureCloud, rows, mode: str) -> np.ndarray:
     """The raw Cauchy-square kernel 1/(z_p - z_q)^2 for targets p in ``rows``
     against all nodes, with the pairs the exclusion mode drops set to exact
@@ -143,11 +155,7 @@ def cauchy_square_block(cloud: QuadratureCloud, rows, mode: str) -> np.ndarray:
     z, sq = cloud.z, cloud.square_index
     rows = np.asarray(rows)
     dz = z[rows][:, None] - z[None, :]
-    mask = exclusion_mask(mode, dz, sq[rows][:, None], sq[None, :])
-    dzm = np.where(mask, 1.0, dz)
-    vals = 1.0 / (dzm * dzm)
-    vals[mask] = 0.0
-    return vals
+    return masked_inverse_square(dz, exclusion_mask(mode, dz, sq[rows][:, None], sq[None, :]))
 
 
 def kernel_rows(spec: KernelSpec, cloud: QuadratureCloud, rows: np.ndarray) -> np.ndarray:
@@ -207,23 +215,26 @@ def _best(values, current_best, current_wit, unravel):
     return current_best, current_wit
 
 
+EXHAUSTIVE_LIMIT = 200  # clouds up to this many nodes are scanned over every triple
+
+
 def cz_constants(
     spec: KernelSpec,
     cloud: QuadratureCloud,
     tau: float,
     budget: int = 200_000,
     seed: int = 0,
-    exhaustive_limit: int = 200,
 ) -> CzReport:
     """Measure the size/smoothness constants of the modified kernel.
 
-    Scans are exhaustive over all node pairs and triples when the cloud has
-    at most ``exhaustive_limit`` nodes, else seeded uniform triples.  The
-    third condition is read symmetrically: the increment in the second
-    argument is divided by d(y, y')^eps under the constraint
-    d(y, y') <= d(x, y) / 2.  The audit counts examined triples that put x
-    with one of y, y' in a single square while the other sits elsewhere,
-    which the disjointness condition makes impossible.
+    Scans cover every triple that can pass when the cloud has at most
+    ``EXHAUSTIVE_LIMIT`` nodes, else ``budget`` seeded uniform triples per
+    condition.  The third condition is read symmetrically: the increment in
+    the second argument is divided by d(y, y')^eps under the constraint
+    d(y, y') <= d(x, y) / 2; the second is the third of K(q, p), pivot y.
+    The audit counts examined third-condition triples that put x with one
+    of y, y' in a single square while the other sits elsewhere, which the
+    disjointness condition makes impossible.
     """
     if spec.variant != "modified":
         raise ValueError("condition constants are defined for the modified kernel")
@@ -234,101 +245,35 @@ def cz_constants(
     eps = min(1.0, tau * d)
     n = len(cloud)
     z, sq = cloud.z, cloud.square_index
-    exhaustive = n <= exhaustive_limit
+    exhaustive = n <= EXHAUSTIVE_LIMIT
+    rng = np.random.default_rng(seed)
 
+    if n * n <= 8_000_000:
+        pair_rows = np.arange(n)
+    else:
+        pair_rows = np.sort(rng.choice(n, size=min(n, 2048), replace=False))
     a_i, wit_i = 0.0, (0, 0)
-    a_ii, wit_ii = 0.0, (0, 0, 0)
-    a_iii, wit_iii = 0.0, (0, 0, 0)
-    bad = 0
+    for b0 in range(0, pair_rows.size, 256):
+        rows = pair_rows[b0 : b0 + 256]
+        pair_dist = np.abs(z[rows][:, None] - z[None, :])
+        vals = np.where(pair_dist > 0, np.abs(kernel_rows(spec, cloud, rows)) * pair_dist**s, 0.0)
+        a_i, wit_i = _best(vals.ravel(), a_i, wit_i, lambda t, rows=rows: (rows[t // n], t % n))
 
     if exhaustive:
-        dz = z[:, None] - z[None, :]
-        dist = np.abs(dz)
+        dm = np.abs(z[:, None] - z[None, :])
         km = kernel_rows(spec, cloud, np.arange(n))
-        same = sq[:, None] == sq[None, :]
-
-        off = dist > 0
-        size_vals = np.where(off, np.abs(km) * dist**s, 0.0)
-        a_i, wit_i = _best(
-            size_vals.ravel(), a_i, wit_i, lambda t: np.unravel_index(t, size_vals.shape)
-        )
-
-        half = 0.5 * dist
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for y in range(n):
-                # condition on increments in the first argument
-                dxy = dist[:, y]
-                col = km[:, y]
-                ok = (dist <= half[:, y][:, None]) & (dist > 0) & (dxy[:, None] > 0)
-                vals = np.where(
-                    ok, np.abs(col[:, None] - col[None, :]) * dxy[:, None] ** (s + eps) / dist**eps, 0.0
-                )
-                a_ii, wit_ii = _best(
-                    vals.ravel(), a_ii, wit_ii,
-                    lambda t, y=y, shape=vals.shape: (*np.unravel_index(t, shape), y),
-                )
-            for x in range(n):
-                # condition on increments in the second argument
-                dxy = dist[x, :]
-                row = km[x, :]
-                ok = (dist <= half[x, :][:, None]) & (dist > 0) & (dxy[:, None] > 0)
-                vals = np.where(
-                    ok, np.abs(row[:, None] - row[None, :]) * dxy[:, None] ** (s + eps) / dist**eps, 0.0
-                )
-                a_iii, wit_iii = _best(
-                    vals.ravel(), a_iii, wit_iii,
-                    lambda t, x=x, shape=vals.shape: (x, *np.unravel_index(t, shape)),
-                )
-        bad = _iii2_audit_exhaustive(dist, same)
+        # read by flat index: numpy gathers one index array faster than two
+        dist = lambda p, q: dm.ravel()[p * n + q]
+        kern = lambda p, q: km.ravel()[p * n + q]
+        ii_triples, iii_triples = _passing_triples(dm), _passing_triples(dm)
     else:
-        rng = np.random.default_rng(seed)
-        # pairs for the size condition: exhaustive in blocks when affordable
-        if n * n <= 8_000_000:
-            pair_rows = np.arange(n)
-        else:
-            pair_rows = np.sort(rng.choice(n, size=min(n, 2048), replace=False))
-        for b0 in range(0, pair_rows.size, 256):
-            rows = pair_rows[b0 : b0 + 256]
-            km = kernel_rows(spec, cloud, rows)
-            dist = np.abs(z[rows][:, None] - z[None, :])
-            off = dist > 0
-            vals = np.where(off, np.abs(km) * dist**s, 0.0)
-            a_i, wit_i = _best(
-                vals.ravel(), a_i, wit_i,
-                lambda t, rows=rows, shape=vals.shape: (
-                    rows[np.unravel_index(t, shape)[0]],
-                    np.unravel_index(t, shape)[1],
-                ),
-            )
-        for chunk in _triple_chunks(rng, n, budget):
-            xi, ai, yi = chunk
-            dxy = np.abs(z[xi] - z[yi])
-            dxa = np.abs(z[xi] - z[ai])
-            ok = (dxa <= 0.5 * dxy) & (dxa > 0) & (dxy > 0)
-            if np.any(ok):
-                kxy = _kernel_pairs(spec, cloud, xi[ok], yi[ok])
-                kay = _kernel_pairs(spec, cloud, ai[ok], yi[ok])
-                vals = np.abs(kxy - kay) * dxy[ok] ** (s + eps) / dxa[ok] ** eps
-                a_ii, wit_ii = _best(
-                    vals, a_ii, wit_ii,
-                    lambda t, xs=xi[ok], as_=ai[ok], ys=yi[ok]: (xs[t], as_[t], ys[t]),
-                )
-        for chunk in _triple_chunks(rng, n, budget):
-            xi, yi, bi = chunk
-            dxy = np.abs(z[xi] - z[yi])
-            dyb = np.abs(z[yi] - z[bi])
-            ok = (dyb <= 0.5 * dxy) & (dyb > 0) & (dxy > 0)
-            bad += int(
-                np.count_nonzero(ok & ((sq[xi] == sq[yi]) ^ (sq[xi] == sq[bi])) & (sq[yi] != sq[bi]))
-            )
-            if np.any(ok):
-                kxy = _kernel_pairs(spec, cloud, xi[ok], yi[ok])
-                kxb = _kernel_pairs(spec, cloud, xi[ok], bi[ok])
-                vals = np.abs(kxy - kxb) * dxy[ok] ** (s + eps) / dyb[ok] ** eps
-                a_iii, wit_iii = _best(
-                    vals, a_iii, wit_iii,
-                    lambda t, xs=xi[ok], ys=yi[ok], bs=bi[ok]: (xs[t], ys[t], bs[t]),
-                )
+        dist = lambda p, q: np.abs(z[p] - z[q])
+        kern = partial(_kernel_pairs, spec, cloud)
+        # each draw is (x, x', y), visited pivot first
+        ii_triples = ((y, x, x2) for x, x2, y in _triple_chunks(rng, n, budget))
+        iii_triples = _triple_chunks(rng, n, budget)
+    a_ii, (y, x, x2), _ = _increment_scan(lambda p, q: kern(q, p), dist, sq, ii_triples, s, eps)
+    a_iii, wit_iii, bad = _increment_scan(kern, dist, sq, iii_triples, s, eps)
 
     return CzReport(
         tau=float(tau),
@@ -341,34 +286,45 @@ def cz_constants(
         seed=int(seed),
         exhaustive=exhaustive,
         n_nodes=n,
-        iii2_counterexamples=int(bad),
+        iii2_counterexamples=bad,
         witness_i=wit_i,
-        witness_ii=wit_ii,
+        witness_ii=(x, x2, y),
         witness_iii=wit_iii,
     )
 
 
-def _iii2_audit_exhaustive(dist, same) -> int:
-    """Count triples (x, y, y') with d(y,y') <= d(x,y)/2 where x shares a
-    square with exactly one of y, y'."""
-    n = dist.shape[0]
-    bad = 0
-    for x in range(n):
-        ok = (dist <= 0.5 * dist[x, :][:, None]) & (dist > 0) & (dist[x, :][:, None] > 0)
-        mixed = same[x, :][:, None] ^ same[x, :][None, :]
-        bad += int(np.count_nonzero(ok & mixed & ~same))
-    return bad
+def _increment_scan(kern, dist, sq, triples, s, eps):
+    """The largest |K(p,a) - K(p,b)| d(p,a)^(s+eps) / d(a,b)^eps over the
+    chunks of (p, a, b) index triples with 0 < d(a,b) <= d(p,a)/2, the first
+    triple that attains it, and how many of those triples put p in a square
+    with exactly one of a, b.  ``kern`` and ``dist`` map index arrays to
+    values."""
+    best, wit, mixed = 0.0, (0, 0, 0), 0
+    for p, a, b in triples:
+        dpa, dab = dist(p, a), dist(a, b)
+        ok = (dab <= 0.5 * dpa) & (dab > 0)
+        p, a, b, dpa, dab = p[ok], a[ok], b[ok], dpa[ok], dab[ok]
+        sp = sq[p]
+        mixed += int(np.count_nonzero((sp == sq[a]) ^ (sp == sq[b])))
+        vals = np.abs(kern(p, a) - kern(p, b)) * dpa ** (s + eps) / dab**eps
+        best, wit = _best(vals, best, wit, lambda t: (p[t], a[t], b[t]))
+    return best, wit, mixed
+
+
+def _passing_triples(dm):
+    """Per pivot p, in lexicographic order, every (p, a, b) with
+    d(a, b) <= d(p, a) / 2 on the distance matrix ``dm``."""
+    for p in range(len(dm)):
+        a, b = np.nonzero(dm <= 0.5 * dm[p][:, None])
+        yield np.full(a.size, p), a, b
 
 
 def _kernel_pairs(spec, cloud, p_idx, q_idx):
     sq = cloud.square_index
     dz = cloud.z[p_idx] - cloud.z[q_idx]
-    mask = exclusion_mask(spec.rule[0], dz, sq[p_idx], sq[q_idx])
-    dz = np.where(mask, 1.0, dz)
+    drop = exclusion_mask(spec.rule[0], dz, sq[p_idx], sq[q_idx])
     side = _side_factor(spec, cloud, p_idx, q_idx)
-    vals = (1.0 if side is None else side) / (dz * dz)
-    vals[mask] = 0.0
-    return vals
+    return masked_inverse_square(dz, drop, 1.0 if side is None else side)
 
 
 def _triple_chunks(rng, n, budget, chunk=100_000):
@@ -376,8 +332,4 @@ def _triple_chunks(rng, n, budget, chunk=100_000):
     while drawn < budget:
         take = min(chunk, budget - drawn)
         drawn += take
-        yield (
-            rng.integers(0, n, size=take),
-            rng.integers(0, n, size=take),
-            rng.integers(0, n, size=take),
-        )
+        yield tuple(rng.integers(0, n, size=take) for _ in range(3))

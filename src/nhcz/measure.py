@@ -304,8 +304,8 @@ def borderline_exponent(t: float, k_qc: float) -> float:
     """Distortion exponent t' with 1/t' - 1/2 = (1/K) (1/t - 1/2)."""
     if not (0.0 < t < 2.0):
         raise ValueError(f"t must lie in (0, 2), got {t}")
-    if k_qc < 1.0:
-        raise ValueError(f"distortion K must be >= 1, got {k_qc}")
+    if not (1.0 <= k_qc < math.inf):
+        raise ValueError(f"distortion K must be finite and >= 1, got {k_qc}")
     return 1.0 / (0.5 + (1.0 / t - 0.5) / k_qc)
 
 

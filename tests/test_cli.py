@@ -238,8 +238,9 @@ def test_beurling_zero_trials_is_input_error(tmp_path):
         ["decompose", "--tol", "inf", "--family", "{family}", "--n", "3"],
         ["beurling", "--tol", "inf", "--n", "8"],
         ["bench", "--tol", "inf", "--sizes", "128"],
+        ["exponent", "--t", "1", "--K", "nan"],
     ],
-    ids=["norm-inf", "norm-nan", "decompose-inf", "beurling-inf", "bench-inf"],
+    ids=["norm-inf", "norm-nan", "decompose-inf", "beurling-inf", "bench-inf", "exponent-nan"],
 )
 def test_nonfinite_tol_is_input_error(family_file, tmp_path, args):
     out = tmp_path / "out"

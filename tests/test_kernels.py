@@ -191,6 +191,37 @@ def test_cz_sampled_path_stability_and_audit():
     assert rep1.a_i == rep2.a_i
 
 
+@pytest.mark.parametrize("exhaustive", [True, False], ids=["exhaustive", "sampled"])
+def test_cz_witnesses_attain_constants(exhaustive):
+    if exhaustive:  # the 32-node two-square cloud
+        fam = SquareFamily.build([DyadicSquare(0, 0, 0), DyadicSquare(0, 5, 2)], 1.2, 16.0)
+        cloud = build_quadrature(build_measure(fam), 4)
+        rep = cz_constants(KernelSpec("modified", fam), cloud, tau=0.5)
+    else:  # the 294-node sampled cloud
+        fam = generate_family(seed=12, count=6, d=1.1, packing_target=4.0, k_range=(2, 4))
+        cloud = build_quadrature(build_measure(fam), 7)
+        rep = cz_constants(KernelSpec("modified", fam), cloud, tau=0.6, budget=60_000, seed=3)
+    assert rep.exhaustive == exhaustive
+    spec, z, s, eps = KernelSpec("modified", fam), cloud.z, rep.s, rep.epsilon
+
+    def k(p, q):
+        return kernel_eval(spec, complex(z[p]), complex(z[q]))
+
+    def dist(p, q):
+        return abs(z[p] - z[q])
+
+    x, y = rep.witness_i
+    assert abs(k(x, y)) * dist(x, y) ** s == pytest.approx(rep.a_i, rel=1e-13)
+    x, x2, y = rep.witness_ii
+    assert 0 < dist(x, x2) <= dist(x, y) / 2
+    ratio = abs(k(x, y) - k(x2, y)) * dist(x, y) ** (s + eps) / dist(x, x2) ** eps
+    assert ratio == pytest.approx(rep.a_ii, rel=1e-13)
+    x, y, y2 = rep.witness_iii
+    assert 0 < dist(y, y2) <= dist(x, y) / 2
+    ratio = abs(k(x, y) - k(x, y2)) * dist(x, y) ** (s + eps) / dist(y, y2) ** eps
+    assert ratio == pytest.approx(rep.a_iii, rel=1e-13)
+
+
 def test_cz_report_json_fields():
     fam = two_unit_squares(d=0.8)
     cloud = build_quadrature(build_measure(fam), 2)

@@ -287,7 +287,8 @@ def test_borderline_exponent_monotone_and_expanding():
 
 
 def test_borderline_exponent_rejects_bad_inputs():
-    for t, k in [(0.0, 1.0), (2.0, 1.0), (-1.0, 2.0), (1.0, 0.5)]:
+    nan, inf = float("nan"), float("inf")
+    for t, k in [(0.0, 1.0), (2.0, 1.0), (-1.0, 2.0), (1.0, 0.5), (1.0, nan), (1.0, inf)]:
         with pytest.raises(ValueError):
             borderline_exponent(t, k)
 
