@@ -7,7 +7,8 @@ node-inclusion balls, and their accuracy contract is refinement convergence
 rather than exact disc geometry.
 
 Growth, a2 and the ladder maximal function share one ball-sum engine
-(``_square_ball_sums``).  It uses the fact that a square's nodes form a
+(``_square_ball_sums``); its ladder sums also bound which node distances
+the exact maximal function has to sort.  It uses the fact that a square's nodes form a
 uniform grid: for each (centre, square) pair it compares the squared
 distance of the grid's farthest node, and of its nearest node (taken as 0
 when the centre lies inside the grid's box), with the squared radii.

@@ -143,26 +143,56 @@ def adjoint_apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field) -> 
 
 def maximal_function(cloud: QuadratureCloud, f: Field, kappa: float = 3.0, exact_limit=4096, block=256) -> Field:
     """Dilated maximal function: best ratio of the |f|-mass of B(x, R) to the
-    measure of B(x, kappa R) over a finite radius ladder.
+    measure of B(x, kappa R) over a finite set of candidate radii.
 
-    The ladder holds the dyadic radii between the finest node spacing and
-    the diameter, plus every exact node distance when the cloud has at most
-    ``exact_limit`` nodes.
+    Above ``exact_limit`` nodes the candidates are the dyadic radii between
+    the finest node spacing and the diameter.  At or below it they are every
+    exact node distance, and the ball-sum engine's ladder sums only bound
+    which distances need to be looked at (see ``_maximal_many``).
     """
-    if kappa < 1.0:
-        raise ValueError(f"dilation must be >= 1, got {kappa}")
+    if not 1.0 <= kappa < math.inf:
+        raise ValueError(f"dilation must be finite and >= 1, got {kappa}")
     return Field(_maximal_many(cloud, [f], kappa, exact_limit, block)[0], "mu")
+
+
+# Relative excess a bracket bound must show over lb_f before the bracket is
+# refined.  The engine and a sorted cumulative sum add the same m <= N
+# nonnegative terms in different orders, and each lies within
+# gamma_N = N u / (1 - N u) of the exact sum (u = 2^-53).  A bracket bound
+# and lb_f are each a quotient of two such sums, so the engine's and a sorted
+# sum's version of either differ by a factor of at most 1 + 4 gamma_N + 2u:
+# 1.82e-12 at the default exact_limit of 4096 nodes.  An excess below that
+# gap can be rounding alone, and a skipped bracket holds no ratio above
+# lb_f (1 + _MARGIN)(1 + 4 gamma_N + 2u).
+_MARGIN = 2e-12
 
 
 def _maximal_many(cloud, fields, kappa, exact_limit=4096, block=256, targets=None):
     """Maximal-function values for several fields at once.  ``targets``
     restricts the evaluation nodes.
 
-    Above ``exact_limit`` nodes the radius ladder goes through the
-    square-level ball-sum engine; at or below it every node distance is a
-    candidate radius too, so each block of targets sorts its distances once
-    and takes the cumulative masses of every field along that order as one
-    (fields, block, N) array, which is released before the next block.
+    Both modes take the ladder l_i (base ``finest_spacing``) through the
+    square-level ball-sum engine with radii l_i and kappa l_i, for the
+    |f|-masses N_f(l_i) and the measures D(kappa l_i).  Above
+    ``exact_limit`` nodes one engine call covers every target and the result
+    is the best ladder ratio.
+
+    At or below it each block of targets makes one engine call.  The
+    candidate radii are the node distances, and the ladder radii drop out of
+    them: a radius R has the same numerator as the largest node distance
+    r <= R, while D(kappa r) <= D(kappa R), since float products, cumulative
+    sums of nonnegative weights and IEEE division are monotone.  The best
+    engine ladder ratio is a lower bound lb_f.  Bracket
+    i = (l_{i-1}, l_i], with bracket 0 = [0, l_0], holds no ratio above
+    N_f(l_i) / D(kappa l_{i-1}), or above N_f(l_0) over the target's own
+    weight for bracket 0; a (target, field, bracket) is refined only when
+    that bound exceeds lb_f (1 + ``_MARGIN``).  A refined target sorts its
+    nodes within kappa times the outer edge of its last refined bracket
+    (stably, so ties keep a full sort's order) and takes prefix sums of the
+    weights and of the refined fields' numerators, so each refined ratio is
+    bit-identical to a full sort's.  A field's value is the larger of lb_f and
+    its best ratio on its own refined brackets, so it does not depend on the
+    other fields of the call.
     """
     n = len(cloud)
     tgt = np.arange(n, dtype=np.int64) if targets is None else np.asarray(targets)
@@ -170,29 +200,53 @@ def _maximal_many(cloud, fields, kappa, exact_limit=4096, block=256, targets=Non
     num_w = np.stack([np.abs(f.values) * cloud.mu_weight for f in fields])
     den_w = cloud.mu_weight
     ladder2 = dyadic_radius_ladder(cloud, base=cloud.finest_spacing) ** 2
+    r2 = np.concatenate([ladder2, kappa2 * ladder2])
+    weights = np.concatenate([den_w[None], num_w])
     xy = cloud.xy
+    rungs = ladder2.size
     if n > exact_limit:
-        r2 = np.concatenate([ladder2, kappa2 * ladder2])
-        sums = _square_ball_sums(cloud, r2, np.concatenate([den_w[None], num_w]), xy[tgt])
-        ratios = sums[:, : ladder2.size, 1:] / sums[:, ladder2.size :, :1]
+        sums = _square_ball_sums(cloud, r2, weights, xy[tgt])
+        ratios = sums[:, :rungs, 1:] / sums[:, rungs:, :1]
         return [ratios[:, :, fi].max(axis=1) for fi in range(len(fields))]
     outs = np.empty((len(fields), tgt.size))
     for b0 in range(0, tgt.size, block):
         rows_idx = tgt[b0 : b0 + block]
+        sums = _square_ball_sums(cloud, r2, weights, xy[rows_idx])
+        num, den = sums[:, :rungs, 1:], sums[:, rungs:, :1]
+        lb = (num / den).max(axis=1)
+        inner = np.concatenate([den_w[rows_idx, None, None], den[:, :-1]], axis=1)
+        refine = num / inner > lb[:, None, :] * (1.0 + _MARGIN)  # (block, rung, field)
         d2 = (xy[rows_idx, 0:1] - xy[None, :, 0]) ** 2 + (xy[rows_idx, 1:2] - xy[None, :, 1]) ** 2
-        order = np.argsort(d2, axis=1, kind="stable")
-        d2s = np.take_along_axis(d2, order, axis=1)
-        cden = np.cumsum(den_w[order], axis=1)
-        cnum = num_w[:, order]
-        np.cumsum(cnum, axis=2, out=cnum)
+        outs[:, b0 : b0 + rows_idx.size] = lb.T
         for r in range(rows_idx.size):
-            row = d2s[r]
-            cand2 = np.concatenate([row, ladder2])
-            ni = np.searchsorted(row, cand2, side="right") - 1
-            di = np.searchsorted(row, kappa2 * cand2, side="right") - 1
-            outs[:, b0 + r] = (cnum[:, r, ni] / cden[r, di]).max(axis=1)
-        del d2, order, d2s, cden, cnum
+            live = np.flatnonzero(refine[r].any(axis=0))
+            if live.size:
+                best = _refined_maximum(d2[r], refine[r], live, den_w, num_w, ladder2, kappa2)
+                outs[live, b0 + r] = np.maximum(lb[r, live], best)
     return list(outs)
+
+
+def _refined_maximum(d2, refine, live, den_w, num_w, ladder2, kappa2):
+    """Best ratio of each ``live`` field over the node distances in its
+    refined brackets, for one target with squared distances ``d2``."""
+    wanted = refine.any(axis=1)
+    last = np.flatnonzero(wanted)[-1]
+    sel = np.flatnonzero(d2 <= kappa2 * ladder2[last])
+    order = sel[np.argsort(d2[sel], kind="stable")]
+    row = d2[order]
+    inside = np.searchsorted(row, ladder2[last], side="right")
+    bracket = np.searchsorted(ladder2, row[:inside])
+    # a run of equal distances is one candidate, with the run's last prefix
+    run_end = np.append(row[1:inside] != row[: inside - 1], True)
+    cand = np.flatnonzero(run_end & wanted[bracket])
+    di = np.searchsorted(row, kappa2 * row[cand], side="right") - 1
+    cnum = np.cumsum(num_w[np.ix_(live, order[:inside])], axis=1)
+    ratios = cnum[:, cand] / np.cumsum(den_w[order])[di]
+    # candidates run in distance order, so each bracket is one slice of them
+    held = bracket[cand]
+    starts = np.flatnonzero(np.append(True, held[1:] != held[:-1]))
+    per_bracket = np.maximum.reduceat(ratios, starts, axis=1)
+    return np.where(refine[np.ix_(held[starts], live)].T, per_bracket, 0.0).max(axis=1)
 
 
 @dataclass

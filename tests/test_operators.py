@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family, suggest_generation_range
 from nhcz.kernels import KernelSpec, kernel_eval
-from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature
+from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature, dyadic_radius_ladder
 from nhcz import operators
 from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
 from nhcz.operators import (
@@ -162,14 +164,97 @@ def test_exact_maximal_memory_holds_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one block's cumulative masses of every field take 39 * 256 * 1152 * 8 B = 92 MB
-    assert peak < 128 * 2**20
+    # memory is bounded by the ball-sum engine's scratch for one block of 256
+    # targets (its bins, and at most 2^16 straddling nodes times 40 weight
+    # rows: 21 MB), the block's squared distances (256 * 1152 * 8 B = 2.4 MB)
+    # and one target's refined prefix (its sorted nodes and the refined
+    # fields' prefix sums, at most 39 * 1152 * 8 B = 0.36 MB)
+    assert peak < 48 * 2**20
 
 
 def test_maximal_rejects_bad_dilation():
     fam, cloud = small_family()
-    with pytest.raises(ValueError):
-        maximal_function(cloud, Field(np.ones(len(cloud)), "mu"), kappa=0.5)
+    for kappa in (0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            maximal_function(cloud, Field(np.ones(len(cloud)), "mu"), kappa=kappa)
+
+
+def aligned_row_cloud(k=2, columns=(0, 1, 3), n=4, d=1.2):
+    """Same-level squares along one row.  With n a power of two every node
+    coordinate is dyadic, so the distances along a row are exact multiples
+    of the finest spacing, the ladder's base: some lie exactly on a ladder
+    radius and some exactly on 1.5 or 3 times another node distance."""
+    fam = SquareFamily.build([DyadicSquare(k, c, 0) for c in columns], d, 4.0)
+    return build_quadrature(build_measure(fam), n)
+
+
+@st.composite
+def maximal_cases(draw):
+    """A small cloud, one to three sparse, delta or square-indicator fields,
+    a dilation, a target subset and a block size."""
+    if draw(st.booleans()):
+        k_lo = draw(st.integers(0, 3))
+        fam = generate_family(
+            seed=draw(st.integers(0, 2**16)),
+            count=draw(st.integers(1, 4)),
+            d=draw(st.sampled_from([0.3, 1.0, 1.7])),
+            packing_target=8.0,
+            k_range=(k_lo, k_lo + draw(st.integers(0, 2))),
+        )
+        cloud = build_quadrature(build_measure(fam), draw(st.sampled_from([1, 2, 3, 4])))
+    else:
+        columns = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
+        cloud = aligned_row_cloud(draw(st.integers(0, 3)), columns, draw(st.sampled_from([2, 4])))
+    n = len(cloud)
+    nodes = st.integers(0, n - 1)
+    fields = []
+    for kind in draw(st.lists(st.sampled_from(["sparse", "delta", "indicator"]), min_size=1, max_size=3)):
+        vals = np.zeros(n, dtype=np.complex128)
+        if kind == "sparse":
+            for p, v in draw(st.lists(st.tuples(nodes, st.floats(-8.0, 8.0)), min_size=1, max_size=6)):
+                vals[p] = v
+        elif kind == "delta":
+            vals[draw(nodes)] = 1.0
+        else:
+            vals[cloud.square_index == draw(st.integers(0, len(cloud.family) - 1))] = 1.0
+        fields.append(Field(vals, "mu"))
+    targets = np.array(sorted(draw(st.sets(nodes, min_size=1))), dtype=np.int64)
+    return cloud, fields, draw(st.sampled_from([1.0, 1.5, 3.0])), targets, draw(st.integers(1, n))
+
+
+@given(maximal_cases())
+@settings(max_examples=60)
+@example((aligned_row_cloud(), [Field(np.eye(48)[5], "mu")], 3.0, np.arange(48), 7))
+@example((aligned_row_cloud(), [Field(np.eye(48)[17], "mu")], 1.5, np.arange(0, 48, 3), 256))
+def test_exact_maximal_matches_bruteforce(case):
+    cloud, fields, kappa, targets, block = case
+    got = _maximal_many(cloud, fields, kappa, block=block, targets=targets)
+    for f, values in zip(fields, got):
+        ref = maximal_bruteforce(cloud, f, kappa)[targets]
+        assert np.abs(values - ref).max() <= 1e-12 * ref.max()
+
+
+def test_aligned_row_has_distances_on_ladder_and_dilated_radii():
+    cloud = aligned_row_cloud()
+    d2 = ((cloud.xy[:, None, :] - cloud.xy[None, :, :]) ** 2).sum(axis=2)
+    ladder2 = dyadic_radius_ladder(cloud, base=cloud.finest_spacing) ** 2
+    assert np.isin(ladder2, d2).sum() >= 3
+    for kappa in (1.5, 3.0):
+        assert np.isin(kappa * kappa * d2[0, 1:], d2[0]).any()
+
+
+def test_exact_maximal_dominates_ladder_mode():
+    # the exact candidate set contains the ladder's, up to rounding
+    fam = generate_family(seed=70, count=4, d=1.3, packing_target=4.0, k_range=(2, 4))
+    cloud = build_quadrature(build_measure(fam), 4)
+    rng = np.random.default_rng(2)
+    fields = [f for _, f in _domination_fields(cloud, 2, 0)]
+    fields.append(Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu"))
+    for kappa in (1.0, 1.5, 3.0):
+        for f in fields:
+            exact = maximal_function(cloud, f, kappa).values.real
+            ladder = maximal_function(cloud, f, kappa, exact_limit=0).values.real
+            assert np.all(exact >= ladder * (1.0 - 1e-12))
 
 
 def test_power_iteration_identity_seam():
