@@ -155,7 +155,7 @@ class QuadTree:
             radius = np.maximum.reduceat(np.abs(z[nodes] - c[cell]), np.cumsum(size) - size)
             pairs = np.unique(cell * n_sq + sq[nodes])  # (cell, square) keys
             n_squares = np.bincount(pairs // n_sq, minlength=m)
-            levels.append((c, np.full(m, h), start, size, np.full(m, dep), up, radius, n_squares, pairs % n_sq))
+            levels.append((c, start, size, np.full(m, dep), up, radius, n_squares, pairs % n_sq))
             if dep >= _MAX_DEPTH:
                 break
             split = (size > leaf_cap)[cell]
@@ -176,7 +176,7 @@ class QuadTree:
             first += m
             dep += 1
 
-        centers, halves, start, size, depth, up, radius, n_squares, square_ids = (
+        centers, start, size, depth, up, radius, n_squares, square_ids = (
             np.concatenate(a) for a in zip(*levels)
         )
         # depth-first preorder: a cell comes after every cell that starts
@@ -187,7 +187,6 @@ class QuadTree:
         self.n_cells = int(order.size)
         self.centers = centers[order]
         self.radius = radius[order]
-        self.halves = halves[order]
         self.start = start[order]
         self.end = self.start + size[order]
         self.depth = depth[order]
@@ -541,38 +540,35 @@ class BenchRow:
 
 
 BENCH_HEADER = ["N", "t_direct_ms", "t_fast_ms", "speedup", "max_rel_err", "p", "theta", "seed", "direct_exact"]
+# the benchmark's families and clouds, and the node count above which its
+# direct pass runs on BENCH_ORACLE_TARGETS seeded targets; read at call time
+BENCH_PACKING_TARGET = 4.0
+BENCH_N_PER_SIDE = 16
+BENCH_ORACLE_TARGETS = 512
+BENCH_DIRECT_LIMIT = 12_000
 
 
-def benchmark(
-    sizes,
-    params: ExpansionParams | None = None,
-    seed: int = 0,
-    d: float = 1.2,
-    packing_target: float = 4.0,
-    n_per_side: int = 16,
-    oracle_targets: int = 512,
-    direct_limit: int = 12_000,
-) -> list[BenchRow]:
+def benchmark(sizes, params: ExpansionParams | None = None, seed: int = 0, d: float = 1.2) -> list[BenchRow]:
     """Direct-vs-fast timing and accuracy ladder on generated clouds.
 
-    Above ``direct_limit`` nodes the direct pass runs on a seeded target
-    subsample; its wall time is scaled up to full size and the row is marked
-    as extrapolated.
+    Above ``BENCH_DIRECT_LIMIT`` nodes the direct pass runs on a seeded
+    target subsample; its wall time is scaled up to full size and the row is
+    marked as extrapolated.
     """
     if not sizes:
         raise ValueError("need at least one benchmark size")
     params = params or ExpansionParams()
     rows = []
     for si, size in enumerate(sizes):
-        m_count = max(int(math.ceil(size / n_per_side**2)), 2)
+        m_count = max(int(math.ceil(size / BENCH_N_PER_SIDE**2)), 2)
         fam = generate_family(
             seed=1_000_003 * seed + si,
             count=m_count,
             d=d,
-            packing_target=packing_target,
-            k_range=suggest_generation_range(m_count, d, packing_target),
+            packing_target=BENCH_PACKING_TARGET,
+            k_range=suggest_generation_range(m_count, d, BENCH_PACKING_TARGET),
         )
-        cloud = build_quadrature(build_measure(fam), n_per_side)
+        cloud = build_quadrature(build_measure(fam), BENCH_N_PER_SIDE)
         n = len(cloud)
         rng = np.random.default_rng(seed + si)
         f = Field(rng.standard_normal(n) + 1j * rng.standard_normal(n), "mu")
@@ -583,14 +579,14 @@ def benchmark(
         fast = apply_fast(spec, tree, f, params)
         t_fast = (time.perf_counter() - t0) * 1e3
 
-        if n <= direct_limit:
+        if n <= BENCH_DIRECT_LIMIT:
             t0 = time.perf_counter()
             direct = apply_direct(spec, cloud, f).values
             t_direct = (time.perf_counter() - t0) * 1e3
             err = _max_rel_err(fast.values, direct)
             exact = True
         else:
-            targets = np.sort(rng.choice(n, size=min(oracle_targets, n), replace=False))
+            targets = np.sort(rng.choice(n, size=min(BENCH_ORACLE_TARGETS, n), replace=False))
             t0 = time.perf_counter()
             direct_sub = apply_direct_targets(spec, cloud, f, targets)
             t_direct = (time.perf_counter() - t0) * 1e3 * (n / targets.size)

@@ -325,14 +325,7 @@ def suggest_generation_range(count: int, d: float, packing_target: float = 4.0) 
     return (k0, k0 + 2)
 
 
-def generate_cascade_family(
-    seed: int,
-    count: int,
-    d: float,
-    packing_target: float,
-    k0: int = 0,
-    refine_prob: float = 0.0,
-) -> SquareFamily:
+def generate_cascade_family(seed: int, count: int, d: float, packing_target: float) -> SquareFamily:
     """Seeded hierarchical family with scale-invariant local geometry.
 
     A 4-ary cascade: each cluster cell spawns children in its four corner
@@ -342,9 +335,9 @@ def generate_cascade_family(
     size.  Because each level repeats the same local configuration, operator
     constants measured on cascades of different sizes are comparable, which
     uniform rejection sampling cannot offer (its density, and with it the
-    operator scale, degenerates as the count grows).  A seeded fraction of
-    bottom squares is refined one generation for variety; surplus bottom
-    cells beyond ``count`` are dropped at random.
+    operator scale, degenerates as the count grows).  The cascade starts
+    from the unit square; surplus bottom cells beyond ``count`` are dropped
+    at random.
     """
     _check_d_and_target(d, packing_target)
     if count < 1:
@@ -355,9 +348,9 @@ def generate_cascade_family(
     # same local geometry; per-level packing factor 4 * 2^(-spread (2-d)) <= 1,
     # and spread >= 3 keeps sibling 4-dilates apart
     spread = max(3, math.ceil(2.0 / (2.0 - d)))
-    if abs(k0) + spread * levels + 1 > MAX_ABS_GENERATION:
+    if spread * levels > MAX_ABS_GENERATION:
         raise ValueError(f"cascade depth for count={count}, d={d} exceeds the generation cap")
-    cells = [DyadicSquare(k0, 0, 0)]
+    cells = [DyadicSquare(0, 0, 0)]
     for _ in range(levels):
         corner = (1 << spread) - 1
         nxt = []
@@ -369,14 +362,8 @@ def generate_cascade_family(
     if len(cells) > count:
         keep = sorted(rng.sample(range(len(cells)), count))
         cells = [cells[t] for t in keep]
-    squares = []
-    for c in cells:
-        if rng.random() < refine_prob:
-            squares.append(DyadicSquare(c.k + 1, 2 * c.i + rng.randint(0, 1), 2 * c.j + rng.randint(0, 1)))
-        else:
-            squares.append(c)
-    fam = SquareFamily.build(squares, d, packing_target)
-    verdict = check_disjointness(squares)
+    fam = SquareFamily.build(cells, d, packing_target)
+    verdict = check_disjointness(cells)
     if not verdict.ok or fam.c_pack > packing_target:
         raise RuntimeError("cascade construction produced an inadmissible family")
     return fam

@@ -23,14 +23,13 @@ and ``a2_ratio`` stay the O(N) single-ball references.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from nhcz.atomic import atomic_open
 from nhcz.geometry import SquareFamily
+from nhcz.reports import write_csv_atomic
 
 
 @dataclass(frozen=True)
@@ -251,20 +250,14 @@ def _largest_ratio(cloud, ratios, centers, radii) -> tuple[float, BallQuery]:
     return float(ratios[ci, ri]), BallQuery(float(pts[ci, 0]), float(pts[ci, 1]), float(radii[ri]))
 
 
-def growth_constant(
-    cloud: QuadratureCloud,
-    centers: np.ndarray | None = None,
-    radii: np.ndarray | None = None,
-) -> tuple[float, BallQuery]:
+def growth_constant(cloud: QuadratureCloud, centers: np.ndarray | None = None) -> tuple[float, BallQuery]:
     """Largest ratio mu(B(x, r)) / r^(2-d) over the sample, as the ratio of
     the first ball that reaches it up to ``TIE_RTOL``, with that ball.
 
-    Default sample: every node position crossed with the dyadic radius
-    ladder between the finest square side and the diameter.
+    The sample crosses the centers (default: every node position) with the
+    dyadic radius ladder between the finest square side and the diameter.
     """
-    if radii is None:
-        radii = dyadic_radius_ladder(cloud)
-    radii = np.asarray(radii, dtype=float)
+    radii = dyadic_radius_ladder(cloud)
     masses = _ladder_ball_sums(cloud, radii, [cloud.mu_weight], centers=centers)[:, :, 0]
     ratios = masses / radii[None, :] ** (2.0 - cloud.d)
     return _largest_ratio(cloud, ratios, centers, radii)
@@ -285,15 +278,9 @@ def a2_ratio(cloud: QuadratureCloud, ball: BallQuery) -> float:
     return (fwd / disc) * (inv / disc)
 
 
-def a2_constant(
-    cloud: QuadratureCloud,
-    centers: np.ndarray | None = None,
-    radii: np.ndarray | None = None,
-) -> tuple[float, BallQuery]:
-    """Largest a2 ratio over the sample (same default sample as growth)."""
-    if radii is None:
-        radii = dyadic_radius_ladder(cloud)
-    radii = np.asarray(radii, dtype=float)
+def a2_constant(cloud: QuadratureCloud, centers: np.ndarray | None = None) -> tuple[float, BallQuery]:
+    """Largest a2 ratio over the sample (the same sample as growth)."""
+    radii = dyadic_radius_ladder(cloud)
     inv_density_w = cloud.area_weight * cloud.node_side**cloud.d
     sums = _ladder_ball_sums(cloud, radii, [cloud.mu_weight, inv_density_w], centers=centers)
     disc = math.pi * radii**2
@@ -312,16 +299,14 @@ def borderline_exponent(t: float, k_qc: float) -> float:
 
 def export_cloud_csv(cloud: QuadratureCloud, path) -> None:
     """Node table: x, y, square_index, area_weight, mu_weight."""
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "square_index", "area_weight", "mu_weight"])
-        for p in range(len(cloud)):
-            writer.writerow(
-                [
-                    repr(float(cloud.xy[p, 0])),
-                    repr(float(cloud.xy[p, 1])),
-                    int(cloud.square_index[p]),
-                    repr(float(cloud.area_weight[p])),
-                    repr(float(cloud.mu_weight[p])),
-                ]
-            )
+    rows = (
+        [
+            repr(float(cloud.xy[p, 0])),
+            repr(float(cloud.xy[p, 1])),
+            int(cloud.square_index[p]),
+            repr(float(cloud.area_weight[p])),
+            repr(float(cloud.mu_weight[p])),
+        ]
+        for p in range(len(cloud))
+    )
+    write_csv_atomic(path, ["x", "y", "square_index", "area_weight", "mu_weight"], rows)

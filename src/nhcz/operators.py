@@ -27,12 +27,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nhcz.atomic import atomic_open
 from nhcz.geometry import SquareFamily
 from nhcz.kernels import KernelSpec, cauchy_square_block, source_charges, target_scale
 from nhcz.measure import BallQuery, QuadratureCloud, _square_ball_sums, ball_mass, dyadic_radius_ladder
+from nhcz.reports import write_csv_atomic
 
 FAST_NODE_THRESHOLD = 2048  # largest cloud with a dense kernel matrix; the checks' treecode switch
+KAPPA = 3.0  # dilation of the maximal operator M_{mu,3}
+EXACT_LIMIT = 4096  # largest cloud whose maximal function takes every node distance as a radius
+# targets per block of every on-the-fly sum; bounds its (targets x N) scratch
+# arrays.  Read at call time, as are KAPPA and EXACT_LIMIT.
+_TARGET_BLOCK = 256
 
 
 @dataclass
@@ -62,7 +67,7 @@ def field_inner(cloud: QuadratureCloud, f: Field, g: Field) -> complex:
     return complex(np.sum(field_weights(cloud, f) * f.values * np.conj(g.values)))
 
 
-def _cauchy_square_apply(cloud, charges, mode, block=256, threads=1, targets=None):
+def _cauchy_square_apply(cloud, charges, mode, threads=1, targets=None):
     """Sum of charges_q / (z_p - z_q)^2 over the pairs the mode keeps, for
     charges of shape (N,) or (N, k).
 
@@ -71,6 +76,7 @@ def _cauchy_square_apply(cloud, charges, mode, block=256, threads=1, targets=Non
     tgt = np.arange(len(cloud), dtype=np.int64) if targets is None else np.asarray(targets)
     cols = np.ascontiguousarray(charges.reshape(len(charges), -1).T)
     out = np.empty((tgt.size, cols.shape[0]), dtype=np.complex128)
+    block = _TARGET_BLOCK
 
     def run(b0):
         b1 = min(b0 + block, tgt.size)
@@ -96,27 +102,25 @@ def _column_products(kernel, cols):
     return out
 
 
-def kernel_matrix(cloud: QuadratureCloud, mode: str, block=256) -> np.ndarray:
+def kernel_matrix(cloud: QuadratureCloud, mode: str) -> np.ndarray:
     """The dense (N, N) kernel 1/(z_p - z_q)^2, the pairs the exclusion mode
     drops exact zeros, row for row ``_cauchy_square_apply``'s kernel blocks.
     16 N^2 bytes: 64 MiB at ``FAST_NODE_THRESHOLD`` nodes."""
-    n = len(cloud)
+    n, block = len(cloud), _TARGET_BLOCK
     kernel = np.empty((n, n), dtype=np.complex128)
     for b0 in range(0, n, block):
         kernel[b0 : b0 + block] = cauchy_square_block(cloud, np.arange(b0, min(b0 + block, n)), mode)
     return kernel
 
 
-def _apply_rule(spec, cloud, values, transposed, block, threads, targets=None):
+def _apply_rule(spec, cloud, values, transposed, threads, targets=None):
     """Dense sums of the spec's exclusion mode read forward or transposed."""
     charges = source_charges(cloud, values, transposed)
-    out = _cauchy_square_apply(cloud, charges, spec.rule[0], block, threads, targets=targets)
+    out = _cauchy_square_apply(cloud, charges, spec.rule[0], threads, targets=targets)
     return target_scale(cloud, spec.d, out, transposed, targets)
 
 
-def apply_direct(
-    spec: KernelSpec, cloud: QuadratureCloud, f: Field, block=256, threads=1, targets=None
-) -> Field:
+def apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, threads=1, targets=None) -> Field:
     """Dense kernel application in fixed node order, blocked over targets,
     to a field of shape (N,) or (N, k); the kernel block of each target
     block is computed once for all columns.
@@ -125,7 +129,7 @@ def apply_direct(
     """
     if len(f.values) != len(cloud):
         raise ValueError("field length does not match the cloud")
-    return Field(_apply_rule(spec, cloud, f.values, spec.rule[1], block, threads, targets), "mu")
+    return Field(_apply_rule(spec, cloud, f.values, spec.rule[1], threads, targets), "mu")
 
 
 def apply_direct_targets(spec: KernelSpec, cloud: QuadratureCloud, f: Field, targets) -> np.ndarray:
@@ -137,22 +141,21 @@ def adjoint_apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field) -> 
     """The measure-weighted adjoint of ``apply_direct`` for the same spec."""
     if len(f.values) != len(cloud):
         raise ValueError("field length does not match the cloud")
-    out = _apply_rule(spec, cloud, np.conj(f.values), not spec.rule[1], 256, 1)
+    out = _apply_rule(spec, cloud, np.conj(f.values), not spec.rule[1], 1)
     return Field(np.conj(out), "mu")
 
 
-def maximal_function(cloud: QuadratureCloud, f: Field, kappa: float = 3.0, exact_limit=4096, block=256) -> Field:
-    """Dilated maximal function: best ratio of the |f|-mass of B(x, R) to the
-    measure of B(x, kappa R) over a finite set of candidate radii.
+def maximal_function(cloud: QuadratureCloud, f: Field) -> Field:
+    """Dilated maximal function M_{mu,3}: best ratio of the |f|-mass of
+    B(x, R) to the measure of B(x, ``KAPPA`` R) over a finite set of
+    candidate radii.
 
-    Above ``exact_limit`` nodes the candidates are the dyadic radii between
+    Above ``EXACT_LIMIT`` nodes the candidates are the dyadic radii between
     the finest node spacing and the diameter.  At or below it they are every
     exact node distance, and the ball-sum engine's ladder sums only bound
     which distances need to be looked at (see ``_maximal_many``).
     """
-    if not 1.0 <= kappa < math.inf:
-        raise ValueError(f"dilation must be finite and >= 1, got {kappa}")
-    return Field(_maximal_many(cloud, [f], kappa, exact_limit, block)[0], "mu")
+    return Field(_maximal_many(cloud, [f])[0], "mu")
 
 
 # Relative excess a bracket bound must show over lb_f before the bracket is
@@ -161,28 +164,28 @@ def maximal_function(cloud: QuadratureCloud, f: Field, kappa: float = 3.0, exact
 # gamma_N = N u / (1 - N u) of the exact sum (u = 2^-53).  A bracket bound
 # and lb_f are each a quotient of two such sums, so the engine's and a sorted
 # sum's version of either differ by a factor of at most 1 + 4 gamma_N + 2u:
-# 1.82e-12 at the default exact_limit of 4096 nodes.  An excess below that
-# gap can be rounding alone, and a skipped bracket holds no ratio above
+# 1.82e-12 at N = EXACT_LIMIT = 4096 nodes.  An excess below that gap can be
+# rounding alone, and a skipped bracket holds no ratio above
 # lb_f (1 + _MARGIN)(1 + 4 gamma_N + 2u).
 _MARGIN = 2e-12
 
 
-def _maximal_many(cloud, fields, kappa, exact_limit=4096, block=256, targets=None):
+def _maximal_many(cloud, fields, targets=None):
     """Maximal-function values for several fields at once.  ``targets``
     restricts the evaluation nodes.
 
     Both modes take the ladder l_i (base ``finest_spacing``) through the
-    square-level ball-sum engine with radii l_i and kappa l_i, for the
-    |f|-masses N_f(l_i) and the measures D(kappa l_i).  Above
-    ``exact_limit`` nodes one engine call covers every target and the result
-    is the best ladder ratio.
+    square-level ball-sum engine with radii l_i and kappa l_i (kappa =
+    ``KAPPA``), for the |f|-masses N_f(l_i) and the measures D(kappa l_i).
+    Above ``EXACT_LIMIT`` nodes one engine call covers every target and the
+    result is the best ladder ratio.
 
-    At or below it each block of targets makes one engine call.  The
-    candidate radii are the node distances, and the ladder radii drop out of
-    them: a radius R has the same numerator as the largest node distance
-    r <= R, while D(kappa r) <= D(kappa R), since float products, cumulative
-    sums of nonnegative weights and IEEE division are monotone.  The best
-    engine ladder ratio is a lower bound lb_f.  Bracket
+    At or below it each block of ``_TARGET_BLOCK`` targets makes one engine
+    call.  The candidate radii are the node distances, and the ladder radii
+    drop out of them: a radius R has the same numerator as the largest node
+    distance r <= R, while D(kappa r) <= D(kappa R), since float products,
+    cumulative sums of nonnegative weights and IEEE division are monotone.
+    The best engine ladder ratio is a lower bound lb_f.  Bracket
     i = (l_{i-1}, l_i], with bracket 0 = [0, l_0], holds no ratio above
     N_f(l_i) / D(kappa l_{i-1}), or above N_f(l_0) over the target's own
     weight for bracket 0; a (target, field, bracket) is refined only when
@@ -196,7 +199,7 @@ def _maximal_many(cloud, fields, kappa, exact_limit=4096, block=256, targets=Non
     """
     n = len(cloud)
     tgt = np.arange(n, dtype=np.int64) if targets is None else np.asarray(targets)
-    kappa2 = kappa * kappa
+    kappa2, block = KAPPA * KAPPA, _TARGET_BLOCK
     num_w = np.stack([np.abs(f.values) * cloud.mu_weight for f in fields])
     den_w = cloud.mu_weight
     ladder2 = dyadic_radius_ladder(cloud, base=cloud.finest_spacing) ** 2
@@ -204,7 +207,7 @@ def _maximal_many(cloud, fields, kappa, exact_limit=4096, block=256, targets=Non
     weights = np.concatenate([den_w[None], num_w])
     xy = cloud.xy
     rungs = ladder2.size
-    if n > exact_limit:
+    if n > EXACT_LIMIT:
         sums = _square_ball_sums(cloud, r2, weights, xy[tgt])
         ratios = sums[:, :rungs, 1:] / sums[:, rungs:, :1]
         return [ratios[:, :, fi].max(axis=1) for fi in range(len(fields))]
@@ -366,7 +369,7 @@ class Operator:
             spec = KernelSpec("adjoint" if transposed else "modified", cloud.family)
             return apply_fast(spec, self._tree, Field(values), params).values
         if len(cloud) > FAST_NODE_THRESHOLD:
-            return _apply_rule(spec, cloud, values, transposed, 256, self.threads)
+            return _apply_rule(spec, cloud, values, transposed, self.threads)
         if self._kernel is None or self._kernel[0] != mode:
             self._kernel = None  # frees the old mode's matrix before the new one is built
             self._kernel = (mode, kernel_matrix(cloud, mode))
@@ -505,11 +508,8 @@ def t1_testing(
 
 def export_field_csv(f: Field, path) -> None:
     """Field table: node index, real part, imaginary part."""
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "re", "im"])
-        for p, v in enumerate(f.values):
-            writer.writerow([p, repr(float(v.real)), repr(float(v.imag))])
+    rows = ([p, repr(float(v.real)), repr(float(v.imag))] for p, v in enumerate(f.values))
+    write_csv_atomic(path, ["node", "re", "im"], rows)
 
 
 def load_field_csv(path, weight: str = "mu") -> Field:

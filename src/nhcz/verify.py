@@ -37,6 +37,8 @@ from nhcz.operators import (
 from nhcz.reports import VerificationReport, family_digest
 
 MAXIMAL_TARGET_CAP = 4096
+# power-iteration stopping rule of the scaling study's norm estimates
+SCALING_NORM_TOL, SCALING_NORM_MAX_ITER, SCALING_NORM_REL_TOL = 1e-5, 150, 1e-3
 
 
 def _base_inputs(family, n_per_side, seed, **extra):
@@ -232,7 +234,7 @@ def check_domination(
     cloud = build_quadrature(build_measure(family), n_per_side)
     op = _check_operator(cloud)
     fields = _domination_fields(cloud, trials, seed)
-    maximal = _maximal_many(cloud, [f for _, f in fields], kappa=3.0)
+    maximal = _maximal_many(cloud, [f for _, f in fields])
     c_dom = 0.0
     witness = {"field": None, "node": -1}
     witness_tf = None
@@ -254,10 +256,11 @@ def check_domination(
         f, tf_abs = witness_tf
         node = witness["node"]
         j = int(cloud.square_index[node])
+        geom = _scaled_centers_halves(family.squares, lam_num=1)
         by_a: dict[int, list[int]] = {}
         for i in range(len(family)):
             if i != j:
-                by_a.setdefault(annulus_index(family, j, i), []).append(i)
+                by_a.setdefault(_annulus_of(geom, j, i), []).append(i)
         partition_ok = sum(len(v) for v in by_a.values()) == len(family) - 1
         adj = KernelSpec("adjoint", family)
         contrib = kernel_rows(adj, cloud, [node])[0] * f.values * cloud.mu_weight
@@ -368,16 +371,7 @@ SCALING_HEADER = [
 ]
 
 
-def scaling_study(
-    d: float,
-    packing_target: float,
-    m_ladder,
-    n_per_side: int = 8,
-    seed: int = 0,
-    norm_tol: float = 1e-5,
-    norm_max_iter: int = 150,
-    norm_rel_tol: float = 1e-3,
-):
+def scaling_study(d: float, packing_target: float, m_ladder, n_per_side: int = 8, seed: int = 0):
     """One row of measured constants per requested family size.
 
     Returns (rows, timings): ``rows`` hold only deterministic values (fit for
@@ -396,7 +390,7 @@ def scaling_study(
             g_centers = None
         c_growth, _ = growth_constant(cloud, centers=g_centers)
         op = _check_operator(cloud)
-        est = op.norm("adjoint", norm_tol, norm_max_iter, seed, norm_rel_tol)
+        est = op.norm("adjoint", SCALING_NORM_TOL, SCALING_NORM_MAX_ITER, seed, SCALING_NORM_REL_TOL)
         dom_fields = _domination_fields(cloud, trials=2, seed=seed + idx, max_indicators=2, deltas=1)
         rng = np.random.default_rng(seed + 31 * idx)
         norm_fields = [
@@ -411,7 +405,7 @@ def scaling_study(
             targets = np.sort(rng.choice(len(cloud), size=MAXIMAL_TARGET_CAP, replace=False))
         else:
             targets = np.arange(len(cloud))
-        maximal = _maximal_many(cloud, [f for _, f in all_fields], kappa=3.0, targets=targets)
+        maximal = _maximal_many(cloud, [f for _, f in all_fields], targets=targets)
         c_dom = 0.0
         images = _images(op, "adjoint", [f for _, f in dom_fields])
         for denom, image in zip(maximal[: len(dom_fields)], images):

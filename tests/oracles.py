@@ -167,7 +167,7 @@ def quadtree_recursive(cloud, leaf_cap, max_depth):
     half = float(max(hi[0] - lo[0], hi[1] - lo[1])) / 2.0
     if half == 0.0:
         half = 1.0
-    centers, radius, halves, start, end, depth, parent = [], [], [], [], [], [], []
+    centers, radius, start, end, depth, parent = [], [], [], [], [], []
     children, square_ids, perm = [], [], []
 
     def rec(idx, ccx, ccy, h, dep, up):
@@ -175,7 +175,6 @@ def quadtree_recursive(cloud, leaf_cap, max_depth):
         c = complex(ccx, ccy)
         centers.append(c)
         radius.append(float(np.abs(z[idx] - c).max()))
-        halves.append(h)
         depth.append(dep)
         parent.append(up)
         square_ids.append(np.unique(sq[idx]))
@@ -204,7 +203,6 @@ def quadtree_recursive(cloud, leaf_cap, max_depth):
         n_cells=len(centers),
         centers=np.array(centers, dtype=np.complex128),
         radius=np.array(radius),
-        halves=np.array(halves),
         start=np.array(start, dtype=np.int64),
         end=np.array(end, dtype=np.int64),
         depth=np.array(depth, dtype=np.int64),

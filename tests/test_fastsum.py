@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nhcz import fastsum
 from nhcz.fastsum import (
     _MAX_DEPTH,
     BENCH_HEADER,
@@ -177,8 +178,9 @@ def test_expansion_params_validation():
         ExpansionParams(leaf_cap=0)
 
 
-def test_benchmark_small_ladder():
-    rows = benchmark([256, 1024], seed=1, n_per_side=8)
+def test_benchmark_small_ladder(monkeypatch):
+    monkeypatch.setattr(fastsum, "BENCH_N_PER_SIDE", 8)
+    rows = benchmark([256, 1024], seed=1)
     assert len(rows) == 2
     assert all(r.max_rel_err <= 1e-6 for r in rows)
     assert all(r.direct_exact for r in rows)
@@ -309,7 +311,7 @@ def test_treecode_matches_direct_and_batches_columns(case):
 
 def _assert_tree_matches_oracle(tree, ref):
     assert tree.n_cells == ref.n_cells
-    for name in ("centers", "radius", "halves", "start", "end", "depth", "parent", "perm", "rank", "is_leaf"):
+    for name in ("centers", "radius", "start", "end", "depth", "parent", "perm", "rank", "is_leaf"):
         got, want = getattr(tree, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     for name in ("leaf_ids", "leaf_pad_nodes", "leaf_pad_mask"):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -25,6 +26,7 @@ from nhcz.geometry import (
     suggest_generation_range,
 )
 from nhcz.cli import main
+from nhcz.reports import canonical_json
 from oracles import packing_bruteforce
 
 
@@ -351,11 +353,35 @@ def test_cascade_family_deterministic_and_seeded():
     assert a.squares != c.squares  # different cells dropped
 
 
-def test_cascade_family_refinement_stays_admissible():
-    fam = generate_cascade_family(seed=3, count=16, d=1.4, packing_target=4.0, refine_prob=0.5)
-    assert check_disjointness(fam.squares).ok
-    assert fam.c_pack <= 4.0
-    assert len({s.k for s in fam.squares}) > 1  # some squares actually refined
+# sha256 of canonical_json(family.to_json_dict()): the scaling_row
+# benchmark's cascade (seed 1_000_003 s + 256 for s = 0, 1; a count of 4^4
+# drops no cell, so the seed does not enter), the rows of acceptance
+# criterion 3 (seed = count, as scaling_study draws them at seed 0) and two
+# counts that drop cells at random
+CASCADE_DIGESTS = {
+    (256, 256, 1.2): "941d64a2a1fa95d520b054651103c647404e8fe6f1be69ae18f9ac8a112f8b68",
+    (1_000_259, 256, 1.2): "941d64a2a1fa95d520b054651103c647404e8fe6f1be69ae18f9ac8a112f8b68",
+    (4, 4, 0.8): "5e8531dcc1c9795a5e9615ef0b18234a2bbe62a6ce88f83f77b72c0cd365b5da",
+    (16, 16, 0.8): "b1936c6f68e907b70f5496ac57bd8c6119c5274c855776b5ed6a5d5f319699cd",
+    (64, 64, 0.8): "15b7ce142266262aaaf01a50708ed9bfb6535540883ad11c17f11f22e1792aae",
+    (256, 256, 0.8): "c3e07fa8bbfc2fbff6314b7fb3ce4571cdbecef679a35a9c076ddf58da1d6972",
+    (4, 4, 1.2): "5ffe436cb240a6a03fab9974ab3f6a40a9ab221642f8217e22bfa0c768ea1bcf",
+    (16, 16, 1.2): "09ebc42ab734809241d94cfc0c82b128c6e31d61c135acdef76ef7cea6ce3090",
+    (64, 64, 1.2): "a6c8f29a5225f807a436642fb9898828967f8e2ff1f5383a59a7f12703185cf6",
+    (4, 4, 1.6): "f31910b1cab94b5850b2cd3b6143abd85c88f74b06684be8898c30cfa4038ec2",
+    (16, 16, 1.6): "b2c23281fb194e4154d22f8af4e767778bdd78421bc2161e5eebabf72613de82",
+    (64, 64, 1.6): "462a3261f013dd3a2e8682d8c5a84775210c7b9f532b9a587aab06f1946d867e",
+    (256, 256, 1.6): "ef8b918e50d2c2d7a6d4cb27f9ae5ac13a8eca11904d3d4efd2cd37b20acb121",
+    (1, 10, 1.2): "b13d350dc9c7c10b16967d74468e0aedfd36602e7b162936bb57bf590f3a9a60",
+    (5, 200, 1.6): "3b2845080057829ac746ebcc2ad197e7feb7532b00a87bfb06689b3af938a92e",
+}
+
+
+@pytest.mark.parametrize("seed,count,d", sorted(CASCADE_DIGESTS))
+def test_cascade_family_squares_are_pinned(seed, count, d):
+    fam = generate_cascade_family(seed=seed, count=count, d=d, packing_target=4.0)
+    digest = hashlib.sha256(canonical_json(fam.to_json_dict()).encode()).hexdigest()
+    assert digest == CASCADE_DIGESTS[(seed, count, d)]
 
 
 def test_cascade_family_rejects_bad_inputs():
@@ -363,6 +389,12 @@ def test_cascade_family_rejects_bad_inputs():
         generate_cascade_family(seed=0, count=0, d=1.0, packing_target=4.0)
     with pytest.raises(ValueError):
         generate_cascade_family(seed=0, count=4, d=1.99, packing_target=4.0)  # depth blows the cap
+    with pytest.raises(ValueError):
+        generate_cascade_family(seed=0, count=17, d=1.9, packing_target=4.0)  # three levels of 20: 60 > 40
+    # two levels of 20 generations reach the cap exactly, which is allowed
+    fam = generate_cascade_family(seed=0, count=16, d=1.9, packing_target=4.0)
+    assert max(s.k for s in fam.squares) == MAX_ABS_GENERATION
+    assert check_disjointness(fam.squares).ok and fam.c_pack <= 4.0
 
 
 def test_generator_rejects_bad_inputs():

@@ -1,5 +1,5 @@
-import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,13 +75,14 @@ def test_apply_direct_matches_bruteforce(variant):
     assert np.abs(got - ref).max() <= 1e-14 * max(scale, 1.0)
 
 
-def test_apply_direct_threads_bitwise_identical():
+def test_apply_direct_threads_bitwise_identical(monkeypatch):
     fam, cloud = small_family(seed=6, count=3, n=4)
     rng = np.random.default_rng(1)
     f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
     spec = KernelSpec("modified", fam)
-    a = apply_direct(spec, cloud, f, block=16, threads=1).values
-    b = apply_direct(spec, cloud, f, block=16, threads=3).values
+    monkeypatch.setattr(operators, "_TARGET_BLOCK", 16)
+    a = apply_direct(spec, cloud, f, threads=1).values
+    b = apply_direct(spec, cloud, f, threads=3).values
     assert np.array_equal(a, b)
 
 
@@ -129,12 +130,13 @@ def test_maximal_random_matches_bruteforce():
 
 
 @pytest.mark.parametrize("d", [0.8, 1.2, 1.6])
-def test_maximal_ladder_mode_matches_bruteforce(d):
-    # exact_limit=0 sends every cloud through the radius-ladder engine
+def test_maximal_ladder_mode_matches_bruteforce(monkeypatch, d):
+    # EXACT_LIMIT = 0 sends every cloud through the radius-ladder engine
     fam, cloud = small_family(seed=4, count=4, d=d, n=4)
     rng = np.random.default_rng(7)
     f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
-    got = maximal_function(cloud, f, exact_limit=0).values.real
+    monkeypatch.setattr(operators, "EXACT_LIMIT", 0)
+    got = maximal_function(cloud, f).values.real
     ref = maximal_bruteforce(cloud, f, exact_limit=0)
     assert np.abs(got - ref).max() <= 1e-12 * ref.max()
 
@@ -145,10 +147,12 @@ def test_maximal_many_fields_match_single_field_runs():
     rng = np.random.default_rng(5)
     fields = [Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu") for _ in range(4)]
     targets = np.arange(1, len(cloud), 2)
-    many = _maximal_many(cloud, fields, kappa=3.0, block=7, targets=targets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_TARGET_BLOCK", 7)
+        many = _maximal_many(cloud, fields, targets=targets)
     assert len(many) == len(fields)
     for f, got in zip(fields, many):
-        assert np.array_equal(got, _maximal_many(cloud, [f], kappa=3.0, targets=targets)[0])
+        assert np.array_equal(got, _maximal_many(cloud, [f], targets=targets)[0])
         assert np.array_equal(got, maximal_function(cloud, f).values.real[targets])
 
 
@@ -160,7 +164,7 @@ def test_exact_maximal_memory_holds_one_block():
     assert (len(cloud), len(fields)) == (1152, 39)
     tracemalloc.start()
     try:
-        _maximal_many(cloud, fields, kappa=3.0)
+        _maximal_many(cloud, fields)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -172,11 +176,12 @@ def test_exact_maximal_memory_holds_one_block():
     assert peak < 48 * 2**20
 
 
-def test_maximal_rejects_bad_dilation():
-    fam, cloud = small_family()
-    for kappa in (0.5, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            maximal_function(cloud, Field(np.ones(len(cloud)), "mu"), kappa=kappa)
+def test_margin_covers_the_rounding_gap_at_the_exact_limit():
+    # the bound _MARGIN's comment derives: 4 gamma_N + 2u at N = EXACT_LIMIT,
+    # gamma_N = N u / (1 - N u), u = 2^-53, in exact rational arithmetic
+    u = Fraction(1, 2**53)
+    nu = operators.EXACT_LIMIT * u
+    assert Fraction(operators._MARGIN) >= 4 * nu / (1 - nu) + 2 * u
 
 
 def aligned_row_cloud(k=2, columns=(0, 1, 3), n=4, d=1.2):
@@ -191,7 +196,7 @@ def aligned_row_cloud(k=2, columns=(0, 1, 3), n=4, d=1.2):
 @st.composite
 def maximal_cases(draw):
     """A small cloud, one to three sparse, delta or square-indicator fields,
-    a dilation, a target subset and a block size."""
+    a dilation, a target subset and a target block size."""
     if draw(st.booleans()):
         k_lo = draw(st.integers(0, 3))
         fam = generate_family(
@@ -228,7 +233,10 @@ def maximal_cases(draw):
 @example((aligned_row_cloud(), [Field(np.eye(48)[17], "mu")], 1.5, np.arange(0, 48, 3), 256))
 def test_exact_maximal_matches_bruteforce(case):
     cloud, fields, kappa, targets, block = case
-    got = _maximal_many(cloud, fields, kappa, block=block, targets=targets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "KAPPA", kappa)
+        mp.setattr(operators, "_TARGET_BLOCK", block)
+        got = _maximal_many(cloud, fields, targets=targets)
     for f, values in zip(fields, got):
         ref = maximal_bruteforce(cloud, f, kappa)[targets]
         assert np.abs(values - ref).max() <= 1e-12 * ref.max()
@@ -243,7 +251,7 @@ def test_aligned_row_has_distances_on_ladder_and_dilated_radii():
         assert np.isin(kappa * kappa * d2[0, 1:], d2[0]).any()
 
 
-def test_exact_maximal_dominates_ladder_mode():
+def test_exact_maximal_dominates_ladder_mode(monkeypatch):
     # the exact candidate set contains the ladder's, up to rounding
     fam = generate_family(seed=70, count=4, d=1.3, packing_target=4.0, k_range=(2, 4))
     cloud = build_quadrature(build_measure(fam), 4)
@@ -251,9 +259,12 @@ def test_exact_maximal_dominates_ladder_mode():
     fields = [f for _, f in _domination_fields(cloud, 2, 0)]
     fields.append(Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu"))
     for kappa in (1.0, 1.5, 3.0):
+        monkeypatch.setattr(operators, "KAPPA", kappa)
         for f in fields:
-            exact = maximal_function(cloud, f, kappa).values.real
-            ladder = maximal_function(cloud, f, kappa, exact_limit=0).values.real
+            exact = maximal_function(cloud, f).values.real
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(operators, "EXACT_LIMIT", 0)
+                ladder = maximal_function(cloud, f).values.real
             assert np.all(exact >= ladder * (1.0 - 1e-12))
 
 
