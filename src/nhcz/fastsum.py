@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcz.kernels import KernelSpec, exclusion_mask, masked_inverse_square, source_charges, target_scale
+from nhcz.kernels import KernelSpec, cauchy_square_into, exclusion_mask, source_charges, target_scale
 from nhcz.measure import QuadratureCloud, build_measure, build_quadrature
 from nhcz.geometry import generate_family, suggest_generation_range
 from nhcz.operators import Field, apply_direct, apply_direct_targets
@@ -505,10 +505,14 @@ def _near_sums(tree, plan, charges, out):
         src_leaf = plan.near_source[b0 : b0 + _NEAR_BLOCK]
         src = pads[src_leaf]
         keep = np.unpackbits(plan.near_bits[b0 : b0 + _NEAR_BLOCK], axis=1, count=width).astype(bool)
-        dz = z[tgt][:, :, None] - z[src][:, None, :]
-        drop = exclusion_mask("cross_square", dz, sq[tgt][:, :, None], sq[src][:, None, :])
-        drop |= ~keep[:, :, None] | ~valid[src_leaf][:, None, :]
-        vals = masked_inverse_square(dz, drop)
+        vals = cauchy_square_into(
+            np.empty((len(tgt), width, width), dtype=np.complex128),
+            z[tgt][:, :, None],
+            z[src][:, None, :],
+            lambda dz: exclusion_mask("cross_square", dz, sq[tgt][:, :, None], sq[src][:, None, :])
+            | ~keep[:, :, None]
+            | ~valid[src_leaf][:, None, :],
+        )
         pos = tree.start[tree.leaf_ids[tgt_leaf]][:, None] + np.arange(width)
         np.add.at(out, pos[keep], np.einsum("bts,bsc->btc", vals, charges[src])[keep])
 

@@ -337,7 +337,8 @@ def generate_cascade_family(seed: int, count: int, d: float, packing_target: flo
     uniform rejection sampling cannot offer (its density, and with it the
     operator scale, degenerates as the count grows).  The cascade starts
     from the unit square; surplus bottom cells beyond ``count`` are dropped
-    at random.
+    at random.  That drop is the only use of ``seed``, so a power-of-4
+    ``count`` (4, 16, 64, 256, ...) gives the same family for every seed.
     """
     _check_d_and_target(d, packing_target)
     if count < 1:

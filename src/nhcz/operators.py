@@ -77,18 +77,20 @@ def _cauchy_square_apply(cloud, charges, mode, threads=1, targets=None):
     cols = np.ascontiguousarray(charges.reshape(len(charges), -1).T)
     out = np.empty((tgt.size, cols.shape[0]), dtype=np.complex128)
     block = _TARGET_BLOCK
-
-    def run(b0):
-        b1 = min(b0 + block, tgt.size)
-        out[b0:b1] = _column_products(cauchy_square_block(cloud, tgt[b0:b1], mode), cols)
-
     starts = range(0, tgt.size, block)
+
+    def run(mine):
+        buf = np.empty((min(block, tgt.size), len(cloud)), dtype=np.complex128)
+        for b0 in mine:
+            rows = tgt[b0 : b0 + block]
+            kernel = cauchy_square_block(cloud, rows, mode, buf[: rows.size])
+            out[b0 : b0 + rows.size] = _column_products(kernel, cols)
+
     if threads <= 1:
-        for b0 in starts:
-            run(b0)
+        run(starts)
     else:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(run, starts))
+            list(ex.map(run, [starts[i::threads] for i in range(threads)]))
     return out.reshape((tgt.size,) + charges.shape[1:])
 
 
@@ -105,11 +107,15 @@ def _column_products(kernel, cols):
 def kernel_matrix(cloud: QuadratureCloud, mode: str) -> np.ndarray:
     """The dense (N, N) kernel 1/(z_p - z_q)^2, the pairs the exclusion mode
     drops exact zeros, row for row ``_cauchy_square_apply``'s kernel blocks.
-    16 N^2 bytes: 64 MiB at ``FAST_NODE_THRESHOLD`` nodes."""
+
+    Each block of ``_TARGET_BLOCK`` rows is written in place into the
+    matrix, so the peak is the matrix, 16 N^2 bytes (64 MiB at
+    ``FAST_NODE_THRESHOLD`` nodes), plus one block's exclusion mask.
+    """
     n, block = len(cloud), _TARGET_BLOCK
     kernel = np.empty((n, n), dtype=np.complex128)
     for b0 in range(0, n, block):
-        kernel[b0 : b0 + block] = cauchy_square_block(cloud, np.arange(b0, min(b0 + block, n)), mode)
+        cauchy_square_block(cloud, np.arange(b0, min(b0 + block, n)), mode, kernel[b0 : b0 + block])
     return kernel
 
 
@@ -126,6 +132,10 @@ def apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, threads=1, 
     block is computed once for all columns.
 
     ``targets`` restricts the output to those node indices (default all).
+    Each of the ``threads`` workers reuses one (``_TARGET_BLOCK``, N)
+    complex buffer for its kernel blocks, so the peak is 16 * 256 * N bytes
+    per worker (8 MiB at 2,048 nodes) plus one block's exclusion mask and
+    the (targets, k) output; the bits do not depend on ``threads``.
     """
     if len(f.values) != len(cloud):
         raise ValueError("field length does not match the cloud")
@@ -212,6 +222,7 @@ def _maximal_many(cloud, fields, targets=None):
         ratios = sums[:, :rungs, 1:] / sums[:, rungs:, :1]
         return [ratios[:, :, fi].max(axis=1) for fi in range(len(fields))]
     outs = np.empty((len(fields), tgt.size))
+    flags = np.empty(n, dtype=bool)  # scratch for the per-target run and bracket masks
     for b0 in range(0, tgt.size, block):
         rows_idx = tgt[b0 : b0 + block]
         sums = _square_ball_sums(cloud, r2, weights, xy[rows_idx])
@@ -221,35 +232,44 @@ def _maximal_many(cloud, fields, targets=None):
         refine = num / inner > lb[:, None, :] * (1.0 + _MARGIN)  # (block, rung, field)
         d2 = (xy[rows_idx, 0:1] - xy[None, :, 0]) ** 2 + (xy[rows_idx, 1:2] - xy[None, :, 1]) ** 2
         outs[:, b0 : b0 + rows_idx.size] = lb.T
-        for r in range(rows_idx.size):
-            live = np.flatnonzero(refine[r].any(axis=0))
-            if live.size:
-                best = _refined_maximum(d2[r], refine[r], live, den_w, num_w, ladder2, kappa2)
-                outs[live, b0 + r] = np.maximum(lb[r, live], best)
+        live_fields, wanted = refine.any(axis=1), refine.any(axis=2)
+        for r in live_fields.any(axis=1).nonzero()[0]:
+            live = live_fields[r].nonzero()[0]
+            best = _refined_maximum(d2[r], refine[r], wanted[r], live, den_w, num_w, ladder2, kappa2, flags)
+            outs[live, b0 + r] = np.maximum(lb[r, live], best)
     return list(outs)
 
 
-def _refined_maximum(d2, refine, live, den_w, num_w, ladder2, kappa2):
+def _refined_maximum(d2, refine, wanted, live, den_w, num_w, ladder2, kappa2, flags):
     """Best ratio of each ``live`` field over the node distances in its
-    refined brackets, for one target with squared distances ``d2``."""
-    wanted = refine.any(axis=1)
-    last = np.flatnonzero(wanted)[-1]
-    sel = np.flatnonzero(d2 <= kappa2 * ladder2[last])
-    order = sel[np.argsort(d2[sel], kind="stable")]
+    refined brackets (``wanted`` marks their union), for one target with
+    squared distances ``d2``; ``flags`` is boolean scratch of N entries.
+    Method calls and the scratch keep the per-target numpy calls few."""
+    edge2 = ladder2[wanted.nonzero()[0][-1]]
+    sel = (d2 <= kappa2 * edge2).nonzero()[0]
+    order = sel[d2[sel].argsort(kind="stable")]
     row = d2[order]
-    inside = np.searchsorted(row, ladder2[last], side="right")
-    bracket = np.searchsorted(ladder2, row[:inside])
+    inside = row.searchsorted(edge2, side="right")
+    bracket = ladder2.searchsorted(row[:inside])
     # a run of equal distances is one candidate, with the run's last prefix
-    run_end = np.append(row[1:inside] != row[: inside - 1], True)
-    cand = np.flatnonzero(run_end & wanted[bracket])
-    di = np.searchsorted(row, kappa2 * row[cand], side="right") - 1
-    cnum = np.cumsum(num_w[np.ix_(live, order[:inside])], axis=1)
-    ratios = cnum[:, cand] / np.cumsum(den_w[order])[di]
+    run_end = flags[:inside]
+    np.not_equal(row[1:inside], row[: inside - 1], out=run_end[:-1])
+    run_end[-1] = True
+    run_end &= wanted[bracket]
+    cand = run_end.nonzero()[0]
+    di = row.searchsorted(kappa2 * row[cand], side="right")
+    di -= 1
+    cnum = num_w[live[:, None], order[:inside]].cumsum(axis=1)
+    ratios = cnum[:, cand] / den_w[order].cumsum()[di]
     # candidates run in distance order, so each bracket is one slice of them
     held = bracket[cand]
-    starts = np.flatnonzero(np.append(True, held[1:] != held[:-1]))
+    first = flags[: held.size]
+    first[0] = True
+    np.not_equal(held[1:], held[:-1], out=first[1:])
+    starts = first.nonzero()[0]
     per_bracket = np.maximum.reduceat(ratios, starts, axis=1)
-    return np.where(refine[np.ix_(held[starts], live)].T, per_bracket, 0.0).max(axis=1)
+    per_bracket[~refine[held[starts][:, None], live].T] = 0.0
+    return per_bracket.max(axis=1)
 
 
 @dataclass

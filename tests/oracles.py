@@ -2,14 +2,16 @@
 
 Everything here recomputes operator results from the scalar kernel
 definition and explicit loops, deliberately avoiding the library's
-vectorized paths.
+vectorized paths.  The exceptions are the allocating kernel-block formula,
+kept as the bit-for-bit reference of the in-place one, and
+``assert_same_bits``.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from nhcz.kernels import kernel_eval
+from nhcz.kernels import exclusion_mask, kernel_eval
 from nhcz.measure import dyadic_radius_ladder
 
 
@@ -27,6 +29,31 @@ def apply_bruteforce(spec, cloud, f):
             acc += kernel_eval(spec, z[p], z[q]) * f.values[q] * w[q]
         out[p] = acc
     return out
+
+
+def assert_same_bits(a, b):
+    """Same dtype, shape and raw bytes.  Unlike ``np.array_equal`` this
+    tells -0.0 from 0.0 and NaN payloads apart."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+def inverse_square_reference(dz, drop, numerator=1.0):
+    """``numerator / dz^2`` with exact zeros on ``drop``, each step into a
+    fresh array: the formula ``kernels.cauchy_square_into`` runs in place."""
+    dz = np.where(drop, 1.0, dz)
+    vals = numerator / (dz * dz)
+    vals[drop] = 0.0
+    return vals
+
+
+def cauchy_square_block_reference(cloud, rows, mode):
+    """The raw kernel block of ``rows`` against all nodes, allocated anew."""
+    z, sq = cloud.z, cloud.square_index
+    rows = np.asarray(rows)
+    dz = z[rows][:, None] - z[None, :]
+    return inverse_square_reference(dz, exclusion_mask(mode, dz, sq[rows][:, None], sq[None, :]))
 
 
 def packing_bruteforce(squares, d):

@@ -1,9 +1,25 @@
 import numpy as np
 import pytest
 
-from nhcz.geometry import DyadicSquare, SquareFamily, generate_family
-from nhcz.kernels import CzReport, KernelSpec, cz_constants, kernel_eval, kernel_rows, locate_square
+from nhcz import fastsum, operators
+from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
+from nhcz.geometry import DyadicSquare, SquareFamily, generate_family, suggest_generation_range
+from nhcz.kernels import (
+    VARIANT_RULES,
+    CzReport,
+    KernelSpec,
+    _kernel_pairs,
+    _side_factor,
+    cz_constants,
+    exclusion_mask,
+    kernel_eval,
+    kernel_rows,
+    locate_square,
+)
 from nhcz.measure import build_measure, build_quadrature
+from nhcz.operators import Field, apply_direct, kernel_matrix
+
+from oracles import assert_same_bits, cauchy_square_block_reference, inverse_square_reference
 
 
 def two_unit_squares(gap=8, d=1.0):
@@ -100,6 +116,73 @@ def test_kernel_rows_matches_scalar_eval():
                 zp = complex(cloud.xy[p, 0], cloud.xy[p, 1])
                 zq = complex(cloud.xy[q, 0], cloud.xy[q, 1])
                 assert rows[p, q] == pytest.approx(kernel_eval(spec, zp, zq), rel=1e-14, abs=1e-300)
+
+
+def reference_cloud():
+    # 144 nodes: not a multiple of 7, and with near blocks at leaf cap 4
+    fam = generate_family(seed=0, count=16, d=1.2, packing_target=4.0, k_range=suggest_generation_range(16, 1.2, 4.0))
+    return fam, build_quadrature(build_measure(fam), 3)
+
+
+@pytest.mark.parametrize("mode", ["off_diagonal", "same_square", "cross_square"])
+def test_kernel_blocks_match_allocating_reference(mode):
+    """The in-place blocks carry the bits of the allocating formula: the
+    dense matrix, kernel_rows' side-scaled rows and the scattered pairs."""
+    fam, cloud = reference_cloud()
+    n = len(cloud)
+    ref = cauchy_square_block_reference(cloud, np.arange(n), mode)
+    assert_same_bits(kernel_matrix(cloud, mode), ref)
+    z, sq = cloud.z, cloud.square_index
+    rng = np.random.default_rng(3)
+    p, q = rng.integers(0, n, 4000), rng.integers(0, n, 4000)
+    p[:n], q[:n] = np.arange(n), np.arange(n)  # coincident pairs too
+    for variant in [v for v, (m, _) in VARIANT_RULES.items() if m == mode]:
+        spec = KernelSpec(variant, fam)
+        rows = np.arange(1, n, 4)
+        side = _side_factor(spec, cloud, rows[:, None], np.arange(n)[None, :])
+        assert_same_bits(kernel_rows(spec, cloud, rows), ref[rows] if side is None else ref[rows] * side)
+        side = _side_factor(spec, cloud, p, q)
+        dz = z[p] - z[q]
+        pairs = inverse_square_reference(dz, exclusion_mask(mode, dz, sq[p], sq[q]), 1.0 if side is None else side)
+        assert_same_bits(_kernel_pairs(spec, cloud, p, q), pairs)
+
+
+@pytest.mark.parametrize("variant", list(VARIANT_RULES))
+@pytest.mark.parametrize("threads,block", [(1, 7), (2, 7), (1, None), (2, None)])
+def test_apply_direct_matches_allocating_reference(monkeypatch, variant, threads, block):
+    """Blocks of 7 end in a short block; each worker's reused buffer must
+    give the bits of a fresh allocating block per target block."""
+    fam, cloud = reference_cloud()
+    rng = np.random.default_rng(4)
+    f = Field(rng.standard_normal((len(cloud), 2)) + 1j * rng.standard_normal((len(cloud), 2)), "mu")
+    spec = KernelSpec(variant, fam)
+    if block is not None:
+        monkeypatch.setattr(operators, "_TARGET_BLOCK", block)
+    got = apply_direct(spec, cloud, f, threads=threads).values
+
+    def allocating(cloud, rows, mode, out=None):
+        return cauchy_square_block_reference(cloud, rows, mode)
+
+    monkeypatch.setattr(operators, "cauchy_square_block", allocating)
+    assert_same_bits(got, apply_direct(spec, cloud, f).values)
+
+
+@pytest.mark.parametrize("variant", ["modified", "adjoint"])
+def test_near_sums_match_allocating_reference(monkeypatch, variant):
+    fam, cloud = reference_cloud()
+    params = ExpansionParams(order=4, theta=0.5, leaf_cap=4)
+    tree = build_tree(cloud, params.leaf_cap)
+    assert tree.plan(params.theta).near_blocks > 0
+    f = Field(np.random.default_rng(5).standard_normal(len(cloud)) + 0j, "mu")
+    spec = KernelSpec(variant, fam)
+    got = apply_fast(spec, tree, f, params).values
+
+    def allocating(out, z_target, z_source, drop, numerator=1.0):
+        dz = z_target - z_source
+        return inverse_square_reference(dz, drop(dz), numerator)
+
+    monkeypatch.setattr(fastsum, "cauchy_square_into", allocating)
+    assert_same_bits(got, apply_fast(spec, tree, f, params).values)
 
 
 def test_cz_single_square_all_zero():

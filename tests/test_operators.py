@@ -34,7 +34,7 @@ from nhcz.operators import (
 )
 from nhcz.verify import _domination_fields
 
-from oracles import apply_bruteforce, beurling_dft_bruteforce, maximal_bruteforce, weighted_sigma_max
+from oracles import apply_bruteforce, assert_same_bits, beurling_dft_bruteforce, maximal_bruteforce, weighted_sigma_max
 
 
 def small_family(seed=2, count=2, d=1.2, n=4):
@@ -83,7 +83,7 @@ def test_apply_direct_threads_bitwise_identical(monkeypatch):
     monkeypatch.setattr(operators, "_TARGET_BLOCK", 16)
     a = apply_direct(spec, cloud, f, threads=1).values
     b = apply_direct(spec, cloud, f, threads=3).values
-    assert np.array_equal(a, b)
+    assert_same_bits(a, b)
 
 
 @pytest.mark.parametrize("variant", ["full", "modified", "adjoint", "local"])
@@ -174,6 +174,43 @@ def test_exact_maximal_memory_holds_one_block():
     # and one target's refined prefix (its sorted nodes and the refined
     # fields' prefix sums, at most 39 * 1152 * 8 B = 0.36 MB)
     assert peak < 48 * 2**20
+
+
+@pytest.fixture(scope="module")
+def cloud_2048():
+    fam = generate_family(seed=0, count=32, d=1.2, packing_target=4.0, k_range=suggest_generation_range(32, 1.2, 4.0))
+    cloud = build_quadrature(build_measure(fam), 8)
+    assert len(cloud) == 2048
+    return fam, cloud
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", ["off_diagonal", "same_square", "cross_square"])
+def test_kernel_matrix_memory_holds_the_matrix(cloud_2048, mode):
+    _, cloud = cloud_2048
+    n = len(cloud)
+    # the matrix itself, plus one block's exclusion mask, its comparisons and
+    # the row indices: a few bytes per entry of 256 x 2048 (about 2 MiB)
+    assert _traced_peak(lambda: operators.kernel_matrix(cloud, mode)) < 16 * n * n + 4 * 2**20
+
+
+@pytest.mark.parametrize("variant", ["full", "local", "modified", "adjoint"])
+def test_apply_direct_memory_holds_one_block(cloud_2048, variant):
+    fam, cloud = cloud_2048
+    n = len(cloud)
+    f = Field(np.ones(n), "mu")
+    # one reused (256, N) complex kernel block, plus that block's exclusion
+    # mask and indices and the (N,) charges and output
+    peak = _traced_peak(lambda: apply_direct(KernelSpec(variant, fam), cloud, f))
+    assert peak < 16 * operators._TARGET_BLOCK * n + 4 * 2**20
 
 
 def test_margin_covers_the_rounding_gap_at_the_exact_limit():
