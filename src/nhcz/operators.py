@@ -176,11 +176,14 @@ def maximal_function(cloud: QuadratureCloud, f: Field) -> Field:
 # sum's version of either differ by a factor of at most 1 + 4 gamma_N + 2u:
 # 1.82e-12 at N = EXACT_LIMIT = 4096 nodes.  An excess below that gap can be
 # rounding alone, and a skipped bracket holds no ratio above
-# lb_f (1 + _MARGIN)(1 + 4 gamma_N + 2u).
+# lb_f (1 + _MARGIN)(1 + 4 gamma_N + 2u).  By the same gap no refined ratio
+# exceeds its bracket's bound times 1 + _MARGIN, so
+# ub_f = max(lb_f, bracket bounds) (1 + _MARGIN) bounds every value the
+# exact mode returns.
 _MARGIN = 2e-12
 
 
-def _maximal_many(cloud, fields, targets=None):
+def _maximal_many(cloud, fields, targets=None, ratio_of=None):
     """Maximal-function values for several fields at once.  ``targets``
     restricts the evaluation nodes.
 
@@ -206,6 +209,21 @@ def _maximal_many(cloud, fields, targets=None):
     bit-identical to a full sort's.  A field's value is the larger of lb_f and
     its best ratio on its own refined brackets, so it does not depend on the
     other fields of the call.
+
+    ``ratio_of`` (exact mode only; ignored above ``EXACT_LIMIT``) holds one
+    nonnegative array per field over the targets, the numerators a caller
+    will divide by M f, as ``verify.check_domination`` divides |T'f|.  The
+    engine pass then also keeps ub_f = max(lb_f, bracket bounds)
+    (1 + ``_MARGIN``), which bounds the exact value from above (see
+    ``_MARGIN``), and takes the floor L, the largest ratio_of / ub_f over
+    the fields whose ratios are all numbers (ratio 0 where lb_f = 0, as the
+    caller reads a zero M f).  Only the (target, field) pairs without
+    ratio_of / lb_f < L are refined; every other pair returns ub_f.  Such a
+    pair's true ratio is at most ratio_of / lb_f < L, and its returned ratio
+    ratio_of / ub_f is no larger than the true one, so no pair left out can
+    reach or tie the largest ratio, which some refined pair attains with
+    its exact value.  The refined entries are bit-identical to the call
+    without ``ratio_of``, and the others are no smaller.
     """
     n = len(cloud)
     tgt = np.arange(n, dtype=np.int64) if targets is None else np.asarray(targets)
@@ -221,22 +239,35 @@ def _maximal_many(cloud, fields, targets=None):
         sums = _square_ball_sums(cloud, r2, weights, xy[tgt])
         ratios = sums[:, :rungs, 1:] / sums[:, rungs:, :1]
         return [ratios[:, :, fi].max(axis=1) for fi in range(len(fields))]
-    outs = np.empty((len(fields), tgt.size))
-    flags = np.empty(n, dtype=bool)  # scratch for the per-target run and bracket masks
+    lb, ub = np.empty((len(fields), tgt.size)), np.empty((len(fields), tgt.size))
+    refine = np.empty((tgt.size, rungs, len(fields)), dtype=bool)
     for b0 in range(0, tgt.size, block):
         rows_idx = tgt[b0 : b0 + block]
         sums = _square_ball_sums(cloud, r2, weights, xy[rows_idx])
         num, den = sums[:, :rungs, 1:], sums[:, rungs:, :1]
-        lb = (num / den).max(axis=1)
+        lo = (num / den).max(axis=1)
         inner = np.concatenate([den_w[rows_idx, None, None], den[:, :-1]], axis=1)
-        refine = num / inner > lb[:, None, :] * (1.0 + _MARGIN)  # (block, rung, field)
-        d2 = (xy[rows_idx, 0:1] - xy[None, :, 0]) ** 2 + (xy[rows_idx, 1:2] - xy[None, :, 1]) ** 2
-        outs[:, b0 : b0 + rows_idx.size] = lb.T
-        live_fields, wanted = refine.any(axis=1), refine.any(axis=2)
-        for r in live_fields.any(axis=1).nonzero()[0]:
-            live = live_fields[r].nonzero()[0]
-            best = _refined_maximum(d2[r], refine[r], wanted[r], live, den_w, num_w, ladder2, kappa2, flags)
-            outs[live, b0 + r] = np.maximum(lb[r, live], best)
+        bound = num / inner  # (block, rung, field)
+        rows = slice(b0, b0 + rows_idx.size)
+        lb[:, rows] = lo.T
+        ub[:, rows] = (np.maximum(lo, bound.max(axis=1)) * (1.0 + _MARGIN)).T
+        refine[rows] = bound > lo[:, None, :] * (1.0 + _MARGIN)
+    outs = lb
+    if ratio_of is not None:
+        tf = np.stack(ratio_of)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            low = np.divide(tf, ub, out=np.zeros_like(ub), where=lb > 0)
+            floor = low[~np.isnan(low).any(axis=1)].max(initial=0.0)
+            exact = ~(tf / lb < floor)
+        refine &= exact.T[:, None, :]
+        outs = np.where(exact, lb, ub)
+    flags = np.empty(n, dtype=bool)  # scratch for the per-target run and bracket masks
+    live_fields, wanted = refine.any(axis=1), refine.any(axis=2)
+    for t in live_fields.any(axis=1).nonzero()[0]:
+        live, p = live_fields[t].nonzero()[0], tgt[t]
+        d2 = (xy[p, 0] - xy[:, 0]) ** 2 + (xy[p, 1] - xy[:, 1]) ** 2
+        best = _refined_maximum(d2, refine[t], wanted[t], live, den_w, num_w, ladder2, kappa2, flags)
+        outs[live, t] = np.maximum(lb[live, t], best)
     return list(outs)
 
 

@@ -62,9 +62,9 @@ def _fast_apply_pair(family, cloud):
 
 def _direct_apply_pair(family, cloud):
     """The dense ``Operator`` of a check's cloud, named for the tracer as
-    ``_fast_apply_pair`` is.  Its kernel matrix waits for the first apply,
-    so a check holding it through other work (the maximal pass of
-    ``check_domination``) does not hold the matrix too."""
+    ``_fast_apply_pair`` is.  Its kernel matrix is assembled at the first
+    apply and freed with the object, so ``check_domination`` drops the
+    operator before its maximal pass."""
     return Operator(cloud, "dense")
 
 
@@ -229,18 +229,29 @@ def check_domination(
 ) -> VerificationReport:
     """Pointwise bound of the adjoint-kernel operator by the dilated maximal
     operator, with exact annulus-geometry audits and a per-annulus breakdown
-    of the witness value."""
+    of the witness value.
+
+    c_dom is the largest |T'f(x)| / M f(x) over the trial fields and nodes
+    (0 where M f is 0), and the witness is its first occurrence in field
+    order, then node order.  The images come first and go to
+    ``_maximal_many`` as ``ratio_of``, so M f is exact only at the pairs
+    whose ratio the ladder bounds cannot rule out: every other pair gets an
+    upper bound of M f, which lowers a ratio already below the largest.
+    c_dom and its witness are those of the exact M f at every pair.  The
+    operator, with any dense kernel matrix, is released before that pass.
+    """
     t0 = time.perf_counter()
     cloud = build_quadrature(build_measure(family), n_per_side)
     op = _check_operator(cloud)
     fields = _domination_fields(cloud, trials, seed)
-    maximal = _maximal_many(cloud, [f for _, f in fields])
+    tfs = [np.abs(image) for image in _images(op, "adjoint", [f for _, f in fields])]
+    fast = op.backend == "tree"
+    del op  # a dense kernel matrix goes with it, before the maximal pass
+    maximal = _maximal_many(cloud, [f for _, f in fields], ratio_of=tfs)
     c_dom = 0.0
     witness = {"field": None, "node": -1}
     witness_tf = None
-    images = _images(op, "adjoint", [f for _, f in fields])
-    for (label, f), denom, image in zip(fields, maximal, images):
-        tf = np.abs(image)
+    for (label, f), denom, tf in zip(fields, maximal, tfs):
         ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)
         node = int(np.argmax(ratios))
         if ratios[node] > c_dom:
@@ -294,7 +305,7 @@ def check_domination(
     )
     return VerificationReport(
         check="domination",
-        inputs=_base_inputs(family, n_per_side, seed, trials=trials, fast=op.backend == "tree"),
+        inputs=_base_inputs(family, n_per_side, seed, trials=trials, fast=fast),
         constants={
             "c_dom": c_dom,
             "min_annulus_index": min_a,

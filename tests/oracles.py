@@ -3,8 +3,9 @@
 Everything here recomputes operator results from the scalar kernel
 definition and explicit loops, deliberately avoiding the library's
 vectorized paths.  The exceptions are the allocating kernel-block formula,
-kept as the bit-for-bit reference of the in-place one, and
-``assert_same_bits``.
+kept as the bit-for-bit reference of the in-place one, ``assert_same_bits``,
+and ``domination_reference``, which reads the exact maximal function at
+every node as the bit-for-bit reference of the pruned one.
 """
 
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ import numpy as np
 
 from nhcz.kernels import exclusion_mask, kernel_eval
 from nhcz.measure import dyadic_radius_ladder
+from nhcz.operators import Operator, _maximal_many
 
 
 def apply_bruteforce(spec, cloud, f):
@@ -108,6 +110,29 @@ def maximal_bruteforce(cloud, f, kappa=3.0, exact_limit=4096):
             best = max(best, num / den)
         out[p] = best
     return out
+
+
+def witness_loop(tfs, maximal):
+    """The largest ratio tf / M f over fields and nodes (0 where M f is 0)
+    and its first occurrence, field order then node order, as
+    (c_dom, field index or None, node or -1).  A field with a NaN ratio
+    contributes nothing, as in ``verify.check_domination``'s loop."""
+    c_dom, field, node = 0.0, None, -1
+    for fi, (tf, denom) in enumerate(zip(tfs, maximal)):
+        ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)
+        p = int(np.argmax(ratios))
+        if ratios[p] > c_dom:
+            c_dom, field, node = float(ratios[p]), fi, p
+    return c_dom, field, node
+
+
+def domination_reference(cloud, fields):
+    """c_dom and its witness as ``witness_loop`` reads them from the images
+    |T'f| of the dense adjoint-kernel operator, one field at a time, and one
+    ``_maximal_many`` call that is exact at every node."""
+    op = Operator(cloud, "dense")
+    tfs = [np.abs(op.apply("adjoint", f).values) for f in fields]
+    return witness_loop(tfs, _maximal_many(cloud, fields))
 
 
 def weighted_sigma_max(spec, cloud):

@@ -34,7 +34,14 @@ from nhcz.operators import (
 )
 from nhcz.verify import _domination_fields
 
-from oracles import apply_bruteforce, assert_same_bits, beurling_dft_bruteforce, maximal_bruteforce, weighted_sigma_max
+from oracles import (
+    apply_bruteforce,
+    assert_same_bits,
+    beurling_dft_bruteforce,
+    maximal_bruteforce,
+    weighted_sigma_max,
+    witness_loop,
+)
 
 
 def small_family(seed=2, count=2, d=1.2, n=4):
@@ -170,9 +177,11 @@ def test_exact_maximal_memory_holds_one_block():
         tracemalloc.stop()
     # memory is bounded by the ball-sum engine's scratch for one block of 256
     # targets (its bins, and at most 2^16 straddling nodes times 40 weight
-    # rows: 21 MB), the block's squared distances (256 * 1152 * 8 B = 2.4 MB)
-    # and one target's refined prefix (its sorted nodes and the refined
-    # fields' prefix sums, at most 39 * 1152 * 8 B = 0.36 MB)
+    # rows: 21 MB), the kept bounds and refine mask of every target (two
+    # 39 * 1152 float arrays and one bool per target, rung and field: under
+    # 1.5 MB) and one target's squared distances and refined prefix (its
+    # sorted nodes and the refined fields' prefix sums, at most
+    # 39 * 1152 * 8 B = 0.36 MB)
     assert peak < 48 * 2**20
 
 
@@ -277,6 +286,86 @@ def test_exact_maximal_matches_bruteforce(case):
     for f, values in zip(fields, got):
         ref = maximal_bruteforce(cloud, f, kappa)[targets]
         assert np.abs(values - ref).max() <= 1e-12 * ref.max()
+
+
+def _adjoint_images(cloud, fields, targets):
+    op = Operator(cloud, "dense")
+    return [np.abs(op.apply("adjoint", f).values)[targets] for f in fields]
+
+
+def _indicators(cloud):
+    return [Field((cloud.square_index == sq).astype(np.complex128), "mu") for sq in range(len(cloud.family))]
+
+
+_ONE_SQUARE = build_quadrature(build_measure(SquareFamily.build([DyadicSquare(0, 0, 0)], 1.0, 4.0)), 3)
+_TIED_ROW = aligned_row_cloud(2, (0, 3), 4)  # mirror squares: both indicators reach the largest ratio twice
+# a refined ratio here exceeds every bracket bound by rounding, so an upper
+# bound without the (1 + _MARGIN) factor falls below the exact value
+_ROUNDED_SQUARES = [DyadicSquare(3, 4, 0), DyadicSquare(5, 9, 19), DyadicSquare(3, 1, 7), DyadicSquare(5, 7, 11)]
+_ROUNDED = build_quadrature(build_measure(SquareFamily.build(_ROUNDED_SQUARES, 1.8, 8.0)), 3)
+
+
+@st.composite
+def ratio_cases(draw):
+    """``maximal_cases`` with ``check_domination``'s fields added: dense
+    uniforms, whose sums round differently in the engine and in a sorted
+    prefix, beside every square indicator and a few deltas."""
+    cloud, fields, kappa, targets, block = draw(maximal_cases())
+    extra = _domination_fields(cloud, draw(st.integers(0, 3)), draw(st.integers(0, 2**16)))
+    return cloud, fields + [f for _, f in extra], kappa, targets, block
+
+
+@given(ratio_cases())
+@settings(max_examples=80)
+@example((_ONE_SQUARE, [Field(np.linspace(0.0, 1.0, 9), "mu")], 3.0, np.arange(9), 4))  # |T'f| = 0 everywhere
+@example((_TIED_ROW, _indicators(_TIED_ROW) + [Field(np.zeros(32), "mu")], 3.0, np.arange(32), 256))
+@example((_TIED_ROW, _indicators(_TIED_ROW), 1.5, np.arange(0, 32, 3), 5))
+@example((_ROUNDED, [f for _, f in _domination_fields(_ROUNDED, 2, 20332)], 3.0, np.arange(36), 256))
+def test_ratio_of_is_exact_wherever_the_largest_ratio_can_be(case):
+    cloud, fields, kappa, targets, block = case
+    tfs = _adjoint_images(cloud, fields, targets)
+    spike = np.zeros((len(fields), targets.size))  # one nonzero numerator: every other pair is left out
+    spike[0, 0] = 1.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "KAPPA", kappa)
+        mp.setattr(operators, "_TARGET_BLOCK", block)
+        plain = np.array(_maximal_many(cloud, fields, targets=targets))
+        pruned = np.array(_maximal_many(cloud, fields, targets=targets, ratio_of=tfs))
+        bounds = np.array(_maximal_many(cloud, fields, targets=targets, ratio_of=list(spike)))
+    assert np.all(pruned >= plain)
+    largest, field, node = witness_loop(tfs, plain)
+    assert witness_loop(tfs, pruned) == (largest, field, node)
+    # an entry may leave the exact value only where its exact ratio is below
+    # the largest; at the largest ratio and at its ties it keeps every bit
+    moved = pruned != plain
+    ratios = np.divide(tfs, plain, out=np.zeros_like(plain), where=plain > 0)
+    assert np.all(ratios[moved] < largest)
+    assert_same_bits(pruned[~moved], plain[~moved])
+    # the pairs left out return their upper bound of M f
+    assert np.all(bounds >= plain)
+    assert_same_bits(bounds[0, 0], plain[0, 0])
+
+
+@pytest.mark.parametrize("exact_limit", [0, 4096])
+def test_ratio_of_keeps_nan_and_zero_fields(exact_limit, monkeypatch):
+    monkeypatch.setattr(operators, "EXACT_LIMIT", exact_limit)
+    fam, cloud = small_family(seed=9, count=3, n=3)
+    n = len(cloud)
+    rng = np.random.default_rng(11)
+    nan_field = rng.uniform(0.0, 1.0, n).astype(np.complex128)
+    nan_field[4] = np.nan
+    fields = [Field(nan_field, "mu"), Field(np.zeros(n), "mu")] + [f for _, f in _domination_fields(cloud, 2, 3)]
+    tfs = _adjoint_images(cloud, fields, np.arange(n))
+    plain = _maximal_many(cloud, fields)
+    pruned = _maximal_many(cloud, fields, ratio_of=tfs)
+    assert np.isnan(pruned[0]).all() and not pruned[1].any()
+    assert_same_bits(np.array(pruned[:2]), np.array(plain[:2]))
+    if exact_limit == 0:  # the ladder value is M f itself; ratio_of changes no bit
+        assert_same_bits(np.array(pruned), np.array(plain))
+    assert witness_loop(tfs, pruned) == witness_loop(tfs, plain)
+    # a field with a NaN ratio adds nothing to the largest ratio, however large its others
+    tfs[2][:2] = np.nan, 1e300
+    assert witness_loop(tfs, _maximal_many(cloud, fields, ratio_of=tfs)) == witness_loop(tfs, plain)
 
 
 def test_aligned_row_has_distances_on_ladder_and_dilated_radii():

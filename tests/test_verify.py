@@ -1,9 +1,13 @@
+import gc
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nhcz.geometry import DyadicSquare, SquareFamily, generate_family
+from nhcz.geometry import DyadicSquare, SquareFamily, generate_family, suggest_generation_range
 from nhcz.kernels import VARIANTS, KernelSpec, kernel_eval
 from nhcz.measure import build_measure, build_quadrature
 from nhcz.operators import Field, Operator, adjoint_apply_direct, apply_direct, operator_norm
@@ -19,6 +23,8 @@ from nhcz.verify import (
     check_main_inequality,
     scaling_study,
 )
+
+from oracles import assert_same_bits, domination_reference
 
 
 def test_decomposition_identity_random_fields():
@@ -93,6 +99,92 @@ def test_domination_applies_its_fields_in_column_blocks(monkeypatch):
     widths = [w for _, w in widths]
     # 3 uniforms, 10 square indicators and 3 deltas, at most a block per apply
     assert sum(widths) == 16 and max(widths) == _COLUMN_BLOCK < 16
+
+
+@st.composite
+def domination_cases(draw):
+    """A generated family of 1 to 6 squares, n 1 to 5, trials 1 to 4."""
+    k_lo = draw(st.integers(0, 3))
+    fam = generate_family(
+        seed=draw(st.integers(0, 2**16)),
+        count=draw(st.integers(1, 6)),
+        d=draw(st.sampled_from([0.4, 1.2, 1.8])),
+        packing_target=8.0,
+        k_range=(k_lo, k_lo + draw(st.integers(0, 3))),
+    )
+    return fam, draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
+
+
+@given(domination_cases())
+@settings(max_examples=40)
+@example((SquareFamily.build([DyadicSquare(0, 0, 0)], 1.0, 4.0), 4, 2, 0))  # c_dom = 0, no witness
+@example((SquareFamily.build([DyadicSquare(2, c, 0) for c in (0, 3)], 1.2, 4.0), 4, 1, 0))  # mirror squares
+def test_pruned_domination_matches_the_exact_reference(case):
+    fam, n, trials, seed = case
+    report = check_domination(fam, n_per_side=n, trials=trials, seed=seed)
+    cloud = build_quadrature(build_measure(fam), n)
+    fields = verify._domination_fields(cloud, trials, seed)
+    c_dom, field, node = domination_reference(cloud, [f for _, f in fields])
+    assert_same_bits(np.float64(report.constants["c_dom"]), np.float64(c_dom))
+    assert report.witnesses["field"] == (None if field is None else fields[field][0])
+    assert report.witnesses["node"] == node
+
+
+def test_domination_report_in_ladder_mode_ignores_ratio_of(monkeypatch):
+    # above EXACT_LIMIT M f is the ladder value, so there is nothing to prune
+    monkeypatch.setattr(operators, "EXACT_LIMIT", 0)
+    fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
+    with_ratio = check_domination(fam, n_per_side=4, trials=3, seed=1)
+    maximal = verify._maximal_many
+    monkeypatch.setattr(verify, "_maximal_many", lambda cloud, fields, ratio_of: maximal(cloud, fields))
+    without = check_domination(fam, n_per_side=4, trials=3, seed=1)
+    assert with_ratio.to_json(include_runtime=False) == without.to_json(include_runtime=False)
+
+
+def test_domination_releases_the_kernel_matrix_before_the_maximal_pass(monkeypatch):
+    held = []
+    maximal = verify._maximal_many
+
+    def spy(cloud, fields, ratio_of):
+        gc.collect()
+        held.extend(o for o in gc.get_objects() if isinstance(o, Operator) and o.cloud is cloud)
+        return maximal(cloud, fields, ratio_of=ratio_of)
+
+    monkeypatch.setattr(verify, "_maximal_many", spy)
+    fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
+    assert check_domination(fam, n_per_side=4, trials=3, seed=1).passed
+    assert held == []
+
+
+# sha256 of check_domination(...).to_json(include_runtime=False), computed
+# with the maximal function exact at every node: the benchmark's
+# small_direct families (seed = index of d, 32 squares, n = 6, trials 4)
+# and acceptance criterion 4's family (seed 21, 24 squares, d 1.2, n = 6,
+# trials 2)
+DOMINATION_DIGESTS = {
+    ("direct", 0.8, 0): "f4087451fbecffd281493deeb244b2e92f1632065d2a7d1fa21d8789c18f0423",
+    ("direct", 0.8, 4242): "c0f8edd24a0901881f277346a89a2012295854cbc7bcb36b6344580d441b7011",
+    ("direct", 1.2, 0): "1e3f8ef6f0974381a02b45b57e31d612fbcc0538098aff8696d69dcab38a11a4",
+    ("direct", 1.2, 4242): "5165580ee907febd5802ebd1a0ed4d698b0e29c88c5b666013703632567575a3",
+    ("direct", 1.6, 0): "ddb8e32e8809ef6a648c34b20b4ba78bf16d714b1719a1e968e5de31a87c8eb8",
+    ("direct", 1.6, 4242): "c55680b9d8f9fab0f65241c135aeb8dd3bacce4fe6b18283cd8fd68e7556ac8a",
+    ("criterion4", 1.2, 0): "eb45cd1acc011283c9c52a4a040f029e4dbe4a30a21bb10796de562fff66c0d7",
+    ("criterion4", 1.2, 1): "4928d8880cfd65372f7c7387a85801e92c90bb44bbe7d1847395d8c6e58ff481",
+    ("criterion4", 1.2, 2): "acd25c4fddbf07bb160e1e579691eb4686ac71c7660df8c466d123f7e0be5f56",
+    ("criterion4", 1.2, 3): "d6c8365bd0f27493432066eb802c0f5cbe1d4f2dccd8c75e9e2f47330c453c1c",
+}
+
+
+@pytest.mark.parametrize("family,d,seed", sorted(DOMINATION_DIGESTS))
+def test_domination_reports_are_pinned(family, d, seed):
+    if family == "direct":
+        fam_seed, count, k_range, trials = [0.8, 1.2, 1.6].index(d), 32, suggest_generation_range(32, d, 4.0), 4
+    else:
+        fam_seed, count, k_range, trials = 21, 24, (3, 6), 2
+    fam = generate_family(seed=fam_seed, count=count, d=d, packing_target=4.0, k_range=k_range)
+    report = check_domination(fam, n_per_side=6, trials=trials, seed=seed)
+    digest = hashlib.sha256(report.to_json(include_runtime=False).encode()).hexdigest()
+    assert digest == DOMINATION_DIGESTS[(family, d, seed)]
 
 
 @pytest.mark.parametrize("seed,count,n", [(4, 10, 4), (5, 5, 3)])
