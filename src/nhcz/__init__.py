@@ -4,13 +4,10 @@ and Cauchy-square singular integral operators."""
 from nhcz.geometry import (
     DyadicSquare,
     SquareFamily,
-    SquareRegion,
     check_disjointness,
-    dilated_square,
     generate_cascade_family,
     generate_family,
     packing_constant,
-    square_extent,
     suggest_generation_range,
 )
 from nhcz.measure import (
@@ -18,20 +15,18 @@ from nhcz.measure import (
     NonHomogeneousMeasure,
     QuadratureCloud,
     a2_constant,
-    a2_ratio,
     ball_mass,
     borderline_exponent,
     build_measure,
     build_quadrature,
     growth_constant,
 )
-from nhcz.kernels import CzReport, KernelSpec, cz_constants, kernel_eval
+from nhcz.kernels import CzReport, KernelSpec, cz_constants
 from nhcz.operators import (
     Field,
     NormEstimate,
     Operator,
     apply_direct,
-    beurling_spectral,
     maximal_function,
     operator_norm,
     t1_testing,

@@ -28,3 +28,8 @@ def atomic_open(path, newline=None):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)

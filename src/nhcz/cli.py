@@ -44,8 +44,7 @@ def _positive(kind):
 def _load_family(path) -> SquareFamily:
     if not os.path.exists(path):
         raise ValueError(f"family file not found: {path}")
-    with open(path) as fh:
-        return SquareFamily.from_json_dict(json.load(fh))
+    return SquareFamily.load(path)
 
 
 def _parse_int_list(text) -> list[int]:
@@ -163,7 +162,7 @@ def _czcheck(args, fam, cloud):
 def _ball_constant(constant, args, fam, cloud):
     """Work for a ball-ratio constant of the measure, reported as ``c_<subcommand>``."""
     c, ball = constant(cloud)
-    witnesses = {"ball": {"cx": ball.cx, "cy": ball.cy, "radius": ball.radius}}
+    witnesses = {"ball": ball}
     thresholds = {"sample": "all nodes x dyadic radius ladder"}
     return {}, {f"c_{args.command}": c}, witnesses, thresholds, np.isfinite(c)
 

@@ -607,10 +607,3 @@ def _max_rel_err(approx, reference):
     if scale == 0.0:
         return float(np.abs(approx).max())
     return float(np.abs(approx - reference).max() / scale)
-
-
-def fit_cost_exponent(sizes, times_ms) -> float:
-    """Least-squares slope of log(time) against log(size)."""
-    xs = np.log(np.asarray(sizes, dtype=float))
-    ys = np.log(np.asarray(times_ms, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcz.atomic import atomic_open
+from nhcz.atomic import write_text_atomic
 
 # Generations are capped so scaled coordinates fit comfortably in int64.
 MAX_ABS_GENERATION = 40
@@ -58,40 +58,9 @@ class DyadicSquare:
 
 
 @dataclass(frozen=True)
-class SquareRegion:
-    """Closed axis-aligned square given by center and half-side (a dilate)."""
-
-    cx: float
-    cy: float
-    half_side: float
-
-    def contains_point(self, x: float, y: float) -> bool:
-        return abs(x - self.cx) <= self.half_side and abs(y - self.cy) <= self.half_side
-
-    def intersects(self, other: "SquareRegion") -> bool:
-        return (
-            abs(self.cx - other.cx) <= self.half_side + other.half_side
-            and abs(self.cy - other.cy) <= self.half_side + other.half_side
-        )
-
-
-@dataclass(frozen=True)
 class DisjointnessVerdict:
     ok: bool
     witness: tuple[int, int] | None = None
-
-
-def square_extent(sq: DyadicSquare) -> tuple[tuple[float, float], float]:
-    """Center and side of a lattice cell, exact as dyadic rationals."""
-    return sq.center, sq.side
-
-
-def dilated_square(sq: DyadicSquare, lam: float) -> SquareRegion:
-    """Concentric dilate ``lam * Q`` as a closed region."""
-    if lam <= 0:
-        raise ValueError(f"dilation factor must be positive, got {lam}")
-    cx, cy = sq.center
-    return SquareRegion(cx, cy, lam * sq.side / 2.0)
 
 
 def _scaled_dilate(sq: DyadicSquare, k_unit: int, lam_num: int = 4) -> tuple[int, int, int]:
@@ -132,20 +101,6 @@ def check_disjointness(squares: list[DyadicSquare]) -> DisjointnessVerdict:
             if _dilates_meet(dil[a], dil[b]):
                 return DisjointnessVerdict(False, (a, b))
     return DisjointnessVerdict(True, None)
-
-
-def min_pair_distances(squares: list[DyadicSquare]) -> np.ndarray:
-    """Sup-norm distances dist_inf(Q_a, Q_b) for all pairs a < b (floats)."""
-    out = []
-    for a in range(len(squares)):
-        for b in range(a + 1, len(squares)):
-            sa, sb = squares[a], squares[b]
-            (ax, ay), la = square_extent(sa)
-            (bx, by), lb = square_extent(sb)
-            dx = max(abs(ax - bx) - (la + lb) / 2.0, 0.0)
-            dy = max(abs(ay - by) - (la + lb) / 2.0, 0.0)
-            out.append(max(dx, dy))
-    return np.asarray(out)
 
 
 class PackingState:
@@ -290,9 +245,7 @@ class SquareFamily:
         return cls.build(squares, float(d), float(target))
 
     def save(self, path) -> None:
-        text = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
-        with atomic_open(path) as fh:
-            fh.write(text)
+        write_text_atomic(path, json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n")
 
     @classmethod
     def load(cls, path) -> "SquareFamily":

@@ -97,49 +97,6 @@ class KernelSpec:
         return VARIANT_RULES[self.variant]
 
 
-def locate_square(family: SquareFamily, x: float, y: float) -> int | None:
-    """Index of the half-open family square containing the point, else None."""
-    for m, sq in enumerate(family.squares):
-        side = sq.side
-        x0, y0 = sq.i * side, sq.j * side
-        if x0 <= x < x0 + side and y0 <= y < y0 + side:
-            return m
-    return None
-
-
-def _as_complex(p) -> complex:
-    if isinstance(p, complex):
-        return p
-    return complex(p[0], p[1])
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> complex:
-    """Scalar kernel value at a pair of points of the family set.
-
-    Points may be complex numbers or (x, y) tuples.  Coincident points on a
-    singular variant raise; the structurally-zero cases return exactly 0.
-    """
-    zx, zy = _as_complex(x), _as_complex(y)
-    mx = locate_square(spec.family, zx.real, zx.imag)
-    my = locate_square(spec.family, zy.real, zy.imag)
-    if mx is None or my is None:
-        raise ValueError("kernel arguments must lie in the family set")
-    same = mx == my
-    if spec.variant == "modified":
-        if same:
-            return 0j
-        return spec.family.squares[my].side ** spec.d / (zx - zy) ** 2
-    if spec.variant == "adjoint":
-        if same:
-            return 0j
-        return spec.family.squares[mx].side ** spec.d / (zx - zy) ** 2
-    if spec.variant == "local" and not same:
-        return 0j
-    if zx == zy:
-        raise ValueError(f"{spec.variant} kernel is singular at coincident points")
-    return 1.0 / (zx - zy) ** 2
-
-
 def cauchy_square_into(out, z_target, z_source, drop, numerator=1.0):
     """Write ``numerator / (z_target - z_source)^2`` into ``out`` and return
     it, with exact zeros on the pairs that ``drop(dz)`` marks, dz being the

@@ -18,7 +18,7 @@ its nodes tested one by one.  A node is in a ball iff ``d^2 <= r^2`` in
 float arithmetic.  Float subtraction, squaring and addition are monotone,
 so the bounds from the extreme nodes agree with that per-node test node for
 node, and a node that lies exactly on a circle stays inside.  ``ball_mass``
-and ``a2_ratio`` stay the O(N) single-ball references.
+sums a single ball over all N nodes, outside the engine.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from nhcz.geometry import SquareFamily
-from nhcz.reports import write_csv_atomic
 
 
 @dataclass(frozen=True)
@@ -263,21 +262,6 @@ def growth_constant(cloud: QuadratureCloud, centers: np.ndarray | None = None) -
     return _largest_ratio(cloud, ratios, centers, radii)
 
 
-def a2_ratio(cloud: QuadratureCloud, ball: BallQuery) -> float:
-    """Product of the disc-normalized averages of the density and its inverse.
-
-    Both integrals run over the ball's intersection with the family set but
-    are normalized by the full disc area; an empty intersection gives 0.
-    """
-    d2 = (cloud.xy[:, 0] - ball.cx) ** 2 + (cloud.xy[:, 1] - ball.cy) ** 2
-    inside = d2 <= ball.radius**2
-    disc = math.pi * ball.radius**2
-    fwd = float(cloud.mu_weight[inside].sum())  # integral of w over B cap X
-    ell_d = cloud.node_side ** cloud.d
-    inv = float((cloud.area_weight[inside] * ell_d[inside]).sum())  # integral of 1/w
-    return (fwd / disc) * (inv / disc)
-
-
 def a2_constant(cloud: QuadratureCloud, centers: np.ndarray | None = None) -> tuple[float, BallQuery]:
     """Largest a2 ratio over the sample (the same sample as growth)."""
     radii = dyadic_radius_ladder(cloud)
@@ -295,18 +279,3 @@ def borderline_exponent(t: float, k_qc: float) -> float:
     if not (1.0 <= k_qc < math.inf):
         raise ValueError(f"distortion K must be finite and >= 1, got {k_qc}")
     return 1.0 / (0.5 + (1.0 / t - 0.5) / k_qc)
-
-
-def export_cloud_csv(cloud: QuadratureCloud, path) -> None:
-    """Node table: x, y, square_index, area_weight, mu_weight."""
-    rows = (
-        [
-            repr(float(cloud.xy[p, 0])),
-            repr(float(cloud.xy[p, 1])),
-            int(cloud.square_index[p]),
-            repr(float(cloud.area_weight[p])),
-            repr(float(cloud.mu_weight[p])),
-        ]
-        for p in range(len(cloud))
-    )
-    write_csv_atomic(path, ["x", "y", "square_index", "area_weight", "mu_weight"], rows)

@@ -20,7 +20,6 @@ between complex conjugations.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -30,7 +29,6 @@ import numpy as np
 from nhcz.geometry import SquareFamily
 from nhcz.kernels import KernelSpec, cauchy_square_block, source_charges, target_scale
 from nhcz.measure import BallQuery, QuadratureCloud, _square_ball_sums, ball_mass, dyadic_radius_ladder
-from nhcz.reports import write_csv_atomic
 
 FAST_NODE_THRESHOLD = 2048  # largest cloud with a dense kernel matrix; the checks' treecode switch
 KAPPA = 3.0  # dilation of the maximal operator M_{mu,3}
@@ -42,29 +40,20 @@ _TARGET_BLOCK = 256
 
 @dataclass
 class Field:
-    """Complex values on cloud nodes; ``weight`` names the natural inner product."""
+    """Complex values on cloud nodes, in the measure-weighted inner product;
+    ``"mu"`` is the only ``weight`` tag."""
 
     values: np.ndarray
     weight: str = "mu"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.weight not in ("mu", "m2"):
+        if self.weight != "mu":
             raise ValueError(f"unknown weight tag {self.weight!r}")
 
 
-def field_weights(cloud: QuadratureCloud, f: Field) -> np.ndarray:
-    return cloud.mu_weight if f.weight == "mu" else cloud.area_weight
-
-
 def field_norm(cloud: QuadratureCloud, f: Field) -> float:
-    return math.sqrt(float(np.sum(field_weights(cloud, f) * np.abs(f.values) ** 2)))
-
-
-def field_inner(cloud: QuadratureCloud, f: Field, g: Field) -> complex:
-    if f.weight != g.weight:
-        raise ValueError("inner product needs matching weight tags")
-    return complex(np.sum(field_weights(cloud, f) * f.values * np.conj(g.values)))
+    return math.sqrt(float(np.sum(cloud.mu_weight * np.abs(f.values) ** 2)))
 
 
 def _cauchy_square_apply(cloud, charges, mode, threads=1, targets=None):
@@ -462,20 +451,6 @@ def beurling_multiplier(grid: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(np.fft.fft2(grid) * mult)
 
 
-def grid_field(cloud: QuadratureCloud, f: Field) -> np.ndarray:
-    """Reshape a single-square cloud field to its (n, n) grid, rows along y."""
-    if len(cloud.family) != 1:
-        raise ValueError("grid view needs a single-square family")
-    n = cloud.n_per_side
-    return f.values.reshape(n, n)
-
-
-def beurling_spectral(cloud: QuadratureCloud, f: Field) -> Field:
-    """Spectral application on a one-square cloud read as a periodic torus grid."""
-    out = beurling_multiplier(grid_field(cloud, f))
-    return Field(out.ravel(), f.weight)
-
-
 @dataclass
 class T1Report:
     sup_t: float
@@ -486,14 +461,11 @@ class T1Report:
     skipped: int
 
     def to_json_dict(self) -> dict:
-        def ball(b):
-            return None if b is None else {"cx": b.cx, "cy": b.cy, "radius": b.radius}
-
         return {
             "sup_T": self.sup_t,
             "sup_T_adjoint": self.sup_t_adjoint,
-            "witness_T": ball(self.witness_t),
-            "witness_T_adjoint": ball(self.witness_t_adjoint),
+            "witness_T": self.witness_t,
+            "witness_T_adjoint": self.witness_t_adjoint,
             "n_balls": self.n_balls,
             "skipped": self.skipped,
         }
@@ -555,16 +527,3 @@ def t1_testing(
         if v_a > sup_adj:
             sup_adj, wit_adj = v_a, ball
     return T1Report(sup_t, sup_adj, wit_t, wit_adj, len(balls), len(balls) - len(tested))
-
-
-def export_field_csv(f: Field, path) -> None:
-    """Field table: node index, real part, imaginary part."""
-    rows = ([p, repr(float(v.real)), repr(float(v.imag))] for p, v in enumerate(f.values))
-    write_csv_atomic(path, ["node", "re", "im"], rows)
-
-
-def load_field_csv(path, weight: str = "mu") -> Field:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    vals = np.array([complex(float(r[1]), float(r[2])) for r in rows[1:]])
-    return Field(vals, weight)

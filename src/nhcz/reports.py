@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
 
-from nhcz.atomic import atomic_open
+from nhcz.atomic import atomic_open, write_text_atomic
 from nhcz.geometry import DyadicSquare, SquareFamily
 
 SCHEMA = "nhcz/1"
@@ -86,11 +86,6 @@ class VerificationReport:
 
     def to_json(self, include_runtime: bool = True) -> str:
         return canonical_json(self.to_json_dict(include_runtime=include_runtime))
-
-
-def write_text_atomic(path, text: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(text)
 
 
 def write_json_atomic(path, obj) -> None:

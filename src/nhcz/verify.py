@@ -23,7 +23,7 @@ import numpy as np
 from nhcz.fastsum import _COLUMN_BLOCK
 from nhcz.geometry import SquareFamily, _scaled_centers_halves, generate_cascade_family
 from nhcz.kernels import KernelSpec, kernel_rows
-from nhcz.measure import BallQuery, QuadratureCloud, ball_mass, build_measure, build_quadrature, growth_constant
+from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature, growth_constant
 from nhcz.operators import (
     FAST_NODE_THRESHOLD,
     Field,
@@ -160,15 +160,6 @@ def _annulus_of(geom, j, i) -> int:
     while (h[j] << (a + 1)) < dist:
         a += 1
     return a
-
-
-def annulus_index(family: SquareFamily, j: int, i: int) -> int:
-    """Exact dilate-annulus index of square i around square j: the unique
-    a with center_i inside the closed 2^(a+1)-dilate of Q_j but outside the
-    closed 2^a-dilate."""
-    if i == j:
-        raise ValueError("annulus index needs two distinct squares")
-    return _annulus_of(_scaled_centers_halves(family.squares, lam_num=1), j, i)
 
 
 def _annulus_audits(family):

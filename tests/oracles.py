@@ -2,19 +2,116 @@
 
 Everything here recomputes operator results from the scalar kernel
 definition and explicit loops, deliberately avoiding the library's
-vectorized paths.  The exceptions are the allocating kernel-block formula,
-kept as the bit-for-bit reference of the in-place one, ``assert_same_bits``,
-and ``domination_reference``, which reads the exact maximal function at
-every node as the bit-for-bit reference of the pruned one.
+vectorized paths.  The scalar kernel is ``kernel_eval``, which finds each
+point's square with ``locate_square``.  ``a2_ratio`` is the a2 ratio of one
+ball over all nodes, ``min_pair_distances`` the float sup-norm gaps between
+family squares, and ``fit_cost_exponent`` the log-log cost slope that
+criterion 9 bounds.  The exceptions are the allocating kernel-block
+formula, kept as the bit-for-bit reference of the in-place one;
+``assert_same_bits``; ``annulus_index``, one pair's annulus read from the
+integer geometry of ``verify``'s audits, which a float test checks; and
+``domination_reference``, which reads the exact maximal function at every
+node as the bit-for-bit reference of the pruned one.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
-from nhcz.kernels import exclusion_mask, kernel_eval
+from nhcz.geometry import _scaled_centers_halves
+from nhcz.kernels import exclusion_mask
 from nhcz.measure import dyadic_radius_ladder
 from nhcz.operators import Operator, _maximal_many
+from nhcz.verify import _annulus_of
+
+
+def locate_square(family, x, y):
+    """Index of the half-open family square containing the point, else None."""
+    for m, sq in enumerate(family.squares):
+        side = sq.side
+        x0, y0 = sq.i * side, sq.j * side
+        if x0 <= x < x0 + side and y0 <= y < y0 + side:
+            return m
+    return None
+
+
+def _as_complex(p):
+    if isinstance(p, complex):
+        return p
+    return complex(p[0], p[1])
+
+
+def kernel_eval(spec, x, y):
+    """Scalar kernel value at a pair of points of the family set.
+
+    Points may be complex numbers or (x, y) tuples.  Coincident points on a
+    singular variant raise; the structurally-zero cases return exactly 0.
+    """
+    zx, zy = _as_complex(x), _as_complex(y)
+    mx = locate_square(spec.family, zx.real, zx.imag)
+    my = locate_square(spec.family, zy.real, zy.imag)
+    if mx is None or my is None:
+        raise ValueError("kernel arguments must lie in the family set")
+    same = mx == my
+    if spec.variant == "modified":
+        if same:
+            return 0j
+        return spec.family.squares[my].side ** spec.d / (zx - zy) ** 2
+    if spec.variant == "adjoint":
+        if same:
+            return 0j
+        return spec.family.squares[mx].side ** spec.d / (zx - zy) ** 2
+    if spec.variant == "local" and not same:
+        return 0j
+    if zx == zy:
+        raise ValueError(f"{spec.variant} kernel is singular at coincident points")
+    return 1.0 / (zx - zy) ** 2
+
+
+def a2_ratio(cloud, ball):
+    """Product of the disc-normalized averages of the density and its inverse.
+
+    Both integrals run over the ball's intersection with the family set but
+    are normalized by the full disc area; an empty intersection gives 0.
+    """
+    d2 = (cloud.xy[:, 0] - ball.cx) ** 2 + (cloud.xy[:, 1] - ball.cy) ** 2
+    inside = d2 <= ball.radius**2
+    disc = math.pi * ball.radius**2
+    fwd = float(cloud.mu_weight[inside].sum())  # integral of w over B cap X
+    ell_d = cloud.node_side ** cloud.d
+    inv = float((cloud.area_weight[inside] * ell_d[inside]).sum())  # integral of 1/w
+    return (fwd / disc) * (inv / disc)
+
+
+def min_pair_distances(squares):
+    """Sup-norm distances dist_inf(Q_a, Q_b) for all pairs a < b (floats)."""
+    out = []
+    for a in range(len(squares)):
+        for b in range(a + 1, len(squares)):
+            sa, sb = squares[a], squares[b]
+            (ax, ay), la = sa.center, sa.side
+            (bx, by), lb = sb.center, sb.side
+            dx = max(abs(ax - bx) - (la + lb) / 2.0, 0.0)
+            dy = max(abs(ay - by) - (la + lb) / 2.0, 0.0)
+            out.append(max(dx, dy))
+    return np.asarray(out)
+
+
+def annulus_index(family, j, i):
+    """Exact dilate-annulus index of square i around square j: the unique
+    a with center_i inside the closed 2^(a+1)-dilate of Q_j but outside the
+    closed 2^a-dilate."""
+    if i == j:
+        raise ValueError("annulus index needs two distinct squares")
+    return _annulus_of(_scaled_centers_halves(family.squares, lam_num=1), j, i)
+
+
+def fit_cost_exponent(sizes, times_ms):
+    """Least-squares slope of log(time) against log(size)."""
+    xs = np.log(np.asarray(sizes, dtype=float))
+    ys = np.log(np.asarray(times_ms, dtype=float))
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 def apply_bruteforce(spec, cloud, f):

@@ -14,11 +14,12 @@ from oracles import (
     apply_bruteforce,
     beurling_dft_bruteforce,
     cz_enumeration,
+    fit_cost_exponent,
     maximal_bruteforce,
     weighted_sigma_max,
 )
 
-from nhcz.fastsum import ExpansionParams, apply_fast, benchmark, build_tree, fit_cost_exponent
+from nhcz.fastsum import ExpansionParams, apply_fast, benchmark, build_tree
 from nhcz.geometry import (
     DyadicSquare,
     check_disjointness,

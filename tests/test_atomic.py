@@ -1,21 +1,15 @@
 import os
 
-import numpy as np
 import pytest
 
 import nhcz.atomic
 from nhcz.geometry import generate_family
-from nhcz.measure import build_measure, build_quadrature, export_cloud_csv
-from nhcz.operators import Field, export_field_csv
 from nhcz.reports import write_csv_atomic, write_text_atomic
 
 FAM = generate_family(seed=1, count=3, d=1.2, packing_target=4.0, k_range=(2, 4))
-CLOUD = build_quadrature(build_measure(FAM), 2)
 
 WRITERS = {
     "family_save": lambda path: FAM.save(path),
-    "cloud_csv": lambda path: export_cloud_csv(CLOUD, path),
-    "field_csv": lambda path: export_field_csv(Field(np.arange(len(CLOUD)) * (1 + 1j), "mu"), path),
     "text": lambda path: write_text_atomic(path, "new contents\n"),
     "csv": lambda path: write_csv_atomic(path, ["a", "b"], [[1, 2], [3, 4]]),
 }

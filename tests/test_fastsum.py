@@ -15,7 +15,6 @@ from nhcz.fastsum import (
     apply_fast,
     benchmark,
     build_tree,
-    fit_cost_exponent,
 )
 from nhcz.geometry import (
     MAX_ABS_GENERATION,
@@ -28,7 +27,7 @@ from nhcz.geometry import (
 from nhcz.kernels import KernelSpec, kernel_rows
 from nhcz.measure import build_measure, build_quadrature
 from nhcz.operators import Field, apply_direct
-from oracles import plan_walk, quadtree_recursive
+from oracles import fit_cost_exponent, plan_walk, quadtree_recursive
 
 
 def cloud_for(count, n, seed=0, d=1.2):

@@ -17,52 +17,14 @@ from nhcz.geometry import (
     _dilates_meet,
     _scaled_dilate,
     check_disjointness,
-    dilated_square,
     generate_cascade_family,
     generate_family,
-    min_pair_distances,
     packing_constant,
-    square_extent,
     suggest_generation_range,
 )
 from nhcz.cli import main
 from nhcz.reports import canonical_json
-from oracles import packing_bruteforce
-
-
-def test_square_extent_unit_cell():
-    center, side = square_extent(DyadicSquare(0, 0, 0))
-    assert center == (0.5, 0.5)
-    assert side == 1.0
-
-
-def test_square_extent_fine_and_coarse():
-    center, side = square_extent(DyadicSquare(1, 3, 0))
-    assert center == (1.75, 0.25)
-    assert side == 0.5
-    center, side = square_extent(DyadicSquare(-1, 0, 0))
-    assert center == (1.0, 1.0)
-    assert side == 2.0
-
-
-def test_dilated_square_factor_four():
-    r = dilated_square(DyadicSquare(0, 0, 0), 4.0)
-    assert (r.cx, r.cy, r.half_side) == (0.5, 0.5, 2.0)
-
-
-def test_dilated_square_identity_and_annulus_scale():
-    r = dilated_square(DyadicSquare(0, 0, 0), 1.0)
-    assert r.half_side == 0.5
-    # 2^(a+1)-dilate with a=2 of a generation-2 cell has half-side 1
-    r = dilated_square(DyadicSquare(2, 0, 0), 8.0)
-    assert r.half_side == 1.0
-
-
-def test_dilated_square_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        dilated_square(DyadicSquare(0, 0, 0), 0.0)
-    with pytest.raises(ValueError):
-        dilated_square(DyadicSquare(0, 0, 0), -2.0)
+from oracles import min_pair_distances, packing_bruteforce
 
 
 def test_disjointness_far_pair_ok():
@@ -234,7 +196,10 @@ def test_generate_family_computes_the_packing_constant_once(monkeypatch):
 
 
 def _float_dilates_meet(a, b):
-    return dilated_square(a, 4.0).intersects(dilated_square(b, 4.0))
+    """Float overlap of the closed 4-dilates, whose half-sides are 2 * side."""
+    (ax, ay), (bx, by) = a.center, b.center
+    reach = 2.0 * a.side + 2.0 * b.side
+    return abs(ax - bx) <= reach and abs(ay - by) <= reach
 
 
 # flush dilates need one generation (centres of generations k < k' differ by

@@ -12,14 +12,18 @@ from nhcz.kernels import (
     _side_factor,
     cz_constants,
     exclusion_mask,
-    kernel_eval,
     kernel_rows,
-    locate_square,
 )
 from nhcz.measure import build_measure, build_quadrature
 from nhcz.operators import Field, apply_direct, kernel_matrix
 
-from oracles import assert_same_bits, cauchy_square_block_reference, inverse_square_reference
+from oracles import (
+    assert_same_bits,
+    cauchy_square_block_reference,
+    inverse_square_reference,
+    kernel_eval,
+    locate_square,
+)
 
 
 def two_unit_squares(gap=8, d=1.0):

@@ -13,17 +13,15 @@ from nhcz.measure import (
     _ladder_ball_sums,
     _witness_index,
     a2_constant,
-    a2_ratio,
     ball_mass,
     borderline_exponent,
     build_measure,
     build_quadrature,
     dyadic_radius_ladder,
-    export_cloud_csv,
     growth_constant,
 )
 
-from oracles import ball_sums_bruteforce
+from oracles import a2_ratio, ball_sums_bruteforce
 
 
 def unit_square_family(d=1.0):
@@ -292,15 +290,3 @@ def test_borderline_exponent_rejects_bad_inputs():
         with pytest.raises(ValueError):
             borderline_exponent(t, k)
 
-
-def test_cloud_csv_export(tmp_path):
-    fam = generate_family(seed=2, count=3, d=1.0, packing_target=4.0, k_range=(2, 3))
-    cloud = build_quadrature(build_measure(fam), 2)
-    path = tmp_path / "cloud.csv"
-    export_cloud_csv(cloud, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,y,square_index,area_weight,mu_weight"
-    assert len(lines) == 1 + len(cloud)
-    x, y, m, aw, mw = lines[1].split(",")
-    assert float(x) == cloud.xy[0, 0] and int(m) == cloud.square_index[0]
-    assert float(mw) == cloud.mu_weight[0]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family, suggest_generation_range
-from nhcz.kernels import KernelSpec, kernel_eval
+from nhcz.kernels import KernelSpec
 from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature, dyadic_radius_ladder
 from nhcz import operators
 from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
@@ -20,13 +20,8 @@ from nhcz.operators import (
     apply_direct,
     apply_direct_targets,
     beurling_multiplier,
-    beurling_spectral,
     default_t1_balls,
-    export_field_csv,
-    field_inner,
     field_norm,
-    grid_field,
-    load_field_csv,
     maximal_function,
     operator_norm,
     power_iteration,
@@ -38,6 +33,7 @@ from oracles import (
     apply_bruteforce,
     assert_same_bits,
     beurling_dft_bruteforce,
+    kernel_eval,
     maximal_bruteforce,
     weighted_sigma_max,
     witness_loop,
@@ -431,6 +427,10 @@ def test_mu_adjointness(monkeypatch, variant):
     op = Operator(cloud, "dense")
     reference = (lambda f: apply_direct(spec, cloud, f), lambda g: adjoint_apply_direct(spec, cloud, g))
     dense = (lambda f: op.apply(variant, f), lambda g: op.adjoint(variant, g))
+
+    def inner(f, g):
+        return complex(np.sum(cloud.mu_weight * f.values * np.conj(g.values)))
+
     # the on-the-fly reference, then the dense Operator on its matrix and on its blocked sums
     for threshold, (apply_fn, adjoint_fn) in [(FAST_NODE_THRESHOLD, reference), (FAST_NODE_THRESHOLD, dense), (0, dense)]:
         monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", threshold)
@@ -438,8 +438,8 @@ def test_mu_adjointness(monkeypatch, variant):
         for _ in range(5):
             f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
             g = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
-            lhs = field_inner(cloud, apply_fn(f), g)
-            rhs = field_inner(cloud, f, adjoint_fn(g))
+            lhs = inner(apply_fn(f), g)
+            rhs = inner(f, adjoint_fn(g))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -509,14 +509,8 @@ def test_rayleigh_history_nondecreasing():
     assert all(b >= a - 1e-12 * max(a, 1.0) for a, b in zip(hist, hist[1:]))
 
 
-def unit_grid_cloud(n):
-    fam = SquareFamily.build([DyadicSquare(0, 0, 0)], 1.0, 4.0)
-    return build_quadrature(build_measure(fam), n)
-
-
 def test_beurling_single_mode_passthrough():
     n = 8
-    cloud = unit_grid_cloud(n)
     xs = np.arange(n) / n
     g = np.exp(2j * np.pi * xs)[None, :] * np.ones((n, 1))  # mode (kx=1, ky=0)
     out = beurling_multiplier(g)
@@ -545,17 +539,9 @@ def test_beurling_matches_dft_double_loop():
     assert np.abs(out - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
 
-def test_beurling_spectral_validates_cloud():
-    cloud = unit_grid_cloud(8)
-    f = Field(np.ones(64), "m2")
-    out = beurling_spectral(cloud, f)
-    assert np.abs(out.values).max() <= 1e-13
-    odd = unit_grid_cloud(7)
-    with pytest.raises(ValueError):
-        beurling_spectral(odd, Field(np.ones(49), "m2"))
-    fam, two = small_family()
-    with pytest.raises(ValueError):
-        grid_field(two, Field(np.ones(len(two)), "m2"))
+def test_beurling_rejects_odd_grid():
+    with pytest.raises(ValueError, match="even"):
+        beurling_multiplier(np.ones((7, 7)))
 
 
 def test_t1_single_square_zero():
@@ -593,10 +579,3 @@ def test_default_t1_balls_independent_of_refinement():
     b = default_t1_balls(fam, seed=5)
     assert a == b
 
-
-def test_field_csv_roundtrip(tmp_path):
-    f = Field(np.array([1 + 2j, -0.5 + 0j, 3.25 - 1e-9j]), "mu")
-    path = tmp_path / "field.csv"
-    export_field_csv(f, path)
-    g = load_field_csv(path)
-    assert np.array_equal(f.values, g.values)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family, suggest_generation_range
-from nhcz.kernels import VARIANTS, KernelSpec, kernel_eval
+from nhcz.kernels import VARIANTS, KernelSpec
 from nhcz.measure import build_measure, build_quadrature
 from nhcz.operators import Field, Operator, adjoint_apply_direct, apply_direct, operator_norm
 from nhcz import operators, verify
@@ -17,14 +17,13 @@ from nhcz.reports import VerificationReport, canonical_json, family_digest, json
 from nhcz.verify import (
     FAST_NODE_THRESHOLD,
     SCALING_HEADER,
-    annulus_index,
     check_decomposition,
     check_domination,
     check_main_inequality,
     scaling_study,
 )
 
-from oracles import assert_same_bits, domination_reference
+from oracles import annulus_index, assert_same_bits, domination_reference, kernel_eval
 
 
 def test_decomposition_identity_random_fields():
