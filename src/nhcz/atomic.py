@@ -1,4 +1,5 @@
-"""Atomic file replacement shared by every artifact writer.
+"""Atomic file replacement and the canonical JSON layout, shared by every
+artifact writer.
 
 Kept free of nhcz imports so that ``geometry`` and all later modules can use
 it without an import cycle.
@@ -6,6 +7,7 @@ it without an import cycle.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from contextlib import contextmanager
@@ -33,3 +35,9 @@ def atomic_open(path, newline=None):
 def write_text_atomic(path, text: str) -> None:
     with atomic_open(path) as fh:
         fh.write(text)
+
+
+def canonical_dumps(obj) -> str:
+    """``obj`` (plain JSON types) in the canonical layout of every JSON
+    artifact: sorted keys, compact separators and a trailing newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

@@ -102,7 +102,7 @@ def _cmd_generate(args) -> int:
         {
             "schema": "nhcz/1",
             "check": "generate",
-            "family": os.path.abspath(path),
+            "family": path,
             "family_digest": family_digest(fam),
             "requested": args.M,
             "generated": len(fam),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcz.atomic import write_text_atomic
+from nhcz.atomic import canonical_dumps, write_text_atomic
 
 # Generations are capped so scaled coordinates fit comfortably in int64.
 MAX_ABS_GENERATION = 40
@@ -245,7 +245,7 @@ class SquareFamily:
         return cls.build(squares, float(d), float(target))
 
     def save(self, path) -> None:
-        write_text_atomic(path, json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+        write_text_atomic(path, canonical_dumps(self.to_json_dict()))
 
     @classmethod
     def load(cls, path) -> "SquareFamily":

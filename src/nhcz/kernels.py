@@ -7,9 +7,13 @@ pairs; the adjoint kernel swaps the arguments; the local kernel keeps only
 the same-square part.  The modified kernel satisfies size and smoothness
 bounds with singularity ``s = 2 - d`` and exponent ``eps = min(1, tau*d)``;
 this module measures the implied constants by scanning node pairs/triples.
-One increment scan serves both smoothness conditions: the first-argument
-condition is the second-argument one of the transposed kernel.  Small clouds
-list every triple that can pass; larger ones draw seeded triples.
+The size scan bounds each pair of squares by side^d dmin^(-d) times
+1 + ``_SIZE_MARGIN``, a rounding margin derived beside it, and evaluates
+the node blocks of square pairs in bound order only until no bound can
+reach the best value; it returns the full pair scan's bits.  One increment
+scan serves both smoothness conditions: the first-argument condition is the
+second-argument one of the transposed kernel.  Small clouds list every
+triple that can pass; larger ones draw seeded triples.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Literal
 import numpy as np
 
 from nhcz.geometry import SquareFamily
-from nhcz.measure import QuadratureCloud
+from nhcz.measure import _PAIR_BLOCK, QuadratureCloud
 
 Variant = Literal["full", "modified", "adjoint", "local"]
 VARIANTS = ("full", "modified", "adjoint", "local")
@@ -205,12 +209,18 @@ def cz_constants(
 ) -> CzReport:
     """Measure the size/smoothness constants of the modified kernel.
 
-    Scans cover every triple that can pass when the cloud has at most
-    ``EXHAUSTIVE_LIMIT`` nodes, else ``budget`` seeded uniform triples per
-    condition.  The third condition is read symmetrically: the increment in
-    the second argument is divided by d(y, y')^eps under the constraint
-    d(y, y') <= d(x, y) / 2; the second is the third of K(q, p), pivot y.
-    The audit counts examined third-condition triples that put x with one
+    The size constant is the largest |K(x, y)| d(x, y)^s over every target
+    row (a seeded sample of 2,048 rows once N^2 > 8M) against all nodes.
+    ``_size_scan`` takes it over square pairs: each pair's bound
+    side_Q^d dmin(P, Q)^(-d) carries the rounding margin ``_SIZE_MARGIN``,
+    and only the pairs whose bound reaches the best value are evaluated, so
+    the value and its witness are the full row scan's bit for bit.
+    Smoothness scans cover every triple that can pass when the cloud has
+    at most ``EXHAUSTIVE_LIMIT`` nodes, else ``budget`` seeded uniform
+    triples per condition.  The third condition is read symmetrically: the
+    increment in the second argument is divided by d(y, y')^eps under the
+    constraint d(y, y') <= d(x, y) / 2; the second is the third of K(q, p),
+    pivot y.  The audit counts examined third-condition triples that put x with one
     of y, y' in a single square while the other sits elsewhere, which the
     disjointness condition makes impossible.
     """
@@ -230,17 +240,7 @@ def cz_constants(
         pair_rows = np.arange(n)
     else:
         pair_rows = np.sort(rng.choice(n, size=min(n, 2048), replace=False))
-    a_i, wit_i = 0.0, (0, 0)
-    # one (rows, N) complex and two real buffers, reused by every block
-    block = min(256, pair_rows.size)
-    kern_buf, vals_buf, dist_buf = np.empty((block, n), np.complex128), np.empty((block, n)), np.empty((block, n))
-    for b0 in range(0, pair_rows.size, block):
-        rows = pair_rows[b0 : b0 + block]
-        vals = np.abs(kernel_rows(spec, cloud, rows, kern_buf[: rows.size]), out=vals_buf[: rows.size])
-        pair_dist = np.abs(np.subtract(z[rows][:, None], z, out=kern_buf[: rows.size]), out=dist_buf[: rows.size])
-        vals *= pair_dist**s
-        np.copyto(vals, 0.0, where=~(pair_dist > 0))
-        a_i, wit_i = _best(vals.ravel(), a_i, wit_i, lambda t, rows=rows: (rows[t // n], t % n))
+    a_i, wit_i = _size_scan(spec, cloud, pair_rows, s)
 
     if exhaustive:
         dm = np.abs(z[:, None] - z[None, :])
@@ -274,6 +274,93 @@ def cz_constants(
         witness_ii=(x, x2, y),
         witness_iii=wit_iii,
     )
+
+
+# Relative excess of a square pair's size bound over the exact
+# side_Q^d dmin^(-d), u = 2^-53.  A pair (p, q) of squares P != Q has
+# D = fl(z_p - z_q), whose components are no smaller than the float gaps
+# g_x, g_y between the squares' extreme node coordinates (rounding is
+# monotone), so |D|^2 >= g_x^2 + g_y^2 = dmin^2.  With c the side^d factor
+# the scan multiplies by, its value fl(|K| * fl(|D|)^s) is within these
+# factors of the exact c |D|^-d: the complex square (sqrt(2) gamma_2 < 3u),
+# Smith's quotient (6u), the real scaling (u), the two hypots (2u each, the
+# second raised to s < 2), pow (4 ulps) and the product (u): at most 24u;
+# and |D|^(s + d - 2) <= 1 + 42u, since s = fl(2 - d) is off by at most u
+# and |ln |D|| <= 42 on node distances in [2^-60, 2].  The bound
+# fl(c fl(fl(g_x^2 + g_y^2)^(-d/2)) (1 + _SIZE_MARGIN)) loses at most 10u
+# (the sum of squares raised to -d/2 > -1, pow and the two products).  So
+# every scanned value is at most the bound once _SIZE_MARGIN >= 77u, 8.6e-15;
+# the margin takes more than ten times that, so the ulp claims of the pow
+# and hypot in use need not be tight.  It costs nothing: a pair is refined
+# only when its bound is within the margin of the best value or above it.
+_SIZE_MARGIN = 1e-13
+
+
+def _size_bounds(cloud, owners, factor, d):
+    """Bounds of the size scan's values on every square pair: row i, column
+    Q holds factor_Q dmin(owners[i], Q)^(-d) (1 + ``_SIZE_MARGIN``), dmin
+    from the gaps between the squares' extreme node coordinates, and -inf
+    where owners[i] = Q.  ``factor`` is the kernel's side^d per square.  The
+    pairs run in blocks of owners, as the ball-sum engine's (centre, square)
+    pairs do."""
+    m, nn = len(cloud.family), cloud.n_per_side**2
+    grid = cloud.xy.reshape(m, nn, 2)
+    lo, hi = grid.min(axis=1), grid.max(axis=1)
+    bound = np.empty((owners.size, m))
+    step = max(1, _PAIR_BLOCK // m)
+    with np.errstate(divide="ignore"):
+        for b0 in range(0, owners.size, step):
+            ps = owners[b0 : b0 + step, None]
+            gap2 = 0.0
+            for a in (0, 1):
+                gap = np.maximum(np.maximum(lo[:, a] - hi[ps, a], lo[ps, a] - hi[:, a]), 0.0)
+                gap2 = gap2 + gap * gap
+            block = factor * gap2 ** (-0.5 * d) * (1.0 + _SIZE_MARGIN)
+            block[ps == np.arange(m)] = -np.inf
+            bound[b0 : b0 + step] = block
+    return bound
+
+
+def _size_scan(spec, cloud, rows, s):
+    """The largest |K(p, q)| d(p, q)^s over targets p in ``rows`` (sorted)
+    and all nodes q, zero where d(p, q) <= 0, and the first (p, q) in
+    row-major order that attains it exactly; (0.0, (0, 0)) when no value is
+    positive.
+
+    Every ordered pair of squares P != Q (P owning rows) gets the bound of
+    ``_size_bounds``.  The pairs' node blocks are then evaluated in
+    decreasing bound order with the steps of a full row scan (kernel,
+    side^d, |.|, times d^s, zero where d <= 0), until the next bound is below
+    the best value found: no value of a skipped pair can reach it, so the
+    value and the witness are those of the full scan, bit for bit.
+    Same-square pairs hold only zeros and are never evaluated.
+    """
+    z, sq = cloud.z, cloud.square_index
+    n, m, nn = len(cloud), len(cloud.family), cloud.n_per_side**2
+    side = _side_factor(spec, cloud, None, np.arange(n))  # the kernel's side^d per source node
+    owners, starts = np.unique(sq[rows], return_index=True)
+    ends = np.append(starts[1:], rows.size)
+    flat = _size_bounds(cloud, owners, side[::nn], spec.d).ravel()
+    best, wit = 0.0, (0, 0)
+    for t in np.argsort(-flat, kind="stable"):
+        if flat[t] < best:
+            break
+        i, q = divmod(int(t), m)
+        p = rows[starts[i] : ends[i]]
+        cols = slice(q * nn, (q + 1) * nn)
+        zp, sq_p = z[p][:, None], sq[p][:, None]
+        drop = lambda dz: exclusion_mask(spec.rule[0], dz, sq_p, sq[cols])
+        kern = cauchy_square_into(np.empty((p.size, nn), np.complex128), zp, z[cols], drop)
+        kern *= side[cols]
+        vals = np.abs(kern)
+        dist = np.abs(np.subtract(zp, z[cols], out=kern))
+        vals *= dist**s
+        np.copyto(vals, 0.0, where=~(dist > 0))
+        top = int(np.argmax(vals))
+        value, at = float(vals.flat[top]), (int(p[top // nn]), q * nn + top % nn)
+        if value > best or (value == best and at < wit):
+            best, wit = value, at
+    return best, wit
 
 
 def _increment_scan(kern, dist, sq, triples, s, eps):

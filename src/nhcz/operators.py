@@ -36,6 +36,7 @@ EXACT_LIMIT = 4096  # largest cloud whose maximal function takes every node dist
 # targets per block of every on-the-fly sum; bounds its (targets x N) scratch
 # arrays.  Read at call time, as are KAPPA and EXACT_LIMIT.
 _TARGET_BLOCK = 256
+_ROW_BLOCK = 32  # kernel rows per cache-sized block of the column products
 
 
 @dataclass
@@ -85,11 +86,24 @@ def _cauchy_square_apply(cloud, charges, mode, threads=1, targets=None):
 
 def _column_products(kernel, cols):
     """``kernel @ col`` for each row of ``cols``, as the columns of the
-    result; one product per column keeps each column's sums independent of
-    the columns that come with it."""
-    out = np.empty((kernel.shape[0], len(cols)), dtype=np.complex128)
-    for j, col in enumerate(cols):
-        out[:, j] = kernel @ col
+    result.
+
+    Every column runs over one block of ``_ROW_BLOCK`` kernel rows while the
+    block is in cache.  A row's product is the same zgemv dot in any block
+    of two or more rows, so each column's sums equal ``kernel @ col`` bit for
+    bit and do not depend on the columns that come with it.  A lone last row
+    joins the block before it: numpy sends a one-row product to a dot,
+    which sums in another order.
+    """
+    n = kernel.shape[0]
+    out = np.empty((n, len(cols)), dtype=np.complex128)
+    starts = list(range(0, n, _ROW_BLOCK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for r0, r1 in zip(starts, starts[1:] + [n]):
+        block = kernel[r0:r1]
+        for j, col in enumerate(cols):
+            out[r0:r1, j] = block @ col
     return out
 
 

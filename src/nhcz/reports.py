@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
 
-from nhcz.atomic import atomic_open, write_text_atomic
+from nhcz.atomic import atomic_open, canonical_dumps, write_text_atomic
 from nhcz.geometry import DyadicSquare, SquareFamily
 
 SCHEMA = "nhcz/1"
@@ -52,7 +51,7 @@ def jsonable(obj):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_dumps(jsonable(obj))
 
 
 def family_digest(family: SquareFamily) -> str:

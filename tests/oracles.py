@@ -11,7 +11,9 @@ formula, kept as the bit-for-bit reference of the in-place one;
 ``assert_same_bits``; ``annulus_index``, one pair's annulus read from the
 integer geometry of ``verify``'s audits, which a float test checks; and
 ``domination_reference``, which reads the exact maximal function at every
-node as the bit-for-bit reference of the pruned one.
+node as the bit-for-bit reference of the pruned one; and ``size_scan_rows``,
+the size condition's full row scan, the bit-for-bit reference of the
+square-pair scan.
 """
 
 import math
@@ -20,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from nhcz.geometry import _scaled_centers_halves
-from nhcz.kernels import exclusion_mask
+from nhcz.kernels import _best, exclusion_mask, kernel_rows
 from nhcz.measure import dyadic_radius_ladder
 from nhcz.operators import Operator, _maximal_many
 from nhcz.verify import _annulus_of
@@ -436,3 +438,22 @@ def plan_walk(tree, theta):
         "near_bits": cat(near_bits, np.uint8, (0, packed)),
         "near_blocks_skipped": int(skipped),
     }
+
+
+def size_scan_rows(spec, cloud, pair_rows, s):
+    """The size scan as a full row scan: |K| d^s over every target row in
+    ``pair_rows`` against all nodes, 256 rows at a time, zero where d <= 0;
+    the bit-for-bit reference of ``kernels._size_scan``."""
+    n, z = len(cloud), cloud.z
+    a_i, wit_i = 0.0, (0, 0)
+    # one (rows, N) complex and two real buffers, reused by every block
+    block = min(256, pair_rows.size)
+    kern_buf, vals_buf, dist_buf = np.empty((block, n), np.complex128), np.empty((block, n)), np.empty((block, n))
+    for b0 in range(0, pair_rows.size, block):
+        rows = pair_rows[b0 : b0 + block]
+        vals = np.abs(kernel_rows(spec, cloud, rows, kern_buf[: rows.size]), out=vals_buf[: rows.size])
+        pair_dist = np.abs(np.subtract(z[rows][:, None], z, out=kern_buf[: rows.size]), out=dist_buf[: rows.size])
+        vals *= pair_dist**s
+        np.copyto(vals, 0.0, where=~(pair_dist > 0))
+        a_i, wit_i = _best(vals.ravel(), a_i, wit_i, lambda t, rows=rows: (rows[t // n], t % n))
+    return a_i, wit_i

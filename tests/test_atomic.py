@@ -4,7 +4,7 @@ import pytest
 
 import nhcz.atomic
 from nhcz.geometry import generate_family
-from nhcz.reports import write_csv_atomic, write_text_atomic
+from nhcz.reports import canonical_json, write_csv_atomic, write_text_atomic
 
 FAM = generate_family(seed=1, count=3, d=1.2, packing_target=4.0, k_range=(2, 4))
 
@@ -43,3 +43,9 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, n
     monkeypatch.undo()
     assert path.read_text() == "old contents\n"
     assert os.listdir(tmp_path) == ["artifact"]
+
+
+def test_saved_family_is_canonical_json(tmp_path):
+    path = tmp_path / "family.json"
+    FAM.save(path)
+    assert path.read_bytes() == canonical_json(FAM.to_json_dict()).encode()

@@ -158,6 +158,17 @@ def test_generate_honours_kmin_zero(tmp_path, monkeypatch):
     assert seen == [(0, 7)]
 
 
+def test_generate_report_does_not_depend_on_the_working_directory(tmp_path, monkeypatch):
+    reports = {}
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert run(["generate", "--M", "4", "--seed", "2", "--out", "reports"]) == 0
+        reports[name] = (tmp_path / name / "reports" / "generate.json").read_bytes()
+    assert reports["a"] == reports["b"]
+    assert json.loads(reports["a"])["family"] == os.path.join("reports", "family.json")
+
+
 @pytest.mark.parametrize(
     "square",
     [

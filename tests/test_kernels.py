@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from nhcz import fastsum, operators
 from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
@@ -10,6 +12,8 @@ from nhcz.kernels import (
     KernelSpec,
     _kernel_pairs,
     _side_factor,
+    _size_bounds,
+    _size_scan,
     cz_constants,
     exclusion_mask,
     kernel_rows,
@@ -23,6 +27,7 @@ from oracles import (
     inverse_square_reference,
     kernel_eval,
     locate_square,
+    size_scan_rows,
 )
 
 
@@ -325,3 +330,87 @@ def test_cz_rejects_bad_inputs():
         cz_constants(KernelSpec("full", fam), cloud, tau=0.5)
     with pytest.raises(ValueError):
         cz_constants(KernelSpec("modified", fam), cloud, tau=1.0)
+
+
+@st.composite
+def size_scan_cases(draw):
+    """A generated family of 1 to 14 squares, its cloud at n = 1 to 8 and
+    every target row or a random subset of them."""
+    k_lo = draw(st.integers(0, 4))
+    fam = generate_family(
+        seed=draw(st.integers(0, 2**16)),
+        count=draw(st.integers(1, 14)),
+        d=draw(st.floats(0.1, 1.95)),
+        packing_target=8.0,
+        k_range=(k_lo, k_lo + draw(st.integers(0, 3))),
+    )
+    cloud = build_quadrature(build_measure(fam), draw(st.integers(1, 8)))
+    rows = np.arange(len(cloud))
+    if draw(st.booleans()):
+        rows = np.array(sorted(draw(st.sets(st.integers(0, len(cloud) - 1), min_size=1))))
+    return cloud, rows
+
+
+def _squares_cloud(squares, d, n):
+    return build_quadrature(build_measure(SquareFamily.build([DyadicSquare(*sq) for sq in squares], d, 64.0)), n)
+
+
+_ONE_SQUARE_CLOUD = _squares_cloud([(0, 0, 0)], 1.3, 5)
+# the largest value sits on two square pairs, and the pair with the larger
+# bound holds the later witness in row-major order
+_TIED_CLOUD = _squares_cloud([(2, 1, 1), (2, 1, 3), (2, 1, 2), (2, 2, 1)], 1.5, 2)
+# same-level squares in one row: the nearest nodes of neighbours lie exactly
+# the gap between their extreme coordinates apart, so the bound is tight
+_ROW_CLOUD = _squares_cloud([(3, 0, 2), (3, 1, 2), (3, 3, 2), (3, 6, 2)], 0.7, 4)
+
+
+def _assert_size_scan_is_the_row_scan(cloud, rows):
+    spec, s = KernelSpec("modified", cloud.family), 2.0 - cloud.d
+    got, ref = _size_scan(spec, cloud, rows, s), size_scan_rows(spec, cloud, rows, s)
+    assert got[1] == ref[1]
+    assert_same_bits(np.float64(got[0]), np.float64(ref[0]))
+    return got
+
+
+@given(size_scan_cases())
+@example((_ONE_SQUARE_CLOUD, np.arange(25)))
+@example((_ONE_SQUARE_CLOUD, np.array([3, 17])))
+@example((_TIED_CLOUD, np.arange(16)))
+@example((_ROW_CLOUD, np.arange(64)))
+def test_size_scan_matches_row_scan(case):
+    cloud, rows = case
+    a_i, (p, q) = _assert_size_scan_is_the_row_scan(cloud, rows)
+    if len(cloud.family) == 1:
+        assert (a_i, p, q) == (0.0, 0, 0)
+    else:
+        assert a_i > 0 and p in rows
+
+
+@pytest.mark.parametrize("d", [0.8, 1.2, 1.6])
+def test_size_scan_matches_row_scan_on_benchmark_clouds(d):
+    """The benchmark's three 2,048-node direct-sum clouds (family seed =
+    index of d, 32 squares, n = 8)."""
+    fam = generate_family(
+        seed=[0.8, 1.2, 1.6].index(d), count=32, d=d, packing_target=4.0, k_range=suggest_generation_range(32, d, 4.0)
+    )
+    cloud = build_quadrature(build_measure(fam), 8)
+    assert len(cloud) == 2048
+    _assert_size_scan_is_the_row_scan(cloud, np.arange(len(cloud)))
+
+
+@given(size_scan_cases())
+@example((_TIED_CLOUD, np.arange(16)))
+@example((_ROW_CLOUD, np.arange(64)))
+@example((_ROW_CLOUD, np.array([5, 16, 40, 63])))
+def test_size_bounds_hold_every_scanned_value(case):
+    cloud, rows = case
+    spec, m, nn = KernelSpec("modified", cloud.family), len(cloud.family), cloud.n_per_side**2
+    dist = np.abs(cloud.z[rows][:, None] - cloud.z)
+    vals = np.where(dist > 0, np.abs(kernel_rows(spec, cloud, rows)) * dist ** (2.0 - cloud.d), 0.0)
+    owners, starts = np.unique(cloud.square_index[rows], return_index=True)
+    pair_max = np.maximum.reduceat(vals.reshape(rows.size, m, nn).max(axis=2), starts, axis=0)
+    side = _side_factor(spec, cloud, None, np.arange(len(cloud)))
+    bound = _size_bounds(cloud, owners, side[::nn], cloud.d)
+    same = owners[:, None] == np.arange(m)
+    assert np.all(bound[same] == -np.inf)
+    assert np.all(pair_max[~same] <= bound[~same])

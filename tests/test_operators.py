@@ -198,6 +198,18 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+# 97 = 3 * 32 + 1 puts a lone row after the last full block of 32
+@pytest.mark.parametrize("n", [70, 97])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_column_products_equal_full_matrix_products(n, k):
+    rng = np.random.default_rng(n * k)
+    kernel = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    cols = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    assert operators._ROW_BLOCK == 32
+    expected = np.stack([kernel @ col for col in cols], axis=1)
+    assert_same_bits(operators._column_products(kernel, cols), expected)
+
+
 @pytest.mark.parametrize("mode", ["off_diagonal", "same_square", "cross_square"])
 def test_kernel_matrix_memory_holds_the_matrix(cloud_2048, mode):
     _, cloud = cloud_2048
