@@ -28,7 +28,10 @@ The plan is the one a per-target walk down the tree would record:
 
 - the far part is a list of (cell, target leaf, packed slot mask) entries;
   an apply evaluates each far cell as a (targets x order) power matrix
-  times the cell's (order x k) moments;
+  times the cell's (order x k) moments.  Far cells with few entries share
+  evaluation chunks, so the numpy calls per apply follow the (cell, target)
+  pairs rather than the number of far cells, while each cell's product
+  and additions run as they would on their own;
 - the near part keeps the (target leaf, source leaf) blocks the walk
   reaches, with the target slots that meet a source from another square.
   A block in which every pair shares a square holds only zeros of the
@@ -36,10 +39,11 @@ The plan is the one a per-target walk down the tree would record:
   values of the live blocks are computed per apply.
 
 Moments are built leaf by leaf and then shifted up one depth at a time,
-with one shift matrix per distinct child offset; on dyadic clouds those
-are the four quadrant offsets.  Charges of shape (N,) or (N, k) go through
-the same plan, ``_COLUMN_BLOCK`` columns per pass, and each column's sums
-run in the same order whatever columns come with it.
+with one shift matrix per distinct child offset, applied to all columns in
+one stacked product; on dyadic clouds those are the four quadrant offsets.
+Charges of shape (N,) or (N, k) go through the same plan, ``_COLUMN_BLOCK``
+columns per pass, and each column's sums run in the same order whatever
+columns come with it.
 """
 
 from __future__ import annotations
@@ -226,11 +230,12 @@ class QuadTree:
         """Per-cell moment sums sum_q c_q (w_q - center)^k, k < order.
 
         Charges of shape (N,) give (cells, order); (N, k) give
-        (cells, order, k).  Leaves sum their nodes; each depth, deepest
+        (cells, order, k).  Leaves sum their nodes one column at a time,
+        which keeps each column's powers in cache; each depth, deepest
         first, then adds its cells' moments to their parents, one shift
-        matrix per distinct child-to-parent offset.  Every sum runs one
-        column at a time, so a column's moments do not depend on how many
-        columns come with it.
+        matrix per distinct child-to-parent offset and one stacked product
+        over all columns.  A stacked product is one product per column, so
+        a column's moments do not depend on how many columns come with it.
         """
         cols = charges.reshape(len(charges), -1).T
         mom = np.zeros((cols.shape[0], self.n_cells, order), dtype=np.complex128)
@@ -254,9 +259,8 @@ class QuadTree:
                 sel = by_group[bounds[g] : bounds[g + 1]]
                 shift = np.zeros((order, order), dtype=np.complex128)
                 shift[tri_r, tri_c] = binom[tri_r, tri_c] * (t**ks)[tri_r - tri_c]
-                for m in mom:
-                    # siblings have distinct offsets, so ups[sel] holds no repeats
-                    m[ups[sel]] += m[kids[sel]] @ shift.T
+                # siblings have distinct offsets, so ups[sel] holds no repeats
+                mom[:, ups[sel]] += mom[:, kids[sel]] @ shift.T
         mom = np.moveaxis(mom, 0, -1)
         return mom if charges.ndim > 1 else mom[:, :, 0]
 
@@ -459,38 +463,80 @@ def apply_fast(spec: KernelSpec, tree: QuadTree, f: Field, params: ExpansionPara
     return Field(target_scale(cloud, spec.d, out, transposed), "mu")
 
 
+def _far_chunks(ptr):
+    """(first cell, first entry, end entry, cut) of each far evaluation
+    chunk, for far cells owning entries ``ptr[i]:ptr[i + 1]``; ``cut``
+    holds the chunk's cell boundaries as entry offsets from its first
+    entry.  A cell with at least ``_ENTRY_BLOCK`` entries gets chunks of
+    that many entries of its own; a run of smaller consecutive cells
+    shares chunks of at most ``_ENTRY_BLOCK`` entries, each holding whole
+    cells."""
+    ptr = ptr.tolist()
+    c, n = 0, len(ptr) - 1
+    while c < n:
+        if ptr[c + 1] - ptr[c] >= _ENTRY_BLOCK:
+            for b0 in range(ptr[c], ptr[c + 1], _ENTRY_BLOCK):
+                b1 = min(b0 + _ENTRY_BLOCK, ptr[c + 1])
+                yield c, b0, b1, [0, b1 - b0]
+            c += 1
+            continue
+        c1 = c + 1
+        while c1 < n and ptr[c1 + 1] - ptr[c] <= _ENTRY_BLOCK:
+            c1 += 1
+        yield c, ptr[c], ptr[c1], [q - ptr[c] for q in ptr[c : c1 + 1]]
+        c = c1
+
+
 def _far_sums(tree, plan, mom, out):
     """Adds every expanded interaction to ``out`` (N, k), whose rows are in
-    ``perm`` order, one far cell at a time.  The power matrix runs in
-    u = 2^e / (z - c) with 2^e >= the cell radius, so |u| stays below 1 and
-    the moments are rescaled by exact powers of two; neither overflows at
-    any order."""
+    ``perm`` order.  The power matrix runs in u = 2^e / (z - c) with 2^e >=
+    the cell radius, so |u| stays below 1 and the moments are rescaled by
+    exact powers of two, all far cells' in one pass; neither overflows at
+    any order.
+
+    The entries are evaluated in ``_far_chunks``: each chunk makes one slot
+    unpacking, one 1/(z - c) with each pair's own centre and 2^e, and one
+    power matrix in a buffer all chunks reuse, so the number of numpy calls
+    follows the entries rather than the far cells.  Each cell's segment of
+    the chunk then takes one product per column and adds to ``out`` on its
+    own, so every target's sum is added in cell order and each column's
+    sums do not depend on the chunk or on the other columns."""
     z = tree.cloud.z[tree.perm]
     leaf_start = tree.start[tree.leaf_ids]
     width = tree.leaf_pad_nodes.shape[1]
-    for cell, e0, e1 in zip(plan.far_cells, plan.far_ptr[:-1], plan.far_ptr[1:]):
-        # sources that all sit at the center have only a zeroth moment
-        order = mom.shape[1] if tree.radius[cell] > 0 else 1
-        ks = np.arange(order)
-        e = math.frexp(tree.radius[cell])[1]
-        m = mom[cell, :order].T * (ks + 1)  # one row per charge column
-        m = np.ldexp(m.real, -e * ks) + 1j * np.ldexp(m.imag, -e * ks)
-        for b0 in range(e0, e1, _ENTRY_BLOCK):
-            b1 = min(b0 + _ENTRY_BLOCK, e1)
-            entry, slot = np.nonzero(np.unpackbits(plan.far_bits[b0:b1], axis=1, count=width))
-            pos = leaf_start[plan.far_leaf[b0:b1][entry]] + slot
-            inv = 1.0 / (z[pos] - tree.centers[cell])
-            u = inv * 2.0**e
-            pw = np.empty((order, pos.size), dtype=np.complex128)  # rows inv^2 u^k
-            pw[0] = inv * inv
-            for k in range(1, order):
-                pw[k] = pw[k - 1] * u
-            # one product per column keeps each column's sums independent of
-            # k; a cell expands each target once, so ``pos`` has no repeats
-            sums = np.empty((len(m), pos.size), dtype=np.complex128)
-            for mj, sj in zip(m, sums):
-                np.matmul(mj, pw, out=sj)
-            out[pos] += sums.T
+    order = mom.shape[1]
+    ks = np.arange(order)
+    cells = plan.far_cells
+    centers, radius = tree.centers[cells], tree.radius[cells]
+    e = np.frexp(radius)[1]
+    scale = np.ldexp(1.0, e)
+    m = mom[cells].transpose(0, 2, 1) * (ks + 1)  # (cell, column, power)
+    m = np.ldexp(m.real, -e[:, None, None] * ks) + 1j * np.ldexp(m.imag, -e[:, None, None] * ks)
+    # sources that all sit at the center have only a zeroth moment
+    powers = np.where(radius > 0, order, 1).tolist()
+    pw_buf = np.empty(order * _ENTRY_BLOCK * width, dtype=np.complex128)
+    sums_buf = np.empty(m.shape[1] * _ENTRY_BLOCK * width, dtype=np.complex128)
+    for c0, b0, b1, cut in _far_chunks(plan.far_ptr):
+        entry, slot = np.nonzero(np.unpackbits(plan.far_bits[b0:b1], axis=1, count=width))
+        pos = leaf_start[plan.far_leaf[b0:b1][entry]] + slot
+        # each cell's pairs are a run of ``entry``, in cell order
+        seg = np.searchsorted(entry, cut)
+        c1 = c0 + len(cut) - 1
+        runs = np.diff(seg)
+        inv = 1.0 / (z[pos] - np.repeat(centers[c0:c1], runs))
+        u = inv * np.repeat(scale[c0:c1], runs)
+        pw = pw_buf[: order * pos.size].reshape(order, pos.size)  # rows inv^2 u^k
+        np.multiply(inv, inv, out=pw[0])
+        for k in range(1, order):
+            np.multiply(pw[k - 1], u, out=pw[k])
+        seg = seg.tolist()
+        for c, s0, s1 in zip(range(c0, c1), seg, seg[1:]):
+            p = powers[c]
+            sums = sums_buf[: m.shape[1] * (s1 - s0)].reshape(m.shape[1], s1 - s0)
+            for mj, sj in zip(m[c, :, :p], sums):
+                np.matmul(mj, pw[:p, s0:s1], out=sj)
+            # a cell expands each target once, so ``pos`` has no repeats
+            out[pos[s0:s1]] += sums.T
 
 
 def _near_sums(tree, plan, charges, out):

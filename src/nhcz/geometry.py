@@ -16,6 +16,7 @@ decisions and the stored ``c_pack`` round alike.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
@@ -89,17 +90,28 @@ def _scaled_centers_halves(squares, lam_num=4):
 def check_disjointness(squares: list[DyadicSquare]) -> DisjointnessVerdict:
     """Exact verdict on pairwise disjointness of the closed 4-dilates.
 
-    Returns the first offending index pair as witness; touching dilates
-    count as intersecting.
+    Returns the first offending index pair (a, b), a < b, in row-major
+    order as witness; touching dilates count as intersecting.  A sweep over
+    the dilates sorted by left edge tests only the pairs whose closed
+    x-intervals overlap; every meeting pair is collected, so the smallest
+    is the pair an all-pairs loop would meet first.
     """
     if not squares:
         raise ValueError("empty square list")
     kmax = max(s.k for s in squares)
     dil = [_scaled_dilate(s, kmax) for s in squares]
-    for a in range(len(dil)):
-        for b in range(a + 1, len(dil)):
-            if _dilates_meet(dil[a], dil[b]):
-                return DisjointnessVerdict(False, (a, b))
+    by_left = sorted(range(len(dil)), key=lambda a: dil[a][0] - dil[a][2])
+    lefts = [dil[a][0] - dil[a][2] for a in by_left]
+    meets = []
+    for i, a in enumerate(by_left):
+        xa, ya, ha = dil[a]
+        # the dilates after ``a`` up to ``end`` start within its x-interval
+        end = bisect.bisect_right(lefts, xa + ha, i + 1)
+        for b in by_left[i + 1 : end]:
+            if abs(ya - dil[b][1]) <= ha + dil[b][2]:
+                meets.append((min(a, b), max(a, b)))
+    if meets:
+        return DisjointnessVerdict(False, min(meets))
     return DisjointnessVerdict(True, None)
 
 

@@ -91,11 +91,14 @@ def _column_products(kernel, cols):
     Every column runs over one block of ``_ROW_BLOCK`` kernel rows while the
     block is in cache.  A row's product is the same zgemv dot in any block
     of two or more rows, so each column's sums equal ``kernel @ col`` bit for
-    bit and do not depend on the columns that come with it.  A lone last row
-    joins the block before it: numpy sends a one-row product to a dot,
-    which sums in another order.
+    bit and do not depend on the columns that come with it.  numpy sends a
+    one-row product to a dot, which sums in another order, so a lone last
+    row joins the block before it, and a kernel of one row is taken as a
+    block of that row twice.
     """
     n = kernel.shape[0]
+    if n == 1:
+        return _column_products(np.concatenate([kernel, kernel]), cols)[:1]
     out = np.empty((n, len(cols)), dtype=np.complex128)
     starts = list(range(0, n, _ROW_BLOCK))
     if len(starts) > 1 and n - starts[-1] == 1:

@@ -13,7 +13,10 @@ integer geometry of ``verify``'s audits, which a float test checks; and
 ``domination_reference``, which reads the exact maximal function at every
 node as the bit-for-bit reference of the pruned one; and ``size_scan_rows``,
 the size condition's full row scan, the bit-for-bit reference of the
-square-pair scan.
+square-pair scan; ``moments_per_column`` and ``far_sums_per_cell``, the
+treecode's moment build and far pass one column and one cell at a time,
+the bit-for-bit references of the batched ones; and ``disjointness_loop``,
+the all-pairs dilate test, the reference of the sweep.
 """
 
 import math
@@ -21,7 +24,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from nhcz.geometry import _scaled_centers_halves
+from nhcz.fastsum import _ENTRY_BLOCK, _binomial_table
+from nhcz.geometry import DisjointnessVerdict, _dilates_meet, _scaled_centers_halves, _scaled_dilate
 from nhcz.kernels import _best, exclusion_mask, kernel_rows
 from nhcz.measure import dyadic_radius_ladder
 from nhcz.operators import Operator, _maximal_many
@@ -457,3 +461,81 @@ def size_scan_rows(spec, cloud, pair_rows, s):
         np.copyto(vals, 0.0, where=~(pair_dist > 0))
         a_i, wit_i = _best(vals.ravel(), a_i, wit_i, lambda t, rows=rows: (rows[t // n], t % n))
     return a_i, wit_i
+
+
+def moments_per_column(tree, charges, order):
+    """``QuadTree.moments`` one charge column at a time: the bit-for-bit
+    reference of the all-columns build."""
+    cols = charges.reshape(len(charges), -1).T
+    mom = np.zeros((cols.shape[0], tree.n_cells, order), dtype=np.complex128)
+    leaf_start = tree.start[tree.leaf_ids]
+    for m, col in zip(mom, cols):
+        ch = col[tree.perm]
+        for k in range(order):
+            m[tree.leaf_ids, k] = np.add.reduceat(ch, leaf_start)
+            if k + 1 < order:
+                ch = ch * tree.leaf_diff
+    binom = _binomial_table(order)
+    tri_r, tri_c = np.tril_indices(order)
+    ks = np.arange(order)
+    for dep in range(int(tree.depth.max()), 0, -1):
+        kids = np.flatnonzero(tree.depth == dep)
+        ups = tree.parent[kids]
+        offsets, group = np.unique(tree.centers[kids] - tree.centers[ups], return_inverse=True)
+        by_group = np.argsort(group, kind="stable")
+        bounds = np.searchsorted(group[by_group], np.arange(offsets.size + 1))
+        for g, t in enumerate(offsets):
+            sel = by_group[bounds[g] : bounds[g + 1]]
+            shift = np.zeros((order, order), dtype=np.complex128)
+            shift[tri_r, tri_c] = binom[tri_r, tri_c] * (t**ks)[tri_r - tri_c]
+            for m in mom:
+                # siblings have distinct offsets, so ups[sel] holds no repeats
+                m[ups[sel]] += m[kids[sel]] @ shift.T
+    mom = np.moveaxis(mom, 0, -1)
+    return mom if charges.ndim > 1 else mom[:, :, 0]
+
+
+def far_sums_per_cell(tree, plan, mom, out):
+    """``fastsum._far_sums`` one far cell at a time, in blocks of
+    ``_ENTRY_BLOCK`` entries: the bit-for-bit reference of the chunked
+    pass."""
+    z = tree.cloud.z[tree.perm]
+    leaf_start = tree.start[tree.leaf_ids]
+    width = tree.leaf_pad_nodes.shape[1]
+    for cell, e0, e1 in zip(plan.far_cells, plan.far_ptr[:-1], plan.far_ptr[1:]):
+        # sources that all sit at the center have only a zeroth moment
+        order = mom.shape[1] if tree.radius[cell] > 0 else 1
+        ks = np.arange(order)
+        e = math.frexp(tree.radius[cell])[1]
+        m = mom[cell, :order].T * (ks + 1)  # one row per charge column
+        m = np.ldexp(m.real, -e * ks) + 1j * np.ldexp(m.imag, -e * ks)
+        for b0 in range(e0, e1, _ENTRY_BLOCK):
+            b1 = min(b0 + _ENTRY_BLOCK, e1)
+            entry, slot = np.nonzero(np.unpackbits(plan.far_bits[b0:b1], axis=1, count=width))
+            pos = leaf_start[plan.far_leaf[b0:b1][entry]] + slot
+            inv = 1.0 / (z[pos] - tree.centers[cell])
+            u = inv * 2.0**e
+            pw = np.empty((order, pos.size), dtype=np.complex128)  # rows inv^2 u^k
+            pw[0] = inv * inv
+            for k in range(1, order):
+                pw[k] = pw[k - 1] * u
+            # one product per column keeps each column's sums independent of
+            # k; a cell expands each target once, so ``pos`` has no repeats
+            sums = np.empty((len(m), pos.size), dtype=np.complex128)
+            for mj, sj in zip(m, sums):
+                np.matmul(mj, pw, out=sj)
+            out[pos] += sums.T
+
+
+def disjointness_loop(squares):
+    """``geometry.check_disjointness`` as the O(M^2) loop over index pairs
+    in order: the reference of the sweep's verdict and first witness."""
+    if not squares:
+        raise ValueError("empty square list")
+    kmax = max(s.k for s in squares)
+    dil = [_scaled_dilate(s, kmax) for s in squares]
+    for a in range(len(dil)):
+        for b in range(a + 1, len(dil)):
+            if _dilates_meet(dil[a], dil[b]):
+                return DisjointnessVerdict(False, (a, b))
+    return DisjointnessVerdict(True, None)

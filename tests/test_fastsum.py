@@ -27,7 +27,14 @@ from nhcz.geometry import (
 from nhcz.kernels import KernelSpec, kernel_rows
 from nhcz.measure import build_measure, build_quadrature
 from nhcz.operators import Field, apply_direct
-from oracles import fit_cost_exponent, plan_walk, quadtree_recursive
+from oracles import (
+    assert_same_bits,
+    far_sums_per_cell,
+    fit_cost_exponent,
+    moments_per_column,
+    plan_walk,
+    quadtree_recursive,
+)
 
 
 def cloud_for(count, n, seed=0, d=1.2):
@@ -306,6 +313,50 @@ def test_treecode_matches_direct_and_batches_columns(case):
             scale = np.abs(rows * (f.values * cloud.mu_weight)).sum(axis=1)
             default_err = np.abs(apply_fast(spec, trees[default], f, default).values - direct)
             assert np.all(default_err <= 1e-6 * scale)
+
+
+def _check_batched_passes_match_references(fam, tree, values, params):
+    """The moments and the chunked far pass equal their one-column and
+    one-cell references bit for bit, and every column of a batched apply
+    equals its single-column apply bit for bit."""
+    mom = tree.moments(values, params.order)
+    assert_same_bits(mom, moments_per_column(tree, values, params.order))
+    plan = tree.plan(params.theta)
+    got, want = np.zeros(values.shape, complex), np.zeros(values.shape, complex)
+    fastsum._far_sums(tree, plan, mom, got)
+    far_sums_per_cell(tree, plan, mom, want)
+    assert_same_bits(got, want)
+    for variant in ("modified", "adjoint"):
+        spec = KernelSpec(variant, fam)
+        batched = apply_fast(spec, tree, Field(values, "mu"), params).values
+        for j in range(values.shape[1]):
+            assert_same_bits(batched[:, j], apply_fast(spec, tree, Field(values[:, j], "mu"), params).values)
+
+
+@given(treecode_cases(), st.integers(1, 5), st.sampled_from([1, 5, 12]), st.sampled_from([0.3, 0.5, 0.9]))
+@settings(max_examples=30, deadline=None)
+def test_chunked_far_pass_and_batched_moments_keep_every_bit(case, columns, order, theta):
+    fam, cloud, leaf_cap, values = case
+    params = ExpansionParams(order=order, theta=theta, leaf_cap=leaf_cap)
+    tree = build_tree(cloud, leaf_cap)
+    _check_batched_passes_match_references(fam, tree, values[:, :columns], params)
+    single = values[:, 0]
+    assert_same_bits(tree.moments(single, order), moments_per_column(tree, single, order))
+
+
+@pytest.mark.parametrize("columns", [1, 3, 8])
+@pytest.mark.parametrize("cloud_name", ["cascade_m256", "ladder_n8192"])
+def test_chunked_far_pass_keeps_every_bit_on_benchmark_clouds(cloud_name, columns, ladder_cloud):
+    if cloud_name == "cascade_m256":  # scaling_row's cloud
+        fam = generate_cascade_family(seed=0, count=256, d=1.2, packing_target=4.0)
+        cloud = build_quadrature(build_measure(fam), 8)
+    else:
+        cloud = ladder_cloud
+        fam = cloud.family
+    tree = build_tree(cloud, 32)
+    rng = np.random.default_rng(columns)
+    values = rng.standard_normal((len(cloud), columns)) + 1j * rng.standard_normal((len(cloud), columns))
+    _check_batched_passes_match_references(fam, tree, values, ExpansionParams())
 
 
 def _assert_tree_matches_oracle(tree, ref):

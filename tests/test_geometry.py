@@ -24,7 +24,7 @@ from nhcz.geometry import (
 )
 from nhcz.cli import main
 from nhcz.reports import canonical_json
-from oracles import min_pair_distances, packing_bruteforce
+from oracles import disjointness_loop, min_pair_distances, packing_bruteforce
 
 
 def test_disjointness_far_pair_ok():
@@ -220,6 +220,24 @@ def test_check_disjointness_matches_float_bruteforce(squares):
     verdict = check_disjointness(squares)
     assert verdict.ok == (not pairs)
     assert verdict.witness == (pairs[0] if pairs else None)
+
+
+# two meeting pairs, (1, 2) first in left-edge order and (0, 3) first in
+# row-major order
+@example([DyadicSquare(3, 9, 0), DyadicSquare(3, 0, 0), DyadicSquare(3, 1, 2), DyadicSquare(3, 8, 1)])
+@example([DyadicSquare(3, 4, 1), DyadicSquare(3, 0, 0)])  # flush x-edges meet
+@given(square_lists(size=16))
+def test_disjointness_sweep_matches_the_pair_loop(squares):
+    assert check_disjointness(squares) == disjointness_loop(squares)
+
+
+def test_disjointness_sweep_matches_the_pair_loop_on_cascades():
+    for count in (16, 40, 256):
+        squares = generate_cascade_family(seed=3, count=count, d=1.2, packing_target=4.0).squares
+        assert check_disjointness(squares) == disjointness_loop(squares)
+        moved = squares + [DyadicSquare(s.k, s.i + 1, s.j) for s in squares[::7]]
+        assert check_disjointness(moved) == disjointness_loop(moved)
+        assert not disjointness_loop(moved).ok
 
 
 @given(square_lists(k_lo=-6, k_hi=12, reach=2**8, size=10), st.integers(0, 3))

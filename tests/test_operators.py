@@ -210,6 +210,20 @@ def test_column_products_equal_full_matrix_products(n, k):
     assert_same_bits(operators._column_products(kernel, cols), expected)
 
 
+@pytest.mark.parametrize("variant", ["modified", "full"])
+def test_lone_target_row_matches_the_dense_operator(variant):
+    # 257 one-node squares: all targets end on a one-row block of 256 + 1,
+    # and targets=[256] is a one-row call; both read the dense matrix's row
+    fam = SquareFamily.build([DyadicSquare(5, i % 32, i // 32) for i in range(257)], 1.2, 1e9)
+    cloud = build_quadrature(build_measure(fam), 1)
+    rng = np.random.default_rng(17)
+    f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
+    dense = Operator(cloud, "dense").apply(variant, f).values
+    spec = KernelSpec(variant, fam)
+    assert_same_bits(apply_direct(spec, cloud, f).values, dense)
+    assert_same_bits(apply_direct(spec, cloud, f, targets=[256]).values, dense[256:])
+
+
 @pytest.mark.parametrize("mode", ["off_diagonal", "same_square", "cross_square"])
 def test_kernel_matrix_memory_holds_the_matrix(cloud_2048, mode):
     _, cloud = cloud_2048
