@@ -31,7 +31,9 @@ The plan is the one a per-target walk down the tree would record:
   times the cell's (order x k) moments.  Far cells with few entries share
   evaluation chunks, so the numpy calls per apply follow the (cell, target)
   pairs rather than the number of far cells, while each cell's product
-  and additions run as they would on their own;
+  and additions run as they would on their own.  A (cell, column) whose
+  moments are all zero takes no product and no addition, and a chunk
+  with no other pair is skipped, which leaves every output bit in place;
 - the near part keeps the (target leaf, source leaf) blocks the walk
   reaches, with the target slots that meet a source from another square.
   A block in which every pair shares a square holds only zeros of the
@@ -470,7 +472,12 @@ def _far_chunks(ptr):
     entry.  A cell with at least ``_ENTRY_BLOCK`` entries gets chunks of
     that many entries of its own; a run of smaller consecutive cells
     shares chunks of at most ``_ENTRY_BLOCK`` entries, each holding whole
-    cells."""
+    cells.
+
+    The segments fix the output bits: a cell's product runs on its own
+    slice of the power matrix, and a zgemv over a column slice ``x @
+    A[:, a:b]`` need not round as the slice of the whole ``(x @ A)[a:b]``
+    does, so moving a segment boundary moves bits."""
     ptr = ptr.tolist()
     c, n = 0, len(ptr) - 1
     while c < n:
@@ -500,7 +507,17 @@ def _far_sums(tree, plan, mom, out):
     follows the entries rather than the far cells.  Each cell's segment of
     the chunk then takes one product per column and adds to ``out`` on its
     own, so every target's sum is added in cell order and each column's
-    sums do not depend on the chunk or on the other columns."""
+    sums do not depend on the chunk or on the other columns.
+
+    Only live (cell, column) pairs, whose rescaled moments are not all
+    zero, take a product and an addition; a cell with every column live
+    adds whole rows, any other adds its live columns one by one, and a
+    chunk without a live pair is skipped before its unpacking.  A dead
+    pair's product with the finite powers is +-0.  ``out`` starts at +0 and
+    a sum that starts at +0 never reaches -0 under round-to-nearest, so
+    adding +-0 would change no bit and the skip is exact.  Liveness is read
+    on the rescaled moments, the ones multiplied; a radius-0 cell's higher
+    moments, which it does not multiply, are exact zeros."""
     z = tree.cloud.z[tree.perm]
     leaf_start = tree.start[tree.leaf_ids]
     width = tree.leaf_pad_nodes.shape[1]
@@ -514,14 +531,19 @@ def _far_sums(tree, plan, mom, out):
     m = np.ldexp(m.real, -e[:, None, None] * ks) + 1j * np.ldexp(m.imag, -e[:, None, None] * ks)
     # sources that all sit at the center have only a zeroth moment
     powers = np.where(radius > 0, order, 1).tolist()
+    live = (m != 0).any(axis=2)  # (cell, column) pairs whose product can be nonzero
+    n_live = live.sum(axis=1).tolist()
+    n_cols = m.shape[1]
     pw_buf = np.empty(order * _ENTRY_BLOCK * width, dtype=np.complex128)
-    sums_buf = np.empty(m.shape[1] * _ENTRY_BLOCK * width, dtype=np.complex128)
+    sums_buf = np.empty(n_cols * _ENTRY_BLOCK * width, dtype=np.complex128)
     for c0, b0, b1, cut in _far_chunks(plan.far_ptr):
+        c1 = c0 + len(cut) - 1
+        if not any(n_live[c0:c1]):
+            continue
         entry, slot = np.nonzero(np.unpackbits(plan.far_bits[b0:b1], axis=1, count=width))
         pos = leaf_start[plan.far_leaf[b0:b1][entry]] + slot
         # each cell's pairs are a run of ``entry``, in cell order
         seg = np.searchsorted(entry, cut)
-        c1 = c0 + len(cut) - 1
         runs = np.diff(seg)
         inv = 1.0 / (z[pos] - np.repeat(centers[c0:c1], runs))
         u = inv * np.repeat(scale[c0:c1], runs)
@@ -531,12 +553,19 @@ def _far_sums(tree, plan, mom, out):
             np.multiply(pw[k - 1], u, out=pw[k])
         seg = seg.tolist()
         for c, s0, s1 in zip(range(c0, c1), seg, seg[1:]):
-            p = powers[c]
-            sums = sums_buf[: m.shape[1] * (s1 - s0)].reshape(m.shape[1], s1 - s0)
-            for mj, sj in zip(m[c, :, :p], sums):
-                np.matmul(mj, pw[:p, s0:s1], out=sj)
+            p, k = powers[c], n_live[c]
+            if not k:
+                continue
+            cols = range(n_cols) if k == n_cols else np.flatnonzero(live[c]).tolist()
+            sums = sums_buf[: k * (s1 - s0)].reshape(k, s1 - s0)
+            for j, sj in zip(cols, sums):
+                np.matmul(m[c, j, :p], pw[:p, s0:s1], out=sj)
             # a cell expands each target once, so ``pos`` has no repeats
-            out[pos[s0:s1]] += sums.T
+            if k == n_cols:
+                out[pos[s0:s1]] += sums.T
+            else:  # one scatter per live column beats a 2-D gather
+                for j, sj in zip(cols, sums):
+                    out[pos[s0:s1], j] += sj
 
 
 def _near_sums(tree, plan, charges, out):

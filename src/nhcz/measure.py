@@ -14,11 +14,15 @@ distance of the grid's farthest node, and of its nearest node (taken as 0
 when the centre lies inside the grid's box), with the squared radii.
 A square wholly inside a ball adds its precomputed weight totals, a square
 wholly outside adds nothing, and only a square that straddles a radius has
-its nodes tested one by one.  A node is in a ball iff ``d^2 <= r^2`` in
-float arithmetic.  Float subtraction, squaring and addition are monotone,
-so the bounds from the extreme nodes agree with that per-node test node for
-node, and a node that lies exactly on a circle stays inside.  ``ball_mass``
-sums a single ball over all N nodes, outside the engine.
+its nodes tested one by one.  The whole squares of a block of centres are
+binned in one bincount per weight row, with the straddling pairs sent to
+the bin outside every ball, which is never read, so the pass gathers
+nothing for the (mostly whole) pairs and adds them in the order of binning
+the whole pairs alone.  A node is in a ball iff ``d^2 <= r^2`` in float
+arithmetic.  Float subtraction, squaring and addition are monotone, so the
+bounds from the extreme nodes agree with that per-node test node for node,
+and a node that lies exactly on a circle stays inside.  ``ball_mass`` sums
+a single ball over all N nodes, outside the engine.
 """
 
 from __future__ import annotations
@@ -175,7 +179,19 @@ def _square_ball_sums(cloud, r2, weights, centers):
     (n_weights, N).  Returns (n_centers, r2.size, n_weights).  Each node
     falls in the bin of the smallest radius whose ball holds it, and a
     cumulative sum over the bins gives every radius at once.  A square whose
-    nearest and farthest grid nodes share a bin adds its totals to that bin.
+    nearest and farthest grid nodes share a bin adds its totals to that bin;
+    it straddles a radius when its nearest node's ``d^2`` is at or below the
+    lower edge of its farthest node's bin.
+
+    Per block of centres, every (centre, square) pair gets one key: its bin
+    when the square lies in one bin, else the centre's last bin, which lies
+    outside every ball and is never read, so it discards the pair.  One
+    bincount per weight row then adds every pair's totals; a bincount adds
+    each bin's inputs in input order, so each kept bin sums its squares in
+    square order, as binning the kept pairs alone would.  The straddling
+    squares then add their nodes one by one; a grid column's nodes share
+    their x and a grid row's their y, so a node's ``d^2`` is the sum of its
+    column's and its row's squared offsets.
     """
     pts = np.asarray(centers, dtype=float)
     r2 = np.asarray(r2, dtype=float)
@@ -183,37 +199,45 @@ def _square_ball_sums(cloud, r2, weights, centers):
     r2s = r2[order]
     n_bins = r2s.size + 1  # the last bin lies outside every ball
     w = np.asarray(weights, dtype=float)
-    nn = cloud.n_per_side**2
+    n = cloud.n_per_side
+    nn = n * n
     m_count = len(cloud.family)
-    xy = cloud.xy
-    grid = xy.reshape(m_count, nn, 2)
+    grid = cloud.xy.reshape(m_count, nn, 2)
     lo, hi = grid[:, 0], grid[:, -1]  # lowest and highest node coordinates
-    totals = w.reshape(w.shape[0], m_count, nn).sum(axis=2)
-    local = np.arange(nn)
+    col_x, row_y = grid[:, :n, 0], grid[:, ::n, 1]  # row-major grids: y varies by row
+    w_sq = w.reshape(w.shape[0], m_count, nn)
+    totals = w_sq.sum(axis=2)
     out = np.empty((pts.shape[0], r2s.size, w.shape[0]))
     step = max(1, _PAIR_BLOCK // m_count)
+    lower = np.concatenate([[-np.inf], r2s])  # bin k holds the d^2 in (lower[k], r2s[k]]
     for b0 in range(0, pts.shape[0], step):
         c = pts[b0 : b0 + step]
         near2 = far2 = 0.0
         for a in (0, 1):
-            ca = c[:, a : a + 1]
-            d_lo = (ca - lo[None, :, a]) ** 2
-            d_hi = (ca - hi[None, :, a]) ** 2
-            inside = (lo[None, :, a] <= ca) & (ca <= hi[None, :, a])
-            near2 = near2 + np.where(inside, 0.0, np.minimum(d_lo, d_hi))
-            far2 = far2 + np.maximum(d_lo, d_hi)
-        k_near = np.searchsorted(r2s, near2, side="left")
+            # signed gaps below and above the grid's box; float subtraction
+            # is monotone and sign-symmetric, so max(gap, 0)^2 and min^2 are
+            # the nearest and farthest grid nodes' squared offsets
+            below = lo[None, :, a] - c[:, a : a + 1]
+            above = c[:, a : a + 1] - hi[None, :, a]
+            near = np.maximum(below, above)
+            near2 = near2 + np.square(np.maximum(near, 0.0, out=near), out=near)
+            far2 = far2 + np.square(np.minimum(below, above, out=below), out=below)
         k_far = np.searchsorted(r2s, far2, side="left")
+        straddle = lower[k_far] >= near2  # the nearest node lies in a lower bin
+        keys = np.where(straddle, n_bins - 1, k_far)
+        keys += np.arange(0, c.shape[0] * n_bins, n_bins)[:, None]
         acc = np.zeros((w.shape[0], c.shape[0] * n_bins))
-        bw, mw = np.nonzero(k_near == k_far)
-        _add_to_bins(acc, bw * n_bins + k_near[bw, mw], totals[:, mw])
-        bs, ms = np.nonzero(k_near != k_far)
+        _add_to_bins(acc, keys.ravel(), (np.broadcast_to(t, k_far.shape).ravel() for t in totals))
+        bs, ms = np.nonzero(straddle)
         chunk = max(1, _PAIR_BLOCK // nn)
         for s0 in range(0, bs.size, chunk):
-            b, nodes = bs[s0 : s0 + chunk], ms[s0 : s0 + chunk, None] * nn + local
-            d2 = (c[b, 0:1] - xy[nodes, 0]) ** 2 + (c[b, 1:2] - xy[nodes, 1]) ** 2
-            keys = b[:, None] * n_bins + np.searchsorted(r2s, d2, side="left")
-            _add_to_bins(acc, keys.ravel(), w[:, nodes].reshape(w.shape[0], -1))
+            b, sq = bs[s0 : s0 + chunk], ms[s0 : s0 + chunk]
+            dx2 = (c[b, 0:1] - col_x[sq]) ** 2
+            dy2 = (c[b, 1:2] - row_y[sq]) ** 2
+            d2 = dx2[:, None, :] + dy2[:, :, None]  # (pair, row, column)
+            keys = b[:, None] * n_bins + np.searchsorted(r2s, d2.reshape(b.size, nn), side="left")
+            # one weight row's nodes at a time keeps the gather at one chunk's size
+            _add_to_bins(acc, keys.ravel(), (row.take(sq, axis=0).ravel() for row in w_sq))
         cums = np.cumsum(acc.reshape(w.shape[0], c.shape[0], n_bins)[:, :, :-1], axis=2)
         out[b0 : b0 + step][:, order, :] = cums.transpose(1, 2, 0)
     return out

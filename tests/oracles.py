@@ -15,8 +15,10 @@ node as the bit-for-bit reference of the pruned one; and ``size_scan_rows``,
 the size condition's full row scan, the bit-for-bit reference of the
 square-pair scan; ``moments_per_column`` and ``far_sums_per_cell``, the
 treecode's moment build and far pass one column and one cell at a time,
-the bit-for-bit references of the batched ones; and ``disjointness_loop``,
-the all-pairs dilate test, the reference of the sweep.
+the bit-for-bit references of the batched ones; ``disjointness_loop``,
+the all-pairs dilate test, the reference of the sweep; and
+``square_ball_sums_by_nonzero``, the ball-sum engine with its whole squares
+gathered by ``np.nonzero``, the reference of the one-pass binning.
 """
 
 import math
@@ -27,7 +29,7 @@ import numpy as np
 from nhcz.fastsum import _ENTRY_BLOCK, _binomial_table
 from nhcz.geometry import DisjointnessVerdict, _dilates_meet, _scaled_centers_halves, _scaled_dilate
 from nhcz.kernels import _best, exclusion_mask, kernel_rows
-from nhcz.measure import dyadic_radius_ladder
+from nhcz.measure import _PAIR_BLOCK, _add_to_bins, dyadic_radius_ladder
 from nhcz.operators import Operator, _maximal_many
 from nhcz.verify import _annulus_of
 
@@ -193,6 +195,61 @@ def ball_sums_bruteforce(cloud, centers, radii, weight_list):
             mask = d2 <= float(radius) ** 2
             for k, w in enumerate(weight_list):
                 out[c, r, k] = np.asarray(w)[mask].sum()
+    return out
+
+
+def square_ball_sums_by_nonzero(cloud, r2, weights, centers):
+    """``measure._square_ball_sums`` as it gathered the whole squares with
+    ``np.nonzero`` and took every straddling node's ``d^2`` from its own
+    coordinates: the bit-for-bit reference of the one-pass binning.
+
+    Sums of each weight row over the nodes with ``d^2 <= r2``.
+
+    ``r2`` holds squared radii in any order and ``weights`` has shape
+    (n_weights, N).  Returns (n_centers, r2.size, n_weights).  Each node
+    falls in the bin of the smallest radius whose ball holds it, and a
+    cumulative sum over the bins gives every radius at once.  A square whose
+    nearest and farthest grid nodes share a bin adds its totals to that bin.
+    """
+    pts = np.asarray(centers, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    order = np.argsort(r2, kind="stable")
+    r2s = r2[order]
+    n_bins = r2s.size + 1  # the last bin lies outside every ball
+    w = np.asarray(weights, dtype=float)
+    nn = cloud.n_per_side**2
+    m_count = len(cloud.family)
+    xy = cloud.xy
+    grid = xy.reshape(m_count, nn, 2)
+    lo, hi = grid[:, 0], grid[:, -1]  # lowest and highest node coordinates
+    totals = w.reshape(w.shape[0], m_count, nn).sum(axis=2)
+    local = np.arange(nn)
+    out = np.empty((pts.shape[0], r2s.size, w.shape[0]))
+    step = max(1, _PAIR_BLOCK // m_count)
+    for b0 in range(0, pts.shape[0], step):
+        c = pts[b0 : b0 + step]
+        near2 = far2 = 0.0
+        for a in (0, 1):
+            ca = c[:, a : a + 1]
+            d_lo = (ca - lo[None, :, a]) ** 2
+            d_hi = (ca - hi[None, :, a]) ** 2
+            inside = (lo[None, :, a] <= ca) & (ca <= hi[None, :, a])
+            near2 = near2 + np.where(inside, 0.0, np.minimum(d_lo, d_hi))
+            far2 = far2 + np.maximum(d_lo, d_hi)
+        k_near = np.searchsorted(r2s, near2, side="left")
+        k_far = np.searchsorted(r2s, far2, side="left")
+        acc = np.zeros((w.shape[0], c.shape[0] * n_bins))
+        bw, mw = np.nonzero(k_near == k_far)
+        _add_to_bins(acc, bw * n_bins + k_near[bw, mw], totals[:, mw])
+        bs, ms = np.nonzero(k_near != k_far)
+        chunk = max(1, _PAIR_BLOCK // nn)
+        for s0 in range(0, bs.size, chunk):
+            b, nodes = bs[s0 : s0 + chunk], ms[s0 : s0 + chunk, None] * nn + local
+            d2 = (c[b, 0:1] - xy[nodes, 0]) ** 2 + (c[b, 1:2] - xy[nodes, 1]) ** 2
+            keys = b[:, None] * n_bins + np.searchsorted(r2s, d2, side="left")
+            _add_to_bins(acc, keys.ravel(), w[:, nodes].reshape(w.shape[0], -1))
+        cums = np.cumsum(acc.reshape(w.shape[0], c.shape[0], n_bins)[:, :, :-1], axis=2)
+        out[b0 : b0 + step][:, order, :] = cums.transpose(1, 2, 0)
     return out
 
 

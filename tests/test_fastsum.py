@@ -344,7 +344,31 @@ def test_chunked_far_pass_and_batched_moments_keep_every_bit(case, columns, orde
     assert_same_bits(tree.moments(single, order), moments_per_column(tree, single, order))
 
 
-@pytest.mark.parametrize("columns", [1, 3, 8])
+def sparse_columns(tree, rng):
+    """Charge columns whose far moments vanish on many (cell, column)
+    pairs, mixed with dense ones: a square indicator, a delta, a ball
+    indicator, an all-zero column, a column whose two charges cancel inside
+    one leaf (its zeroth moments vanish, its higher ones do not) and a
+    dense random column."""
+    cloud = tree.cloud
+    n, xy, sq = len(cloud), cloud.xy, cloud.square_index
+    cols = np.zeros((n, 6), dtype=np.complex128)
+    cols[:, 0] = sq == rng.integers(len(cloud.family))
+    cols[rng.integers(n), 1] = 1.0 - 2.0j
+    cx, cy = xy[rng.integers(n)]
+    cols[:, 2] = (xy[:, 0] - cx) ** 2 + (xy[:, 1] - cy) ** 2 <= (rng.uniform(0.05, 0.5) * cloud.diameter) ** 2
+    # two nodes of one square in one leaf carry +1 and -1 against the same
+    # mu weight, so their charges cancel in every variant
+    first, last = tree.start[tree.leaf_ids], tree.end[tree.leaf_ids]
+    pair = [(a, a + 1) for a, b in zip(first, last) if b - a > 1 and sq[tree.perm[a]] == sq[tree.perm[a + 1]]]
+    if pair:
+        a, b = pair[rng.integers(len(pair))]
+        cols[tree.perm[a], 4], cols[tree.perm[b], 4] = 1.0, -1.0
+    cols[:, 5] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return cols[:, rng.permutation(6)]
+
+
+@pytest.mark.parametrize("columns", [1, 3, 8, "sparse"])
 @pytest.mark.parametrize("cloud_name", ["cascade_m256", "ladder_n8192"])
 def test_chunked_far_pass_keeps_every_bit_on_benchmark_clouds(cloud_name, columns, ladder_cloud):
     if cloud_name == "cascade_m256":  # scaling_row's cloud
@@ -354,9 +378,35 @@ def test_chunked_far_pass_keeps_every_bit_on_benchmark_clouds(cloud_name, column
         cloud = ladder_cloud
         fam = cloud.family
     tree = build_tree(cloud, 32)
-    rng = np.random.default_rng(columns)
-    values = rng.standard_normal((len(cloud), columns)) + 1j * rng.standard_normal((len(cloud), columns))
+    if columns == "sparse":  # 12 columns: a full and a partial pass of _COLUMN_BLOCK
+        rng = np.random.default_rng(11)
+        values = np.concatenate([sparse_columns(tree, rng), sparse_columns(tree, rng)], axis=1)
+    else:
+        rng = np.random.default_rng(columns)
+        values = rng.standard_normal((len(cloud), columns)) + 1j * rng.standard_normal((len(cloud), columns))
     _check_batched_passes_match_references(fam, tree, values, ExpansionParams())
+
+
+@given(treecode_cases(), st.sampled_from([1, 5, 12]), st.sampled_from([0.3, 0.5, 0.9]), st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_zero_moment_skip_keeps_every_bit(case, order, theta, seed):
+    fam, cloud, leaf_cap, _ = case
+    tree = build_tree(cloud, leaf_cap)
+    rng = np.random.default_rng(seed)
+    values = sparse_columns(tree, rng)
+    _check_batched_passes_match_references(fam, tree, values, ExpansionParams(order=order, theta=theta, leaf_cap=leaf_cap))
+    # moments that vanish in their real or imaginary parts only, or as -0
+    shape = (tree.n_cells, order, values.shape[1])
+    mom = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    pick = np.broadcast_to(rng.integers(0, 4, size=(tree.n_cells, 1, values.shape[1])), shape)
+    mom.real[pick == 1] = 0.0
+    mom.imag[pick == 2] = 0.0
+    mom[pick == 3] = complex(-0.0, -0.0)
+    plan = tree.plan(theta)
+    got, want = np.zeros(values.shape, complex), np.zeros(values.shape, complex)
+    fastsum._far_sums(tree, plan, mom, got)
+    far_sums_per_cell(tree, plan, mom, want)
+    assert_same_bits(got, want)
 
 
 def _assert_tree_matches_oracle(tree, ref):

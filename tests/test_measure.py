@@ -6,11 +6,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from nhcz.geometry import DyadicSquare, SquareFamily, generate_cascade_family, generate_family
+from nhcz.geometry import (
+    DyadicSquare,
+    SquareFamily,
+    generate_cascade_family,
+    generate_family,
+    suggest_generation_range,
+)
 from nhcz.measure import (
     TIE_RTOL,
     BallQuery,
     _ladder_ball_sums,
+    _square_ball_sums,
     _witness_index,
     a2_constant,
     ball_mass,
@@ -21,7 +28,8 @@ from nhcz.measure import (
     growth_constant,
 )
 
-from oracles import a2_ratio, ball_sums_bruteforce
+from nhcz.operators import KAPPA
+from oracles import a2_ratio, assert_same_bits, ball_sums_bruteforce, square_ball_sums_by_nonzero
 
 
 def unit_square_family(d=1.0):
@@ -117,8 +125,8 @@ def test_ball_mass_monotone_in_radius():
 @st.composite
 def ball_sum_cases(draw):
     """A random admissible family and cloud, centres at nodes, at dyadic
-    square corners and at arbitrary points, and dyadic radii with their
-    3-dilates in shuffled order."""
+    square corners, on square edges, on node grid lines and at arbitrary
+    points, and dyadic radii with their 3-dilates in shuffled order."""
     d = draw(st.sampled_from([0.02, 0.3, 1.0, 1.7, 1.98]))
     k_lo = draw(st.integers(0, 4))
     fam = generate_family(
@@ -133,6 +141,17 @@ def ball_sum_cases(draw):
     corners = []
     for sq, a, b in draw(st.lists(st.tuples(st.sampled_from(fam.squares), st.integers(0, 1), st.integers(0, 1)), max_size=3)):
         corners.append(((sq.i + a) * sq.side, (sq.j + b) * sq.side))
+    for sq, a, t, vertical in draw(
+        st.lists(st.tuples(st.sampled_from(fam.squares), st.integers(0, 1), st.floats(0, 1), st.booleans()), max_size=3)
+    ):
+        if vertical:
+            corners.append(((sq.i + a) * sq.side, (sq.j + t) * sq.side))
+        else:
+            corners.append(((sq.i + t) * sq.side, (sq.j + a) * sq.side))
+    for node, t, vertical in draw(st.lists(st.tuples(st.sampled_from(node_ids), st.floats(-0.5, 1.5), st.booleans()), max_size=2)):
+        # on the grid line through a node: one axis meets a grid box edge
+        x, y = cloud.xy[node]
+        corners.append((x, t) if vertical else (t, y))
     points = draw(st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), max_size=3))
     centers = np.concatenate([cloud.xy[node_ids], np.array(corners + points).reshape(-1, 2)])
     ks = draw(st.lists(st.integers(-1, 12), min_size=1, max_size=6, unique=True))
@@ -160,6 +179,93 @@ def test_ball_sum_engine_matches_mask_oracle(case):
     np.testing.assert_allclose(got[:, :, 1:], ref[:, :, 1:], rtol=1e-12, atol=0.0)
     nearest2 = ((centers[:, None, :] - cloud.xy[None, :, :]) ** 2).sum(axis=2).min(axis=1)
     assert np.all(got[radii[None, :] ** 2 < nearest2[:, None]] == 0.0)
+
+
+@given(ball_sum_cases(), st.integers(1, 40), st.integers(0, 2**16))
+@example(nearest_nodes_on_a_circle(), 3, 0)
+def test_one_pass_binning_keeps_every_bit(case, n_weights, seed):
+    cloud, centers, radii = case
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal((n_weights, len(cloud)))
+    weights[:, rng.random(len(cloud)) < 0.3] = 0.0  # indicator fields leave zero weights
+    r2 = radii**2
+    assert_same_bits(
+        _square_ball_sums(cloud, r2, weights, centers), square_ball_sums_by_nonzero(cloud, r2, weights, centers)
+    )
+
+
+def maximal_radii2(cloud):
+    """The squared radii of the ladder maximal function's engine call."""
+    ladder2 = dyadic_radius_ladder(cloud, base=cloud.finest_spacing) ** 2
+    return np.concatenate([ladder2, KAPPA * KAPPA * ladder2])
+
+
+def field_weights(cloud, n_fields, seed):
+    """The maximal function's weight rows: mu, then |f| mu for random,
+    square-indicator and delta fields."""
+    rng = np.random.default_rng(seed)
+    rows = [cloud.mu_weight]
+    for k in range(n_fields):
+        if k % 3 == 0:
+            f = np.abs(rng.standard_normal(len(cloud)))
+        elif k % 3 == 1:
+            f = (cloud.square_index == rng.integers(len(cloud.family))).astype(float)
+        else:
+            f = np.zeros(len(cloud))
+            f[rng.integers(len(cloud))] = 1.0
+        rows.append(f * cloud.mu_weight)
+    return np.stack(rows)
+
+
+@pytest.fixture(scope="module")
+def cascade_m256():
+    """The 16,384-node scaling row at M=256 and its 4096 sampled centres."""
+    fam = generate_cascade_family(seed=256, count=256, d=1.2, packing_target=4.0)
+    cloud = build_quadrature(build_measure(fam), 8)
+    rng = np.random.default_rng(0)
+    return cloud, cloud.xy[np.sort(rng.choice(len(cloud), size=4096, replace=False))]
+
+
+@pytest.mark.parametrize("call", ["maximal", "growth"])
+def test_one_pass_binning_keeps_every_bit_on_the_cascade(cascade_m256, call):
+    cloud, centers = cascade_m256
+    if call == "maximal":
+        r2, weights = maximal_radii2(cloud), field_weights(cloud, 7, seed=1)
+    else:
+        r2, weights = dyadic_radius_ladder(cloud) ** 2, cloud.mu_weight[None]
+    assert_same_bits(
+        _square_ball_sums(cloud, r2, weights, centers), square_ball_sums_by_nonzero(cloud, r2, weights, centers)
+    )
+
+
+@pytest.mark.parametrize("seed,d", [(0, 0.8), (1, 1.2), (2, 1.6)])
+def test_one_pass_binning_keeps_every_bit_on_the_small_direct_clouds(seed, d):
+    # the three families of the small_direct benchmark, every node a centre
+    fam = generate_family(seed=seed, count=32, d=d, packing_target=4.0, k_range=suggest_generation_range(32, d, 4.0))
+    cloud = build_quadrature(build_measure(fam), 8)
+    a2_weights = np.stack([cloud.mu_weight, cloud.area_weight * cloud.node_side**cloud.d])
+    for r2, weights in (
+        (maximal_radii2(cloud), field_weights(cloud, 39, seed=2)),
+        (dyadic_radius_ladder(cloud) ** 2, a2_weights),
+    ):
+        assert_same_bits(
+            _square_ball_sums(cloud, r2, weights, cloud.xy), square_ball_sums_by_nonzero(cloud, r2, weights, cloud.xy)
+        )
+
+
+def test_maximal_engine_memory_stays_small(cascade_m256):
+    # 8 weight rows over the 4096 sampled centres, as scaling_study's
+    # maximal function calls the engine; the output alone is 9 MiB, and
+    # gathering the whole squares' totals took the peak to 19.9 MiB
+    cloud, centers = cascade_m256
+    r2, weights = maximal_radii2(cloud), field_weights(cloud, 7, seed=1)
+    tracemalloc.start()
+    try:
+        _square_ball_sums(cloud, r2, weights, centers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
 
 
 def test_growth_engine_memory_stays_small():
