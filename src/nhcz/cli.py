@@ -159,7 +159,7 @@ def _czcheck(args, fam, cloud):
     return {"seed": args.seed}, rep.to_json_dict(), witnesses, {"iii2_counterexamples": 0}, passed
 
 
-def _ball_constant(constant, args, fam, cloud):
+def _ball_constant(constant, args, _fam, cloud):
     """Work for a ball-ratio constant of the measure, reported as ``c_<subcommand>``."""
     c, ball = constant(cloud)
     witnesses = {"ball": ball}
@@ -167,8 +167,8 @@ def _ball_constant(constant, args, fam, cloud):
     return {}, {f"c_{args.command}": c}, witnesses, thresholds, np.isfinite(c)
 
 
-def _t1(args, fam, cloud):
-    rep = operators.t1_testing(kernels.KernelSpec("modified", fam), cloud, seed=args.seed)
+def _t1(args, _fam, cloud):
+    rep = operators.t1_testing(cloud, seed=args.seed)
     finite = np.isfinite(rep.sup_t) and np.isfinite(rep.sup_t_adjoint)
     return {"seed": args.seed}, rep.to_json_dict(), {}, {}, finite
 

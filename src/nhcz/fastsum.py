@@ -102,10 +102,6 @@ class InteractionPlan:
     target_tests: int  # (target node, source cell) opening tests made one by one
 
     @property
-    def far_entries(self) -> int:
-        return int(self.far_leaf.size)
-
-    @property
     def near_blocks(self) -> int:
         return int(self.near_target.size)
 

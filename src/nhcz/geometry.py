@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcz.atomic import canonical_dumps, write_text_atomic
+from nhcz.reports import write_json_atomic
 
 # Generations are capped so scaled coordinates fit comfortably in int64.
 MAX_ABS_GENERATION = 40
@@ -46,16 +46,6 @@ class DyadicSquare:
     def center(self) -> tuple[float, float]:
         s = 2.0 ** (-self.k)
         return ((self.i + 0.5) * s, (self.j + 0.5) * s)
-
-    def ancestor(self, k: int) -> "DyadicSquare":
-        """The unique generation-``k`` square containing this one (k <= self.k)."""
-        if k > self.k:
-            raise ValueError(f"no generation-{k} ancestor of a generation-{self.k} square")
-        shift = self.k - k
-        return DyadicSquare(k, self.i >> shift, self.j >> shift)
-
-    def contains(self, other: "DyadicSquare") -> bool:
-        return other.k >= self.k and other.ancestor(self.k) == self
 
 
 @dataclass(frozen=True)
@@ -257,7 +247,7 @@ class SquareFamily:
         return cls.build(squares, float(d), float(target))
 
     def save(self, path) -> None:
-        write_text_atomic(path, canonical_dumps(self.to_json_dict()))
+        write_json_atomic(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "SquareFamily":
@@ -335,6 +325,9 @@ def generate_cascade_family(seed: int, count: int, d: float, packing_target: flo
     return fam
 
 
+_ATTEMPTS_PER_SQUARE, _MIN_ATTEMPTS = 400, 4000  # generate_family's attempt budget; read at call time
+
+
 def generate_family(
     seed: int,
     count: int,
@@ -342,14 +335,15 @@ def generate_family(
     packing_target: float,
     k_range: tuple[int, int] = (2, 6),
     box: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0),
-    max_attempts: int | None = None,
 ) -> SquareFamily:
     """Rejection-sample an admissible family, deterministically from ``seed``.
 
     Candidates are drawn uniformly over (generation, cell-in-box); a draw is
     kept iff its 4-dilate stays disjoint from all kept dilates (exact check)
     and the packing constant after insertion stays within the target (one
-    ``PackingState`` for the whole run).
+    ``PackingState`` for the whole run).  The run stops after
+    ``_ATTEMPTS_PER_SQUARE`` draws per requested square, and no fewer than
+    ``_MIN_ATTEMPTS``.
     """
     _check_d_and_target(d, packing_target)
     if count < 1:
@@ -365,8 +359,7 @@ def generate_family(
     # cell indices are the box bounds times 2^k, which must stay finite
     if not all(math.isfinite(v * 2.0**k) for v in box for k in (k_min, k_max)):
         raise ValueError(f"bounding box {box} is not finite at generations {k_range}")
-    if max_attempts is None:
-        max_attempts = max(400 * count, 4000)
+    max_attempts = max(_ATTEMPTS_PER_SQUARE * count, _MIN_ATTEMPTS)
 
     rng = random.Random(seed)
     accepted: list[DyadicSquare] = []

@@ -139,14 +139,13 @@ def cauchy_square_block(cloud: QuadratureCloud, rows, mode: str, out=None) -> np
     return cauchy_square_into(out, z[rows][:, None], z, lambda dz: exclusion_mask(mode, dz, sq_rows, sq))
 
 
-def kernel_rows(spec: KernelSpec, cloud: QuadratureCloud, rows: np.ndarray, out=None) -> np.ndarray:
-    """Kernel values K(x_p, y_q) for targets p in ``rows`` against all nodes,
-    written into ``out`` as ``cauchy_square_block`` does.
+def kernel_rows(spec: KernelSpec, cloud: QuadratureCloud, rows: np.ndarray) -> np.ndarray:
+    """Kernel values K(x_p, y_q) for targets p in ``rows`` against all nodes.
 
     Structurally-zero entries are exact zeros; the diagonal of the singular
     variants is zeroed (midpoint principal-value convention).
     """
-    vals = cauchy_square_block(cloud, rows, spec.rule[0], out)
+    vals = cauchy_square_block(cloud, rows, spec.rule[0])
     side = _side_factor(spec, cloud, np.asarray(rows)[:, None], np.arange(len(cloud))[None, :])
     if side is not None:
         vals *= side
@@ -209,9 +208,8 @@ def cz_constants(
 ) -> CzReport:
     """Measure the size/smoothness constants of the modified kernel.
 
-    The size constant is the largest |K(x, y)| d(x, y)^s over every target
-    row (a seeded sample of 2,048 rows once N^2 > 8M) against all nodes.
-    ``_size_scan`` takes it over square pairs: each pair's bound
+    The size constant is the largest |K(x, y)| d(x, y)^s over every pair
+    of nodes.  ``_size_scan`` takes it over square pairs: each pair's bound
     side_Q^d dmin(P, Q)^(-d) carries the rounding margin ``_SIZE_MARGIN``,
     and only the pairs whose bound reaches the best value are evaluated, so
     the value and its witness are the full row scan's bit for bit.
@@ -235,12 +233,7 @@ def cz_constants(
     z, sq = cloud.z, cloud.square_index
     exhaustive = n <= EXHAUSTIVE_LIMIT
     rng = np.random.default_rng(seed)
-
-    if n * n <= 8_000_000:
-        pair_rows = np.arange(n)
-    else:
-        pair_rows = np.sort(rng.choice(n, size=min(n, 2048), replace=False))
-    a_i, wit_i = _size_scan(spec, cloud, pair_rows, s)
+    a_i, wit_i = _size_scan(spec, cloud, np.arange(n), s)
 
     if exhaustive:
         dm = np.abs(z[:, None] - z[None, :])
@@ -397,9 +390,9 @@ def _kernel_pairs(spec, cloud, p_idx, q_idx):
     return cauchy_square_into(out, z[p_idx], z[q_idx], drop, 1.0 if side is None else side)
 
 
-def _triple_chunks(rng, n, budget, chunk=100_000):
+def _triple_chunks(rng, n, budget):
     drawn = 0
     while drawn < budget:
-        take = min(chunk, budget - drawn)
+        take = min(100_000, budget - drawn)  # triples per draw; bounds the scan's arrays
         drawn += take
         yield tuple(rng.integers(0, n, size=take) for _ in range(3))

@@ -40,22 +40,15 @@ class NonHomogeneousMeasure:
     """Family measure: density side^-d on each member square."""
 
     family: SquareFamily
-    densities: np.ndarray  # per-square density against area
     masses: np.ndarray  # per-square total mass side^(2-d)
 
     @property
     def d(self) -> float:
         return self.family.d
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
 
 def build_measure(family: SquareFamily) -> NonHomogeneousMeasure:
-    sides = family.sides()
-    d = family.d
-    return NonHomogeneousMeasure(family, sides ** (-d), sides ** (2.0 - d))
+    return NonHomogeneousMeasure(family, family.sides() ** (2.0 - family.d))
 
 
 @dataclass
@@ -286,14 +279,16 @@ def growth_constant(cloud: QuadratureCloud, centers: np.ndarray | None = None) -
     return _largest_ratio(cloud, ratios, centers, radii)
 
 
-def a2_constant(cloud: QuadratureCloud, centers: np.ndarray | None = None) -> tuple[float, BallQuery]:
-    """Largest a2 ratio over the sample (the same sample as growth)."""
+def a2_constant(cloud: QuadratureCloud) -> tuple[float, BallQuery]:
+    """Largest a2 ratio over every node position crossed with the dyadic
+    radius ladder (growth's default sample), as ``growth_constant`` reports
+    its ratio and ball."""
     radii = dyadic_radius_ladder(cloud)
     inv_density_w = cloud.area_weight * cloud.node_side**cloud.d
-    sums = _ladder_ball_sums(cloud, radii, [cloud.mu_weight, inv_density_w], centers=centers)
+    sums = _ladder_ball_sums(cloud, radii, [cloud.mu_weight, inv_density_w])
     disc = math.pi * radii**2
     ratios = (sums[:, :, 0] / disc[None, :]) * (sums[:, :, 1] / disc[None, :])
-    return _largest_ratio(cloud, ratios, centers, radii)
+    return _largest_ratio(cloud, ratios, None, radii)
 
 
 def borderline_exponent(t: float, k_qc: float) -> float:

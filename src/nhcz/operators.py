@@ -132,20 +132,21 @@ def _apply_rule(spec, cloud, values, transposed, threads, targets=None):
     return target_scale(cloud, spec.d, out, transposed, targets)
 
 
-def apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, threads=1, targets=None) -> Field:
+def apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, targets=None) -> Field:
     """Dense kernel application in fixed node order, blocked over targets,
     to a field of shape (N,) or (N, k); the kernel block of each target
     block is computed once for all columns.
 
     ``targets`` restricts the output to those node indices (default all).
-    Each of the ``threads`` workers reuses one (``_TARGET_BLOCK``, N)
-    complex buffer for its kernel blocks, so the peak is 16 * 256 * N bytes
-    per worker (8 MiB at 2,048 nodes) plus one block's exclusion mask and
-    the (targets, k) output; the bits do not depend on ``threads``.
+    One (``_TARGET_BLOCK``, N) complex buffer holds every kernel block, so
+    the peak is 16 * 256 * N bytes (8 MiB at 2,048 nodes) plus one block's
+    exclusion mask and the (targets, k) output.  The dense ``Operator``
+    runs the same sums on its ``threads`` threads above
+    ``FAST_NODE_THRESHOLD`` nodes, with the same bits.
     """
     if len(f.values) != len(cloud):
         raise ValueError("field length does not match the cloud")
-    return Field(_apply_rule(spec, cloud, f.values, spec.rule[1], threads, targets), "mu")
+    return Field(_apply_rule(spec, cloud, f.values, spec.rule[1], 1, targets), "mu")
 
 
 def apply_direct_targets(spec: KernelSpec, cloud: QuadratureCloud, f: Field, targets) -> np.ndarray:
@@ -436,16 +437,11 @@ class Operator:
 
 
 def operator_norm(
-    spec: KernelSpec,
-    cloud: QuadratureCloud,
-    tol: float = 1e-6,
-    max_iter: int = 500,
-    seed: int = 0,
-    threads: int = 1,
-    rel_tol: float = 0.0,
+    spec: KernelSpec, cloud: QuadratureCloud, tol: float = 1e-6, seed: int = 0, threads: int = 1
 ) -> NormEstimate:
-    """Measure-weighted operator norm of the chosen kernel's dense operator."""
-    return Operator(cloud, "dense", threads).norm(spec.variant, tol, max_iter, seed, rel_tol)
+    """Measure-weighted operator norm of the chosen kernel's dense operator,
+    at ``Operator.norm``'s iteration cap and without a relative stop."""
+    return Operator(cloud, "dense", threads).norm(spec.variant, tol, seed=seed)
 
 
 def beurling_multiplier(grid: np.ndarray) -> np.ndarray:
@@ -508,15 +504,14 @@ def default_t1_balls(family: SquareFamily, seed: int = 0, max_balls: int = 32) -
 
 
 def t1_testing(
-    spec: KernelSpec,
     cloud: QuadratureCloud,
     balls: list[BallQuery] | None = None,
     seed: int = 0,
     op: Operator | None = None,
 ) -> T1Report:
     """Testing-condition suprema ||T chi_B||^2 / mu(B) over the ball sample,
-    for the modified operator and its adjoint-kernel partner, applied by
-    ``op`` (default: the cloud's dense ``Operator``).
+    for the modified operator and its adjoint-kernel partner on the cloud's
+    family, applied by ``op`` (default: the cloud's dense ``Operator``).
 
     Balls with zero discrete mass are skipped and counted.  The indicators
     of the other balls go through each apply as the columns of one field.

@@ -1,20 +1,27 @@
-"""Report containers and deterministic serialization.
+"""Report containers, deterministic serialization and atomic artifact
+writers.
 
-Reports serialize to canonical JSON (sorted keys, compact separators) so a
-rerun with the same inputs and seeds reproduces them byte for byte; the
-wall-clock field is the single exception and is excluded from that contract.
+Reports serialize to canonical JSON (sorted keys, compact separators, a
+trailing newline) so a rerun with the same inputs and seeds reproduces them
+byte for byte; the wall-clock field is the single exception and is excluded
+from that contract.  Every artifact is written to a temporary file and
+moved into place, so a failed write leaves any old file untouched.
+
+Imports no other nhcz module, so ``geometry`` and every later module can
+use it without an import cycle.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import json
+import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass
 
 import numpy as np
-
-from nhcz.atomic import atomic_open, canonical_dumps, write_text_atomic
-from nhcz.geometry import DyadicSquare, SquareFamily
 
 SCHEMA = "nhcz/1"
 
@@ -35,8 +42,6 @@ def jsonable(obj):
         return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, np.complexfloating):
         return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, DyadicSquare):
-        return {"k": obj.k, "i": obj.i, "j": obj.j}
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
@@ -51,10 +56,10 @@ def jsonable(obj):
 
 
 def canonical_json(obj) -> str:
-    return canonical_dumps(jsonable(obj))
+    return json.dumps(jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def family_digest(family: SquareFamily) -> str:
+def family_digest(family) -> str:
     return hashlib.sha256(canonical_json(family.to_json_dict()).encode()).hexdigest()
 
 
@@ -83,12 +88,29 @@ class VerificationReport:
             out["runtime_s"] = self.runtime_s
         return out
 
-    def to_json(self, include_runtime: bool = True) -> str:
-        return canonical_json(self.to_json_dict(include_runtime=include_runtime))
+
+@contextmanager
+def atomic_open(path, newline=None):
+    """Text handle on a temporary file beside ``path``.
+
+    A clean exit moves the file onto ``path``; an exception removes it and
+    leaves any existing ``path`` untouched.
+    """
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
+    try:
+        with os.fdopen(fd, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_json_atomic(path, obj) -> None:
-    write_text_atomic(path, canonical_json(obj))
+    with atomic_open(path) as fh:
+        fh.write(canonical_json(obj))
 
 
 def write_csv_atomic(path, header, rows) -> None:

@@ -39,6 +39,9 @@ from nhcz.reports import VerificationReport, family_digest
 MAXIMAL_TARGET_CAP = 4096
 # power-iteration stopping rule of the scaling study's norm estimates
 SCALING_NORM_TOL, SCALING_NORM_MAX_ITER, SCALING_NORM_REL_TOL = 1e-5, 150, 1e-3
+# check_main_inequality's random trial fields and its norm estimate's
+# stopping rule; the tolerance also bounds a trial's excess over sigma_max^2
+MAIN_TRIALS, MAIN_NORM_TOL, MAIN_NORM_MAX_ITER = 8, 1e-6, 500
 
 
 def _base_inputs(family, n_per_side, seed, **extra):
@@ -54,13 +57,13 @@ def _base_inputs(family, n_per_side, seed, **extra):
     return inputs
 
 
-def _fast_apply_pair(family, cloud):
+def _fast_apply_pair(_family, cloud):
     """The tree ``Operator`` of a check's cloud.  The name predates the
     object; ``benchmarks/tracing.py`` wraps the two constructors by name."""
     return Operator(cloud, "tree")
 
 
-def _direct_apply_pair(family, cloud):
+def _direct_apply_pair(_family, cloud):
     """The dense ``Operator`` of a check's cloud, named for the tracer as
     ``_fast_apply_pair`` is.  Its kernel matrix is assembled at the first
     apply and freed with the object, so ``check_domination`` drops the
@@ -84,24 +87,19 @@ def _images(op, variant, fields):
         yield from op.apply(variant, Field(np.stack([f.values for f in block], axis=1), "mu")).values.T
 
 
-def check_main_inequality(
-    family: SquareFamily,
-    n_per_side: int = 8,
-    trials: int = 8,
-    seed: int = 0,
-    tol: float = 1e-6,
-    max_iter: int = 500,
-) -> VerificationReport:
+def check_main_inequality(family: SquareFamily, n_per_side: int = 8, seed: int = 0) -> VerificationReport:
     """Operator-norm bound for the adjoint-kernel operator on the measure.
 
-    Reports the squared norm estimate next to the largest Rayleigh quotient
-    of seeded random fields; the latter may not exceed the former plus the
-    tolerance.
+    Reports the squared norm estimate (tolerance ``MAIN_NORM_TOL``, at most
+    ``MAIN_NORM_MAX_ITER`` iterations) next to the largest Rayleigh quotient
+    of ``MAIN_TRIALS`` seeded random fields; the latter may not exceed the
+    former plus the tolerance.
     """
     t0 = time.perf_counter()
+    trials, tol = MAIN_TRIALS, MAIN_NORM_TOL
     cloud = build_quadrature(build_measure(family), n_per_side)
     op = _check_operator(cloud)
-    est = op.norm("adjoint", tol, max_iter, seed)
+    est = op.norm("adjoint", tol, MAIN_NORM_MAX_ITER, seed)
     rng = np.random.default_rng(seed + 1)
     n = len(cloud)
     trial_fields = [Field(rng.standard_normal(n) + 1j * rng.standard_normal(n), "mu") for _ in range(trials)]
@@ -165,16 +163,19 @@ def _annulus_of(geom, j, i) -> int:
 def _annulus_audits(family):
     """Exact integer audits of the annulus geometry over all ordered pairs:
     minimal index, and containment of each annulus square in the ball of
-    radius 8 * 2^(a+1) * side_j around any point of Q_j."""
+    radius 8 * 2^(a+1) * side_j around any point of Q_j.  Also returns the
+    table whose row j holds the annulus index of each square i != j around
+    square j (None at i = j)."""
     geom = cx, cy, h = _scaled_centers_halves(family.squares, lam_num=1)
     m = len(family.squares)
     min_a = None
     containment_violations = 0
+    table = [[None] * m for _ in range(m)]
     for j in range(m):
         for i in range(m):
             if i == j:
                 continue
-            a = _annulus_of(geom, j, i)
+            a = table[j][i] = _annulus_of(geom, j, i)
             if min_a is None or a < min_a:
                 min_a = a
             # farthest point pair between the two closed squares, exactly
@@ -183,7 +184,7 @@ def _annulus_audits(family):
             r_int = (2 * h[j]) << (a + 4)  # 8 * 2^(a+1) * side_j, scaled
             if dx * dx + dy * dy > r_int * r_int:
                 containment_violations += 1
-    return min_a, containment_violations
+    return min_a, containment_violations, table
 
 
 def _domination_fields(cloud, trials, seed, max_indicators=None, deltas=3):
@@ -249,7 +250,7 @@ def check_domination(
             c_dom = float(ratios[node])
             witness = {"field": label, "node": node}
             witness_tf = (f, tf[node])
-    min_a, containment_violations = _annulus_audits(family)
+    min_a, containment_violations, annuli = _annulus_audits(family)
 
     diagnostics = []
     partition_ok = True
@@ -258,11 +259,10 @@ def check_domination(
         f, tf_abs = witness_tf
         node = witness["node"]
         j = int(cloud.square_index[node])
-        geom = _scaled_centers_halves(family.squares, lam_num=1)
         by_a: dict[int, list[int]] = {}
-        for i in range(len(family)):
+        for i, a in enumerate(annuli[j]):
             if i != j:
-                by_a.setdefault(_annulus_of(geom, j, i), []).append(i)
+                by_a.setdefault(a, []).append(i)
         partition_ok = sum(len(v) for v in by_a.values()) == len(family) - 1
         adj = KernelSpec("adjoint", family)
         contrib = kernel_rows(adj, cloud, [node])[0] * f.values * cloud.mu_weight
@@ -426,7 +426,7 @@ def scaling_study(d: float, packing_target: float, m_ladder, n_per_side: int = 8
             if den > 0:
                 c_max_op = max(c_max_op, num / den)
         balls = default_t1_balls(fam, seed=seed, max_balls=16)
-        t1 = t1_testing(KernelSpec("modified", fam), cloud, balls, op=op)
+        t1 = t1_testing(cloud, balls, op=op)
         rows.append(
             [
                 m_req,

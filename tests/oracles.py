@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from nhcz.fastsum import _ENTRY_BLOCK, _binomial_table
-from nhcz.geometry import DisjointnessVerdict, _dilates_meet, _scaled_centers_halves, _scaled_dilate
+from nhcz.geometry import DisjointnessVerdict, DyadicSquare, _dilates_meet, _scaled_centers_halves, _scaled_dilate
 from nhcz.kernels import _best, exclusion_mask, kernel_rows
 from nhcz.measure import _PAIR_BLOCK, _add_to_bins, dyadic_radius_ladder
 from nhcz.operators import Operator, _maximal_many
@@ -169,19 +169,20 @@ def packing_bruteforce(squares, d):
     cell straddles an axis): coarser squares hold the same members over a
     larger side, so their ratios are smaller.  No weight bound or float
     cutoff is involved."""
+
+    def ancestor(s, k):  # the generation-k square holding s, as (k, i, j)
+        return (k, s.i >> (s.k - k), s.j >> (s.k - k))
+
     k_common = min(s.k for s in squares)
-    while any({a.i, a.j} - {-1, 0} for a in (s.ancestor(k_common) for s in squares)):
+    while any({i, j} - {-1, 0} for _, i, j in (ancestor(s, k_common) for s in squares)):
         k_common -= 1
-    cands = set(squares)
-    for s in squares:
-        for ka in range(k_common, s.k):
-            cands.add(s.ancestor(ka))
+    cands = {ancestor(s, ka) for s in squares for ka in range(k_common, s.k + 1)}
     best, best_sq = -1.0, None
-    for c in sorted(cands):
-        tot = sum(s.side ** (2.0 - d) for s in squares if c.contains(s))
-        ratio = tot / c.side ** (2.0 - d)
+    for k, i, j in sorted(cands):
+        tot = sum(s.side ** (2.0 - d) for s in squares if s.k >= k and ancestor(s, k) == (k, i, j))
+        ratio = tot / DyadicSquare(k, i, j).side ** (2.0 - d)
         if ratio > best:
-            best, best_sq = ratio, c
+            best, best_sq = ratio, DyadicSquare(k, i, j)
     return best, best_sq
 
 
@@ -507,12 +508,13 @@ def size_scan_rows(spec, cloud, pair_rows, s):
     the bit-for-bit reference of ``kernels._size_scan``."""
     n, z = len(cloud), cloud.z
     a_i, wit_i = 0.0, (0, 0)
-    # one (rows, N) complex and two real buffers, reused by every block
+    # one (rows, N) complex and two real buffers, reused by every block; the
+    # kernel rows themselves are allocated per block
     block = min(256, pair_rows.size)
     kern_buf, vals_buf, dist_buf = np.empty((block, n), np.complex128), np.empty((block, n)), np.empty((block, n))
     for b0 in range(0, pair_rows.size, block):
         rows = pair_rows[b0 : b0 + block]
-        vals = np.abs(kernel_rows(spec, cloud, rows, kern_buf[: rows.size]), out=vals_buf[: rows.size])
+        vals = np.abs(kernel_rows(spec, cloud, rows), out=vals_buf[: rows.size])
         pair_dist = np.abs(np.subtract(z[rows][:, None], z, out=kern_buf[: rows.size]), out=dist_buf[: rows.size])
         vals *= pair_dist**s
         np.copyto(vals, 0.0, where=~(pair_dist > 0))

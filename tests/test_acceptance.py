@@ -41,9 +41,9 @@ from nhcz.operators import (
     Field,
     beurling_multiplier,
     default_t1_balls,
+    Operator,
     field_norm,
     maximal_function,
-    operator_norm,
     t1_testing,
 )
 from nhcz.verify import check_decomposition, check_domination, scaling_study
@@ -193,9 +193,8 @@ def test_criterion_06_maximal_operator_and_t1():
     assert bound_ratio <= 1.5, bound_ratio
     # testing-condition suprema stay put under quadrature refinement
     balls = default_t1_balls(fam, seed=3, max_balls=24)
-    spec = KernelSpec("modified", fam)
-    r1 = t1_testing(spec, build_quadrature(build_measure(fam), 4), balls)
-    r2 = t1_testing(spec, build_quadrature(build_measure(fam), 8), balls)
+    r1 = t1_testing(build_quadrature(build_measure(fam), 4), balls)
+    r2 = t1_testing(build_quadrature(build_measure(fam), 8), balls)
     for lo, hi in [(r1.sup_t, r2.sup_t), (r1.sup_t_adjoint, r2.sup_t_adjoint)]:
         assert np.isfinite(lo) and np.isfinite(hi) and hi > 0
         assert abs(hi - lo) <= 0.10 * max(hi, lo)
@@ -289,10 +288,10 @@ def test_criterion_10_small_instance_oracles():
     assert np.abs(got - ref).max() <= 1e-12 * ref.max()
     for variant in ("modified", "adjoint"):
         spec = KernelSpec(variant, fam)
-        est = operator_norm(spec, cloud, tol=1e-13, max_iter=5000, seed=3)
+        est = Operator(cloud, "dense").norm(variant, 1e-13, 5000, 3)
         assert est.sigma_max == pytest.approx(weighted_sigma_max(spec, cloud), abs=1e-8)
     ball = BallQuery(0.5, 0.5, 100.0)
-    rep = t1_testing(KernelSpec("modified", fam), cloud, balls=[ball])
+    rep = t1_testing(cloud, balls=[ball])
     chi = Field(np.ones(len(cloud), dtype=np.complex128), "mu")
     mass = ball_mass(cloud, ball)
     for spec, got_value in [

@@ -2,15 +2,15 @@ import os
 
 import pytest
 
-import nhcz.atomic
+import nhcz.reports
 from nhcz.geometry import generate_family
-from nhcz.reports import canonical_json, write_csv_atomic, write_text_atomic
+from nhcz.reports import canonical_json, write_csv_atomic, write_json_atomic
 
 FAM = generate_family(seed=1, count=3, d=1.2, packing_target=4.0, k_range=(2, 4))
 
 WRITERS = {
     "family_save": lambda path: FAM.save(path),
-    "text": lambda path: write_text_atomic(path, "new contents\n"),
+    "text": lambda path: write_json_atomic(path, {"new": "contents"}),
     "csv": lambda path: write_csv_atomic(path, ["a", "b"], [[1, 2], [3, 4]]),
 }
 
@@ -37,7 +37,7 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, n
     path = tmp_path / "artifact"
     path.write_text("old contents\n")
     real_fdopen = os.fdopen
-    monkeypatch.setattr(nhcz.atomic.os, "fdopen", lambda fd, *a, **k: _DiskFull(real_fdopen(fd, *a, **k)))
+    monkeypatch.setattr(nhcz.reports.os, "fdopen", lambda fd, *a, **k: _DiskFull(real_fdopen(fd, *a, **k)))
     with pytest.raises(OSError, match="disk full"):
         WRITERS[name](path)
     monkeypatch.undo()

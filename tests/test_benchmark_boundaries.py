@@ -51,6 +51,8 @@ def test_traced_operator_constructors_stay_on_the_check_path(monkeypatch, n_per_
         monkeypatch.setattr(verify, name, counting(name))
     fam = generate_family(seed=5, count=33, d=1.2, packing_target=4.0, k_range=(4, 6))
     assert (len(fam) * n_per_side**2 > verify.FAST_NODE_THRESHOLD) is fast
-    report = verify.check_main_inequality(fam, n_per_side=n_per_side, trials=1, seed=2, tol=1e-4, max_iter=3)
+    for name, value in (("MAIN_TRIALS", 1), ("MAIN_NORM_TOL", 1e-4), ("MAIN_NORM_MAX_ITER", 3)):
+        monkeypatch.setattr(verify, name, value)
+    report = verify.check_main_inequality(fam, n_per_side=n_per_side, seed=2)
     assert report.inputs["fast"] is fast
     assert calls == {"_direct_apply_pair": int(not fast), "_fast_apply_pair": int(fast)}

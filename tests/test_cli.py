@@ -301,7 +301,7 @@ def _czcheck_expect(fam, cloud):
 
 
 def _t1_expect(fam, cloud):
-    return t1_testing(KernelSpec("modified", fam), cloud, seed=4).to_json_dict(), {}
+    return t1_testing(cloud, seed=4).to_json_dict(), {}
 
 
 WIRED = {

@@ -245,7 +245,7 @@ def test_plan_counters_and_memory_on_the_ladder_family(ladder_cloud):
     far_pairs = int(np.unpackbits(plan.far_bits).sum())
     assert far_pairs * 8 > 1.4e6  # what per-pair int64 target lists would hold
     assert plan.nbytes < 0.5e6
-    assert plan.far_entries == plan.far_leaf.size > 0
+    assert plan.far_leaf.size > 0
     assert plan.near_blocks > 0 and plan.near_blocks_skipped > plan.near_blocks
     # the walk decides whole cell pairs and tests few targets one by one; a
     # per-target walk makes about 70 tests per node here

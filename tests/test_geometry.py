@@ -277,10 +277,11 @@ def test_generate_family_deterministic():
     assert a.c_pack == b.c_pack
 
 
-def test_generate_family_partial_flag_on_tight_budget():
-    fam = generate_family(
-        seed=3, count=500, d=1.0, packing_target=4.0, k_range=(2, 3), max_attempts=300
-    )
+def test_generate_family_partial_flag_on_tight_budget(monkeypatch):
+    # a budget of 300 attempts for 500 squares
+    monkeypatch.setattr(nhcz.geometry, "_ATTEMPTS_PER_SQUARE", 0)
+    monkeypatch.setattr(nhcz.geometry, "_MIN_ATTEMPTS", 300)
+    fam = generate_family(seed=3, count=500, d=1.0, packing_target=4.0, k_range=(2, 3))
     assert not fam.complete
     assert len(fam) < 500
     assert check_disjointness(fam.squares).ok

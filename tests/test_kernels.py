@@ -19,7 +19,7 @@ from nhcz.kernels import (
     kernel_rows,
 )
 from nhcz.measure import build_measure, build_quadrature
-from nhcz.operators import Field, apply_direct, kernel_matrix
+from nhcz.operators import Field, Operator, apply_direct, kernel_matrix
 
 from oracles import (
     assert_same_bits,
@@ -160,14 +160,16 @@ def test_kernel_blocks_match_allocating_reference(mode):
 @pytest.mark.parametrize("threads,block", [(1, 7), (2, 7), (1, None), (2, None)])
 def test_apply_direct_matches_allocating_reference(monkeypatch, variant, threads, block):
     """Blocks of 7 end in a short block; each worker's reused buffer must
-    give the bits of a fresh allocating block per target block."""
+    give the bits of a fresh allocating block per target block.  The dense
+    ``Operator`` runs these sums on its threads above the threshold."""
     fam, cloud = reference_cloud()
     rng = np.random.default_rng(4)
     f = Field(rng.standard_normal((len(cloud), 2)) + 1j * rng.standard_normal((len(cloud), 2)), "mu")
     spec = KernelSpec(variant, fam)
     if block is not None:
         monkeypatch.setattr(operators, "_TARGET_BLOCK", block)
-    got = apply_direct(spec, cloud, f, threads=threads).values
+    monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", len(cloud) - 1)
+    got = Operator(cloud, "dense", threads).apply(variant, f).values
 
     def allocating(cloud, rows, mode, out=None):
         return cauchy_square_block_reference(cloud, rows, mode)
@@ -396,6 +398,19 @@ def test_size_scan_matches_row_scan_on_benchmark_clouds(d):
     cloud = build_quadrature(build_measure(fam), 8)
     assert len(cloud) == 2048
     _assert_size_scan_is_the_row_scan(cloud, np.arange(len(cloud)))
+
+
+def test_cz_size_constant_scans_every_row_of_a_large_cloud():
+    """A 3,008-node cloud (N^2 > 8e6, where a seeded sample of 2,048 rows
+    once stood in for the rows; at cz seed 0 it missed the witness)."""
+    fam = generate_family(seed=1, count=47, d=1.2, packing_target=4.0, k_range=suggest_generation_range(47, 1.2, 4.0))
+    cloud = build_quadrature(build_measure(fam), 8)
+    assert len(cloud) == 3008
+    spec = KernelSpec("modified", fam)
+    rep = cz_constants(spec, cloud, tau=0.6, budget=1000, seed=0)
+    a_i, wit = size_scan_rows(spec, cloud, np.arange(len(cloud)), 2.0 - cloud.d)
+    assert rep.witness_i == wit
+    assert_same_bits(np.float64(rep.a_i), np.float64(a_i))
 
 
 @given(size_scan_cases())

@@ -84,8 +84,10 @@ def test_apply_direct_threads_bitwise_identical(monkeypatch):
     f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
     spec = KernelSpec("modified", fam)
     monkeypatch.setattr(operators, "_TARGET_BLOCK", 16)
-    a = apply_direct(spec, cloud, f, threads=1).values
-    b = apply_direct(spec, cloud, f, threads=3).values
+    # the dense Operator runs the blocked sums on its threads above the threshold
+    monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", len(cloud) - 1)
+    a = apply_direct(spec, cloud, f).values
+    b = Operator(cloud, "dense", 3).apply("modified", f).values
     assert_same_bits(a, b)
 
 
@@ -435,14 +437,14 @@ def test_operator_norm_matches_dense_svd():
     fam, cloud = small_family(seed=1, count=2, n=2)  # 8 nodes
     for variant in ("modified", "adjoint"):
         spec = KernelSpec(variant, fam)
-        est = operator_norm(spec, cloud, tol=1e-13, max_iter=3000, seed=2)
+        est = Operator(cloud, "dense").norm(variant, 1e-13, 3000, 2)
         assert est.sigma_max == pytest.approx(weighted_sigma_max(spec, cloud), abs=1e-8)
 
 
 def test_operator_norm_modified_equals_adjoint():
     fam, cloud = small_family(seed=10, count=3, n=3)
-    a = operator_norm(KernelSpec("modified", fam), cloud, tol=1e-12, max_iter=2000, seed=0)
-    b = operator_norm(KernelSpec("adjoint", fam), cloud, tol=1e-12, max_iter=2000, seed=1)
+    a = Operator(cloud, "dense").norm("modified", 1e-12, 2000, 0)
+    b = Operator(cloud, "dense").norm("adjoint", 1e-12, 2000, 1)
     assert a.sigma_max == pytest.approx(b.sigma_max, rel=1e-6)
 
 
@@ -530,7 +532,7 @@ def test_dense_operator_keeps_one_matrix_slot(monkeypatch):
 
 def test_rayleigh_history_nondecreasing():
     fam, cloud = small_family(seed=14, count=3, n=3)
-    est = operator_norm(KernelSpec("adjoint", fam), cloud, tol=1e-12, max_iter=300, seed=3)
+    est = Operator(cloud, "dense").norm("adjoint", 1e-12, 300, 3)
     hist = est.rayleigh_history
     assert all(b >= a - 1e-12 * max(a, 1.0) for a, b in zip(hist, hist[1:]))
 
@@ -573,7 +575,7 @@ def test_beurling_rejects_odd_grid():
 def test_t1_single_square_zero():
     fam = SquareFamily.build([DyadicSquare(0, 0, 0)], 1.0, 4.0)
     cloud = build_quadrature(build_measure(fam), 4)
-    rep = t1_testing(KernelSpec("modified", fam), cloud, seed=0)
+    rep = t1_testing(cloud, seed=0)
     assert rep.sup_t == 0.0 and rep.sup_t_adjoint == 0.0
 
 
@@ -583,7 +585,7 @@ def test_t1_matches_bruteforce_on_full_ball():
     hi = cloud.xy.max(axis=0)
     c = (lo + hi) / 2
     ball = BallQuery(float(c[0]), float(c[1]), float(np.hypot(*(hi - lo))) + 1.0)
-    rep = t1_testing(KernelSpec("modified", fam), cloud, balls=[ball])
+    rep = t1_testing(cloud, balls=[ball])
     chi = Field(np.ones(len(cloud), dtype=np.complex128), "mu")
     for spec, got in [(KernelSpec("modified", fam), rep.sup_t), (KernelSpec("adjoint", fam), rep.sup_t_adjoint)]:
         tv = apply_bruteforce(spec, cloud, chi)
@@ -594,7 +596,7 @@ def test_t1_matches_bruteforce_on_full_ball():
 def test_t1_skips_zero_mass_balls():
     fam, cloud = small_family(seed=16, count=2, n=2)
     balls = [BallQuery(-100.0, -100.0, 0.001), BallQuery(float(cloud.xy[0, 0]), float(cloud.xy[0, 1]), 1.0)]
-    rep = t1_testing(KernelSpec("modified", fam), cloud, balls=balls)
+    rep = t1_testing(cloud, balls=balls)
     assert rep.skipped == 1
     assert rep.n_balls == 2
 

@@ -137,7 +137,7 @@ def test_domination_report_in_ladder_mode_ignores_ratio_of(monkeypatch):
     maximal = verify._maximal_many
     monkeypatch.setattr(verify, "_maximal_many", lambda cloud, fields, ratio_of: maximal(cloud, fields))
     without = check_domination(fam, n_per_side=4, trials=3, seed=1)
-    assert with_ratio.to_json(include_runtime=False) == without.to_json(include_runtime=False)
+    assert canonical_json(with_ratio.to_json_dict(include_runtime=False)) == canonical_json(without.to_json_dict(include_runtime=False))
 
 
 def test_domination_releases_the_kernel_matrix_before_the_maximal_pass(monkeypatch):
@@ -155,7 +155,7 @@ def test_domination_releases_the_kernel_matrix_before_the_maximal_pass(monkeypat
     assert held == []
 
 
-# sha256 of check_domination(...).to_json(include_runtime=False), computed
+# sha256 of check_domination(...)'s canonical JSON without runtime, computed
 # with the maximal function exact at every node: the benchmark's
 # small_direct families (seed = index of d, 32 squares, n = 6, trials 4)
 # and acceptance criterion 4's family (seed 21, 24 squares, d 1.2, n = 6,
@@ -182,7 +182,7 @@ def test_domination_reports_are_pinned(family, d, seed):
         fam_seed, count, k_range, trials = 21, 24, (3, 6), 2
     fam = generate_family(seed=fam_seed, count=count, d=d, packing_target=4.0, k_range=k_range)
     report = check_domination(fam, n_per_side=6, trials=trials, seed=seed)
-    digest = hashlib.sha256(report.to_json(include_runtime=False).encode()).hexdigest()
+    digest = hashlib.sha256(canonical_json(report.to_json_dict(include_runtime=False)).encode()).hexdigest()
     assert digest == DOMINATION_DIGESTS[(family, d, seed)]
 
 
@@ -229,8 +229,9 @@ def test_main_inequality_assembles_the_dense_kernel_once(monkeypatch):
     assert len(cloud) <= FAST_NODE_THRESHOLD
     verify._direct_apply_pair(fam, cloud)
     assert assembled == []  # the matrix waits for the first apply
+    monkeypatch.setattr(verify, "MAIN_TRIALS", 3)
     for checks in (1, 2):
-        report = check_main_inequality(fam, n_per_side=4, trials=3, seed=1)
+        report = check_main_inequality(fam, n_per_side=4, seed=1)
         assert report.passed and report.inputs["fast"] is False
         assert report.constants["iterations"] > 2
         # one assembly per check serves every norm iteration and trial field
@@ -254,18 +255,19 @@ class OnTheFlyOperator(Operator):
 
 def test_checks_through_the_dense_kernel_match_on_the_fly_sums(monkeypatch):
     fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
+    monkeypatch.setattr(verify, "MAIN_TRIALS", 3)
     cached = [
-        check_main_inequality(fam, n_per_side=4, trials=3, seed=1),
+        check_main_inequality(fam, n_per_side=4, seed=1),
         check_domination(fam, n_per_side=4, trials=3, seed=1),
     ]
     monkeypatch.setattr(verify, "_direct_apply_pair", lambda family, cloud: OnTheFlyOperator(cloud, "dense"))
     monkeypatch.setattr(operators, "kernel_matrix", None)  # the reference must not reach the matrix
     reference = [
-        check_main_inequality(fam, n_per_side=4, trials=3, seed=1),
+        check_main_inequality(fam, n_per_side=4, seed=1),
         check_domination(fam, n_per_side=4, trials=3, seed=1),
     ]
     for got, ref in zip(cached, reference):
-        assert got.to_json(include_runtime=False) == ref.to_json(include_runtime=False)
+        assert canonical_json(got.to_json_dict(include_runtime=False)) == canonical_json(ref.to_json_dict(include_runtime=False))
 
 
 def test_annulus_index_matches_float_oracle():
@@ -282,10 +284,12 @@ def test_annulus_index_matches_float_oracle():
             assert dist > 2.0**a * lj / 2 - 1e-12
 
 
-def test_main_inequality_two_square_dense_oracle():
+def test_main_inequality_two_square_dense_oracle(monkeypatch):
     fam = SquareFamily.build([DyadicSquare(0, 0, 0), DyadicSquare(0, 6, 1)], 1.2, 16.0)
     cloud = build_quadrature(build_measure(fam), 2)
-    report = check_main_inequality(fam, n_per_side=2, trials=6, seed=0, tol=1e-10, max_iter=5000)
+    for name, value in (("MAIN_TRIALS", 6), ("MAIN_NORM_TOL", 1e-10), ("MAIN_NORM_MAX_ITER", 5000)):
+        monkeypatch.setattr(verify, name, value)
+    report = check_main_inequality(fam, n_per_side=2, seed=0)
     assert report.passed
     # dense decomposition of the weighted adjoint-kernel matrix
     n = len(cloud)
@@ -301,32 +305,36 @@ def test_main_inequality_two_square_dense_oracle():
     assert report.constants["max_field_ratio"] <= report.constants["sigma_max_sq"] + 1e-10
 
 
-def test_main_inequality_fast_norm_matches_dense():
+def test_main_inequality_fast_norm_matches_dense(monkeypatch):
     fam = generate_family(seed=5, count=33, d=1.2, packing_target=4.0, k_range=(4, 6))
     cloud = build_quadrature(build_measure(fam), 8)
     assert len(cloud) > FAST_NODE_THRESHOLD
-    report = check_main_inequality(fam, n_per_side=8, trials=2, seed=2, tol=1e-4)
+    monkeypatch.setattr(verify, "MAIN_TRIALS", 2)
+    monkeypatch.setattr(verify, "MAIN_NORM_TOL", 1e-4)
+    report = check_main_inequality(fam, n_per_side=8, seed=2)
     assert report.inputs["fast"] is True
     assert report.passed
     dense = operator_norm(KernelSpec("adjoint", fam), cloud, tol=1e-4, seed=2, threads=2)
     assert report.constants["sigma_max"] == pytest.approx(dense.sigma_max, rel=1e-5)
 
 
-def test_main_inequality_single_square_zero():
+def test_main_inequality_single_square_zero(monkeypatch):
     fam = SquareFamily.build([DyadicSquare(0, 0, 0)], 1.0, 4.0)
-    report = check_main_inequality(fam, n_per_side=3, trials=3, seed=0)
+    monkeypatch.setattr(verify, "MAIN_TRIALS", 3)
+    report = check_main_inequality(fam, n_per_side=3, seed=0)
     assert report.passed
     assert report.constants["sigma_max"] == 0.0
 
 
-def test_reports_reproducible_modulo_runtime():
+def test_reports_reproducible_modulo_runtime(monkeypatch):
     fam = generate_family(seed=5, count=5, d=1.1, packing_target=4.0, k_range=(2, 4))
     a = check_domination(fam, n_per_side=3, trials=2, seed=9)
     b = check_domination(fam, n_per_side=3, trials=2, seed=9)
-    assert a.to_json(include_runtime=False) == b.to_json(include_runtime=False)
-    c = check_main_inequality(fam, n_per_side=3, trials=2, seed=9)
-    d = check_main_inequality(fam, n_per_side=3, trials=2, seed=9)
-    assert c.to_json(include_runtime=False) == d.to_json(include_runtime=False)
+    assert canonical_json(a.to_json_dict(include_runtime=False)) == canonical_json(b.to_json_dict(include_runtime=False))
+    monkeypatch.setattr(verify, "MAIN_TRIALS", 2)
+    c = check_main_inequality(fam, n_per_side=3, seed=9)
+    d = check_main_inequality(fam, n_per_side=3, seed=9)
+    assert canonical_json(c.to_json_dict(include_runtime=False)) == canonical_json(d.to_json_dict(include_runtime=False))
 
 
 def test_scaling_study_rows_and_determinism():
