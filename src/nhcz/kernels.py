@@ -233,7 +233,7 @@ def cz_constants(
     z, sq = cloud.z, cloud.square_index
     exhaustive = n <= EXHAUSTIVE_LIMIT
     rng = np.random.default_rng(seed)
-    a_i, wit_i = _size_scan(spec, cloud, np.arange(n), s)
+    a_i, wit_i = _size_scan(spec, cloud, s)
 
     if exhaustive:
         dm = np.abs(z[:, None] - z[None, :])
@@ -314,13 +314,12 @@ def _size_bounds(cloud, owners, factor, d):
     return bound
 
 
-def _size_scan(spec, cloud, rows, s):
-    """The largest |K(p, q)| d(p, q)^s over targets p in ``rows`` (sorted)
-    and all nodes q, zero where d(p, q) <= 0, and the first (p, q) in
-    row-major order that attains it exactly; (0.0, (0, 0)) when no value is
-    positive.
+def _size_scan(spec, cloud, s):
+    """The largest |K(p, q)| d(p, q)^s over all node pairs, zero where
+    d(p, q) <= 0, and the first (p, q) in row-major order that attains it
+    exactly; (0.0, (0, 0)) when no value is positive.
 
-    Every ordered pair of squares P != Q (P owning rows) gets the bound of
+    Every ordered pair of squares P != Q gets the bound of
     ``_size_bounds``.  The pairs' node blocks are then evaluated in
     decreasing bound order with the steps of a full row scan (kernel,
     side^d, |.|, times d^s, zero where d <= 0), until the next bound is below
@@ -331,15 +330,13 @@ def _size_scan(spec, cloud, rows, s):
     z, sq = cloud.z, cloud.square_index
     n, m, nn = len(cloud), len(cloud.family), cloud.n_per_side**2
     side = _side_factor(spec, cloud, None, np.arange(n))  # the kernel's side^d per source node
-    owners, starts = np.unique(sq[rows], return_index=True)
-    ends = np.append(starts[1:], rows.size)
-    flat = _size_bounds(cloud, owners, side[::nn], spec.d).ravel()
+    flat = _size_bounds(cloud, np.arange(m), side[::nn], spec.d).ravel()
     best, wit = 0.0, (0, 0)
     for t in np.argsort(-flat, kind="stable"):
         if flat[t] < best:
             break
         i, q = divmod(int(t), m)
-        p = rows[starts[i] : ends[i]]
+        p = np.arange(i * nn, (i + 1) * nn)  # square i's node slice
         cols = slice(q * nn, (q + 1) * nn)
         zp, sq_p = z[p][:, None], sq[p][:, None]
         drop = lambda dz: exclusion_mask(spec.rule[0], dz, sq_p, sq[cols])

@@ -40,7 +40,6 @@ class NonHomogeneousMeasure:
     """Family measure: density side^-d on each member square."""
 
     family: SquareFamily
-    masses: np.ndarray  # per-square total mass side^(2-d)
 
     @property
     def d(self) -> float:
@@ -48,7 +47,7 @@ class NonHomogeneousMeasure:
 
 
 def build_measure(family: SquareFamily) -> NonHomogeneousMeasure:
-    return NonHomogeneousMeasure(family, family.sides() ** (2.0 - family.d))
+    return NonHomogeneousMeasure(family)
 
 
 @dataclass

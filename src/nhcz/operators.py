@@ -10,12 +10,13 @@ symmetry the omitted cell's principal value is zero.
 
 ``Operator(cloud, backend)`` is the one apply object behind every check,
 norm and testing condition; its docstring describes the dense and tree
-backends.  ``apply_direct`` evaluates the kernel block of each block of
-targets on the fly; it serves any cloud size and stays the independent
-reference whose bits the dense backend reproduces.  Norm estimates run
-power iteration in the measure-weighted inner product, where the adjoint of
-a variant is the same exclusion mode with the transposition flipped, taken
-between complex conjugations.
+backends.  Every dense sum, ``apply_direct``'s and the dense backend's,
+runs through ``_cauchy_square_apply``: ``apply_direct`` computes the kernel
+block of each block of targets on the fly at any cloud size, and the dense
+backend reads the same blocks from its cache, with the same bits.  Norm
+estimates run power iteration in the measure-weighted inner product, where
+the adjoint of a variant is the same exclusion mode with the transposition
+flipped, taken between complex conjugations.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from nhcz.geometry import SquareFamily
 from nhcz.kernels import KernelSpec, cauchy_square_block, source_charges, target_scale
 from nhcz.measure import BallQuery, QuadratureCloud, _square_ball_sums, ball_mass, dyadic_radius_ladder
 
-FAST_NODE_THRESHOLD = 2048  # largest cloud with a dense kernel matrix; the checks' treecode switch
+FAST_NODE_THRESHOLD = 2048  # largest cloud whose dense kernel is cached; the checks' treecode switch
 KAPPA = 3.0  # dilation of the maximal operator M_{mu,3}
 EXACT_LIMIT = 4096  # largest cloud whose maximal function takes every node distance as a radius
-# targets per block of every on-the-fly sum; bounds its (targets x N) scratch
-# arrays.  Read at call time, as are KAPPA and EXACT_LIMIT.
+# targets per block of every dense sum and maximal pass; bounds their
+# (targets x N) arrays.  Read at call time, as are KAPPA and EXACT_LIMIT.
 _TARGET_BLOCK = 256
 _ROW_BLOCK = 32  # kernel rows per cache-sized block of the column products
 
@@ -57,11 +58,19 @@ def field_norm(cloud: QuadratureCloud, f: Field) -> float:
     return math.sqrt(float(np.sum(cloud.mu_weight * np.abs(f.values) ** 2)))
 
 
-def _cauchy_square_apply(cloud, charges, mode, threads=1, targets=None):
+def _cauchy_square_apply(cloud, charges, mode, threads=1, targets=None, cache=None):
     """Sum of charges_q / (z_p - z_q)^2 over the pairs the mode keeps, for
-    charges of shape (N,) or (N, k).
+    charges of shape (N,) or (N, k); the only place the package sums the
+    dense kernel.
 
-    ``targets`` restricts the output to the given node indices (default all).
+    ``targets`` restricts the output to the given node indices (default
+    all).  The targets run in blocks of ``_TARGET_BLOCK`` on at most
+    ``threads`` workers, never more than there are blocks.  Without
+    ``cache`` each worker writes every kernel block into one reused
+    (``_TARGET_BLOCK``, N) buffer.  ``cache`` (calls over all targets only)
+    maps a block's first row to its kernel rows: a missing block is computed
+    once and enters the dict only when whole, and a present one is read, so
+    a filled cache holds the dense (N, N) kernel, 16 N^2 bytes.
     """
     tgt = np.arange(len(cloud), dtype=np.int64) if targets is None else np.asarray(targets)
     cols = np.ascontiguousarray(charges.reshape(len(charges), -1).T)
@@ -70,17 +79,21 @@ def _cauchy_square_apply(cloud, charges, mode, threads=1, targets=None):
     starts = range(0, tgt.size, block)
 
     def run(mine):
-        buf = np.empty((min(block, tgt.size), len(cloud)), dtype=np.complex128)
+        buf = None if cache is not None else np.empty((min(block, tgt.size), len(cloud)), dtype=np.complex128)
         for b0 in mine:
             rows = tgt[b0 : b0 + block]
-            kernel = cauchy_square_block(cloud, rows, mode, buf[: rows.size])
+            if cache is None:
+                kernel = cauchy_square_block(cloud, rows, mode, buf[: rows.size])
+            elif (kernel := cache.get(b0)) is None:
+                kernel = cache[b0] = cauchy_square_block(cloud, rows, mode)
             out[b0 : b0 + rows.size] = _column_products(kernel, cols)
 
-    if threads <= 1:
+    workers = min(threads, len(starts))
+    if workers <= 1:
         run(starts)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(run, [starts[i::threads] for i in range(threads)]))
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            list(ex.map(run, [starts[i::workers] for i in range(workers)]))
     return out.reshape((tgt.size,) + charges.shape[1:])
 
 
@@ -110,25 +123,10 @@ def _column_products(kernel, cols):
     return out
 
 
-def kernel_matrix(cloud: QuadratureCloud, mode: str) -> np.ndarray:
-    """The dense (N, N) kernel 1/(z_p - z_q)^2, the pairs the exclusion mode
-    drops exact zeros, row for row ``_cauchy_square_apply``'s kernel blocks.
-
-    Each block of ``_TARGET_BLOCK`` rows is written in place into the
-    matrix, so the peak is the matrix, 16 N^2 bytes (64 MiB at
-    ``FAST_NODE_THRESHOLD`` nodes), plus one block's exclusion mask.
-    """
-    n, block = len(cloud), _TARGET_BLOCK
-    kernel = np.empty((n, n), dtype=np.complex128)
-    for b0 in range(0, n, block):
-        cauchy_square_block(cloud, np.arange(b0, min(b0 + block, n)), mode, kernel[b0 : b0 + block])
-    return kernel
-
-
-def _apply_rule(spec, cloud, values, transposed, threads, targets=None):
+def _apply_rule(spec, cloud, values, transposed, threads, targets=None, cache=None):
     """Dense sums of the spec's exclusion mode read forward or transposed."""
     charges = source_charges(cloud, values, transposed)
-    out = _cauchy_square_apply(cloud, charges, spec.rule[0], threads, targets=targets)
+    out = _cauchy_square_apply(cloud, charges, spec.rule[0], threads, targets=targets, cache=cache)
     return target_scale(cloud, spec.d, out, transposed, targets)
 
 
@@ -141,8 +139,7 @@ def apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, targets=Non
     One (``_TARGET_BLOCK``, N) complex buffer holds every kernel block, so
     the peak is 16 * 256 * N bytes (8 MiB at 2,048 nodes) plus one block's
     exclusion mask and the (targets, k) output.  The dense ``Operator``
-    runs the same sums on its ``threads`` threads above
-    ``FAST_NODE_THRESHOLD`` nodes, with the same bits.
+    runs the same sums, with the same bits, on its ``threads`` threads.
     """
     if len(f.values) != len(cloud):
         raise ValueError("field length does not match the cloud")
@@ -377,20 +374,20 @@ class Operator:
     """Every kernel variant of one cloud, and its measure adjoint, through
     one backend; the family, and with it d, is the cloud's.
 
-    ``"dense"``: up to ``FAST_NODE_THRESHOLD`` nodes, one ``kernel_matrix``
-    of the exclusion mode in use, assembled at the first apply and kept in
-    a single slot (another mode replaces it), times each column; above it,
-    the blocked ``apply_direct`` sums on ``threads`` threads.  The bits are
-    ``apply_direct``'s either way.  ``"tree"``: ``apply_fast`` at the
-    default ``ExpansionParams`` on a tree built at the first apply; modified
-    and adjoint only.
+    ``"dense"``: the blocked ``apply_direct`` sums on ``threads`` threads.
+    Up to ``FAST_NODE_THRESHOLD`` nodes the kernel blocks of the exclusion
+    mode in use are computed at the first apply and cached in a single slot
+    (another mode replaces it); above it they are recomputed per apply.
+    The bits are ``apply_direct``'s either way.  ``"tree"``: ``apply_fast``
+    at the default ``ExpansionParams`` on a tree built at the first apply;
+    modified and adjoint only.
     """
 
     def __init__(self, cloud: QuadratureCloud, backend: str, threads: int = 1):
         if backend not in ("dense", "tree"):
             raise ValueError(f"unknown operator backend {backend!r}")
         self.cloud, self.backend, self.threads = cloud, backend, threads
-        self._kernel = None  # (exclusion mode, its kernel_matrix)
+        self._blocks = (None, {})  # (exclusion mode, its cached kernel blocks)
         self._tree = None
 
     def apply(self, variant: str, f: Field) -> Field:
@@ -426,14 +423,12 @@ class Operator:
                 self._tree = build_tree(cloud, params.leaf_cap)
             spec = KernelSpec("adjoint" if transposed else "modified", cloud.family)
             return apply_fast(spec, self._tree, Field(values), params).values
-        if len(cloud) > FAST_NODE_THRESHOLD:
-            return _apply_rule(spec, cloud, values, transposed, self.threads)
-        if self._kernel is None or self._kernel[0] != mode:
-            self._kernel = None  # frees the old mode's matrix before the new one is built
-            self._kernel = (mode, kernel_matrix(cloud, mode))
-        charges = source_charges(cloud, values, transposed)
-        out = _column_products(self._kernel[1], np.ascontiguousarray(charges.reshape(len(charges), -1).T))
-        return target_scale(cloud, spec.d, out.reshape(charges.shape), transposed)
+        cache = None
+        if len(cloud) <= FAST_NODE_THRESHOLD:
+            if self._blocks[0] != mode:
+                self._blocks = (mode, {})  # drops the old mode's blocks before a new one is built
+            cache = self._blocks[1]
+        return _apply_rule(spec, cloud, values, transposed, self.threads, cache=cache)
 
 
 def operator_norm(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +64,8 @@ def _fast_apply_pair(_family, cloud):
 
 def _direct_apply_pair(_family, cloud):
     """The dense ``Operator`` of a check's cloud, named for the tracer as
-    ``_fast_apply_pair`` is.  Its kernel matrix is assembled at the first
-    apply and freed with the object, so ``check_domination`` drops the
+    ``_fast_apply_pair`` is.  Its cached kernel blocks are computed at the
+    first apply and freed with the object, so ``check_domination`` drops the
     operator before its maximal pass."""
     return Operator(cloud, "dense")
 
@@ -125,28 +124,6 @@ def check_main_inequality(family: SquareFamily, n_per_side: int = 8, seed: int =
         passed=passed,
         runtime_s=time.perf_counter() - t0,
     )
-
-
-@dataclass
-class AnnulusDiagnostic:
-    """One dilate-annulus family around the witness square."""
-
-    a: int
-    member_count: int
-    radius: float  # enclosing-ball radius for this family
-    partial_abs: float  # contribution of the family's sources to |T'f(x*)|
-    ball_mass_r: float
-    ball_mass_3r: float
-
-    def to_json_dict(self):
-        return {
-            "a": self.a,
-            "member_count": self.member_count,
-            "R_a": self.radius,
-            "partial_abs": self.partial_abs,
-            "ball_mass_R_a": self.ball_mass_r,
-            "ball_mass_3R_a": self.ball_mass_3r,
-        }
 
 
 def _annulus_of(geom, j, i) -> int:
@@ -230,7 +207,7 @@ def check_domination(
     whose ratio the ladder bounds cannot rule out: every other pair gets an
     upper bound of M f, which lowers a ratio already below the largest.
     c_dom and its witness are those of the exact M f at every pair.  The
-    operator, with any dense kernel matrix, is released before that pass.
+    operator, with any cached dense kernel, is released before that pass.
     """
     t0 = time.perf_counter()
     cloud = build_quadrature(build_measure(family), n_per_side)
@@ -238,7 +215,7 @@ def check_domination(
     fields = _domination_fields(cloud, trials, seed)
     tfs = [np.abs(image) for image in _images(op, "adjoint", [f for _, f in fields])]
     fast = op.backend == "tree"
-    del op  # a dense kernel matrix goes with it, before the maximal pass
+    del op  # a cached dense kernel goes with it, before the maximal pass
     maximal = _maximal_many(cloud, [f for _, f in fields], ratio_of=tfs)
     c_dom = 0.0
     witness = {"field": None, "node": -1}
@@ -274,15 +251,16 @@ def check_domination(
             part = complex(contrib[sel].sum())
             total += part
             r_a = 8.0 * 2.0 ** (a + 1) * ell_j
+            # one dilate-annulus family around the witness square
             diagnostics.append(
-                AnnulusDiagnostic(
-                    a=a,
-                    member_count=len(by_a[a]),
-                    radius=r_a,
-                    partial_abs=abs(part),
-                    ball_mass_r=ball_mass(cloud, BallQuery(x[0], x[1], r_a)),
-                    ball_mass_3r=ball_mass(cloud, BallQuery(x[0], x[1], 3.0 * r_a)),
-                )
+                {
+                    "a": a,
+                    "member_count": len(by_a[a]),
+                    "R_a": r_a,
+                    "partial_abs": abs(part),
+                    "ball_mass_R_a": ball_mass(cloud, BallQuery(x[0], x[1], r_a)),
+                    "ball_mass_3R_a": ball_mass(cloud, BallQuery(x[0], x[1], 3.0 * r_a)),
+                }
             )
         full = complex(apply_direct(adj, cloud, f, targets=[node]).values[0])
         reconstruction_ok = abs(total - full) <= 1e-12 * max(abs(full), 1e-300) + 1e-300
@@ -307,7 +285,7 @@ def check_domination(
         witnesses={
             "field": witness["field"],
             "node": witness["node"],
-            "annuli": [d.to_json_dict() for d in diagnostics],
+            "annuli": diagnostics,
         },
         thresholds={"min_annulus_index": 2, "containment_violations": 0},
         passed=passed,

@@ -45,22 +45,24 @@ def _density(mu):
 def test_build_measure_unit_square():
     mu = build_measure(unit_square_family(1.0))
     assert _density(mu)[0] == 1.0
-    assert mu.masses.sum() == 1.0
+    assert build_quadrature(mu, 1).mu_weight.sum() == 1.0
 
 
 def test_build_measure_half_square():
     fam = SquareFamily.build([DyadicSquare(1, 0, 0)], 1.0, 4.0)
     mu = build_measure(fam)
     assert _density(mu)[0] == 2.0
-    assert mu.masses.sum() == 0.5
+    assert build_quadrature(mu, 1).mu_weight.sum() == 0.5
 
 
 def test_build_measure_many_half_squares():
     squares = [DyadicSquare(1, 8 * m, 0) for m in range(5)]
-    mu = build_measure(SquareFamily.build(squares, 1.5, 4.0))
+    fam = SquareFamily.build(squares, 1.5, 4.0)
+    masses = build_quadrature(build_measure(fam), 1).mu_weight  # one node per square
     each = 0.5**0.5
-    assert np.allclose(mu.masses, each)
-    assert mu.masses.sum() == pytest.approx(5 * each, rel=1e-14)
+    assert np.allclose(masses, fam.sides() ** (2 - fam.d))
+    assert np.allclose(masses, each)
+    assert masses.sum() == pytest.approx(5 * each, rel=1e-14)
 
 
 def test_quadrature_single_midpoint():
@@ -88,11 +90,12 @@ def test_quadrature_mass_conservation(seed, n):
     mu = build_measure(fam)
     cloud = build_quadrature(mu, n)
     total = cloud.mu_weight.sum()
-    assert total == pytest.approx(mu.masses.sum(), rel=1e-12)
+    masses = fam.sides() ** (2 - fam.d)  # per-square total mass side^(2-d)
+    assert total == pytest.approx(masses.sum(), rel=1e-12)
     # per-square mass stays exact too
     for m in range(len(fam)):
         got = cloud.mu_weight[cloud.square_index == m].sum()
-        assert got == pytest.approx(mu.masses[m], rel=1e-12)
+        assert got == pytest.approx(masses[m], rel=1e-12)
 
 
 def test_ball_mass_saturation_and_empty():

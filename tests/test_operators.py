@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family, suggest_generation_range
-from nhcz.kernels import KernelSpec
+from nhcz.kernels import VARIANT_RULES, VARIANTS, KernelSpec
 from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature, dyadic_radius_ladder
 from nhcz import operators
 from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
@@ -215,7 +215,7 @@ def test_column_products_equal_full_matrix_products(n, k):
 @pytest.mark.parametrize("variant", ["modified", "full"])
 def test_lone_target_row_matches_the_dense_operator(variant):
     # 257 one-node squares: all targets end on a one-row block of 256 + 1,
-    # and targets=[256] is a one-row call; both read the dense matrix's row
+    # and targets=[256] is a one-row call; both read the dense kernel's row
     fam = SquareFamily.build([DyadicSquare(5, i % 32, i // 32) for i in range(257)], 1.2, 1e9)
     cloud = build_quadrature(build_measure(fam), 1)
     rng = np.random.default_rng(17)
@@ -230,9 +230,17 @@ def test_lone_target_row_matches_the_dense_operator(variant):
 def test_kernel_matrix_memory_holds_the_matrix(cloud_2048, mode):
     _, cloud = cloud_2048
     n = len(cloud)
-    # the matrix itself, plus one block's exclusion mask, its comparisons and
-    # the row indices: a few bytes per entry of 256 x 2048 (about 2 MiB)
-    assert _traced_peak(lambda: operators.kernel_matrix(cloud, mode)) < 16 * n * n + 4 * 2**20
+    op = Operator(cloud, "dense")
+    variant = next(v for v, (m, _) in VARIANT_RULES.items() if m == mode)
+    f = Field(np.ones(n), "mu")
+    # the first dense apply caches the matrix, block by block, plus one
+    # block's exclusion mask, its comparisons and the row indices (a few
+    # bytes per entry of 256 x 2048, about 2 MiB) and the (N,) charges and
+    # output
+    assert _traced_peak(lambda: op.apply(variant, f)) < 16 * n * n + 4 * 2**20
+    assert sum(block.nbytes for block in op._blocks[1].values()) == 16 * n * n
+    # a cached apply adds no kernel block
+    assert _traced_peak(lambda: op.apply(variant, f)) < 2**20
 
 
 @pytest.mark.parametrize("variant", ["full", "local", "modified", "adjoint"])
@@ -507,27 +515,108 @@ def test_tree_operator_rejects_uncompressed_variants(variant):
 
 def test_dense_operator_keeps_one_matrix_slot(monkeypatch):
     fam, cloud = small_family(seed=6, count=3, n=4)
-    assembled = []
-    assemble = operators.kernel_matrix
-
-    def counting_assemble(cloud, mode, *args, **kwargs):
-        assembled.append(mode)
-        return assemble(cloud, mode, *args, **kwargs)
-
-    monkeypatch.setattr(operators, "kernel_matrix", counting_assemble)
+    monkeypatch.setattr(operators, "_TARGET_BLOCK", 16)
+    firsts = list(range(0, len(cloud), 16))
+    assert len(firsts) == 3
     op = Operator(cloud, "dense")
-    assert op._kernel is None and assembled == []
+    filled, fill = [], operators.cauchy_square_block
+
+    def counting_fill(cloud, rows, mode, out=None):
+        assert op._blocks[0] == mode  # the old mode's blocks went before this one is built
+        filled.append((mode, int(rows[0])))
+        return fill(cloud, rows, mode, out)
+
+    monkeypatch.setattr(operators, "cauchy_square_block", counting_fill)
+    assert op._blocks[1] == {}
     f = Field(np.arange(len(cloud), dtype=np.complex128), "mu")
     op.apply("modified", f)
     op.adjoint("adjoint", f)
-    first = op._kernel[1]
-    assert assembled == ["cross_square"] and op._kernel[0] == "cross_square"
+    first = op._blocks[1]
+    cross = [("cross_square", b0) for b0 in firsts]
+    assert filled == cross and op._blocks[0] == "cross_square" and sorted(first) == firsts
     op.apply("full", f)
-    assert assembled == ["cross_square", "off_diagonal"] and op._kernel[0] == "off_diagonal"
-    assert op._kernel[1] is not first
+    off = [("off_diagonal", b0) for b0 in firsts]
+    assert filled == cross + off and op._blocks[0] == "off_diagonal"
+    assert op._blocks[1] is not first
     op.adjoint("full", f)
     op.apply("modified", f)
-    assert assembled == ["cross_square", "off_diagonal", "cross_square"]
+    assert filled == cross + off + cross
+
+
+@pytest.mark.parametrize("threshold", [FAST_NODE_THRESHOLD, 0])
+def test_dense_workers_are_capped_at_the_target_blocks(monkeypatch, threshold):
+    fam, cloud = small_family(seed=6, count=3, n=4)
+    monkeypatch.setattr(operators, "_TARGET_BLOCK", 32)
+    monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", threshold)
+    assert 32 < len(cloud) <= 64  # two target blocks
+    rng = np.random.default_rng(8)
+    f = Field(rng.standard_normal((len(cloud), 3)) + 1j * rng.standard_normal((len(cloud), 3)), "mu")
+    one = Operator(cloud, "dense", 1).apply("modified", f).values
+    pools = []
+
+    class InlinePool:
+        """Records its worker count and tasks and runs the tasks inline."""
+
+        def __init__(self, max_workers):
+            self.max_workers, self.tasks = max_workers, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            self.tasks += len(items)
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(operators, "ThreadPoolExecutor", InlinePool)
+    many = Operator(cloud, "dense", 64).apply("modified", f).values
+    assert [(pool.max_workers, pool.tasks) for pool in pools] == [(2, 2)]
+    assert_same_bits(many, one)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_threaded_dense_operator_matches_apply_direct(monkeypatch, variant):
+    fam, cloud = small_family(seed=6, count=3, n=4)
+    monkeypatch.setattr(operators, "_TARGET_BLOCK", 7)  # seven blocks, the last one short
+    assert len(cloud) <= FAST_NODE_THRESHOLD
+    rng = np.random.default_rng(9)
+    vals = rng.standard_normal((len(cloud), 3)) + 1j * rng.standard_normal((len(cloud), 3))
+    spec = KernelSpec(variant, fam)
+    op = Operator(cloud, "dense", threads=2)
+    for v in (vals, vals[:, 1]):
+        f = Field(v, "mu")
+        assert_same_bits(op.apply(variant, f).values, apply_direct(spec, cloud, f).values)
+        assert_same_bits(op.adjoint(variant, f).values, adjoint_apply_direct(spec, cloud, f).values)
+    assert sorted(op._blocks[1]) == list(range(0, len(cloud), 7))
+
+
+def test_dense_apply_that_raises_leaves_only_whole_blocks(monkeypatch):
+    fam, cloud = small_family(seed=6, count=3, n=4)
+    monkeypatch.setattr(operators, "_TARGET_BLOCK", 16)
+    fill, calls = operators.cauchy_square_block, []
+
+    def failing_fill(cloud, rows, mode, out=None):
+        calls.append(int(rows[0]))
+        block = fill(cloud, rows, mode, out)
+        if len(calls) == 2:
+            block[:] = np.nan  # a half-written block must never be read again
+            raise MemoryError("second block")
+        return block
+
+    f = Field(np.arange(len(cloud), dtype=np.complex128), "mu")
+    ref = apply_direct(KernelSpec("modified", fam), cloud, f).values
+    monkeypatch.setattr(operators, "cauchy_square_block", failing_fill)
+    op = Operator(cloud, "dense")
+    with pytest.raises(MemoryError):
+        op.apply("modified", f)
+    assert sorted(op._blocks[1]) == [0]
+    for _ in range(2):
+        assert_same_bits(op.apply("modified", f).values, ref)
+    assert calls == [0, 16, 16, 32]
 
 
 def test_rayleigh_history_nondecreasing():

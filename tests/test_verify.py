@@ -192,7 +192,7 @@ def test_dense_pair_matches_on_the_fly_applies_bit_for_bit(monkeypatch, seed, co
     cloud = build_quadrature(build_measure(fam), n)
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((len(cloud), 3)) + 1j * rng.standard_normal((len(cloud), 3))
-    # the kernel matrix, then the blocked sums the dense backend runs above the threshold
+    # the cached kernel blocks, then the blocks recomputed per apply above the threshold
     for threshold, matrix in [(FAST_NODE_THRESHOLD, True), (0, False)]:
         monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", threshold)
         op = verify._direct_apply_pair(fam, cloud)
@@ -207,40 +207,80 @@ def test_dense_pair_matches_on_the_fly_applies_bit_for_bit(monkeypatch, seed, co
                     assert single.shape == (len(cloud),)
                     assert np.array_equal(single, ref_fn(spec, cloud, Field(vals[:, j], "mu")).values)
                     assert np.array_equal(batched[:, j], single)
-        assert (op._kernel is not None) is matrix
+        assert bool(op._blocks[1]) is matrix
+
+
+def _counting_dense_sums(monkeypatch):
+    """Patch the dense layer to record each ``Operator`` apply, each
+    ``_cauchy_square_apply`` call (whether it passes a cache) and each kernel
+    block fill (mode, first row, whether it goes to the cache)."""
+    seen = {"applies": [], "sums": [], "fills": []}
+    sums, cauchy, fill = Operator._sums, operators._cauchy_square_apply, operators.cauchy_square_block
+
+    def counting_sums(self, *args, **kwargs):
+        seen["applies"].append(self.backend)
+        return sums(self, *args, **kwargs)
+
+    def counting_cauchy(*args, cache=None, **kwargs):
+        seen["sums"].append(cache is not None)
+        return cauchy(*args, cache=cache, **kwargs)
+
+    def counting_fill(cloud, rows, mode, out=None):
+        seen["fills"].append((mode, int(rows[0]), out is None))
+        return fill(cloud, rows, mode, out)
+
+    monkeypatch.setattr(Operator, "_sums", counting_sums)
+    monkeypatch.setattr(operators, "_cauchy_square_apply", counting_cauchy)
+    monkeypatch.setattr(operators, "cauchy_square_block", counting_fill)
+    return seen
 
 
 def test_main_inequality_assembles_the_dense_kernel_once(monkeypatch):
-    assembled, on_the_fly = [], []
-    assemble, cauchy = operators.kernel_matrix, operators._cauchy_square_apply
-
-    def counting_assemble(cloud, mode, *args, **kwargs):
-        assembled.append((len(cloud), mode))
-        return assemble(cloud, mode, *args, **kwargs)
-
-    def counting_cauchy(*args, **kwargs):
-        on_the_fly.append(1)
-        return cauchy(*args, **kwargs)
-
-    monkeypatch.setattr(operators, "kernel_matrix", counting_assemble)
-    monkeypatch.setattr(operators, "_cauchy_square_apply", counting_cauchy)
+    seen = _counting_dense_sums(monkeypatch)
+    monkeypatch.setattr(operators, "_TARGET_BLOCK", 64)
     fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
     cloud = build_quadrature(build_measure(fam), 4)
-    assert len(cloud) <= FAST_NODE_THRESHOLD
+    assert 64 < len(cloud) <= FAST_NODE_THRESHOLD
+    blocks = [("cross_square", b0, True) for b0 in range(0, len(cloud), 64)]
     verify._direct_apply_pair(fam, cloud)
-    assert assembled == []  # the matrix waits for the first apply
+    assert seen["fills"] == []  # the blocks wait for the first apply
     monkeypatch.setattr(verify, "MAIN_TRIALS", 3)
     for checks in (1, 2):
         report = check_main_inequality(fam, n_per_side=4, seed=1)
         assert report.passed and report.inputs["fast"] is False
         assert report.constants["iterations"] > 2
-        # one assembly per check serves every norm iteration and trial field
-        assert assembled == [(len(cloud), "cross_square")] * checks
-        assert on_the_fly == []
+        # one fill of each block per check serves every norm iteration and trial field
+        assert seen["fills"] == blocks * checks
     est = operator_norm(KernelSpec("adjoint", fam), cloud, seed=1)
     assert est.iterations > 2
-    assert assembled == [(len(cloud), "cross_square")] * 3
-    assert on_the_fly == []
+    assert seen["fills"] == blocks * 3
+    assert all(seen["sums"]) and len(seen["sums"]) == len(seen["applies"])
+
+
+@pytest.mark.parametrize("check", ["main_inequality", "domination"])
+def test_dense_checks_send_every_apply_through_the_blocked_sums(monkeypatch, check):
+    seen = _counting_dense_sums(monkeypatch)
+    monkeypatch.setattr(operators, "_TARGET_BLOCK", 64)
+    monkeypatch.setattr(verify, "MAIN_TRIALS", 3)
+    fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
+    n = len(build_quadrature(build_measure(fam), 4))
+    assert 64 < n <= FAST_NODE_THRESHOLD
+    if check == "main_inequality":
+        report = check_main_inequality(fam, n_per_side=4, seed=1)
+        # an apply per norm step, an adjoint per step but the last, one apply for the trials
+        assert len(seen["applies"]) == 2 * report.constants["iterations"]
+    else:
+        report = check_domination(fam, n_per_side=4, trials=3, seed=1)
+        assert len(seen["applies"]) == math.ceil((3 + 10 + 3) / _COLUMN_BLOCK)
+    assert report.passed and report.inputs["fast"] is False
+    assert seen["applies"] == ["dense"] * len(seen["applies"])
+    # every operator apply is one cached call of the blocked sums, each block
+    # filled once; the domination check's reconstruction adds one uncached call
+    cached = [s for s in seen["sums"] if s]
+    assert len(cached) == len(seen["applies"])
+    assert len(seen["sums"]) - len(cached) == (check == "domination")
+    fills = [fill for fill in seen["fills"] if fill[2]]
+    assert fills == [("cross_square", b0, True) for b0 in range(0, n, 64)]
 
 
 class OnTheFlyOperator(Operator):
@@ -261,11 +301,12 @@ def test_checks_through_the_dense_kernel_match_on_the_fly_sums(monkeypatch):
         check_domination(fam, n_per_side=4, trials=3, seed=1),
     ]
     monkeypatch.setattr(verify, "_direct_apply_pair", lambda family, cloud: OnTheFlyOperator(cloud, "dense"))
-    monkeypatch.setattr(operators, "kernel_matrix", None)  # the reference must not reach the matrix
+    seen = _counting_dense_sums(monkeypatch)
     reference = [
         check_main_inequality(fam, n_per_side=4, seed=1),
         check_domination(fam, n_per_side=4, trials=3, seed=1),
     ]
+    assert seen["sums"] and not any(seen["sums"])  # the reference never reaches a block cache
     for got, ref in zip(cached, reference):
         assert canonical_json(got.to_json_dict(include_runtime=False)) == canonical_json(ref.to_json_dict(include_runtime=False))
 
