@@ -26,7 +26,7 @@ import numpy as np
 from nhcz import fastsum, kernels, measure, operators, verify
 from nhcz.geometry import SquareFamily, check_disjointness, generate_family, suggest_generation_range
 from nhcz.measure import borderline_exponent, build_measure, build_quadrature
-from nhcz.reports import VerificationReport, family_digest, write_csv_atomic, write_json_atomic
+from nhcz.reports import SCHEMA, VerificationReport, family_digest, write_csv_atomic, write_json_atomic
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -100,7 +100,7 @@ def _cmd_generate(args) -> int:
     write_json_atomic(
         os.path.join(args.out, "generate.json"),
         {
-            "schema": "nhcz/1",
+            "schema": SCHEMA,
             "check": "generate",
             "family": path,
             "family_digest": family_digest(fam),
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
         result = SUBCOMMANDS[args.command][2](args)
         return _emit(args, result) if isinstance(result, VerificationReport) else result
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(json.dumps({"schema": "nhcz/1", "error": type(exc).__name__, "detail": str(exc)}))
+        print(json.dumps({"schema": SCHEMA, "error": type(exc).__name__, "detail": str(exc)}))
         return INPUT_ERROR
 
 

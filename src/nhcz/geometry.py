@@ -70,10 +70,11 @@ def _dilates_meet(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
     return abs(a[0] - b[0]) <= reach and abs(a[1] - b[1]) <= reach
 
 
-def _scaled_centers_halves(squares, lam_num=4):
-    """Integer center/half-side lists in units of 2^-(kmax+1) (``_scaled_dilate``)."""
+def _scaled_centers_halves(squares):
+    """Integer center/half-side lists of the squares themselves in units of
+    2^-(kmax+1) (``_scaled_dilate`` with ``lam_num`` 1)."""
     kmax = max(s.k for s in squares)
-    cx, cy, h = zip(*(_scaled_dilate(s, kmax, lam_num) for s in squares))
+    cx, cy, h = zip(*(_scaled_dilate(s, kmax, 1) for s in squares))
     return list(cx), list(cy), list(h)
 
 

@@ -289,21 +289,20 @@ def cz_constants(
 _SIZE_MARGIN = 1e-13
 
 
-def _size_bounds(cloud, owners, factor, d):
-    """Bounds of the size scan's values on every square pair: row i, column
-    Q holds factor_Q dmin(owners[i], Q)^(-d) (1 + ``_SIZE_MARGIN``), dmin
-    from the gaps between the squares' extreme node coordinates, and -inf
-    where owners[i] = Q.  ``factor`` is the kernel's side^d per square.  The
-    pairs run in blocks of owners, as the ball-sum engine's (centre, square)
-    pairs do."""
+def _size_bounds(cloud, factor, d):
+    """Bounds of the size scan's values on every square pair: row P, column
+    Q holds factor_Q dmin(P, Q)^(-d) (1 + ``_SIZE_MARGIN``), dmin from the
+    gaps between the squares' extreme node coordinates, and -inf where
+    P = Q.  ``factor`` is the kernel's side^d per square.  The pairs run in
+    blocks of rows, as the ball-sum engine's (centre, square) pairs do."""
     m, nn = len(cloud.family), cloud.n_per_side**2
     grid = cloud.xy.reshape(m, nn, 2)
     lo, hi = grid.min(axis=1), grid.max(axis=1)
-    bound = np.empty((owners.size, m))
+    bound = np.empty((m, m))
     step = max(1, _PAIR_BLOCK // m)
     with np.errstate(divide="ignore"):
-        for b0 in range(0, owners.size, step):
-            ps = owners[b0 : b0 + step, None]
+        for b0 in range(0, m, step):
+            ps = np.arange(b0, min(b0 + step, m))[:, None]
             gap2 = 0.0
             for a in (0, 1):
                 gap = np.maximum(np.maximum(lo[:, a] - hi[ps, a], lo[ps, a] - hi[:, a]), 0.0)
@@ -330,7 +329,7 @@ def _size_scan(spec, cloud, s):
     z, sq = cloud.z, cloud.square_index
     n, m, nn = len(cloud), len(cloud.family), cloud.n_per_side**2
     side = _side_factor(spec, cloud, None, np.arange(n))  # the kernel's side^d per source node
-    flat = _size_bounds(cloud, np.arange(m), side[::nn], spec.d).ravel()
+    flat = _size_bounds(cloud, side[::nn], spec.d).ravel()
     best, wit = 0.0, (0, 0)
     for t in np.argsort(-flat, kind="stable"):
         if flat[t] < best:

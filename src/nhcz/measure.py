@@ -184,6 +184,15 @@ def _square_ball_sums(cloud, r2, weights, centers):
     squares then add their nodes one by one; a grid column's nodes share
     their x and a grid row's their y, so a node's ``d^2`` is the sum of its
     column's and its row's squared offsets.
+
+    The straddling pairs are binned in chunks of ``_PAIR_BLOCK // n^2``
+    pairs that cut across the centres of a block, and each chunk's bincount
+    is added to the bins on its own.  So a centre's sums can depend, in the
+    last bits, on which other centres share its block of
+    ``_PAIR_BLOCK // squares`` centres: on a 96-square, 6,144-node family
+    with 104 weight rows, one call on 1,024 centres and four calls on 256
+    of them differ in 7 of 3,194,880 sums, by at most 4.3e-16 relative.
+    Callers that pass the same blocks of centres get the same bits.
     """
     pts = np.asarray(centers, dtype=float)
     r2 = np.asarray(r2, dtype=float)

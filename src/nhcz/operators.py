@@ -164,10 +164,11 @@ def maximal_function(cloud: QuadratureCloud, f: Field) -> Field:
     B(x, R) to the measure of B(x, ``KAPPA`` R) over a finite set of
     candidate radii.
 
-    Above ``EXACT_LIMIT`` nodes the candidates are the dyadic radii between
-    the finest node spacing and the diameter.  At or below it they are every
-    exact node distance, and the ball-sum engine's ladder sums only bound
-    which distances need to be looked at (see ``_maximal_many``).
+    The targets run in blocks through the ball-sum engine's dyadic radii
+    between the finest node spacing and the diameter.  Above ``EXACT_LIMIT``
+    nodes those are the candidates.  At or below it the candidates are every
+    exact node distance, and the ladder sums only bound which distances need
+    to be looked at (see ``_maximal_many``).
     """
     return Field(_maximal_many(cloud, [f])[0], "mu")
 
@@ -191,28 +192,28 @@ def _maximal_many(cloud, fields, targets=None, ratio_of=None):
     """Maximal-function values for several fields at once.  ``targets``
     restricts the evaluation nodes.
 
-    Both modes take the ladder l_i (base ``finest_spacing``) through the
-    square-level ball-sum engine with radii l_i and kappa l_i (kappa =
+    At every cloud size the targets run in blocks of ``_TARGET_BLOCK``, and
+    each block makes one call of the square-level ball-sum engine with the
+    ladder radii l_i (base ``finest_spacing``) and kappa l_i (kappa =
     ``KAPPA``), for the |f|-masses N_f(l_i) and the measures D(kappa l_i).
-    Above ``EXACT_LIMIT`` nodes one engine call covers every target and the
-    result is the best ladder ratio.
+    The best ladder ratio is a lower bound lb_f.  ``EXACT_LIMIT`` only turns
+    refinement on: above that many nodes the result is lb_f, and the pass
+    holds one block's sums at a time.
 
-    At or below it each block of ``_TARGET_BLOCK`` targets makes one engine
-    call.  The candidate radii are the node distances, and the ladder radii
-    drop out of them: a radius R has the same numerator as the largest node
-    distance r <= R, while D(kappa r) <= D(kappa R), since float products,
-    cumulative sums of nonnegative weights and IEEE division are monotone.
-    The best engine ladder ratio is a lower bound lb_f.  Bracket
-    i = (l_{i-1}, l_i], with bracket 0 = [0, l_0], holds no ratio above
-    N_f(l_i) / D(kappa l_{i-1}), or above N_f(l_0) over the target's own
-    weight for bracket 0; a (target, field, bracket) is refined only when
-    that bound exceeds lb_f (1 + ``_MARGIN``).  A refined target sorts its
-    nodes within kappa times the outer edge of its last refined bracket
-    (stably, so ties keep a full sort's order) and takes prefix sums of the
-    weights and of the refined fields' numerators, so each refined ratio is
-    bit-identical to a full sort's.  A field's value is the larger of lb_f and
-    its best ratio on its own refined brackets, so it does not depend on the
-    other fields of the call.
+    At or below it the candidate radii are the node distances, and the
+    ladder radii drop out of them: a radius R has the same numerator as the
+    largest node distance r <= R, while D(kappa r) <= D(kappa R), since
+    float products, cumulative sums of nonnegative weights and IEEE division
+    are monotone.  Bracket i = (l_{i-1}, l_i], with bracket 0 = [0, l_0],
+    holds no ratio above N_f(l_i) / D(kappa l_{i-1}), or above N_f(l_0)
+    over the target's own weight for bracket 0; a (target, field, bracket)
+    is refined only when that bound exceeds lb_f (1 + ``_MARGIN``).  A
+    refined target sorts its nodes within kappa times the outer edge of its
+    last refined bracket (stably, so ties keep a full sort's order) and takes
+    prefix sums of the weights and of the refined fields' numerators, so each
+    refined ratio is bit-identical to a full sort's.  A field's value is the
+    larger of lb_f and its best ratio on its own refined brackets, so it does
+    not depend on the other fields of the call.
 
     ``ratio_of`` (exact mode only; ignored above ``EXACT_LIMIT``) holds one
     nonnegative array per field over the targets, the numerators a caller
@@ -239,23 +240,23 @@ def _maximal_many(cloud, fields, targets=None, ratio_of=None):
     weights = np.concatenate([den_w[None], num_w])
     xy = cloud.xy
     rungs = ladder2.size
-    if n > EXACT_LIMIT:
-        sums = _square_ball_sums(cloud, r2, weights, xy[tgt])
-        ratios = sums[:, :rungs, 1:] / sums[:, rungs:, :1]
-        return [ratios[:, :, fi].max(axis=1) for fi in range(len(fields))]
-    lb, ub = np.empty((len(fields), tgt.size)), np.empty((len(fields), tgt.size))
-    refine = np.empty((tgt.size, rungs, len(fields)), dtype=bool)
+    exact = n <= EXACT_LIMIT
+    lb, ub = np.empty((len(fields), tgt.size)), np.empty((len(fields), tgt.size) if exact else 0)
+    refine = np.empty((tgt.size, rungs, len(fields)) if exact else 0, dtype=bool)
     for b0 in range(0, tgt.size, block):
         rows_idx = tgt[b0 : b0 + block]
         sums = _square_ball_sums(cloud, r2, weights, xy[rows_idx])
         num, den = sums[:, :rungs, 1:], sums[:, rungs:, :1]
         lo = (num / den).max(axis=1)
-        inner = np.concatenate([den_w[rows_idx, None, None], den[:, :-1]], axis=1)
-        bound = num / inner  # (block, rung, field)
         rows = slice(b0, b0 + rows_idx.size)
         lb[:, rows] = lo.T
-        ub[:, rows] = (np.maximum(lo, bound.max(axis=1)) * (1.0 + _MARGIN)).T
-        refine[rows] = bound > lo[:, None, :] * (1.0 + _MARGIN)
+        if exact:
+            inner = np.concatenate([den_w[rows_idx, None, None], den[:, :-1]], axis=1)
+            bound = num / inner  # (block, rung, field)
+            ub[:, rows] = (np.maximum(lo, bound.max(axis=1)) * (1.0 + _MARGIN)).T
+            refine[rows] = bound > lo[:, None, :] * (1.0 + _MARGIN)
+    if not exact:
+        return list(lb)
     outs = lb
     if ratio_of is not None:
         tf = np.stack(ratio_of)

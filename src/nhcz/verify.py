@@ -128,7 +128,7 @@ def check_main_inequality(family: SquareFamily, n_per_side: int = 8, seed: int =
 
 def _annulus_of(geom, j, i) -> int:
     """Annulus index of square i around square j from the integer centers
-    and half-sides of ``_scaled_centers_halves(squares, lam_num=1)``."""
+    and half-sides of ``_scaled_centers_halves``."""
     cx, cy, h = geom
     dist = max(abs(cx[i] - cx[j]), abs(cy[i] - cy[j]))
     a = 0
@@ -143,7 +143,7 @@ def _annulus_audits(family):
     radius 8 * 2^(a+1) * side_j around any point of Q_j.  Also returns the
     table whose row j holds the annulus index of each square i != j around
     square j (None at i = j)."""
-    geom = cx, cy, h = _scaled_centers_halves(family.squares, lam_num=1)
+    geom = cx, cy, h = _scaled_centers_halves(family.squares)
     m = len(family.squares)
     min_a = None
     containment_violations = 0
@@ -219,21 +219,20 @@ def check_domination(
     maximal = _maximal_many(cloud, [f for _, f in fields], ratio_of=tfs)
     c_dom = 0.0
     witness = {"field": None, "node": -1}
-    witness_tf = None
+    witness_f = None
     for (label, f), denom, tf in zip(fields, maximal, tfs):
         ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)
         node = int(np.argmax(ratios))
         if ratios[node] > c_dom:
             c_dom = float(ratios[node])
             witness = {"field": label, "node": node}
-            witness_tf = (f, tf[node])
+            witness_f = f
     min_a, containment_violations, annuli = _annulus_audits(family)
 
     diagnostics = []
     partition_ok = True
     reconstruction_ok = True
-    if witness_tf is not None and len(family) > 1:
-        f, tf_abs = witness_tf
+    if witness_f is not None and len(family) > 1:
         node = witness["node"]
         j = int(cloud.square_index[node])
         by_a: dict[int, list[int]] = {}
@@ -242,7 +241,7 @@ def check_domination(
                 by_a.setdefault(a, []).append(i)
         partition_ok = sum(len(v) for v in by_a.values()) == len(family) - 1
         adj = KernelSpec("adjoint", family)
-        contrib = kernel_rows(adj, cloud, [node])[0] * f.values * cloud.mu_weight
+        contrib = kernel_rows(adj, cloud, [node])[0] * witness_f.values * cloud.mu_weight
         total = 0j
         x = (float(cloud.xy[node, 0]), float(cloud.xy[node, 1]))
         ell_j = family.squares[j].side
@@ -262,7 +261,7 @@ def check_domination(
                     "ball_mass_3R_a": ball_mass(cloud, BallQuery(x[0], x[1], 3.0 * r_a)),
                 }
             )
-        full = complex(apply_direct(adj, cloud, f, targets=[node]).values[0])
+        full = complex(apply_direct(adj, cloud, witness_f, targets=[node]).values[0])
         reconstruction_ok = abs(total - full) <= 1e-12 * max(abs(full), 1e-300) + 1e-300
 
     passed = bool(
@@ -367,12 +366,12 @@ def scaling_study(d: float, packing_target: float, m_ladder, n_per_side: int = 8
         fam_seed = 1_000_003 * seed + m_req
         fam = generate_cascade_family(seed=fam_seed, count=m_req, d=d, packing_target=packing_target)
         cloud = build_quadrature(build_measure(fam), n_per_side)
-        if len(cloud) > MAXIMAL_TARGET_CAP:
-            g_rng = np.random.default_rng(seed + 77 * idx)
-            g_centers = cloud.xy[np.sort(g_rng.choice(len(cloud), size=MAXIMAL_TARGET_CAP, replace=False))]
-        else:
-            g_centers = None
-        c_growth, _ = growth_constant(cloud, centers=g_centers)
+        # growth centres and maximal targets: a sorted draw of at most
+        # MAXIMAL_TARGET_CAP nodes, which is every node in order on a small
+        # cloud; the exhaustive per-node audit lives in check_domination
+        picks = min(len(cloud), MAXIMAL_TARGET_CAP)
+        g_rng = np.random.default_rng(seed + 77 * idx)
+        c_growth, _ = growth_constant(cloud, centers=cloud.xy[np.sort(g_rng.choice(len(cloud), picks, replace=False))])
         op = _check_operator(cloud)
         est = op.norm("adjoint", SCALING_NORM_TOL, SCALING_NORM_MAX_ITER, seed, SCALING_NORM_REL_TOL)
         dom_fields = _domination_fields(cloud, trials=2, seed=seed + idx, max_indicators=2, deltas=1)
@@ -382,13 +381,7 @@ def scaling_study(d: float, packing_target: float, m_ladder, n_per_side: int = 8
             for _ in range(2)
         ]
         all_fields = dom_fields + norm_fields
-        # on large clouds the maximal-operator statistics run on a fixed
-        # seeded target subsample; the exhaustive per-node audit lives in
-        # check_domination
-        if len(cloud) > MAXIMAL_TARGET_CAP:
-            targets = np.sort(rng.choice(len(cloud), size=MAXIMAL_TARGET_CAP, replace=False))
-        else:
-            targets = np.arange(len(cloud))
+        targets = np.sort(rng.choice(len(cloud), picks, replace=False))
         maximal = _maximal_many(cloud, [f for _, f in all_fields], targets=targets)
         c_dom = 0.0
         images = _images(op, "adjoint", [f for _, f in dom_fields])

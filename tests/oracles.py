@@ -16,9 +16,11 @@ the size condition's full row scan, the bit-for-bit reference of the
 square-pair scan; ``moments_per_column`` and ``far_sums_per_cell``, the
 treecode's moment build and far pass one column and one cell at a time,
 the bit-for-bit references of the batched ones; ``disjointness_loop``,
-the all-pairs dilate test, the reference of the sweep; and
+the all-pairs dilate test, the reference of the sweep;
 ``square_ball_sums_by_nonzero``, the ball-sum engine with its whole squares
-gathered by ``np.nonzero``, the reference of the one-pass binning.
+gathered by ``np.nonzero``, the reference of the one-pass binning; and
+``maximal_ladder_one_call``, the maximal function's ladder mode as one
+engine call over every target, the reference of the blocked pass.
 """
 
 import math
@@ -29,8 +31,8 @@ import numpy as np
 from nhcz.fastsum import _ENTRY_BLOCK, _binomial_table
 from nhcz.geometry import DisjointnessVerdict, DyadicSquare, _dilates_meet, _scaled_centers_halves, _scaled_dilate
 from nhcz.kernels import _best, exclusion_mask, kernel_rows
-from nhcz.measure import _PAIR_BLOCK, _add_to_bins, dyadic_radius_ladder
-from nhcz.operators import Operator, _maximal_many
+from nhcz.measure import _PAIR_BLOCK, _add_to_bins, _square_ball_sums, dyadic_radius_ladder
+from nhcz.operators import KAPPA, Operator, _maximal_many
 from nhcz.verify import _annulus_of
 
 
@@ -112,7 +114,7 @@ def annulus_index(family, j, i):
     closed 2^a-dilate."""
     if i == j:
         raise ValueError("annulus index needs two distinct squares")
-    return _annulus_of(_scaled_centers_halves(family.squares, lam_num=1), j, i)
+    return _annulus_of(_scaled_centers_halves(family.squares), j, i)
 
 
 def fit_cost_exponent(sizes, times_ms):
@@ -271,6 +273,26 @@ def maximal_bruteforce(cloud, f, kappa=3.0, exact_limit=4096):
             best = max(best, num / den)
         out[p] = best
     return out
+
+
+def maximal_ladder_one_call(cloud, fields, targets=None):
+    """The best ladder ratio N_f(l_i) / D(kappa l_i) of each field at each
+    target, from one ball-sum engine call that holds every target's sums at
+    once; ``_maximal_many`` gives the same bits above ``EXACT_LIMIT`` when
+    the engine's own centre blocks divide ``_TARGET_BLOCK``."""
+    n = len(cloud)
+    tgt = np.arange(n, dtype=np.int64) if targets is None else np.asarray(targets)
+    kappa2 = KAPPA * KAPPA
+    num_w = np.stack([np.abs(f.values) * cloud.mu_weight for f in fields])
+    den_w = cloud.mu_weight
+    ladder2 = dyadic_radius_ladder(cloud, base=cloud.finest_spacing) ** 2
+    r2 = np.concatenate([ladder2, kappa2 * ladder2])
+    weights = np.concatenate([den_w[None], num_w])
+    xy = cloud.xy
+    rungs = ladder2.size
+    sums = _square_ball_sums(cloud, r2, weights, xy[tgt])
+    ratios = sums[:, :rungs, 1:] / sums[:, rungs:, :1]
+    return [ratios[:, :, fi].max(axis=1) for fi in range(len(fields))]
 
 
 def witness_loop(tfs, maximal):

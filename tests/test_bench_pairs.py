@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from bench_pairs import summarize  # noqa: E402
+import bench_pairs  # noqa: E402
+from bench_pairs import parse_args, spent_by, summarize  # noqa: E402
 
 
 def test_summary_of_a_lower_is_better_metric():
@@ -34,3 +35,24 @@ def test_summary_rejects_unpaired_values():
         summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         summarize([1.0], [1.0], "faster")
+
+
+def test_spent_seed_lookup_reads_every_record_but_the_output(tmp_path):
+    (tmp_path / "BENCH_3.json").write_text('{"seed": 41, "pairs": 10}\n')
+    (tmp_path / "BENCH_4.json").write_text('{"seed": 42, "pairs": 10}\n')
+    (tmp_path / "OTHER.json").write_text('{"seed": 43}\n')
+    assert spent_by(tmp_path, 42, tmp_path / "BENCH_9.json") == tmp_path / "BENCH_4.json"
+    assert spent_by(tmp_path, 42, tmp_path / "BENCH_4.json") is None  # rewriting a record reuses its seed
+    assert spent_by(tmp_path, 43, tmp_path / "BENCH_9.json") is None  # only BENCH_*.json records count
+    assert spent_by(tmp_path, 7, tmp_path / "BENCH_9.json") is None
+
+
+def test_a_spent_seed_exits_2_naming_its_record(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    (tmp_path / "BENCH_4.json").write_text('{"seed": 42, "pairs": 10}\n')
+    args = ["--parent", ".", "--change", ".", "--workload", "scaling_row", "--out", str(tmp_path / "BENCH_9.json")]
+    with pytest.raises(SystemExit) as exc:
+        parse_args(args + ["--seed", "42"])
+    assert exc.value.code == 2
+    assert "BENCH_4.json" in capsys.readouterr().err
+    assert parse_args(args + ["--seed", "43"]).seed == 43

@@ -431,10 +431,13 @@ def test_size_bounds_hold_every_scanned_value(case):
     spec, m, nn = KernelSpec("modified", cloud.family), len(cloud.family), cloud.n_per_side**2
     dist = np.abs(cloud.z[rows][:, None] - cloud.z)
     vals = np.where(dist > 0, np.abs(kernel_rows(spec, cloud, rows)) * dist ** (2.0 - cloud.d), 0.0)
-    owners, starts = np.unique(cloud.square_index[rows], return_index=True)
-    pair_max = np.maximum.reduceat(vals.reshape(rows.size, m, nn).max(axis=2), starts, axis=0)
+    # each scanned row's values against its own square's row of the full
+    # (square, square) bound matrix
     side = _side_factor(spec, cloud, None, np.arange(len(cloud)))
-    bound = _size_bounds(cloud, owners, side[::nn], cloud.d)
-    same = owners[:, None] == np.arange(m)
-    assert np.all(bound[same] == -np.inf)
-    assert np.all(pair_max[~same] <= bound[~same])
+    bound = _size_bounds(cloud, side[::nn], cloud.d)
+    assert bound.shape == (m, m)
+    assert np.all(np.diag(bound) == -np.inf)
+    owner = cloud.square_index[rows]
+    row_max = vals.reshape(rows.size, m, nn).max(axis=2)
+    other = owner[:, None] != np.arange(m)
+    assert np.all(row_max[other] <= bound[owner][other])

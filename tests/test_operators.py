@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nhcz.geometry import DyadicSquare, SquareFamily, generate_family, suggest_generation_range
+from nhcz.geometry import DyadicSquare, SquareFamily, generate_cascade_family, generate_family, suggest_generation_range
 from nhcz.kernels import VARIANT_RULES, VARIANTS, KernelSpec
 from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature, dyadic_radius_ladder
 from nhcz import operators
@@ -35,6 +35,7 @@ from oracles import (
     beurling_dft_bruteforce,
     kernel_eval,
     maximal_bruteforce,
+    maximal_ladder_one_call,
     weighted_sigma_max,
     witness_loop,
 )
@@ -161,26 +162,39 @@ def test_maximal_many_fields_match_single_field_runs():
         assert np.array_equal(got, maximal_function(cloud, f).values.real[targets])
 
 
-def test_exact_maximal_memory_holds_one_block():
-    # the 1152-node domination cloud of a 32-square family with its 39 fields
+@pytest.mark.parametrize("exact_limit", [4096, 0], ids=["exact", "ladder"])
+def test_maximal_memory_holds_one_block(monkeypatch, exact_limit):
+    # the 1152-node domination cloud of a 32-square family with its 39
+    # fields, in the exact mode and (EXACT_LIMIT = 0) the ladder mode
+    monkeypatch.setattr(operators, "EXACT_LIMIT", exact_limit)
     fam = generate_family(seed=0, count=32, d=0.8, packing_target=4.0, k_range=suggest_generation_range(32, 0.8, 4.0))
     cloud = build_quadrature(build_measure(fam), 6)
     fields = [f for _, f in _domination_fields(cloud, 4, 0)]
     assert (len(cloud), len(fields)) == (1152, 39)
-    tracemalloc.start()
-    try:
-        _maximal_many(cloud, fields)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # memory is bounded by the ball-sum engine's scratch for one block of 256
     # targets (its bins, and at most 2^16 straddling nodes times 40 weight
-    # rows: 21 MB), the kept bounds and refine mask of every target (two
-    # 39 * 1152 float arrays and one bool per target, rung and field: under
-    # 1.5 MB) and one target's squared distances and refined prefix (its
-    # sorted nodes and the refined fields' prefix sums, at most
-    # 39 * 1152 * 8 B = 0.36 MB)
-    assert peak < 48 * 2**20
+    # rows: 21 MB) and, in the exact mode only, the kept bounds and refine
+    # mask of every target (two 39 * 1152 float arrays and one bool per
+    # target, rung and field: under 1.5 MB) and one target's squared
+    # distances and refined prefix (its sorted nodes and the refined fields'
+    # prefix sums, at most 39 * 1152 * 8 B = 0.36 MB)
+    assert _traced_peak(lambda: _maximal_many(cloud, fields)) < 24 * 2**20
+
+
+def test_maximal_ladder_blocks_match_one_call_on_the_scaling_cascade():
+    # the M=256 cascade of scaling_study's d=1.2 row, its 7 fields and 4,096
+    # seeded targets; the engine's block of 2^16 // 256 centres divides
+    # _TARGET_BLOCK, so the blocked pass has the one call's bits
+    fam = generate_cascade_family(seed=1_000_003 * 5 + 256, count=256, d=1.2, packing_target=4.0)
+    cloud = build_quadrature(build_measure(fam), 8)
+    assert len(cloud) == 16384 > operators.EXACT_LIMIT
+    rng = np.random.default_rng(5)
+    fields = [f for _, f in _domination_fields(cloud, trials=2, seed=5, max_indicators=2, deltas=1)]
+    fields += [Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu") for _ in range(2)]
+    targets = np.sort(rng.choice(len(cloud), 4096, replace=False))
+    blocked = _maximal_many(cloud, fields, targets=targets)
+    assert len(blocked) == 7
+    assert_same_bits(np.array(blocked), np.array(maximal_ladder_one_call(cloud, fields, targets=targets)))
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family, suggest_generation_range
 from nhcz.kernels import VARIANTS, KernelSpec
-from nhcz.measure import build_measure, build_quadrature
-from nhcz.operators import Field, Operator, adjoint_apply_direct, apply_direct, operator_norm
+from nhcz.measure import build_measure, build_quadrature, growth_constant
+from nhcz.operators import Field, Operator, _maximal_many, adjoint_apply_direct, apply_direct, operator_norm
 from nhcz import operators, verify
 from nhcz.fastsum import _COLUMN_BLOCK
 from nhcz.reports import VerificationReport, canonical_json, family_digest, jsonable
@@ -387,6 +387,28 @@ def test_scaling_study_rows_and_determinism():
         assert row[2] is True  # complete
         assert float(row[6]) <= 4.0  # c_pack within target
         assert math.isfinite(float(row[8]))
+
+
+def test_scaling_study_samples_every_node_of_a_small_cloud(monkeypatch):
+    # at n <= MAXIMAL_TARGET_CAP the sorted draw is every node in order, for
+    # the growth centres and for the maximal targets alike
+    seen = {}
+
+    def growth_spy(cloud, centers):
+        seen["cloud"], seen["centers"] = cloud, centers
+        return growth_constant(cloud, centers)
+
+    def maximal_spy(cloud, fields, targets):
+        seen["targets"] = targets
+        return _maximal_many(cloud, fields, targets=targets)
+
+    monkeypatch.setattr(verify, "growth_constant", growth_spy)
+    monkeypatch.setattr(verify, "_maximal_many", maximal_spy)
+    scaling_study(d=1.2, packing_target=4.0, m_ladder=[4], n_per_side=3, seed=7)
+    n = len(seen["cloud"])
+    assert n <= verify.MAXIMAL_TARGET_CAP
+    assert_same_bits(np.asarray(seen["centers"]), seen["cloud"].xy)
+    assert np.array_equal(seen["targets"], np.arange(n)) and seen["targets"].dtype == np.int64
 
 
 def test_scaling_single_square_row_zero_operator():

@@ -11,7 +11,10 @@ each side's values in pair order, their median and quartiles, and how many
 pairs the change won (ties count for neither).  A gain holds when the
 change wins at least nine tenths of the pairs and its median beats the
 parent's by more than the parent's interquartile range.  The output file is
-rewritten after each workload.  Only the standard library is used.
+rewritten after each workload.  A seed that a ``BENCH_*.json`` record in
+the repository root already holds, other than ``--out``, is refused with
+exit status 2, so every record's pairs run on a fresh seed.  Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9  # share of pairs the change must win for a gain
 
@@ -93,6 +97,15 @@ def run_once(checkout, workload, seed, seconds):
     return json.loads(lines[-1]), machine
 
 
+def spent_by(root, seed, out):
+    """The first ``BENCH_*.json`` in ``root``, other than ``out``, whose
+    ``seed`` is ``seed``, or None."""
+    for path in sorted(Path(root).glob("BENCH_*.json")):
+        if path.resolve() != Path(out).resolve() and json.loads(path.read_text()).get("seed") == seed:
+            return path
+    return None
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -105,6 +118,8 @@ def parse_args(argv):
     args = p.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
         p.error("--pairs must be >= 1, --seconds > 0 and --seed >= 0")
+    if (spent := spent_by(ROOT, args.seed, args.out)) is not None:
+        p.error(f"--seed {args.seed} is spent: {spent} records it")
     return args
 
 
