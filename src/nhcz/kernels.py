@@ -120,23 +120,26 @@ def cauchy_square_into(out, z_target, z_source, drop, numerator=1.0):
     return out
 
 
-def cauchy_square_block(cloud: QuadratureCloud, rows, mode: str, out=None) -> np.ndarray:
+def cauchy_square_block(cloud: QuadratureCloud, rows, mode: str, out=None, first=0) -> np.ndarray:
     """The raw Cauchy-square kernel 1/(z_p - z_q)^2 for targets p in ``rows``
-    against all nodes, with the pairs the exclusion mode drops set to exact
-    zeros.
+    against the nodes ``first``, ..., N - 1, with the pairs the exclusion
+    mode drops set to exact zeros.
 
-    The block is written into ``out``, a (len(rows), N) complex128 array the
-    caller owns and may reuse from block to block, or into a new array when
-    ``out`` is None.  Beyond ``out`` the peak is the exclusion mask and its
-    comparisons, a few bytes per entry: about 2 MiB for 256 rows of a
-    2,048-node cloud, against ``out``'s 8 MiB.
+    Every entry has the same bits at any ``first``, and the kernel of every
+    mode is bitwise symmetric: the difference z_q - z_p is the exact
+    negative of z_p - z_q, and the mask compares the same pair either way.
+    The block is written into ``out``, a (len(rows), N - first) complex128
+    array the caller owns and may reuse from block to block, or into a new
+    array when ``out`` is None.  Beyond ``out`` the peak is the exclusion
+    mask and its comparisons, a few bytes per entry: about 0.5 MiB for a
+    64-row strip of a 2,048-node cloud, against the strip's 2 MiB.
     """
-    z, sq = cloud.z, cloud.square_index
     rows = np.asarray(rows)
+    z, sq = cloud.z[first:], cloud.square_index[first:]
     if out is None:
-        out = np.empty((rows.size, len(cloud)), dtype=np.complex128)
-    sq_rows = sq[rows][:, None]
-    return cauchy_square_into(out, z[rows][:, None], z, lambda dz: exclusion_mask(mode, dz, sq_rows, sq))
+        out = np.empty((rows.size, z.size), dtype=np.complex128)
+    sq_rows = cloud.square_index[rows][:, None]
+    return cauchy_square_into(out, cloud.z[rows][:, None], z, lambda dz: exclusion_mask(mode, dz, sq_rows, sq))
 
 
 def kernel_rows(spec: KernelSpec, cloud: QuadratureCloud, rows: np.ndarray) -> np.ndarray:

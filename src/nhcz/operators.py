@@ -11,17 +11,22 @@ symmetry the omitted cell's principal value is zero.
 ``Operator(cloud, backend)`` is the one apply object behind every check,
 norm and testing condition; its docstring describes the dense and tree
 backends.  Every dense sum, ``apply_direct``'s and the dense backend's,
-runs through ``_cauchy_square_apply``: ``apply_direct`` computes the kernel
-block of each block of targets on the fly at any cloud size, and the dense
-backend reads the same blocks from its cache, with the same bits.  Norm
-estimates run power iteration in the measure-weighted inner product, where
-the adjoint of a variant is the same exclusion mode with the transposition
-flipped, taken between complex conjugations.
+runs through ``_cauchy_square_apply``.  Over all targets it sweeps the
+upper strips of the kernel, which is bitwise symmetric in every exclusion
+mode: ``_ROW_BLOCK`` rows each, against the columns from the strip's
+first row on, so about 8 N (N + 64) bytes in all.  ``apply_direct``
+computes each strip on the fly into one reused 64 x N buffer at any cloud
+size, and the dense backend reads the same strips from its cache, with
+the same bits.  Norm estimates run power iteration in the
+measure-weighted inner product, where the adjoint of a variant is the
+same exclusion mode with the transposition flipped, taken between complex
+conjugations.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,13 +36,21 @@ from nhcz.geometry import SquareFamily
 from nhcz.kernels import KernelSpec, cauchy_square_block, source_charges, target_scale
 from nhcz.measure import BallQuery, QuadratureCloud, _square_ball_sums, ball_mass, dyadic_radius_ladder
 
-FAST_NODE_THRESHOLD = 2048  # largest cloud whose dense kernel is cached; the checks' treecode switch
+# largest cloud whose dense kernel is cached, as upper strips of about
+# 8 N (N + 64) bytes (33 MiB at 2,048 nodes); the checks' treecode switch
+FAST_NODE_THRESHOLD = 2048
 KAPPA = 3.0  # dilation of the maximal operator M_{mu,3}
 EXACT_LIMIT = 4096  # largest cloud whose maximal function takes every node distance as a radius
-# targets per block of every dense sum and maximal pass; bounds their
-# (targets x N) arrays.  Read at call time, as are KAPPA and EXACT_LIMIT.
+# targets per block of the target-subset dense sums and of every maximal
+# pass; bounds their (targets x N) arrays.  Read at call time, as are KAPPA,
+# EXACT_LIMIT and _ROW_BLOCK.
 _TARGET_BLOCK = 256
-_ROW_BLOCK = 32  # kernel rows per cache-sized block of the column products
+# kernel rows per upper strip and per cache-sized block of the column
+# products.  Each strip costs a few numpy calls per column: on a 2,048-node
+# cloud a cached single-column apply took 2.0 ms with 64-row strips and
+# 2.5 ms with 32 (one thread, 300 MiB L3), and a 64-row strip (2 MiB there)
+# still stays in cache between its two products.
+_ROW_BLOCK = 64
 
 
 @dataclass
@@ -63,38 +76,79 @@ def _cauchy_square_apply(cloud, charges, mode, threads=1, targets=None, cache=No
     charges of shape (N,) or (N, k); the only place the package sums the
     dense kernel.
 
-    ``targets`` restricts the output to the given node indices (default
-    all).  The targets run in blocks of ``_TARGET_BLOCK`` on at most
-    ``threads`` workers, never more than there are blocks.  Without
-    ``cache`` each worker writes every kernel block into one reused
-    (``_TARGET_BLOCK``, N) buffer.  ``cache`` (calls over all targets only)
-    maps a block's first row to its kernel rows: a missing block is computed
-    once and enters the dict only when whole, and a present one is read, so
-    a filled cache holds the dense (N, N) kernel, 16 N^2 bytes.
+    Over all targets the sums run as one sweep of the kernel's upper strips
+    (see ``_upper_strips``), since the kernel of every exclusion mode is
+    bitwise symmetric.  Strip s, rows [s, e) against columns [s, N), is read
+    once per column for two zgemv products while it is in cache: its own
+    rows' sums over the columns from s, and the transposed product its
+    off-diagonal part adds to the rows from e on, whose own strips come
+    later.  The strips are multiplied in strip order on the calling thread,
+    and each column on its own, so a column's bits depend neither on
+    ``threads`` nor on the columns beside it.  ``threads`` and ``cache``
+    go to ``_upper_strips``.
+
+    ``targets`` restricts the output to the given node indices.  Those sums
+    run over blocks of ``_TARGET_BLOCK`` full kernel rows written into one
+    reused (``_TARGET_BLOCK``, N) buffer, through ``_column_products``.
     """
-    tgt = np.arange(len(cloud), dtype=np.int64) if targets is None else np.asarray(targets)
     cols = np.ascontiguousarray(charges.reshape(len(charges), -1).T)
-    out = np.empty((tgt.size, cols.shape[0]), dtype=np.complex128)
-    block = _TARGET_BLOCK
-    starts = range(0, tgt.size, block)
-
-    def run(mine):
-        buf = None if cache is not None else np.empty((min(block, tgt.size), len(cloud)), dtype=np.complex128)
-        for b0 in mine:
+    if targets is not None:
+        tgt, block = np.asarray(targets), _TARGET_BLOCK
+        out = np.empty((tgt.size, cols.shape[0]), dtype=np.complex128)
+        buf = np.empty((min(block, tgt.size), len(cloud)), dtype=np.complex128)
+        for b0 in range(0, tgt.size, block):
             rows = tgt[b0 : b0 + block]
-            if cache is None:
-                kernel = cauchy_square_block(cloud, rows, mode, buf[: rows.size])
-            elif (kernel := cache.get(b0)) is None:
-                kernel = cache[b0] = cauchy_square_block(cloud, rows, mode)
-            out[b0 : b0 + rows.size] = _column_products(kernel, cols)
+            out[b0 : b0 + rows.size] = _column_products(cauchy_square_block(cloud, rows, mode, buf[: rows.size]), cols)
+        return out.reshape((tgt.size,) + charges.shape[1:])
+    sums = np.zeros_like(cols)
+    for s, strip in _upper_strips(cloud, mode, threads, cache):
+        e = s + len(strip)
+        for col, acc in zip(cols, sums):
+            acc[s:e] += strip @ col[s:]
+            acc[e:] += strip[:, e - s :].T @ col[s:e]
+    return np.ascontiguousarray(sums.T).reshape(charges.shape)
 
-    workers = min(threads, len(starts))
+
+def _upper_strips(cloud, mode, threads, cache):
+    """(s, strip) for the kernel's upper strips in row order: strip s holds
+    rows [s, s + ``_ROW_BLOCK``) against columns [s, N), 16 * 64 * (N - s)
+    bytes at most (2 MiB at 2,048 nodes).
+
+    ``cache`` maps a strip's first row to the strip: a present strip is
+    read, and a missing one is computed into a new array that enters the
+    dict only when whole, so a filled cache holds 16 * sum of rows * (N - s)
+    over the strips, about 8 N (N + 64) bytes.  Without ``cache`` the strips
+    are written into reused (``_ROW_BLOCK``, N) buffers, one per strip in
+    flight.  Strips to compute are filled on up to ``threads`` workers,
+    never more than there are such strips, and at most 2 * workers strips
+    are in flight, the one being read among them.  A fill is elementwise,
+    so its bits do not depend on the worker that makes it.
+    """
+    n = len(cloud)
+    starts = range(0, n, _ROW_BLOCK)
+    workers = min(threads, len(starts) if cache is None else sum(s not in cache for s in starts))
+    ahead = min(2 * workers, len(starts)) if workers > 1 else 1
+    bufs = [np.empty((min(_ROW_BLOCK, n), n), dtype=np.complex128) for _ in range(ahead if cache is None else 0)]
+
+    def fill(i):
+        s = starts[i]
+        rows = np.arange(s, min(s + _ROW_BLOCK, n))
+        if cache is None:
+            return cauchy_square_block(cloud, rows, mode, bufs[i % ahead][: rows.size, : n - s], s)
+        if (strip := cache.get(s)) is None:
+            strip = cache[s] = cauchy_square_block(cloud, rows, mode, first=s)
+        return strip
+
     if workers <= 1:
-        run(starts)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(run, [starts[i::workers] for i in range(workers)]))
-    return out.reshape((tgt.size,) + charges.shape[1:])
+        for i, s in enumerate(starts):
+            yield s, fill(i)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        pending = deque(ex.submit(fill, i) for i in range(ahead))
+        for i, s in enumerate(starts):
+            yield s, pending.popleft().result()
+            if i + ahead < len(starts):
+                pending.append(ex.submit(fill, i + ahead))
 
 
 def _column_products(kernel, cols):
@@ -131,15 +185,18 @@ def _apply_rule(spec, cloud, values, transposed, threads, targets=None, cache=No
 
 
 def apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, targets=None) -> Field:
-    """Dense kernel application in fixed node order, blocked over targets,
-    to a field of shape (N,) or (N, k); the kernel block of each target
-    block is computed once for all columns.
+    """Dense kernel application in a fixed order to a field of shape (N,) or
+    (N, k), on one thread; each kernel strip or block is computed once for
+    all columns.
 
-    ``targets`` restricts the output to those node indices (default all).
-    One (``_TARGET_BLOCK``, N) complex buffer holds every kernel block, so
-    the peak is 16 * 256 * N bytes (8 MiB at 2,048 nodes) plus one block's
-    exclusion mask and the (targets, k) output.  The dense ``Operator``
-    runs the same sums, with the same bits, on its ``threads`` threads.
+    Over all targets this is the sweep of ``_cauchy_square_apply``: one
+    reused (``_ROW_BLOCK``, N) complex buffer holds every strip, so the peak
+    is 16 * 64 * N bytes (2 MiB at 2,048 nodes) plus one strip's exclusion
+    mask, the charges and the (N, k) sums.  The dense ``Operator`` runs the
+    same sweep, with the same bits, from its cache or on its ``threads``
+    threads.  ``targets`` restricts the output to those node indices, summed
+    in blocks of ``_TARGET_BLOCK`` full kernel rows in one reused
+    (``_TARGET_BLOCK``, N) buffer (8 MiB at 2,048 nodes).
     """
     if len(f.values) != len(cloud):
         raise ValueError("field length does not match the cloud")
@@ -375,20 +432,22 @@ class Operator:
     """Every kernel variant of one cloud, and its measure adjoint, through
     one backend; the family, and with it d, is the cloud's.
 
-    ``"dense"``: the blocked ``apply_direct`` sums on ``threads`` threads.
-    Up to ``FAST_NODE_THRESHOLD`` nodes the kernel blocks of the exclusion
-    mode in use are computed at the first apply and cached in a single slot
-    (another mode replaces it); above it they are recomputed per apply.
-    The bits are ``apply_direct``'s either way.  ``"tree"``: ``apply_fast``
-    at the default ``ExpansionParams`` on a tree built at the first apply;
-    modified and adjoint only.
+    ``"dense"``: the sweep of ``apply_direct`` over the kernel's upper
+    strips, filled on up to ``threads`` threads (see ``_upper_strips``).  Up
+    to ``FAST_NODE_THRESHOLD`` nodes the strips of the exclusion mode in use
+    are computed at the first apply and cached in a single slot, about
+    8 N (N + 64) bytes (another mode replaces it); above it they are
+    recomputed per apply, with one 64 x N buffer per strip in flight.  The
+    bits are ``apply_direct``'s either way, at any ``threads``.  ``"tree"``:
+    ``apply_fast`` at the default ``ExpansionParams`` on a tree built at the
+    first apply; modified and adjoint only.
     """
 
     def __init__(self, cloud: QuadratureCloud, backend: str, threads: int = 1):
         if backend not in ("dense", "tree"):
             raise ValueError(f"unknown operator backend {backend!r}")
         self.cloud, self.backend, self.threads = cloud, backend, threads
-        self._blocks = (None, {})  # (exclusion mode, its cached kernel blocks)
+        self._strips = (None, {})  # (exclusion mode, its cached kernel strips)
         self._tree = None
 
     def apply(self, variant: str, f: Field) -> Field:
@@ -426,9 +485,9 @@ class Operator:
             return apply_fast(spec, self._tree, Field(values), params).values
         cache = None
         if len(cloud) <= FAST_NODE_THRESHOLD:
-            if self._blocks[0] != mode:
-                self._blocks = (mode, {})  # drops the old mode's blocks before a new one is built
-            cache = self._blocks[1]
+            if self._strips[0] != mode:
+                self._strips = (mode, {})  # drops the old mode's strips before a new one is built
+            cache = self._strips[1]
         return _apply_rule(spec, cloud, values, transposed, self.threads, cache=cache)
 
 

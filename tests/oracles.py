@@ -165,6 +165,23 @@ def cauchy_square_block_reference(cloud, rows, mode):
     return inverse_square_reference(dz, exclusion_mask(mode, dz, sq[rows][:, None], sq[None, :]))
 
 
+def summation_gap_bound(kernel, charges):
+    """Largest gap two summation orders of ``kernel @ charges`` can show,
+    entry by entry, for complex charges of shape (N,) or (N, k).
+
+    Each order sums the same N products K_pq c_q.  A complex inner product
+    of length N computed in any order lies within gamma_{N+2} sum_q
+    |K_pq| |c_q| of the exact one (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.6), where gamma_n = n u / (1 - n u)
+    and u = 2^-53, so two orders differ by at most twice that.  The bound is
+    itself computed in floating point: a sum of N + 2 rounded nonnegative
+    terms, which one more factor 1 + gamma_{N+2} covers."""
+    u = 2.0**-53
+    nu = (kernel.shape[1] + 2) * u
+    gamma = nu / (1.0 - nu)
+    return 2.0 * gamma * (1.0 + gamma) * (np.abs(kernel) @ np.abs(charges))
+
+
 def packing_bruteforce(squares, d):
     """Scan every ancestor of every member, on Python ints, up to the finest
     generation whose ancestors are the four cells at the origin (no dyadic

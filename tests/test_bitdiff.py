@@ -1,0 +1,73 @@
+import math
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from bitdiff import compare, flatten, ordered_bits, read_outputs  # noqa: E402
+
+
+def _tree(runtime_s=0.5, **constants):
+    return flatten({"check": "norm", "runtime_s": runtime_s, "constants": constants, "rows": [1, 2.0]})
+
+
+def test_equal_trees_move_nothing_and_runtime_is_set_aside():
+    parent = _tree(sigma=0.1, iterations=18, ok=True, nan=math.nan)
+    report = compare(parent, _tree(runtime_s=9.0, sigma=0.1, iterations=18, ok=True, nan=math.nan))
+    assert (report["moved"], report["added"], report["removed"], report["largest"]) == (0, [], [], {})
+    assert report["leaves"] == 7 and not report["exit_changed"]
+
+
+def test_moved_leaves_report_their_largest_abs_rel_and_ulp_moves():
+    a, b = 0.0020046533971509427, 0.0020046533971509422
+    parent = _tree(sigma=a, big=1.0e6, iterations=18, zero=0.0)
+    change = _tree(sigma=b, big=1.0e6 + 2**-13, iterations=19, zero=-0.0)
+    report = compare(parent, change)
+    assert report["moved"] == 4 and set(report["moves"]) == {
+        "/constants/sigma",
+        "/constants/big",
+        "/constants/iterations",
+        "/constants/zero",
+    }
+    sigma = report["moves"]["/constants/sigma"]
+    assert (sigma["parent"], sigma["change"]) == (a, b)
+    assert sigma["ulp"] == abs(ordered_bits(a) - ordered_bits(b)) == 1
+    assert report["moves"]["/constants/zero"]["ulp"] == 0  # the sign of zero moves, by no ulp
+    assert report["moves"]["/constants/iterations"]["ulp"] is None  # ints have no ulp
+    assert report["largest"]["abs"] == {"key": "/constants/iterations", "value": 1.0}
+    assert report["largest"]["rel"] == {"key": "/constants/iterations", "value": 1 / 19}
+    assert report["largest"]["ulp"]["key"] == "/constants/big"
+    assert report["largest"]["ulp"]["value"] == 2**20  # 2^-13 at 1e6, whose ulp is 2^-33
+
+
+def test_added_removed_non_finite_and_exit_codes():
+    parent = _tree(sigma=1.0, gone=2.0, finite=3.0)
+    change = _tree(sigma=1.0, new=2.0, finite=math.inf)
+    report = compare(parent, change, exits=(0, 1))
+    assert report["added"] == ["/constants/new"] and report["removed"] == ["/constants/gone"]
+    move = report["moves"]["/constants/finite"]
+    assert report["moved"] == 1 and move["abs"] == move["rel"] == math.inf and move["ulp"] is None
+    assert report["exit"] == [0, 1] and report["exit_changed"]
+    # a string or a changed type moves without a size
+    report = compare(flatten({"v": "PASS", "n": 1}), flatten({"v": "FAIL", "n": 1.0}))
+    assert report["moved"] == 2 and report["moves"]["/v"]["abs"] is None
+    assert report["moves"]["/n"]["abs"] == 0.0
+
+
+def test_outputs_read_json_leaves_and_csv_cells(tmp_path):
+    (tmp_path / "norm.json").write_text('{"runtime_s": 1.0, "constants": {"sigma": 0.5, "hist": [1, NaN]}}')
+    (tmp_path / "scaling.csv").write_text("M,sigma,name\n4,0.25,a\n16,1e-3,b\n")
+    (tmp_path / "scaling_timings.csv").write_text("M,seconds\n4,0.1\n")
+    leaves = read_outputs(tmp_path)
+    assert set(leaves) == {
+        "norm.json/constants/sigma",
+        "norm.json/constants/hist[0]",
+        "norm.json/constants/hist[1]",
+        "scaling.csv[0]/M",
+        "scaling.csv[0]/sigma",
+        "scaling.csv[0]/name",
+        "scaling.csv[1]/M",
+        "scaling.csv[1]/sigma",
+        "scaling.csv[1]/name",
+    }
+    assert leaves["scaling.csv[1]/sigma"] == 1e-3 and leaves["scaling.csv[1]/M"] == 16
+    assert math.isnan(leaves["norm.json/constants/hist[1]"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -14,6 +16,7 @@ from nhcz.kernels import (
     _side_factor,
     _size_bounds,
     _size_scan,
+    cauchy_square_block,
     cz_constants,
     exclusion_mask,
     kernel_rows,
@@ -135,16 +138,19 @@ def reference_cloud():
 
 @pytest.mark.parametrize("mode", ["off_diagonal", "same_square", "cross_square"])
 def test_kernel_blocks_match_allocating_reference(mode):
-    """The in-place blocks carry the bits of the allocating formula: the
-    dense operator's cached kernel, kernel_rows' side-scaled rows and the
-    scattered pairs."""
+    """The in-place blocks carry the bits of the allocating formula: each
+    upper strip the dense operator caches, kernel_rows' side-scaled rows and
+    the scattered pairs."""
     fam, cloud = reference_cloud()
     n = len(cloud)
     ref = cauchy_square_block_reference(cloud, np.arange(n), mode)
     op = Operator(cloud, "dense")
     op.apply(next(v for v, (m, _) in VARIANT_RULES.items() if m == mode), Field(np.ones(n), "mu"))
-    cached = op._blocks[1]
-    assert_same_bits(np.concatenate([cached[b0] for b0 in sorted(cached)]), ref)
+    cached = op._strips[1]
+    block = operators._ROW_BLOCK
+    assert sorted(cached) == list(range(0, n, block))
+    for s, strip in cached.items():
+        assert_same_bits(strip, ref[s : s + block, s:])
     z, sq = cloud.z, cloud.square_index
     rng = np.random.default_rng(3)
     p, q = rng.integers(0, n, 4000), rng.integers(0, n, 4000)
@@ -160,24 +166,74 @@ def test_kernel_blocks_match_allocating_reference(mode):
         assert_same_bits(_kernel_pairs(spec, cloud, p, q), pairs)
 
 
+def _squares_cloud(squares, d, n):
+    return build_quadrature(build_measure(SquareFamily.build([DyadicSquare(*sq) for sq in squares], d, 64.0)), n)
+
+
+# The dense sweep sums every mode's kernel over its upper triangle only.  A
+# mode added to VARIANT_RULES must be listed here, and so tested for the
+# symmetry the sweep relies on, before the sweep may sum it.
+SYMMETRIC_MODES = ("off_diagonal", "same_square", "cross_square")
+
+
+@st.composite
+def symmetry_clouds(draw):
+    """A generated family of 1 to 6 squares at n = 1 to 4 (one-node squares
+    at n = 1), with up to 8 nodes moved onto other nodes, in the same
+    square or another one."""
+    k_lo = draw(st.integers(0, 4))
+    fam = generate_family(
+        seed=draw(st.integers(0, 2**16)),
+        count=draw(st.integers(1, 6)),
+        d=draw(st.floats(0.1, 1.95)),
+        packing_target=8.0,
+        k_range=(k_lo, k_lo + draw(st.integers(0, 3))),
+    )
+    cloud = build_quadrature(build_measure(fam), draw(st.integers(1, 4)))
+    nodes = st.integers(0, len(cloud) - 1)
+    xy = cloud.xy.copy()
+    for p, q in draw(st.lists(st.tuples(nodes, nodes), max_size=8)):
+        xy[p] = xy[q]
+    return dataclasses.replace(cloud, xy=xy, z=xy[:, 0] + 1j * xy[:, 1])
+
+
+def test_every_exclusion_mode_is_listed_as_symmetric():
+    assert {mode for mode, _ in VARIANT_RULES.values()} == set(SYMMETRIC_MODES)
+
+
+@given(symmetry_clouds())
+@example(_squares_cloud([(0, 0, 0)], 1.3, 1))
+@example(_squares_cloud([(2, 1, 1), (2, 1, 3), (2, 1, 2), (2, 2, 1)], 1.5, 2))
+def test_cauchy_square_block_is_bitwise_symmetric(cloud):
+    n, first = len(cloud), len(cloud) // 2
+    for mode in SYMMETRIC_MODES:
+        # cross_square keeps a coincident pair of two squares, which disjoint
+        # squares never hold: its entry is not finite, and still symmetric
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kernel = cauchy_square_block(cloud, np.arange(n), mode)
+            strip = cauchy_square_block(cloud, np.arange(first, n), mode, first=first)
+        assert_same_bits(kernel, np.ascontiguousarray(kernel.T))
+        assert_same_bits(strip, kernel[first:, first:])  # a strip from any first column has the same bits
+
+
 @pytest.mark.parametrize("variant", list(VARIANT_RULES))
 @pytest.mark.parametrize("threads,block", [(1, 7), (2, 7), (1, None), (2, None)])
 def test_apply_direct_matches_allocating_reference(monkeypatch, variant, threads, block):
-    """Blocks of 7 end in a short block; each worker's reused buffer must
-    give the bits of a fresh allocating block per target block.  The dense
-    ``Operator`` runs these sums on its threads, without its block cache
-    above the threshold."""
+    """Strips of 7 end in a short strip; the reused strip buffers must give
+    the bits of a fresh allocating strip each.  The dense ``Operator`` runs
+    these sums on its threads, without its strip cache above the
+    threshold."""
     fam, cloud = reference_cloud()
     rng = np.random.default_rng(4)
     f = Field(rng.standard_normal((len(cloud), 2)) + 1j * rng.standard_normal((len(cloud), 2)), "mu")
     spec = KernelSpec(variant, fam)
     if block is not None:
-        monkeypatch.setattr(operators, "_TARGET_BLOCK", block)
+        monkeypatch.setattr(operators, "_ROW_BLOCK", block)
     monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", len(cloud) - 1)
     got = Operator(cloud, "dense", threads).apply(variant, f).values
 
-    def allocating(cloud, rows, mode, out=None):
-        return cauchy_square_block_reference(cloud, rows, mode)
+    def allocating(cloud, rows, mode, out=None, first=0):
+        return cauchy_square_block_reference(cloud, rows, mode)[:, first:]
 
     monkeypatch.setattr(operators, "cauchy_square_block", allocating)
     assert_same_bits(got, apply_direct(spec, cloud, f).values)
@@ -362,10 +418,6 @@ def size_scan_cases(draw):
     if draw(st.booleans()):
         rows = np.array(sorted(draw(st.sets(st.integers(0, len(cloud) - 1), min_size=1))))
     return cloud, rows
-
-
-def _squares_cloud(squares, d, n):
-    return build_quadrature(build_measure(SquareFamily.build([DyadicSquare(*sq) for sq in squares], d, 64.0)), n)
 
 
 _ONE_SQUARE_CLOUD = _squares_cloud([(0, 0, 0)], 1.3, 5)

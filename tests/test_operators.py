@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_cascade_family, generate_family, suggest_generation_range
-from nhcz.kernels import VARIANT_RULES, VARIANTS, KernelSpec
+from nhcz.kernels import VARIANT_RULES, VARIANTS, KernelSpec, source_charges, target_scale
 from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature, dyadic_radius_ladder
 from nhcz import operators
 from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
@@ -33,9 +34,11 @@ from oracles import (
     apply_bruteforce,
     assert_same_bits,
     beurling_dft_bruteforce,
+    cauchy_square_block_reference,
     kernel_eval,
     maximal_bruteforce,
     maximal_ladder_one_call,
+    summation_gap_bound,
     weighted_sigma_max,
     witness_loop,
 )
@@ -217,27 +220,40 @@ def _traced_peak(fn):
 # 97 = 3 * 32 + 1 puts a lone row after the last full block of 32
 @pytest.mark.parametrize("n", [70, 97])
 @pytest.mark.parametrize("k", [1, 3, 8])
-def test_column_products_equal_full_matrix_products(n, k):
+def test_column_products_equal_full_matrix_products(monkeypatch, n, k):
     rng = np.random.default_rng(n * k)
     kernel = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     cols = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-    assert operators._ROW_BLOCK == 32
+    monkeypatch.setattr(operators, "_ROW_BLOCK", 32)
     expected = np.stack([kernel @ col for col in cols], axis=1)
     assert_same_bits(operators._column_products(kernel, cols), expected)
 
 
 @pytest.mark.parametrize("variant", ["modified", "full"])
 def test_lone_target_row_matches_the_dense_operator(variant):
-    # 257 one-node squares: all targets end on a one-row block of 256 + 1,
-    # and targets=[256] is a one-row call; both read the dense kernel's row
+    # 257 one-node squares.  targets=[256] is a one-row call, and its sum is
+    # the row's zgemv dot in any block of two or more rows; the full sweep
+    # sums the same products in another order, within the rounding bound
     fam = SquareFamily.build([DyadicSquare(5, i % 32, i // 32) for i in range(257)], 1.2, 1e9)
     cloud = build_quadrature(build_measure(fam), 1)
     rng = np.random.default_rng(17)
     f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
-    dense = Operator(cloud, "dense").apply(variant, f).values
     spec = KernelSpec(variant, fam)
+    charges = source_charges(cloud, f.values, transposed=False)  # both variants are forward
+    kernel = cauchy_square_block_reference(cloud, np.arange(len(cloud)), spec.rule[0])
+    # rows 0-255 as one zgemv block, row 256 as the last row of a two-row block
+    row_blocks = np.concatenate([kernel[:256] @ charges, (kernel[255:] @ charges)[1:]])
+    assert_same_bits(apply_direct(spec, cloud, f, targets=[256]).values, row_blocks[256:])
+    dense = Operator(cloud, "dense").apply(variant, f).values
     assert_same_bits(apply_direct(spec, cloud, f).values, dense)
-    assert_same_bits(apply_direct(spec, cloud, f, targets=[256]).values, dense[256:])
+    assert np.all(np.abs(dense - row_blocks) <= summation_gap_bound(kernel, charges))
+
+
+def _strip_bytes(n):
+    """Bytes of a full strip cache: 16 per entry of rows [s, s + block)
+    against columns [s, n)."""
+    block = operators._ROW_BLOCK
+    return 16 * sum(min(block, n - s) * (n - s) for s in range(0, n, block))
 
 
 @pytest.mark.parametrize("mode", ["off_diagonal", "same_square", "cross_square"])
@@ -247,13 +263,13 @@ def test_kernel_matrix_memory_holds_the_matrix(cloud_2048, mode):
     op = Operator(cloud, "dense")
     variant = next(v for v, (m, _) in VARIANT_RULES.items() if m == mode)
     f = Field(np.ones(n), "mu")
-    # the first dense apply caches the matrix, block by block, plus one
-    # block's exclusion mask, its comparisons and the row indices (a few
-    # bytes per entry of 256 x 2048, about 2 MiB) and the (N,) charges and
-    # output
-    assert _traced_peak(lambda: op.apply(variant, f)) < 16 * n * n + 4 * 2**20
-    assert sum(block.nbytes for block in op._blocks[1].values()) == 16 * n * n
-    # a cached apply adds no kernel block
+    assert _strip_bytes(n) == 8 * n * (n + 64)  # N a multiple of 64: 33 MiB against the matrix's 64 MiB
+    # the first dense apply caches the strips, plus one strip's exclusion
+    # mask and comparisons (a few bytes per entry of 64 x 2048) and the (N,)
+    # charges and sums
+    assert _traced_peak(lambda: op.apply(variant, f)) < _strip_bytes(n) + 2**20
+    assert sum(strip.nbytes for strip in op._strips[1].values()) == _strip_bytes(n)
+    # a cached apply adds no kernel strip
     assert _traced_peak(lambda: op.apply(variant, f)) < 2**20
 
 
@@ -262,10 +278,51 @@ def test_apply_direct_memory_holds_one_block(cloud_2048, variant):
     fam, cloud = cloud_2048
     n = len(cloud)
     f = Field(np.ones(n), "mu")
-    # one reused (256, N) complex kernel block, plus that block's exclusion
-    # mask and indices and the (N,) charges and output
+    # one reused (64, N) complex strip, plus that strip's exclusion mask and
+    # indices and the (N,) charges and sums
     peak = _traced_peak(lambda: apply_direct(KernelSpec(variant, fam), cloud, f))
-    assert peak < 16 * operators._TARGET_BLOCK * n + 4 * 2**20
+    assert peak < 16 * operators._ROW_BLOCK * n + 2**20
+
+
+def sweep_cloud():
+    # 144 nodes on 16 squares of several sizes
+    fam = generate_family(seed=0, count=16, d=1.2, packing_target=4.0, k_range=suggest_generation_range(16, 1.2, 4.0))
+    return fam, build_quadrature(build_measure(fam), 3)
+
+
+# 144 nodes: with strips of 16, 13, 29 and 64 rows, N mod the strip is 0, 1,
+# one short of a strip, and a quarter strip
+@pytest.mark.parametrize("block", [16, 13, 29, 64])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_sweep_bits_at_every_last_strip_thread_count_and_cache(monkeypatch, block, variant):
+    fam, cloud = sweep_cloud()
+    n = len(cloud)
+    monkeypatch.setattr(operators, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(block)
+    vals = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    spec = KernelSpec(variant, fam)
+    mode, transposed = spec.rule
+    want = apply_direct(spec, cloud, Field(vals, "mu")).values
+    want_adjoint = adjoint_apply_direct(spec, cloud, Field(vals, "mu")).values
+    for j in range(vals.shape[1]):  # a column's bits do not depend on its neighbours
+        assert_same_bits(apply_direct(spec, cloud, Field(vals[:, j], "mu")).values, want[:, j])
+    kernel = cauchy_square_block_reference(cloud, np.arange(n), mode)
+    for threshold in (FAST_NODE_THRESHOLD, 0):  # cached strips, then strips recomputed per apply
+        monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", threshold)
+        for threads in (1, 2, 3):
+            op = Operator(cloud, "dense", threads)
+            for _ in range(2):  # the apply that fills the strips, then one that reads them
+                assert_same_bits(op.apply(variant, Field(vals, "mu")).values, want)
+                assert_same_bits(op.adjoint(variant, Field(vals, "mu")).values, want_adjoint)
+            strips = op._strips[1]
+            assert sorted(strips) == (list(range(0, n, block)) if threshold else [])
+            for s, strip in strips.items():
+                assert_same_bits(strip, kernel[s : s + block, s:])
+    # against the one dense product, the sweep's sums differ by rounding alone
+    charges = source_charges(cloud, vals, transposed)
+    raw = operators._cauchy_square_apply(cloud, charges, mode)
+    assert_same_bits(target_scale(cloud, spec.d, raw, transposed), want)
+    assert np.all(np.abs(raw - kernel @ charges) <= summation_gap_bound(kernel, charges))
 
 
 def test_margin_covers_the_rounding_gap_at_the_exact_limit():
@@ -529,29 +586,29 @@ def test_tree_operator_rejects_uncompressed_variants(variant):
 
 def test_dense_operator_keeps_one_matrix_slot(monkeypatch):
     fam, cloud = small_family(seed=6, count=3, n=4)
-    monkeypatch.setattr(operators, "_TARGET_BLOCK", 16)
+    monkeypatch.setattr(operators, "_ROW_BLOCK", 16)
     firsts = list(range(0, len(cloud), 16))
     assert len(firsts) == 3
     op = Operator(cloud, "dense")
     filled, fill = [], operators.cauchy_square_block
 
-    def counting_fill(cloud, rows, mode, out=None):
-        assert op._blocks[0] == mode  # the old mode's blocks went before this one is built
-        filled.append((mode, int(rows[0])))
-        return fill(cloud, rows, mode, out)
+    def counting_fill(cloud, rows, mode, out=None, first=0):
+        assert op._strips[0] == mode  # the old mode's strips went before this one is built
+        filled.append((mode, first))
+        return fill(cloud, rows, mode, out, first)
 
     monkeypatch.setattr(operators, "cauchy_square_block", counting_fill)
-    assert op._blocks[1] == {}
+    assert op._strips[1] == {}
     f = Field(np.arange(len(cloud), dtype=np.complex128), "mu")
     op.apply("modified", f)
     op.adjoint("adjoint", f)
-    first = op._blocks[1]
-    cross = [("cross_square", b0) for b0 in firsts]
-    assert filled == cross and op._blocks[0] == "cross_square" and sorted(first) == firsts
+    first = op._strips[1]
+    cross = [("cross_square", s) for s in firsts]
+    assert filled == cross and op._strips[0] == "cross_square" and sorted(first) == firsts
     op.apply("full", f)
-    off = [("off_diagonal", b0) for b0 in firsts]
-    assert filled == cross + off and op._blocks[0] == "off_diagonal"
-    assert op._blocks[1] is not first
+    off = [("off_diagonal", s) for s in firsts]
+    assert filled == cross + off and op._strips[0] == "off_diagonal"
+    assert op._strips[1] is not first
     op.adjoint("full", f)
     op.apply("modified", f)
     assert filled == cross + off + cross
@@ -560,9 +617,9 @@ def test_dense_operator_keeps_one_matrix_slot(monkeypatch):
 @pytest.mark.parametrize("threshold", [FAST_NODE_THRESHOLD, 0])
 def test_dense_workers_are_capped_at_the_target_blocks(monkeypatch, threshold):
     fam, cloud = small_family(seed=6, count=3, n=4)
-    monkeypatch.setattr(operators, "_TARGET_BLOCK", 32)
+    monkeypatch.setattr(operators, "_ROW_BLOCK", 32)
     monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", threshold)
-    assert 32 < len(cloud) <= 64  # two target blocks
+    assert 32 < len(cloud) <= 64  # two strips
     rng = np.random.default_rng(8)
     f = Field(rng.standard_normal((len(cloud), 3)) + 1j * rng.standard_normal((len(cloud), 3)), "mu")
     one = Operator(cloud, "dense", 1).apply("modified", f).values
@@ -581,21 +638,26 @@ def test_dense_workers_are_capped_at_the_target_blocks(monkeypatch, threshold):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            items = list(items)
-            self.tasks += len(items)
-            return [fn(item) for item in items]
+        def submit(self, fn, *args):
+            self.tasks += 1
+            done = Future()
+            done.set_result(fn(*args))
+            return done
 
     monkeypatch.setattr(operators, "ThreadPoolExecutor", InlinePool)
-    many = Operator(cloud, "dense", 64).apply("modified", f).values
+    op = Operator(cloud, "dense", 64)
+    assert_same_bits(op.apply("modified", f).values, one)
     assert [(pool.max_workers, pool.tasks) for pool in pools] == [(2, 2)]
-    assert_same_bits(many, one)
+    # a filled cache reads its strips on the calling thread; without one
+    # every apply fills them again
+    assert_same_bits(op.apply("modified", f).values, one)
+    assert len(pools) == (1 if threshold else 2)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_threaded_dense_operator_matches_apply_direct(monkeypatch, variant):
     fam, cloud = small_family(seed=6, count=3, n=4)
-    monkeypatch.setattr(operators, "_TARGET_BLOCK", 7)  # seven blocks, the last one short
+    monkeypatch.setattr(operators, "_ROW_BLOCK", 7)  # seven strips, the last one short
     assert len(cloud) <= FAST_NODE_THRESHOLD
     rng = np.random.default_rng(9)
     vals = rng.standard_normal((len(cloud), 3)) + 1j * rng.standard_normal((len(cloud), 3))
@@ -605,32 +667,39 @@ def test_threaded_dense_operator_matches_apply_direct(monkeypatch, variant):
         f = Field(v, "mu")
         assert_same_bits(op.apply(variant, f).values, apply_direct(spec, cloud, f).values)
         assert_same_bits(op.adjoint(variant, f).values, adjoint_apply_direct(spec, cloud, f).values)
-    assert sorted(op._blocks[1]) == list(range(0, len(cloud), 7))
+    assert sorted(op._strips[1]) == list(range(0, len(cloud), 7))
 
 
 def test_dense_apply_that_raises_leaves_only_whole_blocks(monkeypatch):
     fam, cloud = small_family(seed=6, count=3, n=4)
-    monkeypatch.setattr(operators, "_TARGET_BLOCK", 16)
+    monkeypatch.setattr(operators, "_ROW_BLOCK", 16)
     fill, calls = operators.cauchy_square_block, []
 
-    def failing_fill(cloud, rows, mode, out=None):
-        calls.append(int(rows[0]))
-        block = fill(cloud, rows, mode, out)
-        if len(calls) == 2:
-            block[:] = np.nan  # a half-written block must never be read again
-            raise MemoryError("second block")
-        return block
+    def failing_fill(cloud, rows, mode, out=None, first=0):
+        calls.append(first)
+        strip = fill(cloud, rows, mode, out, first)
+        if first == 16 and calls.count(16) == 1:
+            strip[:] = np.nan  # a half-written strip must never be read again
+            raise MemoryError("second strip")
+        return strip
 
     f = Field(np.arange(len(cloud), dtype=np.complex128), "mu")
     ref = apply_direct(KernelSpec("modified", fam), cloud, f).values
+    kernel = cauchy_square_block_reference(cloud, np.arange(len(cloud)), "cross_square")
     monkeypatch.setattr(operators, "cauchy_square_block", failing_fill)
-    op = Operator(cloud, "dense")
-    with pytest.raises(MemoryError):
-        op.apply("modified", f)
-    assert sorted(op._blocks[1]) == [0]
-    for _ in range(2):
-        assert_same_bits(op.apply("modified", f).values, ref)
-    assert calls == [0, 16, 16, 32]
+    # one thread stops at the failing strip; two finish the strip in flight after it
+    for threads, kept in [(1, [0]), (2, [0, 32])]:
+        calls.clear()
+        op = Operator(cloud, "dense", threads)
+        with pytest.raises(MemoryError):
+            op.apply("modified", f)
+        assert sorted(op._strips[1]) == kept
+        for s, strip in op._strips[1].items():
+            assert_same_bits(strip, kernel[s : s + 16, s:])
+        for _ in range(2):
+            assert_same_bits(op.apply("modified", f).values, ref)
+        assert sorted(calls) == [0, 16, 16, 32]  # the failed strip is filled once more
+        assert sorted(op._strips[1]) == [0, 16, 32]
 
 
 def test_rayleigh_history_nondecreasing():

@@ -165,8 +165,8 @@ DOMINATION_DIGESTS = {
     ("direct", 0.8, 4242): "c0f8edd24a0901881f277346a89a2012295854cbc7bcb36b6344580d441b7011",
     ("direct", 1.2, 0): "1e3f8ef6f0974381a02b45b57e31d612fbcc0538098aff8696d69dcab38a11a4",
     ("direct", 1.2, 4242): "5165580ee907febd5802ebd1a0ed4d698b0e29c88c5b666013703632567575a3",
-    ("direct", 1.6, 0): "ddb8e32e8809ef6a648c34b20b4ba78bf16d714b1719a1e968e5de31a87c8eb8",
-    ("direct", 1.6, 4242): "c55680b9d8f9fab0f65241c135aeb8dd3bacce4fe6b18283cd8fd68e7556ac8a",
+    ("direct", 1.6, 0): "42c735f3efd61b1178df5d4375a88cf39604ba4502883005e601c9bcec498b5f",
+    ("direct", 1.6, 4242): "e6eab9513489c969f30e04b8813a6131dc0b463334ef6391ef651beff40a863a",
     ("criterion4", 1.2, 0): "eb45cd1acc011283c9c52a4a040f029e4dbe4a30a21bb10796de562fff66c0d7",
     ("criterion4", 1.2, 1): "4928d8880cfd65372f7c7387a85801e92c90bb44bbe7d1847395d8c6e58ff481",
     ("criterion4", 1.2, 2): "acd25c4fddbf07bb160e1e579691eb4686ac71c7660df8c466d123f7e0be5f56",
@@ -192,7 +192,7 @@ def test_dense_pair_matches_on_the_fly_applies_bit_for_bit(monkeypatch, seed, co
     cloud = build_quadrature(build_measure(fam), n)
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((len(cloud), 3)) + 1j * rng.standard_normal((len(cloud), 3))
-    # the cached kernel blocks, then the blocks recomputed per apply above the threshold
+    # the cached kernel strips, then the strips recomputed per apply above the threshold
     for threshold, matrix in [(FAST_NODE_THRESHOLD, True), (0, False)]:
         monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", threshold)
         op = verify._direct_apply_pair(fam, cloud)
@@ -207,13 +207,13 @@ def test_dense_pair_matches_on_the_fly_applies_bit_for_bit(monkeypatch, seed, co
                     assert single.shape == (len(cloud),)
                     assert np.array_equal(single, ref_fn(spec, cloud, Field(vals[:, j], "mu")).values)
                     assert np.array_equal(batched[:, j], single)
-        assert bool(op._blocks[1]) is matrix
+        assert bool(op._strips[1]) is matrix
 
 
 def _counting_dense_sums(monkeypatch):
     """Patch the dense layer to record each ``Operator`` apply, each
     ``_cauchy_square_apply`` call (whether it passes a cache) and each kernel
-    block fill (mode, first row, whether it goes to the cache)."""
+    fill (mode, first column, whether it goes to the cache)."""
     seen = {"applies": [], "sums": [], "fills": []}
     sums, cauchy, fill = Operator._sums, operators._cauchy_square_apply, operators.cauchy_square_block
 
@@ -225,9 +225,9 @@ def _counting_dense_sums(monkeypatch):
         seen["sums"].append(cache is not None)
         return cauchy(*args, cache=cache, **kwargs)
 
-    def counting_fill(cloud, rows, mode, out=None):
-        seen["fills"].append((mode, int(rows[0]), out is None))
-        return fill(cloud, rows, mode, out)
+    def counting_fill(cloud, rows, mode, out=None, first=0):
+        seen["fills"].append((mode, first, out is None))
+        return fill(cloud, rows, mode, out, first)
 
     monkeypatch.setattr(Operator, "_sums", counting_sums)
     monkeypatch.setattr(operators, "_cauchy_square_apply", counting_cauchy)
@@ -237,19 +237,19 @@ def _counting_dense_sums(monkeypatch):
 
 def test_main_inequality_assembles_the_dense_kernel_once(monkeypatch):
     seen = _counting_dense_sums(monkeypatch)
-    monkeypatch.setattr(operators, "_TARGET_BLOCK", 64)
+    monkeypatch.setattr(operators, "_ROW_BLOCK", 64)
     fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
     cloud = build_quadrature(build_measure(fam), 4)
     assert 64 < len(cloud) <= FAST_NODE_THRESHOLD
-    blocks = [("cross_square", b0, True) for b0 in range(0, len(cloud), 64)]
+    blocks = [("cross_square", s, True) for s in range(0, len(cloud), 64)]
     verify._direct_apply_pair(fam, cloud)
-    assert seen["fills"] == []  # the blocks wait for the first apply
+    assert seen["fills"] == []  # the strips wait for the first apply
     monkeypatch.setattr(verify, "MAIN_TRIALS", 3)
     for checks in (1, 2):
         report = check_main_inequality(fam, n_per_side=4, seed=1)
         assert report.passed and report.inputs["fast"] is False
         assert report.constants["iterations"] > 2
-        # one fill of each block per check serves every norm iteration and trial field
+        # one fill of each strip per check serves every norm iteration and trial field
         assert seen["fills"] == blocks * checks
     est = operator_norm(KernelSpec("adjoint", fam), cloud, seed=1)
     assert est.iterations > 2
@@ -260,7 +260,7 @@ def test_main_inequality_assembles_the_dense_kernel_once(monkeypatch):
 @pytest.mark.parametrize("check", ["main_inequality", "domination"])
 def test_dense_checks_send_every_apply_through_the_blocked_sums(monkeypatch, check):
     seen = _counting_dense_sums(monkeypatch)
-    monkeypatch.setattr(operators, "_TARGET_BLOCK", 64)
+    monkeypatch.setattr(operators, "_ROW_BLOCK", 64)
     monkeypatch.setattr(verify, "MAIN_TRIALS", 3)
     fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
     n = len(build_quadrature(build_measure(fam), 4))
@@ -274,13 +274,13 @@ def test_dense_checks_send_every_apply_through_the_blocked_sums(monkeypatch, che
         assert len(seen["applies"]) == math.ceil((3 + 10 + 3) / _COLUMN_BLOCK)
     assert report.passed and report.inputs["fast"] is False
     assert seen["applies"] == ["dense"] * len(seen["applies"])
-    # every operator apply is one cached call of the blocked sums, each block
+    # every operator apply is one cached call of the dense sums, each strip
     # filled once; the domination check's reconstruction adds one uncached call
     cached = [s for s in seen["sums"] if s]
     assert len(cached) == len(seen["applies"])
     assert len(seen["sums"]) - len(cached) == (check == "domination")
     fills = [fill for fill in seen["fills"] if fill[2]]
-    assert fills == [("cross_square", b0, True) for b0 in range(0, n, 64)]
+    assert fills == [("cross_square", s, True) for s in range(0, n, 64)]
 
 
 class OnTheFlyOperator(Operator):
