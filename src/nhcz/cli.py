@@ -136,7 +136,7 @@ def _cmd_validate(args) -> VerificationReport:
 
 def _norm(args, fam, cloud):
     spec = kernels.KernelSpec(args.variant, fam)
-    est = operators.operator_norm(spec, cloud, tol=args.tol, seed=args.seed, threads=args.threads)
+    est = operators.operator_norm(spec, cloud, tol=args.tol, seed=args.seed)
     inputs = {"variant": args.variant, "seed": args.seed}
     return inputs, est.to_json_dict(), {}, {"tol": args.tol}, est.converged
 
@@ -280,7 +280,6 @@ SUBCOMMANDS = {
         "operator-norm estimate on the measure",
         [
             _flag("--tol", _positive(float), 1e-6),
-            _flag("--threads", _positive(int), 1),
             _FAMILY,
             _N,
             _flag("--variant", choices=["modified", "adjoint", "full", "local"], default="modified"),

@@ -16,18 +16,16 @@ upper strips of the kernel, which is bitwise symmetric in every exclusion
 mode: ``_ROW_BLOCK`` rows each, against the columns from the strip's
 first row on, so about 8 N (N + 64) bytes in all.  ``apply_direct``
 computes each strip on the fly into one reused 64 x N buffer at any cloud
-size, and the dense backend reads the same strips from its cache, with
-the same bits.  Norm estimates run power iteration in the
-measure-weighted inner product, where the adjoint of a variant is the
-same exclusion mode with the transposition flipped, taken between complex
-conjugations.
+size, and the dense backend reads the same strips from its cache (above
+``FAST_NODE_THRESHOLD`` nodes it recomputes them per apply), with the
+same bits.  Norm estimates run power iteration in the measure-weighted
+inner product, where the adjoint of a variant is the same exclusion mode
+with the transposition flipped, taken between complex conjugations.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,11 +43,10 @@ EXACT_LIMIT = 4096  # largest cloud whose maximal function takes every node dist
 # pass; bounds their (targets x N) arrays.  Read at call time, as are KAPPA,
 # EXACT_LIMIT and _ROW_BLOCK.
 _TARGET_BLOCK = 256
-# kernel rows per upper strip and per cache-sized block of the column
-# products.  Each strip costs a few numpy calls per column: on a 2,048-node
-# cloud a cached single-column apply took 2.0 ms with 64-row strips and
-# 2.5 ms with 32 (one thread, 300 MiB L3), and a 64-row strip (2 MiB there)
-# still stays in cache between its two products.
+# kernel rows per upper strip.  Each strip costs a few numpy calls per
+# column: on a 2,048-node cloud a cached single-column apply took 2.0 ms with
+# 64-row strips and 2.5 ms with 32 (one thread, 300 MiB L3), and a 64-row
+# strip (2 MiB there) still stays in cache between its two products.
 _ROW_BLOCK = 64
 
 
@@ -71,25 +68,25 @@ def field_norm(cloud: QuadratureCloud, f: Field) -> float:
     return math.sqrt(float(np.sum(cloud.mu_weight * np.abs(f.values) ** 2)))
 
 
-def _cauchy_square_apply(cloud, charges, mode, threads=1, targets=None, cache=None):
+def _cauchy_square_apply(cloud, charges, mode, targets=None, cache=None):
     """Sum of charges_q / (z_p - z_q)^2 over the pairs the mode keeps, for
     charges of shape (N,) or (N, k); the only place the package sums the
     dense kernel.
 
     Over all targets the sums run as one sweep of the kernel's upper strips
-    (see ``_upper_strips``), since the kernel of every exclusion mode is
-    bitwise symmetric.  Strip s, rows [s, e) against columns [s, N), is read
-    once per column for two zgemv products while it is in cache: its own
-    rows' sums over the columns from s, and the transposed product its
-    off-diagonal part adds to the rows from e on, whose own strips come
-    later.  The strips are multiplied in strip order on the calling thread,
-    and each column on its own, so a column's bits depend neither on
-    ``threads`` nor on the columns beside it.  ``threads`` and ``cache``
-    go to ``_upper_strips``.
+    (see ``_upper_strips``, which takes ``cache``), since the kernel of
+    every exclusion mode is bitwise symmetric.  Strip s, rows [s, e) against
+    columns [s, N), is read once per column for two zgemv products while it
+    is in cache: its own rows' sums over the columns from s, and the
+    transposed product its off-diagonal part adds to the rows from e on,
+    whose own strips come later.  The strips are multiplied in strip order,
+    and each column on its own, so a column's bits do not depend on the
+    columns beside it.
 
     ``targets`` restricts the output to the given node indices.  Those sums
     run over blocks of ``_TARGET_BLOCK`` full kernel rows written into one
-    reused (``_TARGET_BLOCK``, N) buffer, through ``_column_products``.
+    reused (``_TARGET_BLOCK``, N) buffer, one product ``kernel @ col`` per
+    block and column.
     """
     cols = np.ascontiguousarray(charges.reshape(len(charges), -1).T)
     if targets is not None:
@@ -98,10 +95,12 @@ def _cauchy_square_apply(cloud, charges, mode, threads=1, targets=None, cache=No
         buf = np.empty((min(block, tgt.size), len(cloud)), dtype=np.complex128)
         for b0 in range(0, tgt.size, block):
             rows = tgt[b0 : b0 + block]
-            out[b0 : b0 + rows.size] = _column_products(cauchy_square_block(cloud, rows, mode, buf[: rows.size]), cols)
+            kernel = cauchy_square_block(cloud, rows, mode, buf[: rows.size])
+            for j, col in enumerate(cols):
+                out[b0 : b0 + rows.size, j] = kernel @ col
         return out.reshape((tgt.size,) + charges.shape[1:])
     sums = np.zeros_like(cols)
-    for s, strip in _upper_strips(cloud, mode, threads, cache):
+    for s, strip in _upper_strips(cloud, mode, cache):
         e = s + len(strip)
         for col, acc in zip(cols, sums):
             acc[s:e] += strip @ col[s:]
@@ -109,7 +108,7 @@ def _cauchy_square_apply(cloud, charges, mode, threads=1, targets=None, cache=No
     return np.ascontiguousarray(sums.T).reshape(charges.shape)
 
 
-def _upper_strips(cloud, mode, threads, cache):
+def _upper_strips(cloud, mode, cache):
     """(s, strip) for the kernel's upper strips in row order: strip s holds
     rows [s, s + ``_ROW_BLOCK``) against columns [s, N), 16 * 64 * (N - s)
     bytes at most (2 MiB at 2,048 nodes).
@@ -117,90 +116,43 @@ def _upper_strips(cloud, mode, threads, cache):
     ``cache`` maps a strip's first row to the strip: a present strip is
     read, and a missing one is computed into a new array that enters the
     dict only when whole, so a filled cache holds 16 * sum of rows * (N - s)
-    over the strips, about 8 N (N + 64) bytes.  Without ``cache`` the strips
-    are written into reused (``_ROW_BLOCK``, N) buffers, one per strip in
-    flight.  Strips to compute are filled on up to ``threads`` workers,
-    never more than there are such strips, and at most 2 * workers strips
-    are in flight, the one being read among them.  A fill is elementwise,
-    so its bits do not depend on the worker that makes it.
+    over the strips, about 8 N (N + 64) bytes.  Without ``cache`` every
+    strip is written into one reused (``_ROW_BLOCK``, N) buffer.
     """
     n = len(cloud)
-    starts = range(0, n, _ROW_BLOCK)
-    workers = min(threads, len(starts) if cache is None else sum(s not in cache for s in starts))
-    ahead = min(2 * workers, len(starts)) if workers > 1 else 1
-    bufs = [np.empty((min(_ROW_BLOCK, n), n), dtype=np.complex128) for _ in range(ahead if cache is None else 0)]
-
-    def fill(i):
-        s = starts[i]
+    buf = np.empty((min(_ROW_BLOCK, n), n), dtype=np.complex128) if cache is None else None
+    for s in range(0, n, _ROW_BLOCK):
         rows = np.arange(s, min(s + _ROW_BLOCK, n))
         if cache is None:
-            return cauchy_square_block(cloud, rows, mode, bufs[i % ahead][: rows.size, : n - s], s)
-        if (strip := cache.get(s)) is None:
+            strip = cauchy_square_block(cloud, rows, mode, buf[: rows.size, : n - s], s)
+        elif (strip := cache.get(s)) is None:
             strip = cache[s] = cauchy_square_block(cloud, rows, mode, first=s)
-        return strip
-
-    if workers <= 1:
-        for i, s in enumerate(starts):
-            yield s, fill(i)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        pending = deque(ex.submit(fill, i) for i in range(ahead))
-        for i, s in enumerate(starts):
-            yield s, pending.popleft().result()
-            if i + ahead < len(starts):
-                pending.append(ex.submit(fill, i + ahead))
+        yield s, strip
 
 
-def _column_products(kernel, cols):
-    """``kernel @ col`` for each row of ``cols``, as the columns of the
-    result.
-
-    Every column runs over one block of ``_ROW_BLOCK`` kernel rows while the
-    block is in cache.  A row's product is the same zgemv dot in any block
-    of two or more rows, so each column's sums equal ``kernel @ col`` bit for
-    bit and do not depend on the columns that come with it.  numpy sends a
-    one-row product to a dot, which sums in another order, so a lone last
-    row joins the block before it, and a kernel of one row is taken as a
-    block of that row twice.
-    """
-    n = kernel.shape[0]
-    if n == 1:
-        return _column_products(np.concatenate([kernel, kernel]), cols)[:1]
-    out = np.empty((n, len(cols)), dtype=np.complex128)
-    starts = list(range(0, n, _ROW_BLOCK))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    for r0, r1 in zip(starts, starts[1:] + [n]):
-        block = kernel[r0:r1]
-        for j, col in enumerate(cols):
-            out[r0:r1, j] = block @ col
-    return out
-
-
-def _apply_rule(spec, cloud, values, transposed, threads, targets=None, cache=None):
+def _apply_rule(spec, cloud, values, transposed, targets=None, cache=None):
     """Dense sums of the spec's exclusion mode read forward or transposed."""
     charges = source_charges(cloud, values, transposed)
-    out = _cauchy_square_apply(cloud, charges, spec.rule[0], threads, targets=targets, cache=cache)
+    out = _cauchy_square_apply(cloud, charges, spec.rule[0], targets=targets, cache=cache)
     return target_scale(cloud, spec.d, out, transposed, targets)
 
 
 def apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, targets=None) -> Field:
     """Dense kernel application in a fixed order to a field of shape (N,) or
-    (N, k), on one thread; each kernel strip or block is computed once for
-    all columns.
+    (N, k); each kernel strip or block is computed once for all columns.
 
     Over all targets this is the sweep of ``_cauchy_square_apply``: one
     reused (``_ROW_BLOCK``, N) complex buffer holds every strip, so the peak
     is 16 * 64 * N bytes (2 MiB at 2,048 nodes) plus one strip's exclusion
     mask, the charges and the (N, k) sums.  The dense ``Operator`` runs the
-    same sweep, with the same bits, from its cache or on its ``threads``
-    threads.  ``targets`` restricts the output to those node indices, summed
-    in blocks of ``_TARGET_BLOCK`` full kernel rows in one reused
-    (``_TARGET_BLOCK``, N) buffer (8 MiB at 2,048 nodes).
+    same sweep, with the same bits, with or without its cache.  ``targets``
+    restricts the output to those node indices, summed in blocks of
+    ``_TARGET_BLOCK`` full kernel rows in one reused (``_TARGET_BLOCK``, N)
+    buffer (8 MiB at 2,048 nodes).
     """
     if len(f.values) != len(cloud):
         raise ValueError("field length does not match the cloud")
-    return Field(_apply_rule(spec, cloud, f.values, spec.rule[1], 1, targets), "mu")
+    return Field(_apply_rule(spec, cloud, f.values, spec.rule[1], targets), "mu")
 
 
 def apply_direct_targets(spec: KernelSpec, cloud: QuadratureCloud, f: Field, targets) -> np.ndarray:
@@ -212,7 +164,7 @@ def adjoint_apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field) -> 
     """The measure-weighted adjoint of ``apply_direct`` for the same spec."""
     if len(f.values) != len(cloud):
         raise ValueError("field length does not match the cloud")
-    out = _apply_rule(spec, cloud, np.conj(f.values), not spec.rule[1], 1)
+    out = _apply_rule(spec, cloud, np.conj(f.values), not spec.rule[1])
     return Field(np.conj(out), "mu")
 
 
@@ -433,20 +385,19 @@ class Operator:
     one backend; the family, and with it d, is the cloud's.
 
     ``"dense"``: the sweep of ``apply_direct`` over the kernel's upper
-    strips, filled on up to ``threads`` threads (see ``_upper_strips``).  Up
-    to ``FAST_NODE_THRESHOLD`` nodes the strips of the exclusion mode in use
-    are computed at the first apply and cached in a single slot, about
-    8 N (N + 64) bytes (another mode replaces it); above it they are
-    recomputed per apply, with one 64 x N buffer per strip in flight.  The
-    bits are ``apply_direct``'s either way, at any ``threads``.  ``"tree"``:
+    strips (see ``_upper_strips``).  Up to ``FAST_NODE_THRESHOLD`` nodes the
+    strips of the exclusion mode in use are computed at the first apply and
+    cached in a single slot, about 8 N (N + 64) bytes (another mode replaces
+    it); above it they are recomputed per apply into one reused 64 x N
+    buffer.  The bits are ``apply_direct``'s either way.  ``"tree"``:
     ``apply_fast`` at the default ``ExpansionParams`` on a tree built at the
     first apply; modified and adjoint only.
     """
 
-    def __init__(self, cloud: QuadratureCloud, backend: str, threads: int = 1):
+    def __init__(self, cloud: QuadratureCloud, backend: str):
         if backend not in ("dense", "tree"):
             raise ValueError(f"unknown operator backend {backend!r}")
-        self.cloud, self.backend, self.threads = cloud, backend, threads
+        self.cloud, self.backend = cloud, backend
         self._strips = (None, {})  # (exclusion mode, its cached kernel strips)
         self._tree = None
 
@@ -488,15 +439,13 @@ class Operator:
             if self._strips[0] != mode:
                 self._strips = (mode, {})  # drops the old mode's strips before a new one is built
             cache = self._strips[1]
-        return _apply_rule(spec, cloud, values, transposed, self.threads, cache=cache)
+        return _apply_rule(spec, cloud, values, transposed, cache=cache)
 
 
-def operator_norm(
-    spec: KernelSpec, cloud: QuadratureCloud, tol: float = 1e-6, seed: int = 0, threads: int = 1
-) -> NormEstimate:
+def operator_norm(spec: KernelSpec, cloud: QuadratureCloud, tol: float = 1e-6, seed: int = 0) -> NormEstimate:
     """Measure-weighted operator norm of the chosen kernel's dense operator,
     at ``Operator.norm``'s iteration cap and without a relative stop."""
-    return Operator(cloud, "dense", threads).norm(spec.variant, tol, seed=seed)
+    return Operator(cloud, "dense").norm(spec.variant, tol, seed=seed)
 
 
 def beurling_multiplier(grid: np.ndarray) -> np.ndarray:

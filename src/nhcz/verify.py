@@ -64,7 +64,7 @@ def _fast_apply_pair(_family, cloud):
 
 def _direct_apply_pair(_family, cloud):
     """The dense ``Operator`` of a check's cloud, named for the tracer as
-    ``_fast_apply_pair`` is.  Its cached kernel blocks are computed at the
+    ``_fast_apply_pair`` is.  Its cached kernel strips are computed at the
     first apply and freed with the object, so ``check_domination`` drops the
     operator before its maximal pass."""
     return Operator(cloud, "dense")

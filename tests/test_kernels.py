@@ -217,12 +217,11 @@ def test_cauchy_square_block_is_bitwise_symmetric(cloud):
 
 
 @pytest.mark.parametrize("variant", list(VARIANT_RULES))
-@pytest.mark.parametrize("threads,block", [(1, 7), (2, 7), (1, None), (2, None)])
-def test_apply_direct_matches_allocating_reference(monkeypatch, variant, threads, block):
-    """Strips of 7 end in a short strip; the reused strip buffers must give
+@pytest.mark.parametrize("block", [7, None])
+def test_apply_direct_matches_allocating_reference(monkeypatch, variant, block):
+    """Strips of 7 end in a short strip; the reused strip buffer must give
     the bits of a fresh allocating strip each.  The dense ``Operator`` runs
-    these sums on its threads, without its strip cache above the
-    threshold."""
+    these sums without its strip cache above the threshold."""
     fam, cloud = reference_cloud()
     rng = np.random.default_rng(4)
     f = Field(rng.standard_normal((len(cloud), 2)) + 1j * rng.standard_normal((len(cloud), 2)), "mu")
@@ -230,7 +229,7 @@ def test_apply_direct_matches_allocating_reference(monkeypatch, variant, threads
     if block is not None:
         monkeypatch.setattr(operators, "_ROW_BLOCK", block)
     monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", len(cloud) - 1)
-    got = Operator(cloud, "dense", threads).apply(variant, f).values
+    got = Operator(cloud, "dense").apply(variant, f).values
 
     def allocating(cloud, rows, mode, out=None, first=0):
         return cauchy_square_block_reference(cloud, rows, mode)[:, first:]

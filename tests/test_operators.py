@@ -1,5 +1,4 @@
 import tracemalloc
-from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -80,19 +79,6 @@ def test_apply_direct_matches_bruteforce(variant):
     ref = apply_bruteforce(spec, cloud, f)
     scale = np.abs(ref).max()
     assert np.abs(got - ref).max() <= 1e-14 * max(scale, 1.0)
-
-
-def test_apply_direct_threads_bitwise_identical(monkeypatch):
-    fam, cloud = small_family(seed=6, count=3, n=4)
-    rng = np.random.default_rng(1)
-    f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
-    spec = KernelSpec("modified", fam)
-    monkeypatch.setattr(operators, "_TARGET_BLOCK", 16)
-    # the dense Operator runs the blocked sums on its threads above the threshold
-    monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", len(cloud) - 1)
-    a = apply_direct(spec, cloud, f).values
-    b = Operator(cloud, "dense", 3).apply("modified", f).values
-    assert_same_bits(a, b)
 
 
 @pytest.mark.parametrize("variant", ["full", "modified", "adjoint", "local"])
@@ -217,36 +203,49 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
+def one_node_squares():
+    """257 one-node squares: one node past a whole ``_TARGET_BLOCK``."""
+    fam = SquareFamily.build([DyadicSquare(5, i % 32, i // 32) for i in range(257)], 1.2, 1e9)
+    return fam, build_quadrature(build_measure(fam), 1)
+
+
 # 97 = 3 * 32 + 1 puts a lone row after the last full block of 32
 @pytest.mark.parametrize("n", [70, 97])
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_column_products_equal_full_matrix_products(monkeypatch, n, k):
+    fam, cloud = one_node_squares()
     rng = np.random.default_rng(n * k)
-    kernel = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    cols = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
-    monkeypatch.setattr(operators, "_ROW_BLOCK", 32)
-    expected = np.stack([kernel @ col for col in cols], axis=1)
-    assert_same_bits(operators._column_products(kernel, cols), expected)
+    vals = rng.standard_normal((len(cloud), k)) + 1j * rng.standard_normal((len(cloud), k))
+    targets = rng.permutation(len(cloud))[:n]
+    monkeypatch.setattr(operators, "_TARGET_BLOCK", 32)
+    got = apply_direct(KernelSpec("modified", fam), cloud, Field(vals, "mu"), targets=targets).values
+    cols = np.ascontiguousarray(source_charges(cloud, vals, transposed=False).T)
+    for b0 in range(0, n, 32):
+        kernel = cauchy_square_block_reference(cloud, targets[b0 : b0 + 32], "cross_square")
+        expected = np.stack([kernel @ col for col in cols], axis=1)
+        assert_same_bits(got[b0 : b0 + 32], expected)
 
 
+# one target, two, one past a whole _TARGET_BLOCK, and a short second block
+# (300 targets, repeats among them)
+@pytest.mark.parametrize("size", [1, 2, 257, 300])
 @pytest.mark.parametrize("variant", ["modified", "full"])
-def test_lone_target_row_matches_the_dense_operator(variant):
-    # 257 one-node squares.  targets=[256] is a one-row call, and its sum is
-    # the row's zgemv dot in any block of two or more rows; the full sweep
-    # sums the same products in another order, within the rounding bound
-    fam = SquareFamily.build([DyadicSquare(5, i % 32, i // 32) for i in range(257)], 1.2, 1e9)
-    cloud = build_quadrature(build_measure(fam), 1)
+def test_target_blocks_are_one_product_each(variant, size):
+    fam, cloud = one_node_squares()
     rng = np.random.default_rng(17)
     f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
+    targets = np.array([256]) if size == 1 else rng.integers(0, len(cloud), size)
     spec = KernelSpec(variant, fam)
     charges = source_charges(cloud, f.values, transposed=False)  # both variants are forward
-    kernel = cauchy_square_block_reference(cloud, np.arange(len(cloud)), spec.rule[0])
-    # rows 0-255 as one zgemv block, row 256 as the last row of a two-row block
-    row_blocks = np.concatenate([kernel[:256] @ charges, (kernel[255:] @ charges)[1:]])
-    assert_same_bits(apply_direct(spec, cloud, f, targets=[256]).values, row_blocks[256:])
-    dense = Operator(cloud, "dense").apply(variant, f).values
-    assert_same_bits(apply_direct(spec, cloud, f).values, dense)
-    assert np.all(np.abs(dense - row_blocks) <= summation_gap_bound(kernel, charges))
+    got = apply_direct(spec, cloud, f, targets=targets).values
+    block = operators._TARGET_BLOCK
+    for b0 in range(0, size, block):
+        rows = targets[b0 : b0 + block]
+        assert_same_bits(got[b0 : b0 + block], cauchy_square_block_reference(cloud, rows, spec.rule[0]) @ charges)
+    # the full sweep sums the same products in another order
+    kernel = cauchy_square_block_reference(cloud, targets, spec.rule[0])
+    full = apply_direct(spec, cloud, f).values
+    assert np.all(np.abs(full[targets] - got) <= summation_gap_bound(kernel, charges))
 
 
 def _strip_bytes(n):
@@ -294,7 +293,7 @@ def sweep_cloud():
 # one short of a strip, and a quarter strip
 @pytest.mark.parametrize("block", [16, 13, 29, 64])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_sweep_bits_at_every_last_strip_thread_count_and_cache(monkeypatch, block, variant):
+def test_sweep_bits_at_every_last_strip_and_cache(monkeypatch, block, variant):
     fam, cloud = sweep_cloud()
     n = len(cloud)
     monkeypatch.setattr(operators, "_ROW_BLOCK", block)
@@ -309,15 +308,14 @@ def test_sweep_bits_at_every_last_strip_thread_count_and_cache(monkeypatch, bloc
     kernel = cauchy_square_block_reference(cloud, np.arange(n), mode)
     for threshold in (FAST_NODE_THRESHOLD, 0):  # cached strips, then strips recomputed per apply
         monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", threshold)
-        for threads in (1, 2, 3):
-            op = Operator(cloud, "dense", threads)
-            for _ in range(2):  # the apply that fills the strips, then one that reads them
-                assert_same_bits(op.apply(variant, Field(vals, "mu")).values, want)
-                assert_same_bits(op.adjoint(variant, Field(vals, "mu")).values, want_adjoint)
-            strips = op._strips[1]
-            assert sorted(strips) == (list(range(0, n, block)) if threshold else [])
-            for s, strip in strips.items():
-                assert_same_bits(strip, kernel[s : s + block, s:])
+        op = Operator(cloud, "dense")
+        for _ in range(2):  # the apply that fills the strips, then one that reads them
+            assert_same_bits(op.apply(variant, Field(vals, "mu")).values, want)
+            assert_same_bits(op.adjoint(variant, Field(vals, "mu")).values, want_adjoint)
+        strips = op._strips[1]
+        assert sorted(strips) == (list(range(0, n, block)) if threshold else [])
+        for s, strip in strips.items():
+            assert_same_bits(strip, kernel[s : s + block, s:])
     # against the one dense product, the sweep's sums differ by rounding alone
     charges = source_charges(cloud, vals, transposed)
     raw = operators._cauchy_square_apply(cloud, charges, mode)
@@ -614,62 +612,6 @@ def test_dense_operator_keeps_one_matrix_slot(monkeypatch):
     assert filled == cross + off + cross
 
 
-@pytest.mark.parametrize("threshold", [FAST_NODE_THRESHOLD, 0])
-def test_dense_workers_are_capped_at_the_target_blocks(monkeypatch, threshold):
-    fam, cloud = small_family(seed=6, count=3, n=4)
-    monkeypatch.setattr(operators, "_ROW_BLOCK", 32)
-    monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", threshold)
-    assert 32 < len(cloud) <= 64  # two strips
-    rng = np.random.default_rng(8)
-    f = Field(rng.standard_normal((len(cloud), 3)) + 1j * rng.standard_normal((len(cloud), 3)), "mu")
-    one = Operator(cloud, "dense", 1).apply("modified", f).values
-    pools = []
-
-    class InlinePool:
-        """Records its worker count and tasks and runs the tasks inline."""
-
-        def __init__(self, max_workers):
-            self.max_workers, self.tasks = max_workers, 0
-            pools.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            self.tasks += 1
-            done = Future()
-            done.set_result(fn(*args))
-            return done
-
-    monkeypatch.setattr(operators, "ThreadPoolExecutor", InlinePool)
-    op = Operator(cloud, "dense", 64)
-    assert_same_bits(op.apply("modified", f).values, one)
-    assert [(pool.max_workers, pool.tasks) for pool in pools] == [(2, 2)]
-    # a filled cache reads its strips on the calling thread; without one
-    # every apply fills them again
-    assert_same_bits(op.apply("modified", f).values, one)
-    assert len(pools) == (1 if threshold else 2)
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_threaded_dense_operator_matches_apply_direct(monkeypatch, variant):
-    fam, cloud = small_family(seed=6, count=3, n=4)
-    monkeypatch.setattr(operators, "_ROW_BLOCK", 7)  # seven strips, the last one short
-    assert len(cloud) <= FAST_NODE_THRESHOLD
-    rng = np.random.default_rng(9)
-    vals = rng.standard_normal((len(cloud), 3)) + 1j * rng.standard_normal((len(cloud), 3))
-    spec = KernelSpec(variant, fam)
-    op = Operator(cloud, "dense", threads=2)
-    for v in (vals, vals[:, 1]):
-        f = Field(v, "mu")
-        assert_same_bits(op.apply(variant, f).values, apply_direct(spec, cloud, f).values)
-        assert_same_bits(op.adjoint(variant, f).values, adjoint_apply_direct(spec, cloud, f).values)
-    assert sorted(op._strips[1]) == list(range(0, len(cloud), 7))
-
-
 def test_dense_apply_that_raises_leaves_only_whole_blocks(monkeypatch):
     fam, cloud = small_family(seed=6, count=3, n=4)
     monkeypatch.setattr(operators, "_ROW_BLOCK", 16)
@@ -687,19 +629,15 @@ def test_dense_apply_that_raises_leaves_only_whole_blocks(monkeypatch):
     ref = apply_direct(KernelSpec("modified", fam), cloud, f).values
     kernel = cauchy_square_block_reference(cloud, np.arange(len(cloud)), "cross_square")
     monkeypatch.setattr(operators, "cauchy_square_block", failing_fill)
-    # one thread stops at the failing strip; two finish the strip in flight after it
-    for threads, kept in [(1, [0]), (2, [0, 32])]:
-        calls.clear()
-        op = Operator(cloud, "dense", threads)
-        with pytest.raises(MemoryError):
-            op.apply("modified", f)
-        assert sorted(op._strips[1]) == kept
-        for s, strip in op._strips[1].items():
-            assert_same_bits(strip, kernel[s : s + 16, s:])
-        for _ in range(2):
-            assert_same_bits(op.apply("modified", f).values, ref)
-        assert sorted(calls) == [0, 16, 16, 32]  # the failed strip is filled once more
-        assert sorted(op._strips[1]) == [0, 16, 32]
+    op = Operator(cloud, "dense")
+    with pytest.raises(MemoryError):
+        op.apply("modified", f)
+    assert sorted(op._strips[1]) == [0]  # the apply stops at the failing strip
+    assert_same_bits(op._strips[1][0], kernel[:16])
+    for _ in range(2):
+        assert_same_bits(op.apply("modified", f).values, ref)
+    assert calls == [0, 16, 16, 32]  # the failed strip is filled once more
+    assert sorted(op._strips[1]) == [0, 16, 32]
 
 
 def test_rayleigh_history_nondecreasing():

@@ -355,7 +355,7 @@ def test_main_inequality_fast_norm_matches_dense(monkeypatch):
     report = check_main_inequality(fam, n_per_side=8, seed=2)
     assert report.inputs["fast"] is True
     assert report.passed
-    dense = operator_norm(KernelSpec("adjoint", fam), cloud, tol=1e-4, seed=2, threads=2)
+    dense = operator_norm(KernelSpec("adjoint", fam), cloud, tol=1e-4, seed=2)
     assert report.constants["sigma_max"] == pytest.approx(dense.sigma_max, rel=1e-5)
 
 

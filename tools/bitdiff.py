@@ -45,11 +45,10 @@ MATRIX = [
     ("f96", ["generate", "--M", "96", "--d", "1.2", "--packing-target", "4", "--seed", "1"]),
     ("validate", ["validate", "--family", "f16/family.json"]),
     *[
-        (f"norm-{variant}-t{threads}", ["norm", *_F16, "--variant", variant, "--threads", str(threads)])
+        (f"norm-{variant}", ["norm", *_F16, "--variant", variant])
         for variant in ("modified", "adjoint", "full", "local")
-        for threads in (1, 2)
     ],
-    *[(f"norm-3008-t{threads}", ["norm", *_F47, "--threads", str(threads)]) for threads in (1, 2)],
+    ("norm-3008", ["norm", *_F47]),
     ("dominate", ["dominate", *_F16]),
     ("dominate-6144", ["dominate", *_F96, "--trials", "2"]),
     ("czcheck", ["czcheck", *_F16]),
