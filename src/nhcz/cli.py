@@ -237,10 +237,9 @@ def _cmd_scaling(args) -> int:
         ["M", "seconds"],
         [[m, f"{t:.3f}"] for m, t in zip(ladder, timings)],
     )
-    incomplete = [row[0] for row in rows if not row[2]]
     for row in rows:
-        print(f"scaling: M={row[0]} nodes={row[3]} sigma_max={row[8]}")
-    return FAIL if incomplete else PASS
+        print(f"scaling: M={row[0]} nodes={row[3]} sigma_max={row[8]} converged={row[9]}")
+    return PASS if all(row[2] and row[9] for row in rows) else FAIL  # complete, sigma_converged
 
 
 def _cmd_exponent(args) -> int:

@@ -26,12 +26,13 @@ source's children or skipped as a whole; only the target leaves near the
 opening boundary test their nodes one by one with the exact float test.
 The plan is the one a per-target walk down the tree would record:
 
-- the far part is a list of (cell, target leaf, packed slot mask) entries;
-  an apply evaluates each far cell as a (targets x order) power matrix
-  times the cell's (order x k) moments.  Far cells with few entries share
-  evaluation chunks, so the numpy calls per apply follow the (cell, target)
-  pairs rather than the number of far cells, while each cell's product
-  and additions run as they would on their own.  A (cell, column) whose
+- the far part lists, per far cell, runs of consecutive ``perm``
+  positions that the cell expands, each within one target leaf; an apply
+  evaluates each far cell as a (targets x order) power matrix times the
+  cell's (order x k) moments.  Far cells with few runs share evaluation
+  chunks, so the numpy calls per apply follow the (cell, target) pairs
+  rather than the number of far cells, while each cell's product and
+  additions run as they would on their own.  A (cell, column) whose
   moments are all zero takes no product and no addition, and a chunk
   with no other pair is skipped, which leaves every output bit in place;
 - the near part keeps the (target leaf, source leaf) blocks the walk
@@ -63,9 +64,8 @@ from nhcz.operators import Field, apply_direct, apply_direct_targets
 
 _MAX_DEPTH = 48
 _COLUMN_BLOCK = 8  # charge columns per pass; bounds the moment and output arrays
-_ENTRY_BLOCK = 256  # far entries per power matrix (at most 256 x leaf size rows)
+_ENTRY_BLOCK = 256  # far runs per power matrix (at most 256 x pad width rows)
 _NEAR_BLOCK = 64  # near leaf blocks per dense kernel evaluation
-_GATHER_BLOCK = 1 << 16  # far entries per slot-mask gather when a plan is built
 _MARGIN = 1e-12  # relative slack that keeps a whole-pair decision clear of rounding
 
 
@@ -87,13 +87,16 @@ class ExpansionParams:
 @dataclass(frozen=True)
 class InteractionPlan:
     """The expanded and the directly summed pairs of one tree at one opening
-    parameter.  Leaves are named by their row in the tree's leaf pads, and a
-    slot mask packs one bit per pad slot (``np.packbits`` along rows)."""
+    parameter.  A far run is a maximal stretch of ``perm`` positions within
+    one target leaf that a far cell expands, so it is at most the pad width
+    long; ``_far_runs`` decodes runs.  Leaves are named by their row in the
+    tree's leaf pads, and a slot mask packs one bit per pad slot
+    (``np.packbits`` along rows)."""
 
     far_cells: np.ndarray  # cells that serve some target by expansion
-    far_ptr: np.ndarray  # far_cells[i] owns entries far_ptr[i]:far_ptr[i + 1]
-    far_leaf: np.ndarray  # target leaf of each entry
-    far_bits: np.ndarray  # the entry's expanded target slots
+    far_ptr: np.ndarray  # far_cells[i] owns runs far_ptr[i]:far_ptr[i + 1]
+    far_start: np.ndarray  # first perm position of each run
+    far_len: np.ndarray  # number of positions in each run
     near_target: np.ndarray  # target leaf of each live near block
     near_source: np.ndarray  # source leaf of each live near block
     near_bits: np.ndarray  # the block's target slots with a live pair
@@ -280,8 +283,10 @@ def _binomial_table(p: int) -> np.ndarray:
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The concatenated ranges ``starts[i] : starts[i] + sizes[i]``."""
-    return np.arange(int(sizes.sum())) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    """The concatenated ranges ``starts[i] : starts[i] + sizes[i]``, in the
+    dtype of ``starts - sizes``; ``sizes``' dtype must hold its running sum."""
+    out = np.repeat(starts - (np.cumsum(sizes, dtype=sizes.dtype) - sizes), sizes)
+    return np.add(out, np.arange(out.size, dtype=out.dtype), out=out)  # one temporary, not two
 
 
 def build_tree(cloud: QuadratureCloud, leaf_cap: int = 32) -> QuadTree:
@@ -297,7 +302,7 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
     the opening test is settled for T's whole disc with ``_MARGIN`` to spare
     (or S has radius 0) and T's squares lie all outside or all inside S's:
 
-    - all expanded: every leaf of T is a far entry of S with its full mask;
+    - all expanded: T's range of ``perm`` is expanded by S;
     - none expanded: the pair moves on to S's children, or, at a source
       leaf, becomes near blocks;
     - all dead: T and S hold the same single square, so every block between
@@ -305,16 +310,18 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
 
     Any other pair splits T.  The nodes of a target leaf that cannot be
     decided as a whole walk S's subtree one by one under the exact opening
-    and square tests.  Entries are sorted by (source cell, target leaf),
-    the order of a depth-first walk that carries each node down the tree.
+    and square tests, and the nodes each cell expands break into runs.
+    Both kinds of range are sorted by (source cell, start), the order of a
+    depth-first walk that carries each node down the tree, and split at
+    leaf boundaries.
     """
     z, sq = tree.cloud.z, tree.cloud.square_index
     n_leaves, width = tree.leaf_pad_nodes.shape
-    leaf_start = tree.start[tree.leaf_ids]
+    leaf_start, leaf_end = tree.start[tree.leaf_ids], tree.end[tree.leaf_ids]
+    leaf_of = np.repeat(np.arange(n_leaves, dtype=np.int32), leaf_end - leaf_start)  # leaf row of each slot
     # a cell's leaves are the leaf rows first_leaf : first_leaf + n_leaf
     first_leaf = np.searchsorted(leaf_start, tree.start)
     n_leaf = np.searchsorted(leaf_start, tree.end) - first_leaf
-    full_bits = np.packbits(tree.leaf_pad_mask, axis=1)
     n_kids = np.diff(tree.child_ptr)
     n_sq = np.diff(tree.square_ptr)
     one_sq = np.where(n_sq == 1, tree.square_ids[tree.square_ptr[:-1]], -1)  # a cell's only square
@@ -330,7 +337,7 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
         up = np.repeat(np.arange(cells.size), n_kids[cells])
         return tree.child_ids[_ranges(tree.child_ptr[cells], n_kids[cells])], up
 
-    far = []  # (source cell, first target leaf, target leaves) with full masks
+    far = []  # (source cell, first perm position, length) of expanded ranges
     far_pts = []  # (source cell, perm slot) of each node expanded one by one
     near_pts = []  # (source leaf row, perm slot, live) of each node summed directly
     fallback = []  # (target leaf, source cell) pairs left to per-target tests
@@ -355,7 +362,7 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
         cell_pairs += int(np.count_nonzero(dead | expand | descend))
         skipped += int((n_leaf[tc[dead]] * n_leaf[sc[dead]]).sum())
         if expand.any():
-            far.append((sc[expand], first_leaf[tc[expand]], n_leaf[tc[expand]]))
+            far.append((sc[expand], tree.start[tc[expand]], tree.end[tc[expand]] - tree.start[tc[expand]]))
 
         t_near, s_near = tc[descend], sc[descend]
         at_leaf = tree.is_leaf[s_near]
@@ -389,50 +396,46 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
         if not pos.size:
             break
 
-    def by_block(keys, pos, bit):
-        """Distinct (key, target leaf) blocks of the nodes at perm slots
-        ``pos`` and each block's mask of the slots whose ``bit`` is set."""
-        lf = np.searchsorted(leaf_start, pos, side="right") - 1
-        block, inv = np.unique(keys * n_leaves + lf, return_inverse=True)
-        mask = np.zeros((block.size, width), dtype=bool)
-        mask[inv[bit], (pos - leaf_start[lf])[bit]] = True
-        return block // n_leaves, block % n_leaves, mask
-
-    cells, pos = (np.concatenate(a) for a in zip(*far_pts))
-    cells, lf, mask = by_block(cells, pos, np.ones(pos.size, dtype=bool))
-    # near blocks come out sorted by (source leaf, target leaf)
-    near_src, near_lf, near_mask = by_block(*(np.concatenate(a) for a in zip(*near_pts)))
+    # distinct (source leaf, target leaf) near blocks, in that order, each
+    # with its mask of the target slots that meet a live pair
+    src, pos, live = (np.concatenate(a) for a in zip(*near_pts))
+    lf = leaf_of[pos]
+    block, inv = np.unique(src * n_leaves + lf, return_inverse=True)
+    near_mask = np.zeros((block.size, width), dtype=bool)
+    near_mask[inv[live], (pos - leaf_start[lf])[live]] = True
     hit = near_mask.any(axis=1)
     skipped += int(hit.size - np.count_nonzero(hit))
 
-    # far records: whole target cells with full masks, then single tested leaves
-    far.append((cells, lf, np.ones_like(lf)))
-    rec_cell, rec_leaf, rec_n = (np.concatenate(a) for a in zip(*far))
+    # the nodes tested one by one break into runs of consecutive positions
+    cells, pos = (np.concatenate(a) for a in zip(*far_pts))
+    order = np.lexsort((pos, cells))
+    cells, pos = cells[order], pos[order]
+    first = np.flatnonzero((np.diff(cells, prepend=-1) != 0) | (np.diff(pos, prepend=-1) != 1))
+    far.append((cells[first], pos[first], np.diff(first, append=pos.size)))
+    rec_cell, rec_start, rec_len = (np.concatenate(a) for a in zip(*far))
     del far, far_pts, near_pts  # the plan's arrays are built below
-    order = np.lexsort((rec_leaf, rec_cell))
-    rec_cell, rec_leaf, rec_n = rec_cell[order], rec_leaf[order], rec_n[order]
-    rec_end = np.cumsum(rec_n)
-    # a record's leaves count up from its first; a running sum of steps
-    # writes them without an index array per entry
-    step = rec_leaf.copy()
-    step[1:] -= rec_leaf[:-1] + rec_n[:-1] - 1
-    far_leaf = np.ones(int(rec_n.sum()), dtype=np.int32)
-    far_leaf[rec_end - rec_n] = step
-    np.cumsum(far_leaf, dtype=np.int32, out=far_leaf)
-    far_bits = np.empty((far_leaf.size, full_bits.shape[1]), dtype=np.uint8)
-    for b0 in range(0, far_leaf.size, _GATHER_BLOCK):  # keeps the int64 index copy small
-        np.take(full_bits, far_leaf[b0 : b0 + _GATHER_BLOCK], axis=0, out=far_bits[b0 : b0 + _GATHER_BLOCK])
-    tested = order >= rec_cell.size - cells.size  # the single-leaf records, in sorted order
-    far_bits[(rec_end - rec_n)[tested]] = np.packbits(mask, axis=1)[order[tested] - (rec_cell.size - cells.size)]
-    last = np.flatnonzero(np.diff(rec_cell, append=-1))  # each far cell's last record
+    order = np.lexsort((rec_start, rec_cell))
+    rec_cell, rec_start, rec_end = rec_cell[order], rec_start[order], (rec_start + rec_len)[order]
+    # one run per leaf that a range meets: the leaf's own slots, except that
+    # the first run starts with the range and the last one ends with it
+    lf_first, lf_last = leaf_of[rec_start], leaf_of[rec_end - 1]
+    n_runs = lf_last + 1 - lf_first
+    run_end = np.cumsum(n_runs)
+    lf = _ranges(lf_first, n_runs)
+    run_start = leaf_start.astype(np.int32)[lf]
+    run_len = (leaf_end - leaf_start).astype(np.min_scalar_type(width))[lf]  # at most the pad width
+    run_start[run_end - n_runs] = rec_start
+    run_len[run_end - n_runs] = leaf_end[lf_first] - rec_start
+    run_len[run_end - 1] = rec_end - run_start[run_end - 1]
+    last = np.flatnonzero(np.diff(rec_cell, append=-1))  # each far cell's last range
 
     return InteractionPlan(
         far_cells=rec_cell[last].astype(np.int32),
-        far_ptr=np.append(0, rec_end[last]).astype(np.int64),
-        far_leaf=far_leaf,
-        far_bits=far_bits,
-        near_target=near_lf[hit].astype(np.int32),
-        near_source=near_src[hit].astype(np.int32),
+        far_ptr=np.append(0, run_end[last]).astype(np.int64),
+        far_start=run_start,
+        far_len=run_len,
+        near_target=(block[hit] % n_leaves).astype(np.int32),
+        near_source=(block[hit] // n_leaves).astype(np.int32),
         near_bits=np.packbits(near_mask[hit], axis=1),
         near_blocks_skipped=skipped,
         cell_pairs=cell_pairs,
@@ -461,14 +464,22 @@ def apply_fast(spec: KernelSpec, tree: QuadTree, f: Field, params: ExpansionPara
     return Field(target_scale(cloud, spec.d, out, transposed), "mu")
 
 
+def _far_runs(plan, b0, b1):
+    """The perm positions of far runs ``b0:b1``, in run order, and the
+    offset into them at which each run ends."""
+    # a uint8 length's running sum would wrap, and int32 minus an unsigned sum is float64
+    lens = plan.far_len[b0:b1].astype(np.int64)
+    return _ranges(plan.far_start[b0:b1].astype(np.int64), lens), np.cumsum(lens)
+
+
 def _far_chunks(ptr):
     """(first cell, first entry, end entry, cut) of each far evaluation
     chunk, for far cells owning entries ``ptr[i]:ptr[i + 1]``; ``cut``
     holds the chunk's cell boundaries as entry offsets from its first
     entry.  A cell with at least ``_ENTRY_BLOCK`` entries gets chunks of
-    that many entries of its own; a run of smaller consecutive cells
+    that many entries of its own; a stretch of smaller consecutive cells
     shares chunks of at most ``_ENTRY_BLOCK`` entries, each holding whole
-    cells.
+    cells.  The plan's entries are its far runs.
 
     The segments fix the output bits: a cell's product runs on its own
     slice of the power matrix, and a zgemv over a column slice ``x @
@@ -497,10 +508,10 @@ def _far_sums(tree, plan, mom, out):
     exact powers of two, all far cells' in one pass; neither overflows at
     any order.
 
-    The entries are evaluated in ``_far_chunks``: each chunk makes one slot
-    unpacking, one 1/(z - c) with each pair's own centre and 2^e, and one
+    The runs are evaluated in ``_far_chunks``: each chunk makes one run
+    decode, one 1/(z - c) with each pair's own centre and 2^e, and one
     power matrix in a buffer all chunks reuse, so the number of numpy calls
-    follows the entries rather than the far cells.  Each cell's segment of
+    follows the runs rather than the far cells.  Each cell's segment of
     the chunk then takes one product per column and adds to ``out`` on its
     own, so every target's sum is added in cell order and each column's
     sums do not depend on the chunk or on the other columns.
@@ -508,14 +519,13 @@ def _far_sums(tree, plan, mom, out):
     Only live (cell, column) pairs, whose rescaled moments are not all
     zero, take a product and an addition; a cell with every column live
     adds whole rows, any other adds its live columns one by one, and a
-    chunk without a live pair is skipped before its unpacking.  A dead
+    chunk without a live pair is skipped before its decode.  A dead
     pair's product with the finite powers is +-0.  ``out`` starts at +0 and
     a sum that starts at +0 never reaches -0 under round-to-nearest, so
     adding +-0 would change no bit and the skip is exact.  Liveness is read
     on the rescaled moments, the ones multiplied; a radius-0 cell's higher
     moments, which it does not multiply, are exact zeros."""
     z = tree.cloud.z[tree.perm]
-    leaf_start = tree.start[tree.leaf_ids]
     width = tree.leaf_pad_nodes.shape[1]
     order = mom.shape[1]
     ks = np.arange(order)
@@ -536,13 +546,12 @@ def _far_sums(tree, plan, mom, out):
         c1 = c0 + len(cut) - 1
         if not any(n_live[c0:c1]):
             continue
-        entry, slot = np.nonzero(np.unpackbits(plan.far_bits[b0:b1], axis=1, count=width))
-        pos = leaf_start[plan.far_leaf[b0:b1][entry]] + slot
-        # each cell's pairs are a run of ``entry``, in cell order
-        seg = np.searchsorted(entry, cut)
-        runs = np.diff(seg)
-        inv = 1.0 / (z[pos] - np.repeat(centers[c0:c1], runs))
-        u = inv * np.repeat(scale[c0:c1], runs)
+        pos, ends = _far_runs(plan, b0, b1)
+        # each cell's targets are a stretch of ``pos``, in cell order
+        seg = np.append(0, ends)[cut]
+        counts = np.diff(seg)
+        inv = 1.0 / (z[pos] - np.repeat(centers[c0:c1], counts))
+        u = inv * np.repeat(scale[c0:c1], counts)
         pw = pw_buf[: order * pos.size].reshape(order, pos.size)  # rows inv^2 u^k
         np.multiply(inv, inv, out=pw[0])
         for k in range(1, order):

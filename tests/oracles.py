@@ -28,7 +28,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from nhcz.fastsum import _ENTRY_BLOCK, _binomial_table
+from nhcz.fastsum import _ENTRY_BLOCK, _binomial_table, _far_runs
 from nhcz.geometry import DisjointnessVerdict, DyadicSquare, _dilates_meet, _scaled_centers_halves, _scaled_dilate
 from nhcz.kernels import _best, exclusion_mask, kernel_rows
 from nhcz.measure import _PAIR_BLOCK, _add_to_bins, _square_ball_sums, dyadic_radius_ladder
@@ -595,11 +595,9 @@ def moments_per_column(tree, charges, order):
 
 def far_sums_per_cell(tree, plan, mom, out):
     """``fastsum._far_sums`` one far cell at a time, in blocks of
-    ``_ENTRY_BLOCK`` entries: the bit-for-bit reference of the chunked
+    ``_ENTRY_BLOCK`` runs: the bit-for-bit reference of the chunked
     pass."""
     z = tree.cloud.z[tree.perm]
-    leaf_start = tree.start[tree.leaf_ids]
-    width = tree.leaf_pad_nodes.shape[1]
     for cell, e0, e1 in zip(plan.far_cells, plan.far_ptr[:-1], plan.far_ptr[1:]):
         # sources that all sit at the center have only a zeroth moment
         order = mom.shape[1] if tree.radius[cell] > 0 else 1
@@ -609,8 +607,7 @@ def far_sums_per_cell(tree, plan, mom, out):
         m = np.ldexp(m.real, -e * ks) + 1j * np.ldexp(m.imag, -e * ks)
         for b0 in range(e0, e1, _ENTRY_BLOCK):
             b1 = min(b0 + _ENTRY_BLOCK, e1)
-            entry, slot = np.nonzero(np.unpackbits(plan.far_bits[b0:b1], axis=1, count=width))
-            pos = leaf_start[plan.far_leaf[b0:b1][entry]] + slot
+            pos, _ = _far_runs(plan, b0, b1)
             inv = 1.0 / (z[pos] - tree.centers[cell])
             u = inv * 2.0**e
             pw = np.empty((order, pos.size), dtype=np.complex128)  # rows inv^2 u^k

@@ -71,3 +71,8 @@ def test_outputs_read_json_leaves_and_csv_cells(tmp_path):
     }
     assert leaves["scaling.csv[1]/sigma"] == 1e-3 and leaves["scaling.csv[1]/M"] == 16
     assert math.isnan(leaves["norm.json/constants/hist[1]"])
+
+
+def test_timing_columns_of_a_csv_are_set_aside(tmp_path):
+    (tmp_path / "bench.csv").write_text("N,t_direct_ms,t_fast_ms,speedup,max_rel_err\n8192,120.5,40.25,2.99,3e-08\n")
+    assert read_outputs(tmp_path) == {"bench.csv[0]/N": 8192, "bench.csv[0]/max_rel_err": 3e-08}

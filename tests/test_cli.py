@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nhcz import verify
 from nhcz.cli import SUBCOMMANDS, build_parser, main
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family
 from nhcz.kernels import KernelSpec, cz_constants
@@ -108,6 +109,15 @@ def test_scaling_csv_byte_identical(tmp_path):
     assert a == b
     header = a.decode().splitlines()[0]
     assert header.startswith("M,generated,complete,n_nodes")
+
+
+def test_scaling_fails_when_a_row_does_not_converge(tmp_path, monkeypatch):
+    args = ["scaling", "--M", "4", "--n", "3", "--out", str(tmp_path)]
+    assert run(args) == 0
+    monkeypatch.setattr(verify, "SCALING_NORM_MAX_ITER", 1)
+    assert run(args) == 1
+    row = (tmp_path / "scaling.csv").read_text().splitlines()[1].split(",")
+    assert row[verify.SCALING_HEADER.index("sigma_converged")] == "False"
 
 
 def test_bench_subcommand(tmp_path):

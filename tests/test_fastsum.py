@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from nhcz import fastsum
 from nhcz.fastsum import (
+    _ENTRY_BLOCK,
     _MAX_DEPTH,
     BENCH_HEADER,
     ExpansionParams,
@@ -205,9 +206,8 @@ def _plan_pairs(tree, plan):
     pads, width = tree.leaf_pad_nodes, tree.leaf_pad_nodes.shape[1]
     far, near = [], []
     for cell, e0, e1 in zip(plan.far_cells, plan.far_ptr[:-1], plan.far_ptr[1:]):
-        entry, slot = np.nonzero(np.unpackbits(plan.far_bits[e0:e1], axis=1, count=width))
         sources = tree.perm[tree.start[cell] : tree.end[cell]]
-        far.extend((t, s) for t in pads[plan.far_leaf[e0:e1][entry], slot] for s in sources)
+        far.extend((t, s) for t in tree.perm[fastsum._far_runs(plan, e0, e1)[0]] for s in sources)
     keep = np.unpackbits(plan.near_bits, axis=1, count=width).astype(bool)
     for t_leaf, s_leaf, slots in zip(plan.near_target, plan.near_source, keep):
         sources = pads[s_leaf][tree.leaf_pad_mask[s_leaf]]
@@ -242,10 +242,10 @@ def test_plan_counters_and_memory_on_the_ladder_family(ladder_cloud):
     tree = build_tree(ladder_cloud, leaf_cap=32)
     plan = tree.plan(0.5)
     assert tree.plan(0.5) is plan
-    far_pairs = int(np.unpackbits(plan.far_bits).sum())
+    far_pairs = int(plan.far_len.sum())
     assert far_pairs * 8 > 1.4e6  # what per-pair int64 target lists would hold
     assert plan.nbytes < 0.5e6
-    assert plan.far_leaf.size > 0
+    assert plan.far_start.size > 0
     assert plan.near_blocks > 0 and plan.near_blocks_skipped > plan.near_blocks
     # the walk decides whole cell pairs and tests few targets one by one; a
     # per-target walk makes about 70 tests per node here
@@ -423,14 +423,93 @@ def _assert_tree_matches_oracle(tree, ref):
         assert np.array_equal(squares, ref.square_ids[c])
 
 
+def _mask_runs(tree, want):
+    """``plan_walk``'s far (target leaf, slot mask) entries as the plan's
+    runs: each mask's set slots split where a slot is skipped, as perm
+    positions, with ``far_ptr`` counting runs."""
+    width = tree.leaf_pad_nodes.shape[1]
+    leaf_start = tree.start[tree.leaf_ids]
+    bits = np.unpackbits(want["far_bits"], axis=1, count=width)
+    starts, lens, ptr = [], [], [0]
+    for e0, e1 in zip(want["far_ptr"][:-1], want["far_ptr"][1:]):
+        for leaf, mask in zip(want["far_leaf"][e0:e1], bits[e0:e1]):
+            slots = np.flatnonzero(mask)
+            for run in np.split(slots, np.flatnonzero(np.diff(slots) != 1) + 1):
+                starts.append(leaf_start[leaf] + run[0])
+                lens.append(run.size)
+        ptr.append(len(starts))
+    runs = dict(want, far_ptr=np.array(ptr, dtype=np.int64), far_start=np.array(starts, dtype=np.int32))
+    runs["far_len"] = np.array(lens, dtype=np.min_scalar_type(width))
+    del runs["far_leaf"], runs["far_bits"]
+    return runs
+
+
 def _assert_plan_matches_oracle(tree, ref, theta):
-    plan, want = tree.plan(theta), plan_walk(ref, theta)
+    plan, want = tree.plan(theta), _mask_runs(tree, plan_walk(ref, theta))
     for name, value in want.items():
         got = getattr(plan, name)
         if isinstance(value, np.ndarray):
             assert got.dtype == value.dtype and np.array_equal(got, value), name
         else:
             assert got == value, name
+
+
+def _assert_runs_decode_to_walk(tree, ref, theta):
+    """Decoding every far run gives ``plan_walk``'s (far cell, perm
+    position) pairs in its order, as int64; each run is maximal and lies in
+    one leaf, so it is at most the pad width long.  Returns the number of
+    runs that continue a (cell, leaf) after a gap."""
+    plan, want = tree.plan(theta), plan_walk(ref, theta)
+    width = tree.leaf_pad_nodes.shape[1]
+    leaf_start, leaf_end = tree.start[tree.leaf_ids], tree.end[tree.leaf_ids]
+    entry, slot = np.nonzero(np.unpackbits(want["far_bits"], axis=1, count=width))
+    want_cell = np.repeat(want["far_cells"], np.diff(want["far_ptr"]))[entry]
+    pos, ends = fastsum._far_runs(plan, 0, plan.far_start.size)
+    assert pos.dtype == ends.dtype == np.int64
+    assert np.array_equal(pos, leaf_start[want["far_leaf"][entry]] + slot)
+    cell = np.repeat(plan.far_cells, np.diff(plan.far_ptr))
+    assert np.array_equal(np.repeat(cell, plan.far_len), want_cell)
+    start, stop = plan.far_start.astype(np.int64), plan.far_start + plan.far_len.astype(np.int64)
+    leaf = np.searchsorted(leaf_start, start, side="right") - 1
+    assert np.all(plan.far_len >= 1) and np.all(plan.far_len <= width) and np.all(stop <= leaf_end[leaf])
+    # a cell's next run in the same leaf starts after a gap
+    same = (cell[1:] == cell[:-1]) & (leaf[1:] == leaf[:-1])
+    assert np.all(start[1:][same] > stop[:-1][same])
+    return int(np.count_nonzero(same))
+
+
+@given(treecode_cases(), st.sampled_from([0.1, 0.5, 0.9]))
+@settings(max_examples=25, deadline=None)
+def test_far_runs_decode_to_the_walk_pairs(case, theta):
+    cloud, leaf_cap = case[1], case[2]
+    _assert_runs_decode_to_walk(build_tree(cloud, leaf_cap), quadtree_recursive(cloud, leaf_cap, _MAX_DEPTH), theta)
+
+
+def test_far_runs_decode_to_the_walk_pairs_on_the_ladder_rung(ladder_cloud):
+    tree = build_tree(ladder_cloud, leaf_cap=32)
+    # the rung has leaves that a cell expands in more than one run
+    assert _assert_runs_decode_to_walk(tree, quadtree_recursive(ladder_cloud, 32, _MAX_DEPTH), 0.5) > 0
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(1, 3 * _ENTRY_BLOCK), st.sampled_from([_ENTRY_BLOCK - 1, _ENTRY_BLOCK, _ENTRY_BLOCK + 1])),
+        max_size=40,
+    )
+)
+def test_far_chunks_tile_the_runs_and_keep_small_cells_whole(counts):
+    ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    end, whole = 0, set()
+    for c0, b0, b1, cut in fastsum._far_chunks(ptr):
+        assert b0 == end and 0 < b1 - b0 <= _ENTRY_BLOCK  # in order, without a gap
+        assert cut[0] == 0 and cut[-1] == b1 - b0
+        for c, s0, s1 in zip(range(c0, c0 + len(cut) - 1), cut, cut[1:]):
+            assert ptr[c] <= b0 + s0 < b0 + s1 <= ptr[c + 1]  # each segment inside its own cell
+            if (b0 + s0, b0 + s1) == (ptr[c], ptr[c + 1]):
+                whole.add(c)
+        end = b1
+    assert end == ptr[-1]
+    assert {c for c, n in enumerate(counts) if n < _ENTRY_BLOCK} <= whole
 
 
 def _check_leaf_caps_against_oracle(cloud):

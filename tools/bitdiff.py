@@ -7,12 +7,13 @@ the change defaults to the working tree as it stands.  The committed
 command matrix ``MATRIX`` then runs on each side with ``PYTHONPATH`` at
 that side's ``src``, always from the same working directory, so paths
 written into the reports agree.  Every JSON leaf and every CSV cell of
-each command's output directory is compared, except ``IGNORED_KEYS`` and
-``IGNORED_FILES`` (wall-clock times).  For each command the summary gives
-both exit codes, the number of moved, added and removed leaves, and the
-largest absolute, relative and ulp move with its key path; ``--json``
-writes the summary with every moved leaf.  Exit status 0 means nothing
-moved, 1 that something did.  Only the standard library is used.
+each command's output directory is compared, except ``IGNORED_KEYS``,
+``IGNORED_COLUMNS`` and ``IGNORED_FILES`` (wall-clock times).  For each
+command the summary gives both exit codes, the number of moved, added and
+removed leaves, and the largest absolute, relative and ulp move with its
+key path; ``--json`` writes the summary with every moved leaf.  Exit
+status 0 means nothing moved, 1 that something did.  Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 IGNORED_KEYS = {"runtime_s", "profile"}
+IGNORED_COLUMNS = {"t_direct_ms", "t_fast_ms", "speedup"}  # bench.csv's timings
 IGNORED_FILES = {"scaling_timings.csv"}
 
 _F16 = ["--family", "f16/family.json", "--n", "8"]  # 16 squares, 1,024 nodes: the dense backend
@@ -58,6 +60,8 @@ MATRIX = [
     ("t1", ["t1", *_F16]),
     ("decompose", ["decompose", *_F16]),
     ("scaling", ["scaling", "--M", "4,16", "--d", "1.2", "--n", "6"]),
+    # a uniform 8,192-node treecode ladder rung, whose plan has split leaves
+    ("bench-8192", ["bench", "--sizes", "8192", "--tol", "1e-6"]),
 ]
 
 
@@ -108,7 +112,7 @@ def _cell(text):
 
 def read_outputs(directory: Path) -> dict:
     """{key path: leaf} over every JSON and CSV file in ``directory``; a CSV
-    cell's path is file[row]/column."""
+    cell's path is file[row]/column, and ``IGNORED_COLUMNS`` are left out."""
     leaves = {}
     for path in sorted(directory.rglob("*")):
         rel = path.relative_to(directory).as_posix()
@@ -120,7 +124,8 @@ def read_outputs(directory: Path) -> dict:
             with path.open(newline="") as fh:
                 for i, row in enumerate(csv.DictReader(fh)):
                     for column, text in row.items():
-                        leaves[f"{rel}[{i}]/{column}"] = _cell(text)
+                        if column not in IGNORED_COLUMNS:
+                            leaves[f"{rel}[{i}]/{column}"] = _cell(text)
     return leaves
 
 
