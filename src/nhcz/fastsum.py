@@ -35,11 +35,11 @@ The plan is the one a per-target walk down the tree would record:
   additions run as they would on their own.  A (cell, column) whose
   moments are all zero takes no product and no addition, and a chunk
   with no other pair is skipped, which leaves every output bit in place;
-- the near part keeps the (target leaf, source leaf) blocks the walk
-  reaches, with the target slots that meet a source from another square.
-  A block in which every pair shares a square holds only zeros of the
-  cross-square kernel, so it is dropped when the plan is built; the kernel
-  values of the live blocks are computed per apply.
+- the near part lists, per source leaf, runs of consecutive ``perm``
+  positions that the leaf serves directly, in the same layout.  A target
+  whose every pair with the leaf shares a square meets only zeros of the
+  cross-square kernel, so it is left out when the plan is built; the
+  kernel values of the runs are computed per apply.
 
 Moments are built leaf by leaf and then shifted up one depth at a time,
 with one shift matrix per distinct child offset, applied to all columns in
@@ -64,8 +64,8 @@ from nhcz.operators import Field, apply_direct, apply_direct_targets
 
 _MAX_DEPTH = 48
 _COLUMN_BLOCK = 8  # charge columns per pass; bounds the moment and output arrays
-_ENTRY_BLOCK = 256  # far runs per power matrix (at most 256 x pad width rows)
-_NEAR_BLOCK = 64  # near leaf blocks per dense kernel evaluation
+_ENTRY_BLOCK = 256  # far runs per power matrix (at most 256 x leaf width rows)
+_NEAR_BLOCK = 64  # near runs per dense kernel evaluation
 _MARGIN = 1e-12  # relative slack that keeps a whole-pair decision clear of rounding
 
 
@@ -87,26 +87,23 @@ class ExpansionParams:
 @dataclass(frozen=True)
 class InteractionPlan:
     """The expanded and the directly summed pairs of one tree at one opening
-    parameter.  A far run is a maximal stretch of ``perm`` positions within
-    one target leaf that a far cell expands, so it is at most the pad width
-    long; ``_far_runs`` decodes runs.  Leaves are named by their row in the
-    tree's leaf pads, and a slot mask packs one bit per pad slot
-    (``np.packbits`` along rows)."""
+    parameter.  Each half lists, per cell, runs: a run is a maximal stretch
+    of ``perm`` positions within one target leaf that the cell serves, so it
+    is at most the tree's ``leaf_width`` long; ``_run_positions`` decodes
+    runs.  Far cells expand their runs; near cells are source leaves whose
+    nodes are summed directly against theirs."""
 
     far_cells: np.ndarray  # cells that serve some target by expansion
     far_ptr: np.ndarray  # far_cells[i] owns runs far_ptr[i]:far_ptr[i + 1]
     far_start: np.ndarray  # first perm position of each run
     far_len: np.ndarray  # number of positions in each run
-    near_target: np.ndarray  # target leaf of each live near block
-    near_source: np.ndarray  # source leaf of each live near block
-    near_bits: np.ndarray  # the block's target slots with a live pair
-    near_blocks_skipped: int  # near blocks whose pairs all share a square
+    near_cells: np.ndarray  # source leaves that serve some target directly
+    near_ptr: np.ndarray  # near_cells[i] owns runs near_ptr[i]:near_ptr[i + 1]
+    near_start: np.ndarray  # first perm position of each run
+    near_len: np.ndarray  # number of positions in each run
+    near_blocks_skipped: int  # (source leaf, target leaf) blocks whose pairs all share a square
     cell_pairs: int  # (target cell, source cell) pairs decided as a whole
     target_tests: int  # (target node, source cell) opening tests made one by one
-
-    @property
-    def near_blocks(self) -> int:
-        return int(self.near_target.size)
 
     @property
     def nbytes(self) -> int:
@@ -206,26 +203,13 @@ class QuadTree:
         self.perm = perm
         self.rank = np.empty_like(self.perm)  # node -> position in perm
         self.rank[self.perm] = np.arange(self.perm.size)
-        self._build_leaf_pads()
-        self._plans: dict[float, InteractionPlan] = {}
-
-    def _build_leaf_pads(self):
-        """Pad leaf node lists to a rectangle so the plan can name a target
-        by (leaf, slot) and near blocks vectorize across leaves."""
-        leaf_ids = np.flatnonzero(self.is_leaf)
-        sizes = self.end[leaf_ids] - self.start[leaf_ids]
+        self.leaf_ids = np.flatnonzero(self.is_leaf)
+        sizes = self.end[self.leaf_ids] - self.start[self.leaf_ids]
+        self.leaf_width = int(sizes.max())  # the most nodes a leaf holds
+        # offset of each node, in ``perm`` order, from its leaf's center;
         # leaves in id order tile ``perm`` from left to right
-        row = np.repeat(np.arange(leaf_ids.size), sizes)
-        slot = np.arange(self.perm.size) - self.start[leaf_ids][row]
-        nodes = np.zeros((leaf_ids.size, int(sizes.max())), dtype=np.int64)
-        mask = np.zeros(nodes.shape, dtype=bool)
-        nodes[row, slot] = self.perm
-        mask[row, slot] = True
-        self.leaf_ids = leaf_ids
-        self.leaf_pad_nodes = nodes
-        self.leaf_pad_mask = mask
-        # offset of each node, in ``perm`` order, from its leaf's center
-        self.leaf_diff = self.cloud.z[self.perm] - np.repeat(self.centers[leaf_ids], sizes)
+        self.leaf_diff = self.cloud.z[self.perm] - np.repeat(self.centers[self.leaf_ids], sizes)
+        self._plans: dict[float, InteractionPlan] = {}
 
     def moments(self, charges: np.ndarray, order: int) -> np.ndarray:
         """Per-cell moment sums sum_q c_q (w_q - center)^k, k < order.
@@ -304,24 +288,23 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
 
     - all expanded: T's range of ``perm`` is expanded by S;
     - none expanded: the pair moves on to S's children, or, at a source
-      leaf, becomes near blocks;
+      leaf, S sums T's nodes directly;
     - all dead: T and S hold the same single square, so every block between
       their leaves is skipped.
 
     Any other pair splits T.  The nodes of a target leaf that cannot be
     decided as a whole walk S's subtree one by one under the exact opening
-    and square tests, and the nodes each cell expands break into runs.
-    Both kinds of range are sorted by (source cell, start), the order of a
-    depth-first walk that carries each node down the tree, and split at
-    leaf boundaries.
+    and square tests.  Both halves of the plan then come from ``runs``:
+    expanded ranges and nodes, and the directly summed nodes that meet a
+    source from another square, are sorted by (source cell, position), the
+    order of a depth-first walk that carries each node down the tree,
+    broken where positions skip and split at leaf boundaries.
     """
     z, sq = tree.cloud.z, tree.cloud.square_index
-    n_leaves, width = tree.leaf_pad_nodes.shape
     leaf_start, leaf_end = tree.start[tree.leaf_ids], tree.end[tree.leaf_ids]
+    n_leaves = leaf_start.size
     leaf_of = np.repeat(np.arange(n_leaves, dtype=np.int32), leaf_end - leaf_start)  # leaf row of each slot
-    # a cell's leaves are the leaf rows first_leaf : first_leaf + n_leaf
-    first_leaf = np.searchsorted(leaf_start, tree.start)
-    n_leaf = np.searchsorted(leaf_start, tree.end) - first_leaf
+    n_leaf = np.searchsorted(leaf_start, tree.end) - np.searchsorted(leaf_start, tree.start)  # leaves per cell
     n_kids = np.diff(tree.child_ptr)
     n_sq = np.diff(tree.square_ptr)
     one_sq = np.where(n_sq == 1, tree.square_ids[tree.square_ptr[:-1]], -1)  # a cell's only square
@@ -337,9 +320,35 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
         up = np.repeat(np.arange(cells.size), n_kids[cells])
         return tree.child_ids[_ranges(tree.child_ptr[cells], n_kids[cells])], up
 
+    def runs(ranges, points):
+        """(cells, ptr, start, len) of the runs that cover the (cell, first
+        position, length) ``ranges`` and the (cell, position) ``points``."""
+        cells, pos = (np.concatenate(a) for a in zip(*points))
+        order = np.lexsort((pos, cells))
+        cells, pos = cells[order], pos[order]
+        first = np.flatnonzero((np.diff(cells, prepend=-1) != 0) | (np.diff(pos, prepend=-1) != 1))
+        ranges.append((cells[first], pos[first], np.diff(first, append=pos.size)))
+        rec_cell, rec_start, rec_len = (np.concatenate(a) for a in zip(*ranges))
+        del points[:], ranges[:]  # free the pieces before the split
+        order = np.lexsort((rec_start, rec_cell))
+        rec_cell, rec_start, rec_end = rec_cell[order], rec_start[order], (rec_start + rec_len)[order]
+        # one run per leaf that a range meets: the leaf's own slots, except
+        # that the first run starts with the range and the last one ends with it
+        lf_first, lf_last = leaf_of[rec_start], leaf_of[rec_end - 1]
+        n_runs = lf_last + 1 - lf_first
+        run_end = np.cumsum(n_runs)
+        lf = _ranges(lf_first, n_runs)
+        run_start = leaf_start.astype(np.int32)[lf]
+        run_len = (leaf_end - leaf_start).astype(np.min_scalar_type(tree.leaf_width))[lf]
+        run_start[run_end - n_runs] = rec_start
+        run_len[run_end - n_runs] = leaf_end[lf_first] - rec_start
+        run_len[run_end - 1] = rec_end - run_start[run_end - 1]
+        last = np.flatnonzero(np.diff(rec_cell, append=-1))  # each cell's last range
+        return rec_cell[last].astype(np.int32), np.append(0, run_end[last]).astype(np.int64), run_start, run_len
+
     far = []  # (source cell, first perm position, length) of expanded ranges
     far_pts = []  # (source cell, perm slot) of each node expanded one by one
-    near_pts = []  # (source leaf row, perm slot, live) of each node summed directly
+    near_pts = []  # (source leaf, perm slot, live) of each node summed directly
     fallback = []  # (target leaf, source cell) pairs left to per-target tests
     skipped = cell_pairs = target_tests = 0
     tc, sc = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
@@ -369,7 +378,7 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
         size = tree.end[t_near[at_leaf]] - tree.start[t_near[at_leaf]]
         pos = _ranges(tree.start[t_near[at_leaf]], size)
         src = np.repeat(s_near[at_leaf], size)
-        near_pts.append((first_leaf[src], pos, one_sq[src] != sq[tree.perm[pos]]))
+        near_pts.append((src, pos, one_sq[src] != sq[tree.perm[pos]]))
 
         to_leaf = split & tree.is_leaf[tc]
         fallback.append((tc[to_leaf], sc[to_leaf]))
@@ -389,54 +398,22 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
         adm[adm] = ~holds(sc[adm], sq[node[adm]])
         far_pts.append((sc[adm], pos[adm]))
         at_leaf = ~adm & tree.is_leaf[sc]
-        near_pts.append((first_leaf[sc[at_leaf]], pos[at_leaf], one_sq[sc[at_leaf]] != sq[node[at_leaf]]))
+        near_pts.append((sc[at_leaf], pos[at_leaf], one_sq[sc[at_leaf]] != sq[node[at_leaf]]))
         go = ~adm & ~at_leaf
         sc, up = kids(sc[go])
         pos = pos[go][up]
         if not pos.size:
             break
 
-    # distinct (source leaf, target leaf) near blocks, in that order, each
-    # with its mask of the target slots that meet a live pair
+    # a (source leaf, target leaf) block with no live pair is skipped
     src, pos, live = (np.concatenate(a) for a in zip(*near_pts))
-    lf = leaf_of[pos]
-    block, inv = np.unique(src * n_leaves + lf, return_inverse=True)
-    near_mask = np.zeros((block.size, width), dtype=bool)
-    near_mask[inv[live], (pos - leaf_start[lf])[live]] = True
-    hit = near_mask.any(axis=1)
-    skipped += int(hit.size - np.count_nonzero(hit))
-
-    # the nodes tested one by one break into runs of consecutive positions
-    cells, pos = (np.concatenate(a) for a in zip(*far_pts))
-    order = np.lexsort((pos, cells))
-    cells, pos = cells[order], pos[order]
-    first = np.flatnonzero((np.diff(cells, prepend=-1) != 0) | (np.diff(pos, prepend=-1) != 1))
-    far.append((cells[first], pos[first], np.diff(first, append=pos.size)))
-    rec_cell, rec_start, rec_len = (np.concatenate(a) for a in zip(*far))
-    del far, far_pts, near_pts  # the plan's arrays are built below
-    order = np.lexsort((rec_start, rec_cell))
-    rec_cell, rec_start, rec_end = rec_cell[order], rec_start[order], (rec_start + rec_len)[order]
-    # one run per leaf that a range meets: the leaf's own slots, except that
-    # the first run starts with the range and the last one ends with it
-    lf_first, lf_last = leaf_of[rec_start], leaf_of[rec_end - 1]
-    n_runs = lf_last + 1 - lf_first
-    run_end = np.cumsum(n_runs)
-    lf = _ranges(lf_first, n_runs)
-    run_start = leaf_start.astype(np.int32)[lf]
-    run_len = (leaf_end - leaf_start).astype(np.min_scalar_type(width))[lf]  # at most the pad width
-    run_start[run_end - n_runs] = rec_start
-    run_len[run_end - n_runs] = leaf_end[lf_first] - rec_start
-    run_len[run_end - 1] = rec_end - run_start[run_end - 1]
-    last = np.flatnonzero(np.diff(rec_cell, append=-1))  # each far cell's last range
-
+    block = src * n_leaves + leaf_of[pos]
+    skipped += int(np.unique(block).size - np.unique(block[live]).size)
+    near = runs([], [(src[live], pos[live])])
+    del near_pts, src, pos, live, block  # free the points before the far runs
     return InteractionPlan(
-        far_cells=rec_cell[last].astype(np.int32),
-        far_ptr=np.append(0, run_end[last]).astype(np.int64),
-        far_start=run_start,
-        far_len=run_len,
-        near_target=(block[hit] % n_leaves).astype(np.int32),
-        near_source=(block[hit] // n_leaves).astype(np.int32),
-        near_bits=np.packbits(near_mask[hit], axis=1),
+        *runs(far, far_pts),  # far_cells, far_ptr, far_start, far_len
+        *near,  # the near fields, in the same order
         near_blocks_skipped=skipped,
         cell_pairs=cell_pairs,
         target_tests=target_tests,
@@ -464,12 +441,13 @@ def apply_fast(spec: KernelSpec, tree: QuadTree, f: Field, params: ExpansionPara
     return Field(target_scale(cloud, spec.d, out, transposed), "mu")
 
 
-def _far_runs(plan, b0, b1):
-    """The perm positions of far runs ``b0:b1``, in run order, and the
-    offset into them at which each run ends."""
+def _run_positions(start, length):
+    """The perm positions of the runs with first positions ``start`` and
+    lengths ``length``, in run order, and the offset into them at which
+    each run ends."""
     # a uint8 length's running sum would wrap, and int32 minus an unsigned sum is float64
-    lens = plan.far_len[b0:b1].astype(np.int64)
-    return _ranges(plan.far_start[b0:b1].astype(np.int64), lens), np.cumsum(lens)
+    lens = length.astype(np.int64)
+    return _ranges(start.astype(np.int64), lens), np.cumsum(lens)
 
 
 def _far_chunks(ptr):
@@ -526,7 +504,7 @@ def _far_sums(tree, plan, mom, out):
     on the rescaled moments, the ones multiplied; a radius-0 cell's higher
     moments, which it does not multiply, are exact zeros."""
     z = tree.cloud.z[tree.perm]
-    width = tree.leaf_pad_nodes.shape[1]
+    width = tree.leaf_width
     order = mom.shape[1]
     ks = np.arange(order)
     cells = plan.far_cells
@@ -546,7 +524,7 @@ def _far_sums(tree, plan, mom, out):
         c1 = c0 + len(cut) - 1
         if not any(n_live[c0:c1]):
             continue
-        pos, ends = _far_runs(plan, b0, b1)
+        pos, ends = _run_positions(plan.far_start[b0:b1], plan.far_len[b0:b1])
         # each cell's targets are a stretch of ``pos``, in cell order
         seg = np.append(0, ends)[cut]
         counts = np.diff(seg)
@@ -574,26 +552,30 @@ def _far_sums(tree, plan, mom, out):
 
 
 def _near_sums(tree, plan, charges, out):
-    """Adds the direct sums of the live near blocks to ``out`` (N, k),
-    whose rows are in ``perm`` order."""
+    """Adds the direct sums of the near runs to ``out`` (N, k), whose rows
+    are in ``perm`` order.  A run's targets and its source leaf's nodes are
+    each read as ``leaf_width`` slots from their first perm position, and
+    the slots past the run's length or the leaf's size are masked out, so
+    every target adds one row of its own per source leaf, in ascending
+    source leaf order."""
     z, sq = tree.cloud.z, tree.cloud.square_index
-    pads, valid = tree.leaf_pad_nodes, tree.leaf_pad_mask
-    width = pads.shape[1]
-    for b0 in range(0, plan.near_blocks, _NEAR_BLOCK):
-        tgt_leaf = plan.near_target[b0 : b0 + _NEAR_BLOCK]
-        tgt = pads[tgt_leaf]
-        src_leaf = plan.near_source[b0 : b0 + _NEAR_BLOCK]
-        src = pads[src_leaf]
-        keep = np.unpackbits(plan.near_bits[b0 : b0 + _NEAR_BLOCK], axis=1, count=width).astype(bool)
+    slot = np.arange(tree.leaf_width)
+    cells = np.repeat(plan.near_cells, np.diff(plan.near_ptr))  # each run's source leaf
+    for b0 in range(0, cells.size, _NEAR_BLOCK):
+        src_leaf = cells[b0 : b0 + _NEAR_BLOCK]
+        pos = plan.near_start[b0 : b0 + _NEAR_BLOCK, None] + slot
+        keep = slot < plan.near_len[b0 : b0 + _NEAR_BLOCK, None]
+        valid = slot < (tree.end[src_leaf] - tree.start[src_leaf])[:, None]
+        tgt = tree.perm.take(pos, mode="clip")  # a masked slot may lie past the last position
+        src = tree.perm.take(tree.start[src_leaf][:, None] + slot, mode="clip")
         vals = cauchy_square_into(
-            np.empty((len(tgt), width, width), dtype=np.complex128),
+            np.empty((len(tgt), slot.size, slot.size), dtype=np.complex128),
             z[tgt][:, :, None],
             z[src][:, None, :],
             lambda dz: exclusion_mask("cross_square", dz, sq[tgt][:, :, None], sq[src][:, None, :])
             | ~keep[:, :, None]
-            | ~valid[src_leaf][:, None, :],
+            | ~valid[:, None, :],
         )
-        pos = tree.start[tree.leaf_ids[tgt_leaf]][:, None] + np.arange(width)
         np.add.at(out, pos[keep], np.einsum("bts,bsc->btc", vals, charges[src])[keep])
 
 

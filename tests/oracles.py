@@ -28,7 +28,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from nhcz.fastsum import _ENTRY_BLOCK, _binomial_table, _far_runs
+from nhcz.fastsum import _ENTRY_BLOCK, _binomial_table, _run_positions
 from nhcz.geometry import DisjointnessVerdict, DyadicSquare, _dilates_meet, _scaled_centers_halves, _scaled_dilate
 from nhcz.kernels import _best, exclusion_mask, kernel_rows
 from nhcz.measure import _PAIR_BLOCK, _add_to_bins, _square_ball_sums, dyadic_radius_ladder
@@ -607,7 +607,7 @@ def far_sums_per_cell(tree, plan, mom, out):
         m = np.ldexp(m.real, -e * ks) + 1j * np.ldexp(m.imag, -e * ks)
         for b0 in range(e0, e1, _ENTRY_BLOCK):
             b1 = min(b0 + _ENTRY_BLOCK, e1)
-            pos, _ = _far_runs(plan, b0, b1)
+            pos, _ = _run_positions(plan.far_start[b0:b1], plan.far_len[b0:b1])
             inv = 1.0 / (z[pos] - tree.centers[cell])
             u = inv * 2.0**e
             pw = np.empty((order, pos.size), dtype=np.complex128)  # rows inv^2 u^k

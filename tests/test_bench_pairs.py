@@ -1,3 +1,5 @@
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -5,11 +7,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import bench_pairs  # noqa: E402
-from bench_pairs import parse_args, spent_by, summarize  # noqa: E402
+from bench_pairs import cpu_schedule, parse_args, spent_by, summarize  # noqa: E402
 
 
 def test_summary_of_a_lower_is_better_metric():
-    s = summarize([4.0, 1.0, 3.0, 2.0, 5.0], [3.0, 0.5, 2.0, 2.0, 1.0], "lower")
+    s = summarize([4.0, 1.0, 3.0, 2.0, 5.0], [3.0, 0.5, 2.0, 2.0, 1.0], "lower", [0] * 5)
     assert s["parent"] == {"values": [4.0, 1.0, 3.0, 2.0, 5.0], "median": 3.0, "q1": 2.0, "q3": 4.0}
     assert (s["change"]["q1"], s["change"]["median"], s["change"]["q3"]) == (1.0, 2.0, 2.0)
     assert (s["change_wins"], s["parent_wins"], s["pairs"]) == (4, 0, 5)  # one tie
@@ -20,21 +22,23 @@ def test_summary_of_a_lower_is_better_metric():
 def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr():
     parent = [1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.0, 1.1, 1.2, 1.1]  # q1 1.025, q3 1.175
     change = [0.8] * 9 + [1.3]
-    s = summarize(parent, change, "lower")
+    s = summarize(parent, change, "lower", [0] * 10)
     assert (s["change_wins"], s["parent_wins"]) == (9, 1)
     assert s["parent"]["q3"] - s["parent"]["q1"] == pytest.approx(0.15)
     assert s["gain_holds"]  # median gap 0.3 > 0.15
-    assert not summarize(parent, [0.8] * 8 + [1.3, 1.3], "lower")["gain_holds"]  # 8 of 10
-    assert not summarize(parent, [1.0] * 10, "lower")["gain_holds"]  # gap 0.1 < 0.15
-    up = summarize([-v for v in parent], [-v for v in change], "higher")
+    assert not summarize(parent, [0.8] * 8 + [1.3, 1.3], "lower", [0] * 10)["gain_holds"]  # 8 of 10
+    assert not summarize(parent, [1.0] * 10, "lower", [0] * 10)["gain_holds"]  # gap 0.1 < 0.15
+    up = summarize([-v for v in parent], [-v for v in change], "higher", [0] * 10)
     assert (up["change_wins"], up["gain_holds"]) == (9, True)
 
 
 def test_summary_rejects_unpaired_values():
     with pytest.raises(ValueError):
-        summarize([1.0, 2.0], [1.0], "lower")
+        summarize([1.0, 2.0], [1.0], "lower", [0, 0])
     with pytest.raises(ValueError):
-        summarize([1.0], [1.0], "faster")
+        summarize([1.0, 2.0], [1.0, 2.0], "lower", [0])
+    with pytest.raises(ValueError):
+        summarize([1.0], [1.0], "faster", [0])
 
 
 def test_spent_seed_lookup_reads_every_record_but_the_output(tmp_path):
@@ -56,3 +60,52 @@ def test_a_spent_seed_exits_2_naming_its_record(tmp_path, capsys, monkeypatch):
     assert exc.value.code == 2
     assert "BENCH_4.json" in capsys.readouterr().err
     assert parse_args(args + ["--seed", "43"]).seed == 43
+
+
+def test_cpu_schedule_takes_the_allowed_cpus_in_turn():
+    assert cpu_schedule(5, {3, 1}) == [1, 3, 1, 3, 1]
+    assert cpu_schedule(3, {2}) == [2, 2, 2]
+
+
+def test_stubbed_pairs_run_both_sides_on_one_cpu_and_summarize_each_cpu(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side / "src").mkdir(parents=True)
+    spec = {"end_to_end": [{"name": "run_s", "better": "lower"}]}
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps(spec))
+    runs = []
+
+    def stub(checkout, workload, seed, seconds, cpu):
+        runs.append((checkout.name, cpu))
+        # pair p reads 1 + p on CPU 0 and 10 + p on CPU 1; the change saves 0.5 on CPU 0 only
+        value = (1.0 if cpu == 0 else 10.0) + (len(runs) - 1) // 2
+        value -= 0.5 if checkout.name == "change" and cpu == 0 else 0.0
+        return {"correct": True, "failed": 0, "metrics": {"run_s": {"value": value}}}, None
+
+    monkeypatch.setattr(bench_pairs, "run_once", stub)
+    monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {1, 0})
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    out = tmp_path / "BENCH_9.json"
+    args = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+    assert bench_pairs.main(args + ["--workload", "w", "--seed", "1", "--pairs", "4", "--out", str(out)]) == 0
+    # pair i runs both sides on CPU i % 2, parent first in even pairs
+    assert runs == [("parent", 0), ("change", 0), ("change", 1), ("parent", 1)] * 2
+    record = json.loads(out.read_text())["workloads"]["w"]
+    assert record["cpus"] == [0, 1, 0, 1]
+    s = record["metrics"]["run_s"]
+    assert s["parent"]["values"] == [1.0, 11.0, 3.0, 13.0]
+    assert s["change"]["values"] == [0.5, 11.0, 2.5, 13.0]
+    assert s["per_cpu"] == {
+        "0": {"pairs": 2, "parent_median": 2.0, "change_median": 1.5, "change_wins": 2, "parent_wins": 0},
+        "1": {"pairs": 2, "parent_median": 12.0, "change_median": 12.0, "change_wins": 0, "parent_wins": 0},
+    }
+    assert (s["change_wins"], s["parent_wins"], s["gain_holds"]) == (2, 0, False)  # the rule reads all pairs
+
+
+def test_a_run_is_pinned_to_its_cpu_in_the_child_only(tmp_path):
+    (tmp_path / "benchmarks").mkdir()
+    script = "import json, os\nprint(json.dumps(sorted(os.sched_getaffinity(0))))\n"  # stands in for the benchmark
+    (tmp_path / "benchmarks" / "run.py").write_text(script)
+    allowed = os.sched_getaffinity(0)
+    cpu = max(allowed)
+    assert bench_pairs.run_once(tmp_path, "w", 1, 1.0, cpu) == ([cpu], None)
+    assert os.sched_getaffinity(0) == allowed

@@ -1,9 +1,12 @@
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
-from bitdiff import compare, flatten, ordered_bits, read_outputs  # noqa: E402
+from bitdiff import compare, flatten, ordered_bits, read_outputs, same_leaf  # noqa: E402
+from treecode_probe import outputs  # noqa: E402
 
 
 def _tree(runtime_s=0.5, **constants):
@@ -76,3 +79,18 @@ def test_outputs_read_json_leaves_and_csv_cells(tmp_path):
 def test_timing_columns_of_a_csv_are_set_aside(tmp_path):
     (tmp_path / "bench.csv").write_text("N,t_direct_ms,t_fast_ms,speedup,max_rel_err\n8192,120.5,40.25,2.99,3e-08\n")
     assert read_outputs(tmp_path) == {"bench.csv[0]/N": 8192, "bench.csv[0]/max_rel_err": 3e-08}
+
+
+def test_treecode_probe_writes_one_leaf_per_output_component(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    cmd = [sys.executable, str(root / "tools" / "treecode_probe.py"), "--n", "256", "--out", str(tmp_path)]
+    subprocess.run(cmd, env=env, check=True, capture_output=True)
+    leaves = read_outputs(tmp_path)
+    want = outputs(256)  # the probe's values, computed in this process
+    n = len(want["modified"]["re"])
+    assert n == 512  # two squares of 16 x 16 nodes
+    assert set(leaves) == {f"apply.json/{v}/{part}[{i}]" for v in want for part in ("re", "im") for i in range(n)}
+    for v in want:
+        for part in ("re", "im"):
+            assert all(same_leaf(leaves[f"apply.json/{v}/{part}[{i}]"], x) for i, x in enumerate(want[v][part]))

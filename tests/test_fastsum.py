@@ -201,18 +201,24 @@ def test_fit_cost_exponent_recovers_slope():
     assert fit_cost_exponent(ns, times) == pytest.approx(1.3, abs=1e-6)
 
 
+HALVES = ("far", "near")
+
+
+def _runs_of(plan, half):
+    """(cells, ptr, start, len) of one half of the plan."""
+    return tuple(getattr(plan, f"{half}_{field}") for field in ("cells", "ptr", "start", "len"))
+
+
 def _plan_pairs(tree, plan):
     """(target, source) node pairs the plan expands and sums directly."""
-    pads, width = tree.leaf_pad_nodes, tree.leaf_pad_nodes.shape[1]
-    far, near = [], []
-    for cell, e0, e1 in zip(plan.far_cells, plan.far_ptr[:-1], plan.far_ptr[1:]):
-        sources = tree.perm[tree.start[cell] : tree.end[cell]]
-        far.extend((t, s) for t in tree.perm[fastsum._far_runs(plan, e0, e1)[0]] for s in sources)
-    keep = np.unpackbits(plan.near_bits, axis=1, count=width).astype(bool)
-    for t_leaf, s_leaf, slots in zip(plan.near_target, plan.near_source, keep):
-        sources = pads[s_leaf][tree.leaf_pad_mask[s_leaf]]
-        near.extend((t, s) for t in pads[t_leaf][slots] for s in sources)
-    return far, near
+    pairs = {half: [] for half in HALVES}
+    for half in HALVES:
+        cells, ptr, start, length = _runs_of(plan, half)
+        for cell, e0, e1 in zip(cells, ptr[:-1], ptr[1:]):
+            sources = tree.perm[tree.start[cell] : tree.end[cell]]
+            targets = tree.perm[fastsum._run_positions(start[e0:e1], length[e0:e1])[0]]
+            pairs[half].extend((t, s) for t in targets for s in sources)
+    return pairs["far"], pairs["near"]
 
 
 def test_plan_covers_every_cross_square_pair_once():
@@ -246,7 +252,7 @@ def test_plan_counters_and_memory_on_the_ladder_family(ladder_cloud):
     assert far_pairs * 8 > 1.4e6  # what per-pair int64 target lists would hold
     assert plan.nbytes < 0.5e6
     assert plan.far_start.size > 0
-    assert plan.near_blocks > 0 and plan.near_blocks_skipped > plan.near_blocks
+    assert plan.near_start.size > 0 and plan.near_blocks_skipped > plan.near_start.size
     # the walk decides whole cell pairs and tests few targets one by one; a
     # per-target walk makes about 70 tests per node here
     assert plan.cell_pairs + plan.target_tests < 2 * len(ladder_cloud)
@@ -257,7 +263,7 @@ def test_cascade_plan_keeps_no_near_blocks():
     cloud = build_quadrature(build_measure(fam), 8)
     tree = build_tree(cloud, leaf_cap=32)
     plan = tree.plan(0.5)
-    assert plan.near_blocks == 0 and plan.near_blocks_skipped > 0
+    assert plan.near_start.size == 0 and plan.near_blocks_skipped > 0
     rng = np.random.default_rng(5)
     f = Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
     spec = KernelSpec("modified", fam)
@@ -414,8 +420,14 @@ def _assert_tree_matches_oracle(tree, ref):
     for name in ("centers", "radius", "start", "end", "depth", "parent", "perm", "rank", "is_leaf"):
         got, want = getattr(tree, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
-    for name in ("leaf_ids", "leaf_pad_nodes", "leaf_pad_mask"):
-        assert np.array_equal(getattr(tree, name), getattr(ref, name)), name
+    # the leaves' slots as ``_near_sums`` reads them are the oracle's pads
+    assert np.array_equal(tree.leaf_ids, ref.leaf_ids)
+    assert tree.leaf_width == ref.leaf_pad_nodes.shape[1]
+    slot = np.arange(tree.leaf_width)
+    first, size = tree.start[tree.leaf_ids], tree.end[tree.leaf_ids] - tree.start[tree.leaf_ids]
+    valid = slot < size[:, None]
+    assert np.array_equal(valid, ref.leaf_pad_mask)
+    assert np.array_equal(np.where(valid, tree.perm.take(first[:, None] + slot, mode="clip"), 0), ref.leaf_pad_nodes)
     for c in range(tree.n_cells):
         kids = tree.child_ids[tree.child_ptr[c] : tree.child_ptr[c + 1]]
         assert kids.tolist() == ref.children[c]
@@ -423,24 +435,33 @@ def _assert_tree_matches_oracle(tree, ref):
         assert np.array_equal(squares, ref.square_ids[c])
 
 
+def _walk_entries(tree, want, half):
+    """``plan_walk``'s entries of one half: each entry's cell, target leaf
+    row and slot mask."""
+    if half == "far":
+        return np.repeat(want["far_cells"], np.diff(want["far_ptr"])), want["far_leaf"], want["far_bits"]
+    return tree.leaf_ids[want["near_source"]], want["near_target"], want["near_bits"]
+
+
 def _mask_runs(tree, want):
-    """``plan_walk``'s far (target leaf, slot mask) entries as the plan's
-    runs: each mask's set slots split where a slot is skipped, as perm
-    positions, with ``far_ptr`` counting runs."""
-    width = tree.leaf_pad_nodes.shape[1]
-    leaf_start = tree.start[tree.leaf_ids]
-    bits = np.unpackbits(want["far_bits"], axis=1, count=width)
-    starts, lens, ptr = [], [], [0]
-    for e0, e1 in zip(want["far_ptr"][:-1], want["far_ptr"][1:]):
-        for leaf, mask in zip(want["far_leaf"][e0:e1], bits[e0:e1]):
-            slots = np.flatnonzero(mask)
-            for run in np.split(slots, np.flatnonzero(np.diff(slots) != 1) + 1):
-                starts.append(leaf_start[leaf] + run[0])
-                lens.append(run.size)
-        ptr.append(len(starts))
-    runs = dict(want, far_ptr=np.array(ptr, dtype=np.int64), far_start=np.array(starts, dtype=np.int32))
-    runs["far_len"] = np.array(lens, dtype=np.min_scalar_type(width))
-    del runs["far_leaf"], runs["far_bits"]
+    """``plan_walk``'s (cell, target leaf, slot mask) entries as the plan's
+    runs: the set slots of all masks, as perm positions in entry order,
+    broken at each gap and wherever the cell or the leaf changes."""
+    runs = {"near_blocks_skipped": want["near_blocks_skipped"]}
+    leaf_start, width = tree.start[tree.leaf_ids], tree.leaf_width
+    for half in HALVES:
+        cell, leaf, bits = _walk_entries(tree, want, half)
+        entry, slot = np.nonzero(np.unpackbits(bits, axis=1, count=width))
+        cell, leaf = cell[entry], leaf[entry]
+        pos = leaf_start[leaf] + slot
+        first = np.flatnonzero(
+            (np.diff(cell, prepend=-1) != 0) | (np.diff(leaf, prepend=-1) != 0) | (np.diff(pos, prepend=-1) != 1)
+        )
+        last = np.flatnonzero(np.diff(cell[first], append=-1))  # each cell's last run
+        runs[f"{half}_cells"] = cell[first][last].astype(np.int32)
+        runs[f"{half}_ptr"] = np.append(0, last + 1).astype(np.int64)
+        runs[f"{half}_start"] = pos[first].astype(np.int32)
+        runs[f"{half}_len"] = np.diff(first, append=pos.size).astype(np.min_scalar_type(width))
     return runs
 
 
@@ -455,40 +476,52 @@ def _assert_plan_matches_oracle(tree, ref, theta):
 
 
 def _assert_runs_decode_to_walk(tree, ref, theta):
-    """Decoding every far run gives ``plan_walk``'s (far cell, perm
-    position) pairs in its order, as int64; each run is maximal and lies in
-    one leaf, so it is at most the pad width long.  Returns the number of
-    runs that continue a (cell, leaf) after a gap."""
+    """In each half, decoding every run gives ``plan_walk``'s (cell, perm
+    position) pairs in its order, as int64: the far half's expanded pairs
+    and the near half's live (source leaf, target) pairs.  Each run is
+    maximal and lies in one leaf, so it is at most the leaf width long.
+    Returns, per half, the number of runs that continue a (cell, leaf)
+    after a gap."""
     plan, want = tree.plan(theta), plan_walk(ref, theta)
-    width = tree.leaf_pad_nodes.shape[1]
     leaf_start, leaf_end = tree.start[tree.leaf_ids], tree.end[tree.leaf_ids]
-    entry, slot = np.nonzero(np.unpackbits(want["far_bits"], axis=1, count=width))
-    want_cell = np.repeat(want["far_cells"], np.diff(want["far_ptr"]))[entry]
-    pos, ends = fastsum._far_runs(plan, 0, plan.far_start.size)
-    assert pos.dtype == ends.dtype == np.int64
-    assert np.array_equal(pos, leaf_start[want["far_leaf"][entry]] + slot)
-    cell = np.repeat(plan.far_cells, np.diff(plan.far_ptr))
-    assert np.array_equal(np.repeat(cell, plan.far_len), want_cell)
-    start, stop = plan.far_start.astype(np.int64), plan.far_start + plan.far_len.astype(np.int64)
-    leaf = np.searchsorted(leaf_start, start, side="right") - 1
-    assert np.all(plan.far_len >= 1) and np.all(plan.far_len <= width) and np.all(stop <= leaf_end[leaf])
-    # a cell's next run in the same leaf starts after a gap
-    same = (cell[1:] == cell[:-1]) & (leaf[1:] == leaf[:-1])
-    assert np.all(start[1:][same] > stop[:-1][same])
-    return int(np.count_nonzero(same))
+    gaps = {}
+    for half in HALVES:
+        want_cell, want_leaf, bits = _walk_entries(tree, want, half)
+        entry, slot = np.nonzero(np.unpackbits(bits, axis=1, count=tree.leaf_width))
+        cells, ptr, start, length = _runs_of(plan, half)
+        pos, ends = fastsum._run_positions(start, length)
+        assert pos.dtype == ends.dtype == np.int64
+        assert np.array_equal(pos, leaf_start[want_leaf[entry]] + slot), half
+        cell = np.repeat(cells, np.diff(ptr))
+        assert np.array_equal(np.repeat(cell, length), want_cell[entry]), half
+        start, stop = start.astype(np.int64), start + length.astype(np.int64)
+        leaf = np.searchsorted(leaf_start, start, side="right") - 1
+        assert np.all(length >= 1) and np.all(length <= tree.leaf_width) and np.all(stop <= leaf_end[leaf]), half
+        # a cell's next run in the same leaf starts after a gap
+        same = (cell[1:] == cell[:-1]) & (leaf[1:] == leaf[:-1])
+        assert np.all(start[1:][same] > stop[:-1][same]), half
+        gaps[half] = int(np.count_nonzero(same))
+    return gaps
 
 
 @given(treecode_cases(), st.sampled_from([0.1, 0.5, 0.9]))
 @settings(max_examples=25, deadline=None)
-def test_far_runs_decode_to_the_walk_pairs(case, theta):
+def test_runs_decode_to_the_walk_pairs(case, theta):
     cloud, leaf_cap = case[1], case[2]
     _assert_runs_decode_to_walk(build_tree(cloud, leaf_cap), quadtree_recursive(cloud, leaf_cap, _MAX_DEPTH), theta)
 
 
-def test_far_runs_decode_to_the_walk_pairs_on_the_ladder_rung(ladder_cloud):
+def test_runs_decode_to_the_walk_pairs_on_the_ladder_rung(ladder_cloud):
     tree = build_tree(ladder_cloud, leaf_cap=32)
+    gaps = _assert_runs_decode_to_walk(tree, quadtree_recursive(ladder_cloud, 32, _MAX_DEPTH), 0.5)
     # the rung has leaves that a cell expands in more than one run
-    assert _assert_runs_decode_to_walk(tree, quadtree_recursive(ladder_cloud, 32, _MAX_DEPTH), 0.5) > 0
+    assert gaps["far"] > 0 and tree.plan(0.5).near_start.size > 0
+
+
+def test_near_runs_break_at_the_gaps_of_a_leaf():
+    fam, cloud = cloud_for(6, 4, seed=10)
+    gaps = _assert_runs_decode_to_walk(build_tree(cloud, 16), quadtree_recursive(cloud, 16, _MAX_DEPTH), 0.5)
+    assert gaps["near"] > 0  # a source leaf serves some target leaf in more than one run
 
 
 @given(

@@ -243,7 +243,7 @@ def test_near_sums_match_allocating_reference(monkeypatch, variant):
     fam, cloud = reference_cloud()
     params = ExpansionParams(order=4, theta=0.5, leaf_cap=4)
     tree = build_tree(cloud, params.leaf_cap)
-    assert tree.plan(params.theta).near_blocks > 0
+    assert tree.plan(params.theta).near_start.size > 0
     f = Field(np.random.default_rng(5).standard_normal(len(cloud)) + 0j, "mu")
     spec = KernelSpec(variant, fam)
     got = apply_fast(spec, tree, f, params).values

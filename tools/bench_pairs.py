@@ -5,12 +5,18 @@
 
 Each pair runs ``benchmarks/run.py --trace 0`` once in each checkout, with
 the same workload, seed and ``--seconds``; even pairs run the parent first,
-odd pairs the change.  The last stdout line of each run is its result JSON.
-For every end-to-end metric that ``BENCHMARK.json`` names, the output holds
-each side's values in pair order, their median and quartiles, and how many
-pairs the change won (ties count for neither).  A gain holds when the
-change wins at least nine tenths of the pairs and its median beats the
-parent's by more than the parent's interquartile range.  The output file is
+odd pairs the change.  Both runs of a pair are pinned to the same CPU with
+``os.sched_setaffinity`` in the child, and pair i takes the i-th of this
+process's allowed CPUs in turn, so a pair compares the two sides on one
+CPU and every CPU carries the same number of pairs, give or take one.  The
+last stdout line of each run is its result JSON.  For every end-to-end
+metric that ``BENCHMARK.json`` names, the output holds each side's values
+in pair order, their median and quartiles, and how many pairs the change
+won (ties count for neither), and the same medians and win counts for the
+pairs of each CPU; each workload records its pairs' CPUs.  A gain holds
+when the change wins at least nine tenths of all pairs and its median
+beats the parent's by more than the parent's interquartile range; the
+per-CPU figures do not enter it.  The output file is
 rewritten after each workload.  A seed that a ``BENCH_*.json`` record in
 the repository root already holds, other than ``--out``, is refused with
 exit status 2, so every record's pairs run on a fresh seed.  Only the
@@ -20,8 +26,10 @@ standard library is used.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -40,11 +48,24 @@ def quartiles(values):
     return q1, med, q3
 
 
-def summarize(parent, change, better):
+def cpu_schedule(pairs, allowed):
+    """The CPU of each pair: the ``allowed`` CPUs in ascending order, in turn."""
+    cpus = sorted(allowed)
+    return [cpus[i % len(cpus)] for i in range(pairs)]
+
+
+def _wins(parent, change, sign):
+    """(change wins, parent wins) over the pairs; ties count for neither."""
+    gaps = [sign * (c - p) for p, c in zip(parent, change)]
+    return sum(g < 0 for g in gaps), sum(g > 0 for g in gaps)
+
+
+def summarize(parent, change, better, cpus):
     """Summary of one metric's paired values (``parent[i]`` and
-    ``change[i]`` ran as pair i); ``better`` is "lower" or "higher"."""
-    if len(parent) != len(change) or not parent:
-        raise ValueError("need the same positive number of values on each side")
+    ``change[i]`` ran as pair i, on CPU ``cpus[i]``); ``better`` is "lower"
+    or "higher"."""
+    if not len(parent) == len(change) == len(cpus) or not parent:
+        raise ValueError("need the same positive number of values on each side and of CPUs")
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
     sign = 1.0 if better == "lower" else -1.0
@@ -52,8 +73,18 @@ def summarize(parent, change, better):
     for side, values in zip(SIDES, (parent, change)):
         q1, med, q3 = quartiles(values)
         out[side] = {"values": list(values), "median": med, "q1": q1, "q3": q3}
-    out["change_wins"] = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
-    out["parent_wins"] = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    out["change_wins"], out["parent_wins"] = _wins(parent, change, sign)
+    out["per_cpu"] = {}
+    for cpu in sorted(set(cpus)):
+        p, c = ([x for x, on in zip(values, cpus) if on == cpu] for values in (parent, change))
+        wins = _wins(p, c, sign)
+        out["per_cpu"][str(cpu)] = {
+            "pairs": len(p),
+            "parent_median": statistics.median(p),
+            "change_median": statistics.median(c),
+            "change_wins": wins[0],
+            "parent_wins": wins[1],
+        }
     gap = sign * (out["parent"]["median"] - out["change"]["median"])  # > 0: the change is better
     out["relative_change"] = (
         (out["change"]["median"] - out["parent"]["median"]) / out["parent"]["median"]
@@ -85,11 +116,13 @@ def commit_of(checkout):
     return {"head": head.stdout.strip(), "dirty": bool(dirty.stdout.strip())}
 
 
-def run_once(checkout, workload, seed, seconds):
-    """One end-to-end run: its result JSON and its ``machine`` line."""
+def run_once(checkout, workload, seed, seconds, cpu):
+    """One end-to-end run pinned to ``cpu``: its result JSON and its
+    ``machine`` line."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    pin = functools.partial(os.sched_setaffinity, 0, {cpu})  # runs in the child: pins its own process only
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, preexec_fn=pin)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
@@ -136,20 +169,22 @@ def main(argv=None) -> int:
         "machine": None,
         "workloads": {},
     }
+    cpus = cpu_schedule(args.pairs, os.sched_getaffinity(0))
     for workload in args.workload:
         values = {s: {name: [] for name in better} for s in SIDES}
         correct = {s: True for s in SIDES}
-        for i in range(args.pairs):
+        for i, cpu in enumerate(cpus):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                res, machine = run_once(checkouts[side], workload, args.seed, args.seconds)
+                res, machine = run_once(checkouts[side], workload, args.seed, args.seconds, cpu)
                 record["machine"] = record["machine"] or machine
                 correct[side] = correct[side] and res["correct"] and res["failed"] == 0
                 for name in better:
                     values[side][name].append(res["metrics"][name]["value"])
-            print(f"{workload} pair {i + 1}/{args.pairs}", file=sys.stderr, flush=True)
+            print(f"{workload} pair {i + 1}/{args.pairs} on CPU {cpu}", file=sys.stderr, flush=True)
         record["workloads"][workload] = {
             "correct": correct,
-            "metrics": {n: summarize(values["parent"][n], values["change"][n], b) for n, b in better.items()},
+            "cpus": cpus,
+            "metrics": {n: summarize(values["parent"][n], values["change"][n], b, cpus) for n, b in better.items()},
         }
         args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0

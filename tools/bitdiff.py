@@ -6,7 +6,9 @@ Each revision is exported with ``git archive`` into a temporary directory;
 the change defaults to the working tree as it stands.  The committed
 command matrix ``MATRIX`` then runs on each side with ``PYTHONPATH`` at
 that side's ``src``, always from the same working directory, so paths
-written into the reports agree.  Every JSON leaf and every CSV cell of
+written into the reports agree.  A row is a whole interpreter argv: an
+``nhcz`` command, or a probe script of this directory, which imports the
+side's ``nhcz``.  Every JSON leaf and every CSV cell of
 each command's output directory is compared, except ``IGNORED_KEYS``,
 ``IGNORED_COLUMNS`` and ``IGNORED_FILES`` (wall-clock times).  For each
 command the summary gives both exit codes, the number of moved, added and
@@ -37,31 +39,34 @@ IGNORED_KEYS = {"runtime_s", "profile"}
 IGNORED_COLUMNS = {"t_direct_ms", "t_fast_ms", "speedup"}  # bench.csv's timings
 IGNORED_FILES = {"scaling_timings.csv"}
 
+_CLI = ["-m", "nhcz.cli"]
 _F16 = ["--family", "f16/family.json", "--n", "8"]  # 16 squares, 1,024 nodes: the dense backend
 _F47 = ["--family", "f47/family.json", "--n", "8"]  # 47 squares, 3,008 nodes: A_I's whole-row scan
 _F96 = ["--family", "f96/family.json", "--n", "8"]  # 96 squares, 6,144 nodes: above EXACT_LIMIT
-# (name, nhcz arguments); each command writes into its own directory <name>
+# (name, interpreter arguments); each command writes into its own directory <name>
 MATRIX = [
-    ("f16", ["generate", "--M", "16", "--d", "1.2", "--packing-target", "4", "--seed", "1"]),
-    ("f47", ["generate", "--M", "47", "--d", "1.2", "--packing-target", "4", "--seed", "1"]),
-    ("f96", ["generate", "--M", "96", "--d", "1.2", "--packing-target", "4", "--seed", "1"]),
-    ("validate", ["validate", "--family", "f16/family.json"]),
+    ("f16", [*_CLI, "generate", "--M", "16", "--d", "1.2", "--packing-target", "4", "--seed", "1"]),
+    ("f47", [*_CLI, "generate", "--M", "47", "--d", "1.2", "--packing-target", "4", "--seed", "1"]),
+    ("f96", [*_CLI, "generate", "--M", "96", "--d", "1.2", "--packing-target", "4", "--seed", "1"]),
+    ("validate", [*_CLI, "validate", "--family", "f16/family.json"]),
     *[
-        (f"norm-{variant}", ["norm", *_F16, "--variant", variant])
+        (f"norm-{variant}", [*_CLI, "norm", *_F16, "--variant", variant])
         for variant in ("modified", "adjoint", "full", "local")
     ],
-    ("norm-3008", ["norm", *_F47]),
-    ("dominate", ["dominate", *_F16]),
-    ("dominate-6144", ["dominate", *_F96, "--trials", "2"]),
-    ("czcheck", ["czcheck", *_F16]),
-    ("czcheck-3008", ["czcheck", *_F47]),
-    ("growth", ["growth", *_F16]),
-    ("a2", ["a2", *_F16]),
-    ("t1", ["t1", *_F16]),
-    ("decompose", ["decompose", *_F16]),
-    ("scaling", ["scaling", "--M", "4,16", "--d", "1.2", "--n", "6"]),
+    ("norm-3008", [*_CLI, "norm", *_F47]),
+    ("dominate", [*_CLI, "dominate", *_F16]),
+    ("dominate-6144", [*_CLI, "dominate", *_F96, "--trials", "2"]),
+    ("czcheck", [*_CLI, "czcheck", *_F16]),
+    ("czcheck-3008", [*_CLI, "czcheck", *_F47]),
+    ("growth", [*_CLI, "growth", *_F16]),
+    ("a2", [*_CLI, "a2", *_F16]),
+    ("t1", [*_CLI, "t1", *_F16]),
+    ("decompose", [*_CLI, "decompose", *_F16]),
+    ("scaling", [*_CLI, "scaling", "--M", "4,16", "--d", "1.2", "--n", "6"]),
     # a uniform 8,192-node treecode ladder rung, whose plan has split leaves
-    ("bench-8192", ["bench", "--sizes", "8192", "--tol", "1e-6"]),
+    ("bench-8192", [*_CLI, "bench", "--sizes", "8192", "--tol", "1e-6"]),
+    # every output of that rung's fast applies, as re/im leaves
+    ("apply-8192", [str(ROOT / "tools" / "treecode_probe.py"), "--n", "8192"]),
 ]
 
 
@@ -191,7 +196,7 @@ def run_matrix(checkout: Path, work: Path) -> dict:
     work.mkdir(parents=True)
     exits = {}
     for name, args in MATRIX:
-        cmd = [sys.executable, "-m", "nhcz.cli", *args, "--out", name]
+        cmd = [sys.executable, *args, "--out", name]
         exits[name] = subprocess.run(cmd, cwd=work, env=env, capture_output=True).returncode
     return exits
 
