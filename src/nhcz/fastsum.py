@@ -44,9 +44,11 @@ The plan is the one a per-target walk down the tree would record:
 Moments are built leaf by leaf and then shifted up one depth at a time,
 with one shift matrix per distinct child offset, applied to all columns in
 one stacked product; on dyadic clouds those are the four quadrant offsets.
-Charges of shape (N,) or (N, k) go through the same plan, ``_COLUMN_BLOCK``
-columns per pass, and each column's sums run in the same order whatever
-columns come with it.
+Charges of shape (N,) or (N, k) go through the same plan in one pass:
+the moments are built once, and one far pass and one near pass cover every
+column of the call.  Each column's sums run in the same order whatever
+columns come with it, so the width is the caller's to choose; the checks
+send at most ``operators._COLUMN_BLOCK`` through ``Operator.images``.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from nhcz.geometry import generate_family, suggest_generation_range
 from nhcz.operators import Field, apply_direct, apply_direct_targets
 
 _MAX_DEPTH = 48
-_COLUMN_BLOCK = 8  # charge columns per pass; bounds the moment and output arrays
 _ENTRY_BLOCK = 256  # far runs per power matrix (at most 256 x leaf width rows)
 _NEAR_BLOCK = 64  # near runs per dense kernel evaluation
 _MARGIN = 1e-12  # relative slack that keeps a whole-pair decision clear of rounding
@@ -422,7 +423,8 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
 
 def apply_fast(spec: KernelSpec, tree: QuadTree, f: Field, params: ExpansionParams) -> Field:
     """Treecode application of the modified or adjoint kernel operator to a
-    field of shape (N,) or (N, k)."""
+    field of shape (N,) or (N, k): one moment build, one far pass and one
+    near pass over all k columns, whose transients grow with k."""
     if spec.rule[0] != "cross_square":
         raise ValueError("fast summation supports the modified/adjoint variants; use apply_direct")
     cloud = tree.cloud
@@ -432,10 +434,8 @@ def apply_fast(spec: KernelSpec, tree: QuadTree, f: Field, params: ExpansionPara
     plan = tree.plan(params.theta)
     cols = source_charges(cloud, f.values, transposed).reshape(len(cloud), -1)
     out = np.zeros(cols.shape, dtype=np.complex128)  # rows in ``perm`` order
-    for c0 in range(0, cols.shape[1], _COLUMN_BLOCK):
-        block = slice(c0, c0 + _COLUMN_BLOCK)
-        _far_sums(tree, plan, tree.moments(cols[:, block], params.order), out[:, block])
-        _near_sums(tree, plan, cols[:, block], out[:, block])
+    _far_sums(tree, plan, tree.moments(cols, params.order), out)
+    _near_sums(tree, plan, cols, out)
     del cols  # frees the charges before the output copies below
     out = out[tree.rank].reshape(f.values.shape)
     return Field(target_scale(cloud, spec.d, out, transposed), "mu")
@@ -481,10 +481,10 @@ def _far_chunks(ptr):
 
 def _far_sums(tree, plan, mom, out):
     """Adds every expanded interaction to ``out`` (N, k), whose rows are in
-    ``perm`` order.  The power matrix runs in u = 2^e / (z - c) with 2^e >=
-    the cell radius, so |u| stays below 1 and the moments are rescaled by
-    exact powers of two, all far cells' in one pass; neither overflows at
-    any order.
+    ``perm`` order, for all k columns of ``mom`` in one pass.  The power
+    matrix runs in u = 2^e / (z - c) with 2^e >= the cell radius, so |u|
+    stays below 1 and the moments are rescaled by exact powers of two, all
+    far cells' at once; neither overflows at any order.
 
     The runs are evaluated in ``_far_chunks``: each chunk makes one run
     decode, one 1/(z - c) with each pair's own centre and 2^e, and one

@@ -48,6 +48,9 @@ _TARGET_BLOCK = 256
 # 64-row strips and 2.5 ms with 32 (one thread, 300 MiB L3), and a 64-row
 # strip (2 MiB there) still stays in cache between its two products.
 _ROW_BLOCK = 64
+# fields per apply of ``Operator.images``; bounds every multi-field apply's
+# transients at O(N * _COLUMN_BLOCK), however many fields there are
+_COLUMN_BLOCK = 8
 
 
 @dataclass
@@ -392,6 +395,9 @@ class Operator:
     buffer.  The bits are ``apply_direct``'s either way.  ``"tree"``:
     ``apply_fast`` at the default ``ExpansionParams`` on a tree built at the
     first apply; modified and adjoint only.
+
+    ``images`` streams many fields through ``apply``, ``_COLUMN_BLOCK`` at
+    a time; it is the one place that sets the width of a multi-field apply.
     """
 
     def __init__(self, cloud: QuadratureCloud, backend: str):
@@ -409,6 +415,15 @@ class Operator:
         """The measure-weighted adjoint: conj o (same exclusion mode,
         transposition flipped) o conj, as ``adjoint_apply_direct``."""
         return Field(np.conj(self._sums(variant, np.conj(f.values), flip=True)), "mu")
+
+    def images(self, variant: str, fields):
+        """Each field's image under ``apply(variant, .)``, in field order.
+        The fields go through ``_COLUMN_BLOCK`` at a time as the columns of
+        one field; each column's sums run in the same order whatever columns
+        come with it."""
+        for c0 in range(0, len(fields), _COLUMN_BLOCK):
+            block = fields[c0 : c0 + _COLUMN_BLOCK]
+            yield from self.apply(variant, Field(np.stack([f.values for f in block], axis=1), "mu")).values.T
 
     def norm(self, variant: str, tol=1e-6, max_iter=500, seed=0, rel_tol=0.0) -> NormEstimate:
         """Measure-weighted norm of the variant's operator by power iteration."""
@@ -518,7 +533,7 @@ def t1_testing(
     family, applied by ``op`` (default: the cloud's dense ``Operator``).
 
     Balls with zero discrete mass are skipped and counted.  The indicators
-    of the other balls go through each apply as the columns of one field.
+    of the other balls go through ``op.images`` as fields.
     """
     if balls is None:
         balls = default_t1_balls(cloud.family, seed=seed)
@@ -527,12 +542,12 @@ def t1_testing(
     tested = [(ball, mass) for ball in balls if (mass := ball_mass(cloud, ball)) != 0.0]
     cx, cy, r = np.array([(ball.cx, ball.cy, ball.radius) for ball, _ in tested]).reshape(-1, 3).T
     chi = ((cloud.xy[:, :1] - cx) ** 2 + (cloud.xy[:, 1:] - cy) ** 2 <= r**2).astype(np.complex128)
+    fields = [Field(c, "mu") for c in chi.T]
 
-    def norms2(images):
-        return [field_norm(cloud, Field(images[:, col], "mu")) ** 2 for col in range(len(tested))]
+    def norms2(variant):
+        return [field_norm(cloud, Field(image, "mu")) ** 2 for image in op.images(variant, fields)]
 
-    t_norms2 = norms2(op.apply("modified", Field(chi, "mu")).values)
-    a_norms2 = norms2(op.apply("adjoint", Field(chi, "mu")).values)
+    t_norms2, a_norms2 = norms2("modified"), norms2("adjoint")
     sup_t = sup_adj = 0.0
     wit_t = wit_adj = None
     for (ball, mass), t_n2, a_n2 in zip(tested, t_norms2, a_norms2):

@@ -8,8 +8,10 @@ scale ladders, so the scaling study is the main consumer.
 
 Each check picks the backend of its one ``operators.Operator`` once
 (``_check_operator``): the treecode above ``FAST_NODE_THRESHOLD`` nodes,
-dense otherwise.  The decomposition check and the domination reconstruction
-reference stay on the on-the-fly ``apply_direct`` sums.
+dense otherwise.  Trial and domination fields go through ``Operator.images``,
+which sets how many ride in one apply.  The decomposition check and the
+domination reconstruction reference stay on the on-the-fly ``apply_direct``
+sums.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import time
 
 import numpy as np
 
-from nhcz.fastsum import _COLUMN_BLOCK
 from nhcz.geometry import SquareFamily, _scaled_centers_halves, generate_cascade_family
 from nhcz.kernels import KernelSpec, kernel_rows
 from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature, growth_constant
@@ -76,16 +77,6 @@ def _check_operator(cloud) -> Operator:
     return pair(cloud.family, cloud)
 
 
-def _images(op, variant, fields):
-    """Each field's image under ``op.apply(variant, .)``, in field order.
-    The fields go through ``_COLUMN_BLOCK`` at a time as the columns of one
-    field, so the apply's transients stay O(N * _COLUMN_BLOCK) however many
-    fields there are."""
-    for c0 in range(0, len(fields), _COLUMN_BLOCK):
-        block = fields[c0 : c0 + _COLUMN_BLOCK]
-        yield from op.apply(variant, Field(np.stack([f.values for f in block], axis=1), "mu")).values.T
-
-
 def check_main_inequality(family: SquareFamily, n_per_side: int = 8, seed: int = 0) -> VerificationReport:
     """Operator-norm bound for the adjoint-kernel operator on the measure.
 
@@ -103,7 +94,7 @@ def check_main_inequality(family: SquareFamily, n_per_side: int = 8, seed: int =
     n = len(cloud)
     trial_fields = [Field(rng.standard_normal(n) + 1j * rng.standard_normal(n), "mu") for _ in range(trials)]
     max_ratio, max_trial = 0.0, -1
-    for t, (f, image) in enumerate(zip(trial_fields, _images(op, "adjoint", trial_fields))):
+    for t, (f, image) in enumerate(zip(trial_fields, op.images("adjoint", trial_fields))):
         r = (field_norm(cloud, Field(image, "mu")) / field_norm(cloud, f)) ** 2
         if r > max_ratio:
             max_ratio, max_trial = r, t
@@ -213,7 +204,7 @@ def check_domination(
     cloud = build_quadrature(build_measure(family), n_per_side)
     op = _check_operator(cloud)
     fields = _domination_fields(cloud, trials, seed)
-    tfs = [np.abs(image) for image in _images(op, "adjoint", [f for _, f in fields])]
+    tfs = [np.abs(image) for image in op.images("adjoint", [f for _, f in fields])]
     fast = op.backend == "tree"
     del op  # a cached dense kernel goes with it, before the maximal pass
     maximal = _maximal_many(cloud, [f for _, f in fields], ratio_of=tfs)
@@ -384,7 +375,7 @@ def scaling_study(d: float, packing_target: float, m_ladder, n_per_side: int = 8
         targets = np.sort(rng.choice(len(cloud), picks, replace=False))
         maximal = _maximal_many(cloud, [f for _, f in all_fields], targets=targets)
         c_dom = 0.0
-        images = _images(op, "adjoint", [f for _, f in dom_fields])
+        images = op.images("adjoint", [f for _, f in dom_fields])
         for denom, image in zip(maximal[: len(dom_fields)], images):
             tf = np.abs(image[targets])
             ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -7,7 +9,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import bench_pairs  # noqa: E402
-from bench_pairs import cpu_schedule, parse_args, spent_by, summarize  # noqa: E402
+from bench_pairs import cpu_schedule, order_schedule, parse_args, spent_by  # noqa: E402
+
+
+def summarize(parent, change, better, cpus):
+    """``bench_pairs.summarize`` with the parent first and a flat probe in every pair."""
+    n = len(cpus)
+    return bench_pairs.summarize(parent, change, better, cpus, ["parent"] * n, [1.0] * n)
 
 
 def test_summary_of_a_lower_is_better_metric():
@@ -67,6 +75,35 @@ def test_cpu_schedule_takes_the_allowed_cpus_in_turn():
     assert cpu_schedule(3, {2}) == [2, 2, 2]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_order_schedule_gives_every_cpu_both_orders(n):
+    cpus, first = cpu_schedule(10, set(range(n))), order_schedule(10, n)
+    assert first.count("parent") == first.count("change") == 5
+    for cpu in range(n):
+        firsts = [side for side, on in zip(first, cpus) if on == cpu]
+        assert set(firsts) == {"parent", "change"}
+        assert all(a != b for a, b in zip(firsts, firsts[1:]))  # each CPU flips the order pair by pair
+    if n == 2:
+        assert first == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
+
+
+def test_probe_r_correlates_log_ratios_and_is_none_when_constant():
+    parent, change = [1.0, 1.0, 1.0, 1.0], [1.0, 2.0, 4.0, 8.0]
+    assert bench_pairs.probe_r(parent, change, [1.0, 2.0, 4.0, 8.0]) == pytest.approx(1.0)
+    assert bench_pairs.probe_r(parent, change, [8.0, 4.0, 2.0, 1.0]) == pytest.approx(-1.0)
+    assert bench_pairs.probe_r(parent, change, [1.1] * 4) is None  # a constant probe
+    assert bench_pairs.probe_r(parent, [2.0] * 4, [1.0, 2.0, 4.0, 8.0]) is None  # a constant metric ratio
+    assert bench_pairs.probe_r([0.0] * 4, change, [1.0, 2.0, 4.0, 8.0]) is None
+
+
+def test_the_probe_runs_pinned_in_its_own_process():
+    assert "nhcz" not in bench_pairs.PROBE
+    allowed = os.sched_getaffinity(0)
+    t = bench_pairs.probe_once(max(allowed))
+    assert 0.0 < t < 1.0
+    assert os.sched_getaffinity(0) == allowed
+
+
 def test_stubbed_pairs_run_both_sides_on_one_cpu_and_summarize_each_cpu(tmp_path, monkeypatch):
     for side in ("parent", "change"):
         (tmp_path / side / "src").mkdir(parents=True)
@@ -81,24 +118,46 @@ def test_stubbed_pairs_run_both_sides_on_one_cpu_and_summarize_each_cpu(tmp_path
         value -= 0.5 if checkout.name == "change" and cpu == 0 else 0.0
         return {"correct": True, "failed": 0, "metrics": {"run_s": {"value": value}}}, None
 
+    # probe times in call order, one before and one after each run; pair
+    # sums (parent, change) of 4 and 4, 8 and 2, 3 and 6, 4 and 2
+    readings = iter([1.0, 3.0, 2.0, 2.0, 1.0, 1.0, 4.0, 4.0, 3.0, 3.0, 1.0, 2.0, 2.0, 2.0, 1.0, 1.0])
+    probes = []
+
+    def probe(cpu):
+        probes.append(cpu)
+        return next(readings)
+
     monkeypatch.setattr(bench_pairs, "run_once", stub)
+    monkeypatch.setattr(bench_pairs, "probe_once", probe)
     monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {1, 0})
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     out = tmp_path / "BENCH_9.json"
     args = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
     assert bench_pairs.main(args + ["--workload", "w", "--seed", "1", "--pairs", "4", "--out", str(out)]) == 0
-    # pair i runs both sides on CPU i % 2, parent first in even pairs
-    assert runs == [("parent", 0), ("change", 0), ("change", 1), ("parent", 1)] * 2
+    # pair i runs both sides on CPU i % 2, and each CPU flips the order from one of its pairs to the next
+    assert runs == [("parent", 0), ("change", 0), ("change", 1), ("parent", 1)] + [
+        ("change", 0), ("parent", 0), ("parent", 1), ("change", 1)
+    ]
+    assert probes == [cpu for _, cpu in runs for _ in range(2)]  # a probe just before and after each run
     record = json.loads(out.read_text())["workloads"]["w"]
     assert record["cpus"] == [0, 1, 0, 1]
+    assert record["first"] == ["parent", "change", "change", "parent"]
+    assert record["probe"] == {
+        "parent": {"before": [1.0, 4.0, 1.0, 2.0], "after": [3.0, 4.0, 2.0, 2.0]},
+        "change": {"before": [2.0, 1.0, 3.0, 1.0], "after": [2.0, 1.0, 3.0, 1.0]},
+        "ratio": [1.0, 0.25, 2.0, 0.5],
+    }
     s = record["metrics"]["run_s"]
     assert s["parent"]["values"] == [1.0, 11.0, 3.0, 13.0]
     assert s["change"]["values"] == [0.5, 11.0, 2.5, 13.0]
+    orders = {"parent_first": 1, "change_first": 1}
     assert s["per_cpu"] == {
-        "0": {"pairs": 2, "parent_median": 2.0, "change_median": 1.5, "change_wins": 2, "parent_wins": 0},
-        "1": {"pairs": 2, "parent_median": 12.0, "change_median": 12.0, "change_wins": 0, "parent_wins": 0},
+        "0": {"pairs": 2, "parent_median": 2.0, "change_median": 1.5, "change_wins": 2, "parent_wins": 0, **orders},
+        "1": {"pairs": 2, "parent_median": 12.0, "change_median": 12.0, "change_wins": 0, "parent_wins": 0, **orders},
     }
     assert (s["change_wins"], s["parent_wins"], s["gain_holds"]) == (2, 0, False)  # the rule reads all pairs
+    logs = [math.log(c / p) for p, c in zip(s["parent"]["values"], s["change"]["values"])]
+    assert s["probe_r"] == pytest.approx(statistics.correlation(logs, [math.log(r) for r in record["probe"]["ratio"]]))
 
 
 def test_a_run_is_pinned_to_its_cpu_in_the_child_only(tmp_path):

@@ -374,7 +374,7 @@ def sparse_columns(tree, rng):
     return cols[:, rng.permutation(6)]
 
 
-@pytest.mark.parametrize("columns", [1, 3, 8, "sparse"])
+@pytest.mark.parametrize("columns", [1, 3, 8, 20, "sparse"])
 @pytest.mark.parametrize("cloud_name", ["cascade_m256", "ladder_n8192"])
 def test_chunked_far_pass_keeps_every_bit_on_benchmark_clouds(cloud_name, columns, ladder_cloud):
     if cloud_name == "cascade_m256":  # scaling_row's cloud
@@ -384,7 +384,8 @@ def test_chunked_far_pass_keeps_every_bit_on_benchmark_clouds(cloud_name, column
         cloud = ladder_cloud
         fam = cloud.family
     tree = build_tree(cloud, 32)
-    if columns == "sparse":  # 12 columns: a full and a partial pass of _COLUMN_BLOCK
+    # each case is one apply pass over all its columns; 20 is wider than Operator.images' blocks
+    if columns == "sparse":  # 12 columns with many zero far moments
         rng = np.random.default_rng(11)
         values = np.concatenate([sparse_columns(tree, rng), sparse_columns(tree, rng)], axis=1)
     else:

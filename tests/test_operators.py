@@ -564,6 +564,11 @@ def test_tree_operator_matches_apply_fast_bit_for_bit(seed, count, n):
             assert np.array_equal(op.apply(variant, f).values, forward)
             conj = np.conj(apply_fast(KernelSpec(partner, fam), tree, Field(np.conj(v), "mu"), params).values)
             assert np.array_equal(op.adjoint(variant, f).values, conj)
+    # 19 fields in blocks of at most _COLUMN_BLOCK, each image bit for bit its own apply
+    fields = [Field(v, "mu") for v in rng.standard_normal((19, len(cloud))) + 1j * rng.standard_normal((19, len(cloud)))]
+    for variant in ("modified", "adjoint"):
+        for f, image in zip(fields, op.images(variant, fields), strict=True):
+            assert np.array_equal(image, op.apply(variant, f).values)
     built = op._tree
     op.apply("modified", Field(vals, "mu"))
     assert op._tree is built  # one tree serves every apply

@@ -10,9 +10,18 @@ from hypothesis import strategies as st
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family, suggest_generation_range
 from nhcz.kernels import VARIANTS, KernelSpec
 from nhcz.measure import build_measure, build_quadrature, growth_constant
-from nhcz.operators import Field, Operator, _maximal_many, adjoint_apply_direct, apply_direct, operator_norm
+from nhcz.operators import (
+    _COLUMN_BLOCK,
+    Field,
+    Operator,
+    _maximal_many,
+    adjoint_apply_direct,
+    apply_direct,
+    default_t1_balls,
+    operator_norm,
+    t1_testing,
+)
 from nhcz import operators, verify
-from nhcz.fastsum import _COLUMN_BLOCK
 from nhcz.reports import VerificationReport, canonical_json, family_digest, jsonable
 from nhcz.verify import (
     FAST_NODE_THRESHOLD,
@@ -82,7 +91,8 @@ def test_domination_constants_and_audits():
         assert a["ball_mass_3R_a"] >= a["ball_mass_R_a"] >= 0
 
 
-def test_domination_applies_its_fields_in_column_blocks(monkeypatch):
+@pytest.mark.parametrize("caller", ["domination", "t1-dense", "t1-tree"])
+def test_domination_applies_its_fields_in_column_blocks(monkeypatch, caller):
     widths = []
     apply = Operator.apply
 
@@ -92,12 +102,21 @@ def test_domination_applies_its_fields_in_column_blocks(monkeypatch):
 
     monkeypatch.setattr(Operator, "apply", recording_apply)
     fam = generate_family(seed=4, count=10, d=1.2, packing_target=4.0, k_range=(2, 5))
-    report = check_domination(fam, n_per_side=4, trials=3, seed=1)
-    assert report.passed
-    assert {variant for variant, _ in widths} == {"adjoint"}
-    widths = [w for _, w in widths]
-    # 3 uniforms, 10 square indicators and 3 deltas, at most a block per apply
-    assert sum(widths) == 16 and max(widths) == _COLUMN_BLOCK < 16
+    if caller == "domination":
+        report = check_domination(fam, n_per_side=4, trials=3, seed=1)
+        assert report.passed
+        # 3 uniforms, 10 square indicators and 3 deltas
+        variants, fields = ["adjoint"], 16
+    else:
+        cloud = build_quadrature(build_measure(fam), 4)
+        balls = default_t1_balls(fam, seed=1, max_balls=20)
+        report = t1_testing(cloud, balls, op=Operator(cloud, caller[3:]))
+        variants, fields = ["modified", "adjoint"], report.n_balls - report.skipped
+        assert fields > 2 * _COLUMN_BLOCK
+    assert {variant for variant, _ in widths} == set(variants)
+    for variant in variants:  # at most a block per apply
+        blocks = [w for v, w in widths if v == variant]
+        assert sum(blocks) == fields and max(blocks) == _COLUMN_BLOCK < fields
 
 
 @st.composite
@@ -207,6 +226,10 @@ def test_dense_pair_matches_on_the_fly_applies_bit_for_bit(monkeypatch, seed, co
                     assert single.shape == (len(cloud),)
                     assert np.array_equal(single, ref_fn(spec, cloud, Field(vals[:, j], "mu")).values)
                     assert np.array_equal(batched[:, j], single)
+        # 19 fields in blocks of at most _COLUMN_BLOCK, each image bit for bit its own apply
+        fields = [Field(v, "mu") for v in rng.standard_normal((19, len(cloud))) + 1j * rng.standard_normal((19, len(cloud)))]
+        for f, image in zip(fields, op.images("adjoint", fields), strict=True):
+            assert np.array_equal(image, op.apply("adjoint", f).values)
         assert bool(op._strips[1]) is matrix
 
 

@@ -4,23 +4,34 @@
         --seed 6161 --pairs 10 --seconds 12 --out BENCH.json
 
 Each pair runs ``benchmarks/run.py --trace 0`` once in each checkout, with
-the same workload, seed and ``--seconds``; even pairs run the parent first,
-odd pairs the change.  Both runs of a pair are pinned to the same CPU with
-``os.sched_setaffinity`` in the child, and pair i takes the i-th of this
-process's allowed CPUs in turn, so a pair compares the two sides on one
-CPU and every CPU carries the same number of pairs, give or take one.  The
-last stdout line of each run is its result JSON.  For every end-to-end
-metric that ``BENCHMARK.json`` names, the output holds each side's values
-in pair order, their median and quartiles, and how many pairs the change
-won (ties count for neither), and the same medians and win counts for the
-pairs of each CPU; each workload records its pairs' CPUs.  A gain holds
-when the change wins at least nine tenths of all pairs and its median
-beats the parent's by more than the parent's interquartile range; the
-per-CPU figures do not enter it.  The output file is
-rewritten after each workload.  A seed that a ``BENCH_*.json`` record in
-the repository root already holds, other than ``--out``, is refused with
-exit status 2, so every record's pairs run on a fresh seed.  Only the
-standard library is used.
+the same workload, seed and ``--seconds``.  Both runs of a pair are pinned
+to the same CPU with ``os.sched_setaffinity`` in the child, and pair i
+takes the i-th of this process's allowed CPUs in turn, so a pair compares
+the two sides on one CPU and every CPU carries the same number of pairs,
+give or take one.  With n CPUs, pair i runs the parent first when
+``i // n + i % n`` is even, so the run order flips on each CPU from one of
+its pairs to the next (see ``order_schedule``).  Just before and just after
+each run, ``PROBE``, a few ms of fixed pure-Python and numpy work that
+imports nothing from ``nhcz``, runs as its own process pinned to the same
+CPU and prints its own time.  The last stdout line of each run is its
+result JSON.
+
+For every end-to-end metric that ``BENCHMARK.json`` names, the output
+holds each side's values in pair order, their median and quartiles, and
+how many pairs the change won (ties count for neither); the same medians
+and win counts, and the run order counts, for the pairs of each CPU; and
+``probe_r``, the correlation of the pairs' log ratios (change / parent) of
+the metric and of the probe, None when either is constant.  Each workload
+records its pairs' CPUs and run orders, each run's probe times, and each
+pair's probe ratio: the change's before-plus-after probe time over the
+parent's.  A gain holds when the change wins at least nine tenths of all
+pairs and its median beats the parent's by more than the parent's
+interquartile range; the per-CPU and probe figures do not enter it.  The
+output file is rewritten after each workload.  A seed that a
+``BENCH_*.json`` record in the repository root already holds, other than
+``--out``, is refused with exit status 2, so every record's pairs run on a
+fresh seed.  This script uses only the standard library; the probe's own
+process imports numpy.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -38,6 +50,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9  # share of pairs the change must win for a gain
+# the calibration probe: fixed elementwise, matrix and interpreter work of a few ms
+PROBE = """
+import time
+import numpy as np
+
+t0 = time.perf_counter()
+x = np.linspace(0.0, 1.0, 1 << 15)
+for _ in range(20):
+    x = np.sqrt(x * x + 0.5) - 0.5
+a = np.full((64, 64), 0.5 + 0.25j)
+for _ in range(10):
+    b = a @ a
+s = 0
+for i in range(20_000):
+    s += i * i % 7
+print(time.perf_counter() - t0)
+"""
 
 
 def quartiles(values):
@@ -54,18 +83,39 @@ def cpu_schedule(pairs, allowed):
     return [cpus[i % len(cpus)] for i in range(pairs)]
 
 
+def order_schedule(pairs, n):
+    """The side each pair runs first, for pairs that take n CPUs in turn:
+    the parent when ``i // n + i % n`` is even.  Consecutive pairs of one CPU
+    flip the order, and so do consecutive pairs of one round."""
+    return [SIDES[(i // n + i % n) % 2] for i in range(pairs)]
+
+
+def probe_r(parent, change, probe_ratio):
+    """Correlation of the pairs' log ratios (change / parent) of a metric
+    and of the probe; None when either is constant or a value is not
+    positive."""
+    if min(parent + change + probe_ratio) <= 0:
+        return None
+    x = [math.log(c / p) for p, c in zip(parent, change)]
+    y = [math.log(r) for r in probe_ratio]
+    if len(set(x)) < 2 or len(set(y)) < 2:
+        return None
+    return statistics.correlation(x, y)
+
+
 def _wins(parent, change, sign):
     """(change wins, parent wins) over the pairs; ties count for neither."""
     gaps = [sign * (c - p) for p, c in zip(parent, change)]
     return sum(g < 0 for g in gaps), sum(g > 0 for g in gaps)
 
 
-def summarize(parent, change, better, cpus):
+def summarize(parent, change, better, cpus, first, probe_ratio):
     """Summary of one metric's paired values (``parent[i]`` and
-    ``change[i]`` ran as pair i, on CPU ``cpus[i]``); ``better`` is "lower"
-    or "higher"."""
-    if not len(parent) == len(change) == len(cpus) or not parent:
-        raise ValueError("need the same positive number of values on each side and of CPUs")
+    ``change[i]`` ran as pair i, on CPU ``cpus[i]``, side ``first[i]``
+    first, with probe ratio ``probe_ratio[i]``); ``better`` is "lower" or
+    "higher"."""
+    if not len(parent) == len(change) == len(cpus) == len(first) == len(probe_ratio) or not parent:
+        raise ValueError("need the same positive number of values on each side, CPUs, orders and probe ratios")
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
     sign = 1.0 if better == "lower" else -1.0
@@ -78,12 +128,15 @@ def summarize(parent, change, better, cpus):
     for cpu in sorted(set(cpus)):
         p, c = ([x for x, on in zip(values, cpus) if on == cpu] for values in (parent, change))
         wins = _wins(p, c, sign)
+        firsts = [side for side, on in zip(first, cpus) if on == cpu]
         out["per_cpu"][str(cpu)] = {
             "pairs": len(p),
             "parent_median": statistics.median(p),
             "change_median": statistics.median(c),
             "change_wins": wins[0],
             "parent_wins": wins[1],
+            "parent_first": firsts.count("parent"),
+            "change_first": firsts.count("change"),
         }
     gap = sign * (out["parent"]["median"] - out["change"]["median"])  # > 0: the change is better
     out["relative_change"] = (
@@ -92,6 +145,7 @@ def summarize(parent, change, better, cpus):
         else None
     )
     out["gain_holds"] = out["change_wins"] >= WIN_SHARE * len(parent) and gap > out["parent"]["q3"] - out["parent"]["q1"]
+    out["probe_r"] = probe_r(list(parent), list(change), list(probe_ratio))
     return out
 
 
@@ -116,16 +170,26 @@ def commit_of(checkout):
     return {"head": head.stdout.strip(), "dirty": bool(dirty.stdout.strip())}
 
 
+def _pinned(cmd, cpu, cwd=None):
+    """``cmd`` run to completion pinned to ``cpu``; its stdout lines."""
+    pin = functools.partial(os.sched_setaffinity, 0, {cpu})  # runs in the child: pins its own process only
+    proc = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, preexec_fn=pin)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {cwd or '.'} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout.strip().splitlines()
+
+
+def probe_once(cpu):
+    """``PROBE``'s own time in seconds, run as its own process pinned to ``cpu``."""
+    return float(_pinned([sys.executable, "-c", PROBE], cpu)[-1])
+
+
 def run_once(checkout, workload, seed, seconds, cpu):
     """One end-to-end run pinned to ``cpu``: its result JSON and its
     ``machine`` line."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", "0"]
-    pin = functools.partial(os.sched_setaffinity, 0, {cpu})  # runs in the child: pins its own process only
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, preexec_fn=pin)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
-    lines = proc.stdout.strip().splitlines()
+    lines = _pinned(cmd, cpu, checkout)
     machine = next((json.loads(ln[len("machine ") :]) for ln in lines if ln.startswith("machine ")), None)
     return json.loads(lines[-1]), machine
 
@@ -170,21 +234,32 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     cpus = cpu_schedule(args.pairs, os.sched_getaffinity(0))
+    first = order_schedule(args.pairs, len(set(cpus)))
     for workload in args.workload:
         values = {s: {name: [] for name in better} for s in SIDES}
+        probe = {s: {"before": [], "after": []} for s in SIDES}
         correct = {s: True for s in SIDES}
         for i, cpu in enumerate(cpus):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            for side in SIDES if first[i] == "parent" else SIDES[::-1]:
+                probe[side]["before"].append(probe_once(cpu))
                 res, machine = run_once(checkouts[side], workload, args.seed, args.seconds, cpu)
+                probe[side]["after"].append(probe_once(cpu))
                 record["machine"] = record["machine"] or machine
                 correct[side] = correct[side] and res["correct"] and res["failed"] == 0
                 for name in better:
                     values[side][name].append(res["metrics"][name]["value"])
             print(f"{workload} pair {i + 1}/{args.pairs} on CPU {cpu}", file=sys.stderr, flush=True)
+        side_probe = {s: [b + a for b, a in zip(probe[s]["before"], probe[s]["after"])] for s in SIDES}
+        probe["ratio"] = [c / p for p, c in zip(side_probe["parent"], side_probe["change"])]
         record["workloads"][workload] = {
             "correct": correct,
             "cpus": cpus,
-            "metrics": {n: summarize(values["parent"][n], values["change"][n], b, cpus) for n, b in better.items()},
+            "first": first,
+            "probe": probe,
+            "metrics": {
+                n: summarize(values["parent"][n], values["change"][n], b, cpus, first, probe["ratio"])
+                for n, b in better.items()
+            },
         }
         args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
