@@ -7,8 +7,10 @@ All randomness flows from --seed (default 0).
 
 Each subcommand is one row of the ``SUBCOMMANDS`` table: its help line, its
 flags beyond --seed/--out and its handler; the parser and the dispatch both
-read that table.  The checks on a family's --n quadrature cloud share one
-runner, and each check writes its report to <out>/<subcommand>.json.
+read that table.  Every check's report comes from ``reports.run_check``,
+the checks on a family's --n quadrature cloud through
+``verify.run_on_cloud``, and each check writes its report to
+<out>/<subcommand>.json.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import json
 import math
 import os
 import sys
-import time
 from functools import partial
 
 import numpy as np
@@ -26,7 +27,7 @@ import numpy as np
 from nhcz import fastsum, kernels, measure, operators, verify
 from nhcz.geometry import SquareFamily, check_disjointness, generate_family, suggest_generation_range
 from nhcz.measure import borderline_exponent, build_measure, build_quadrature
-from nhcz.reports import SCHEMA, VerificationReport, family_digest, write_csv_atomic, write_json_atomic
+from nhcz.reports import SCHEMA, VerificationReport, family_digest, run_check, write_csv_atomic, write_json_atomic
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -65,24 +66,15 @@ def _emit(args, report: VerificationReport) -> int:
 
 
 def _on_cloud(work):
-    """Handler for a check on the --family measure's --n quadrature cloud.
+    """Handler for a check on the --family measure's --n quadrature cloud:
+    ``work(cloud, args)`` returns the report's (inputs, constants,
+    witnesses, thresholds, passed), less the family digest and
+    ``n_per_side``, which ``verify.run_on_cloud`` adds."""
 
-    ``work(args, family, cloud)`` returns (inputs, constants, witnesses,
-    thresholds, passed); ``inputs`` holds what the report records beyond the
-    family digest and ``n_per_side``.  Only ``work`` is timed.
-    """
+    def on_cloud(fam, n, args):
+        return work(build_quadrature(build_measure(fam), n), args)
 
-    def check(args):
-        fam = _load_family(args.family)
-        cloud = build_quadrature(build_measure(fam), args.n)
-        t0 = time.perf_counter()
-        inputs, constants, witnesses, thresholds, passed = work(args, fam, cloud)
-        inputs = {"family_digest": family_digest(fam), "n_per_side": args.n, **inputs}
-        return VerificationReport(
-            args.command, inputs, constants, witnesses, thresholds, bool(passed), time.perf_counter() - t0
-        )
-
-    return check
+    return lambda args: verify.run_on_cloud(args.command, on_cloud, _load_family(args.family), args.n, args)
 
 
 def _cmd_generate(args) -> int:
@@ -116,26 +108,23 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_validate(args) -> VerificationReport:
-    t0 = time.perf_counter()
-    fam = _load_family(args.family)
+    return run_check(args.command, _validate, _load_family(args.family))
+
+
+def _validate(fam):
     verdict = check_disjointness(fam.squares)
+    inputs = {"family_digest": family_digest(fam), "squares": len(fam), "d": fam.d}
+    witnesses = {
+        "dilate_overlap": list(verdict.witness) if verdict.witness else None,
+        "packing_witness": fam.c_pack_witness,
+    }
+    thresholds = {"packing_target": fam.packing_target}
     passed = verdict.ok and fam.c_pack <= fam.packing_target
-    return VerificationReport(
-        check="validate",
-        inputs={"family_digest": family_digest(fam), "squares": len(fam), "d": fam.d},
-        constants={"c_pack": fam.c_pack, "disjoint": verdict.ok},
-        witnesses={
-            "dilate_overlap": list(verdict.witness) if verdict.witness else None,
-            "packing_witness": fam.c_pack_witness,
-        },
-        thresholds={"packing_target": fam.packing_target},
-        passed=passed,
-        runtime_s=time.perf_counter() - t0,
-    )
+    return inputs, {"c_pack": fam.c_pack, "disjoint": verdict.ok}, witnesses, thresholds, passed
 
 
-def _norm(args, fam, cloud):
-    spec = kernels.KernelSpec(args.variant, fam)
+def _norm(cloud, args):
+    spec = kernels.KernelSpec(args.variant, cloud.family)
     est = operators.operator_norm(spec, cloud, tol=args.tol, seed=args.seed)
     inputs = {"variant": args.variant, "seed": args.seed}
     return inputs, est.to_json_dict(), {}, {"tol": args.tol}, est.converged
@@ -146,8 +135,8 @@ def _cmd_dominate(args) -> VerificationReport:
     return verify.check_domination(fam, n_per_side=args.n, trials=args.trials, seed=args.seed)
 
 
-def _czcheck(args, fam, cloud):
-    spec = kernels.KernelSpec("modified", fam)
+def _czcheck(cloud, args):
+    spec = kernels.KernelSpec("modified", cloud.family)
     rep = kernels.cz_constants(spec, cloud, tau=args.tau, budget=args.budget, seed=args.seed)
     witnesses = {
         "size": list(rep.witness_i),
@@ -159,7 +148,7 @@ def _czcheck(args, fam, cloud):
     return {"seed": args.seed}, rep.to_json_dict(), witnesses, {"iii2_counterexamples": 0}, passed
 
 
-def _ball_constant(constant, args, _fam, cloud):
+def _ball_constant(constant, cloud, args):
     """Work for a ball-ratio constant of the measure, reported as ``c_<subcommand>``."""
     c, ball = constant(cloud)
     witnesses = {"ball": ball}
@@ -167,7 +156,7 @@ def _ball_constant(constant, args, _fam, cloud):
     return {}, {f"c_{args.command}": c}, witnesses, thresholds, np.isfinite(c)
 
 
-def _t1(args, _fam, cloud):
+def _t1(cloud, args):
     rep = operators.t1_testing(cloud, seed=args.seed)
     finite = np.isfinite(rep.sup_t) and np.isfinite(rep.sup_t_adjoint)
     return {"seed": args.seed}, rep.to_json_dict(), {}, {}, finite
@@ -180,10 +169,9 @@ def _cmd_decompose(args) -> VerificationReport:
     )
 
 
-def _cmd_beurling(args) -> VerificationReport:
+def _beurling(args):
     if args.n < 2 or args.n % 2:
         raise ValueError(f"grid size must be even and >= 2, got {args.n}")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):
@@ -191,15 +179,9 @@ def _cmd_beurling(args) -> VerificationReport:
         g -= g.mean()
         out = operators.beurling_multiplier(g)
         worst = max(worst, abs(np.linalg.norm(out) / np.linalg.norm(g) - 1.0))
-    return VerificationReport(
-        check="beurling",
-        inputs={"grid": args.n, "trials": args.trials, "seed": args.seed},
-        constants={"max_norm_ratio_deviation": worst},
-        witnesses={},
-        thresholds={"max_norm_ratio_deviation": args.tol},
-        passed=bool(worst <= args.tol),
-        runtime_s=time.perf_counter() - t0,
-    )
+    inputs = {"grid": args.n, "trials": args.trials, "seed": args.seed}
+    thresholds = {"max_norm_ratio_deviation": args.tol}
+    return inputs, {"max_norm_ratio_deviation": worst}, {}, thresholds, worst <= args.tol
 
 
 def _cmd_bench(args) -> int:
@@ -310,7 +292,7 @@ SUBCOMMANDS = {
     "beurling": (
         "spectral isometry check on a periodic grid",
         [_flag("--tol", _positive(float), 1e-12), _flag("--n", int, 256), _TRIALS],
-        _cmd_beurling,
+        partial(run_check, "beurling", _beurling),
     ),
     "bench": (
         "direct vs fast summation timing ladder",

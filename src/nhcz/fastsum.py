@@ -553,30 +553,29 @@ def _far_sums(tree, plan, mom, out):
 
 def _near_sums(tree, plan, charges, out):
     """Adds the direct sums of the near runs to ``out`` (N, k), whose rows
-    are in ``perm`` order.  A run's targets and its source leaf's nodes are
-    each read as ``leaf_width`` slots from their first perm position, and
-    the slots past the run's length or the leaf's size are masked out, so
-    every target adds one row of its own per source leaf, in ascending
-    source leaf order."""
+    are in ``perm`` order.  The runs are decoded by ``_run_positions``, as
+    the far runs are, and each target adds one kernel row against its source
+    leaf's nodes, read as ``leaf_width`` slots from the leaf's first perm
+    position with the slots past the leaf's size masked out; so every target
+    adds one row of its own per source leaf, in ascending source leaf order."""
     z, sq = tree.cloud.z, tree.cloud.square_index
     slot = np.arange(tree.leaf_width)
     cells = np.repeat(plan.near_cells, np.diff(plan.near_ptr))  # each run's source leaf
     for b0 in range(0, cells.size, _NEAR_BLOCK):
-        src_leaf = cells[b0 : b0 + _NEAR_BLOCK]
-        pos = plan.near_start[b0 : b0 + _NEAR_BLOCK, None] + slot
-        keep = slot < plan.near_len[b0 : b0 + _NEAR_BLOCK, None]
+        lens = plan.near_len[b0 : b0 + _NEAR_BLOCK]
+        pos, _ = _run_positions(plan.near_start[b0 : b0 + _NEAR_BLOCK], lens)
+        src_leaf = np.repeat(cells[b0 : b0 + _NEAR_BLOCK], lens)  # each target's source leaf
         valid = slot < (tree.end[src_leaf] - tree.start[src_leaf])[:, None]
-        tgt = tree.perm.take(pos, mode="clip")  # a masked slot may lie past the last position
+        tgt = tree.perm[pos]
+        # a masked slot may lie past the last position
         src = tree.perm.take(tree.start[src_leaf][:, None] + slot, mode="clip")
         vals = cauchy_square_into(
-            np.empty((len(tgt), slot.size, slot.size), dtype=np.complex128),
-            z[tgt][:, :, None],
-            z[src][:, None, :],
-            lambda dz: exclusion_mask("cross_square", dz, sq[tgt][:, :, None], sq[src][:, None, :])
-            | ~keep[:, :, None]
-            | ~valid[:, None, :],
+            np.empty(src.shape, dtype=np.complex128),
+            z[tgt][:, None],
+            z[src],
+            lambda dz: exclusion_mask("cross_square", dz, sq[tgt][:, None], sq[src]) | ~valid,
         )
-        np.add.at(out, pos[keep], np.einsum("bts,bsc->btc", vals, charges[src])[keep])
+        np.add.at(out, pos, np.einsum("ts,tsc->tc", vals, charges[src]))
 
 
 @dataclass

@@ -1,11 +1,12 @@
-"""Report containers, deterministic serialization and atomic artifact
-writers.
+"""Report containers and the one report runner, deterministic
+serialization and atomic artifact writers.
 
 Reports serialize to canonical JSON (sorted keys, compact separators, a
 trailing newline) so a rerun with the same inputs and seeds reproduces them
-byte for byte; the wall-clock field is the single exception and is excluded
-from that contract.  Every artifact is written to a temporary file and
-moved into place, so a failed write leaves any old file untouched.
+byte for byte; the wall-clock field ``runtime_s``, which ``run_check``
+times, is the single exception and is excluded from that contract.  Every
+artifact is written to a temporary file and moved into place, so a failed
+write leaves any old file untouched.
 
 Imports no other nhcz module, so ``geometry`` and every later module can
 use it without an import cycle.
@@ -18,6 +19,7 @@ import hashlib
 import json
 import os
 import tempfile
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass
 
@@ -87,6 +89,21 @@ class VerificationReport:
         if include_runtime:
             out["runtime_s"] = self.runtime_s
         return out
+
+
+def run_check(check: str, work, *args) -> VerificationReport:
+    """The report of ``check``: the one place a ``VerificationReport`` is
+    built, and ``runtime_s`` is timed.
+
+    ``work(*args)`` returns the report's (inputs, constants, witnesses,
+    thresholds, passed), and ``runtime_s`` is the wall-clock seconds of that
+    call: a check's work from its family (or its arguments) to its verdict.
+    A check on a quadrature cloud builds the cloud inside ``work``, so the
+    build is timed; a family file is read before the clock starts.
+    """
+    t0 = time.perf_counter()
+    inputs, constants, witnesses, thresholds, passed = work(*args)
+    return VerificationReport(check, inputs, constants, witnesses, thresholds, bool(passed), time.perf_counter() - t0)
 
 
 @contextmanager

@@ -316,12 +316,24 @@ def _t1_expect(fam, cloud):
     return t1_testing(cloud, seed=4).to_json_dict(), {}
 
 
+def _dominate_expect(fam, cloud):
+    rep = verify.check_domination(fam, n_per_side=3, trials=2, seed=5)
+    return rep.constants, rep.witnesses
+
+
+def _decompose_expect(fam, cloud):
+    rep = verify.check_decomposition(fam, n_per_side=3, trials=2, seed=6, rel_tol=1e-10)
+    return rep.constants, rep.witnesses
+
+
 WIRED = {
     **{f"norm-{v}": _norm_case(v) for v in ("modified", "adjoint", "full", "local")},
     "growth": _ball_case("growth", growth_constant),
     "a2": _ball_case("a2", a2_constant),
     "czcheck": (["czcheck", "--tau", "0.6", "--budget", "5000", "--seed", "3"], _czcheck_expect),
     "t1": (["t1", "--seed", "4"], _t1_expect),
+    "dominate": (["dominate", "--trials", "2", "--seed", "5"], _dominate_expect),
+    "decompose": (["decompose", "--trials", "2", "--tol", "1e-10", "--seed", "6"], _decompose_expect),
 }
 
 

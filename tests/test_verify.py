@@ -205,6 +205,43 @@ def test_domination_reports_are_pinned(family, d, seed):
     assert digest == DOMINATION_DIGESTS[(family, d, seed)]
 
 
+# sha256 of the canonical JSON without runtime of check_main_inequality (n = 6)
+# and check_decomposition (n = 4, trials 3) on the small_direct families above,
+# and of check_main_inequality on a 47-square, 3,008-node cloud (the tree backend)
+CHECK_DIGESTS = {
+    ("main", 0.8, 0): "ac1796b9be9fe17a675bfa7831631950f101a5ca683c298c6782fd1996705d7d",
+    ("main", 0.8, 4242): "a4c0bc6eb34e704fd29bfb64b129536ba9510c220bc2e0cfc4d4fdacbf8e0b3a",
+    ("main", 1.2, 0): "74c8951dd725dc4eccceb035e1fb98c403302bb35451a3895c3aa17e39ed9e2a",
+    ("main", 1.2, 4242): "63652f5d1363cd01d0b6eeb5ae609b04ed0ac969984999dfbf15630a2c7df908",
+    ("main", 1.6, 0): "b2ff3d2a148c2dd10191bdd6140661e22ae45473b4a9cb31cd7565a5fdab599a",
+    ("main", 1.6, 4242): "afcec1640fcbac820079f53a7a43e357ac556a0b2f071549664bc1832fb696a6",
+    ("main-tree", 1.2, 0): "b75cea552eafbcd8d5612e50811b099bbbed8dcfce00986696a1d7aff76f68a9",
+    ("decomposition", 0.8, 0): "12cf1d529072476f341f504e5c51cdfca48d2c9aa0864c6df587d4b16cc1f20c",
+    ("decomposition", 0.8, 4242): "af4611bf131a0530a03a4a824a05d520b0e6f8d712741490920d5152d37bb7fd",
+    ("decomposition", 1.2, 0): "6108e155cb1ae0a13769bd01a52f1b66cf5df0570280631573a2dc51d3df34b9",
+    ("decomposition", 1.2, 4242): "c524c0e1be074d0b058570ee81363cc2d7bf53df945f778c3ce73009411d2972",
+    ("decomposition", 1.6, 0): "57577c44ba89667f50e6589d28ff12015f58fbb3b855e18c2f02ecdb78e15ca9",
+    ("decomposition", 1.6, 4242): "9df7db8a14188ad3522a510154f74c9dbd02bb127ff2322dc1ae3f5938959c0c",
+}
+
+
+@pytest.mark.parametrize("check,d,seed", sorted(CHECK_DIGESTS))
+def test_main_inequality_and_decomposition_reports_are_pinned(check, d, seed):
+    if check == "main-tree":
+        fam = generate_family(seed=1, count=47, d=d, packing_target=4.0, k_range=suggest_generation_range(47, d, 4.0))
+        report = check_main_inequality(fam, n_per_side=8, seed=seed)
+        assert report.inputs["fast"] is True
+    else:
+        k_range = suggest_generation_range(32, d, 4.0)
+        fam = generate_family(seed=[0.8, 1.2, 1.6].index(d), count=32, d=d, packing_target=4.0, k_range=k_range)
+        if check == "main":
+            report = check_main_inequality(fam, n_per_side=6, seed=seed)
+        else:
+            report = check_decomposition(fam, n_per_side=4, trials=3, seed=seed)
+    digest = hashlib.sha256(canonical_json(report.to_json_dict(include_runtime=False)).encode()).hexdigest()
+    assert digest == CHECK_DIGESTS[(check, d, seed)]
+
+
 @pytest.mark.parametrize("seed,count,n", [(4, 10, 4), (5, 5, 3)])
 def test_dense_pair_matches_on_the_fly_applies_bit_for_bit(monkeypatch, seed, count, n):
     fam = generate_family(seed=seed, count=count, d=1.2, packing_target=4.0, k_range=(2, 5))

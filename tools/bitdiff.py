@@ -62,6 +62,7 @@ MATRIX = [
     ("a2", [*_CLI, "a2", *_F16]),
     ("t1", [*_CLI, "t1", *_F16]),
     ("decompose", [*_CLI, "decompose", *_F16]),
+    ("beurling", [*_CLI, "beurling", "--n", "16", "--trials", "2"]),
     ("scaling", [*_CLI, "scaling", "--M", "4,16", "--d", "1.2", "--n", "6"]),
     # a uniform 8,192-node treecode ladder rung, whose plan has split leaves
     ("bench-8192", [*_CLI, "bench", "--sizes", "8192", "--tol", "1e-6"]),
