@@ -263,7 +263,7 @@ SUBCOMMANDS = {
             _flag("--tol", _positive(float), 1e-6),
             _FAMILY,
             _N,
-            _flag("--variant", choices=["modified", "adjoint", "full", "local"], default="modified"),
+            _flag("--variant", choices=list(kernels.VARIANT_RULES), default="modified"),
         ],
         _on_cloud(_norm),
     ),

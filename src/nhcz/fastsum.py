@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nhcz.kernels import KernelSpec, cauchy_square_into, exclusion_mask, source_charges, target_scale
+from nhcz.kernels import KernelSpec, kernel_block, source_charges, target_scale
 from nhcz.measure import QuadratureCloud, build_measure, build_quadrature
 from nhcz.geometry import generate_family, suggest_generation_range
 from nhcz.operators import Field, apply_direct, apply_direct_targets
@@ -558,7 +558,6 @@ def _near_sums(tree, plan, charges, out):
     leaf's nodes, read as ``leaf_width`` slots from the leaf's first perm
     position with the slots past the leaf's size masked out; so every target
     adds one row of its own per source leaf, in ascending source leaf order."""
-    z, sq = tree.cloud.z, tree.cloud.square_index
     slot = np.arange(tree.leaf_width)
     cells = np.repeat(plan.near_cells, np.diff(plan.near_ptr))  # each run's source leaf
     for b0 in range(0, cells.size, _NEAR_BLOCK):
@@ -566,15 +565,10 @@ def _near_sums(tree, plan, charges, out):
         pos, _ = _run_positions(plan.near_start[b0 : b0 + _NEAR_BLOCK], lens)
         src_leaf = np.repeat(cells[b0 : b0 + _NEAR_BLOCK], lens)  # each target's source leaf
         valid = slot < (tree.end[src_leaf] - tree.start[src_leaf])[:, None]
-        tgt = tree.perm[pos]
         # a masked slot may lie past the last position
         src = tree.perm.take(tree.start[src_leaf][:, None] + slot, mode="clip")
-        vals = cauchy_square_into(
-            np.empty(src.shape, dtype=np.complex128),
-            z[tgt][:, None],
-            z[src],
-            lambda dz: exclusion_mask("cross_square", dz, sq[tgt][:, None], sq[src]) | ~valid,
-        )
+        vals = kernel_block(tree.cloud, "cross_square", tree.perm[pos][:, None], src)
+        np.copyto(vals, 0.0, where=~valid)
         np.add.at(out, pos, np.einsum("ts,tsc->tc", vals, charges[src]))
 
 

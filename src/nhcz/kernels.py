@@ -4,9 +4,11 @@ Four kernels act on the union of family squares, points read as complex
 numbers.  The full kernel is ``1/(x-y)^2``; the modified kernel multiplies
 it by ``side(Q)^d`` of the *source* square and vanishes on same-square
 pairs; the adjoint kernel swaps the arguments; the local kernel keeps only
-the same-square part.  The modified kernel satisfies size and smoothness
-bounds with singularity ``s = 2 - d`` and exponent ``eps = min(1, tau*d)``;
-this module measures the implied constants by scanning node pairs/triples.
+the same-square part.  Every kernel value comes from ``kernel_block`` (the
+raw kernel) or ``kernel_values`` (times side^d).  The modified kernel
+satisfies size and smoothness bounds with singularity ``s = 2 - d`` and
+exponent ``eps = min(1, tau*d)``; this module measures the implied
+constants by scanning node pairs/triples.
 The size scan bounds each pair of squares by side^d dmin^(-d) times
 1 + ``_SIZE_MARGIN``, a rounding margin derived beside it, and evaluates
 the node blocks of square pairs in bound order only until no bound can
@@ -19,7 +21,6 @@ triple that can pass; larger ones draw seeded triples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Literal
 
 import numpy as np
@@ -28,7 +29,6 @@ from nhcz.geometry import SquareFamily
 from nhcz.measure import _PAIR_BLOCK, QuadratureCloud
 
 Variant = Literal["full", "modified", "adjoint", "local"]
-VARIANTS = ("full", "modified", "adjoint", "local")
 
 # variant -> (exclusion mode, transposed).  Every variant is the Cauchy-square
 # kernel 1/(x-y)^2 restricted by its exclusion mode.  A forward variant
@@ -74,22 +74,13 @@ def target_scale(cloud: QuadratureCloud, d: float, out, transposed: bool, target
     return out * _per_node(side**d, out)
 
 
-def _side_factor(spec, cloud, p, q):
-    """side^d of the source node (forward) or the target node (transposed)
-    of a cross-square variant; None for the unscaled modes."""
-    mode, transposed = spec.rule
-    if mode != "cross_square":
-        return None
-    return cloud.node_side[p if transposed else q] ** spec.d
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     variant: Variant
     family: SquareFamily
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in VARIANT_RULES:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
 
     @property
@@ -101,57 +92,47 @@ class KernelSpec:
         return VARIANT_RULES[self.variant]
 
 
-def cauchy_square_into(out, z_target, z_source, drop, numerator=1.0):
-    """Write ``numerator / (z_target - z_source)^2`` into ``out`` and return
-    it, with exact zeros on the pairs that ``drop(dz)`` marks, dz being the
-    differences.
+def kernel_block(cloud: QuadratureCloud, mode: str, p, q, out=None) -> np.ndarray:
+    """The raw Cauchy-square kernel 1/(z_p - z_q)^2 on the broadcast shape
+    of the node indices (or slices) ``p`` and ``q``, with exact zeros on the
+    pairs the exclusion mode drops; the one evaluation of the kernel.
 
-    ``out`` is a complex128 array of the node arrays' broadcast shape, owned
-    by the caller.  The difference, the mask-to-1, the square, the division
-    and the mask-to-0 each run in place on it, so the only scratch of its
-    size is ``drop``'s boolean mask, one byte per entry against sixteen.
+    The difference, the mask-to-1, the square, the division and the
+    mask-to-0 each run in place on ``out``, a complex128 array of that shape
+    the caller owns and may reuse, or a new array when ``out`` is None.  So
+    beyond ``out`` the only scratch is the boolean exclusion mask and its
+    comparisons, a few bytes per entry against sixteen: about 0.5 MiB for a
+    64-row strip of a 2,048-node cloud, against the strip's 2 MiB.  An entry
+    has the same bits at any shape, and the kernel of every mode is bitwise
+    symmetric: z_q - z_p is the exact negative of z_p - z_q, and the mask
+    compares the same pair either way.
     """
-    np.subtract(z_target, z_source, out=out)
-    mask = drop(out)
+    zp, zq, sq = cloud.z[p], cloud.z[q], cloud.square_index
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(zp), np.shape(zq)), dtype=np.complex128)
+    np.subtract(zp, zq, out=out)
+    mask = exclusion_mask(mode, out, sq[p], sq[q])
     np.copyto(out, 1.0, where=mask)
     np.multiply(out, out, out=out)
-    np.divide(numerator, out, out=out)
+    np.divide(1.0, out, out=out)
     np.copyto(out, 0.0, where=mask)
     return out
 
 
-def cauchy_square_block(cloud: QuadratureCloud, rows, mode: str, out=None, first=0) -> np.ndarray:
-    """The raw Cauchy-square kernel 1/(z_p - z_q)^2 for targets p in ``rows``
-    against the nodes ``first``, ..., N - 1, with the pairs the exclusion
-    mode drops set to exact zeros.
-
-    Every entry has the same bits at any ``first``, and the kernel of every
-    mode is bitwise symmetric: the difference z_q - z_p is the exact
-    negative of z_p - z_q, and the mask compares the same pair either way.
-    The block is written into ``out``, a (len(rows), N - first) complex128
-    array the caller owns and may reuse from block to block, or into a new
-    array when ``out`` is None.  Beyond ``out`` the peak is the exclusion
-    mask and its comparisons, a few bytes per entry: about 0.5 MiB for a
-    64-row strip of a 2,048-node cloud, against the strip's 2 MiB.
-    """
-    rows = np.asarray(rows)
-    z, sq = cloud.z[first:], cloud.square_index[first:]
-    if out is None:
-        out = np.empty((rows.size, z.size), dtype=np.complex128)
-    sq_rows = cloud.square_index[rows][:, None]
-    return cauchy_square_into(out, cloud.z[rows][:, None], z, lambda dz: exclusion_mask(mode, dz, sq_rows, sq))
-
-
-def kernel_rows(spec: KernelSpec, cloud: QuadratureCloud, rows: np.ndarray) -> np.ndarray:
-    """Kernel values K(x_p, y_q) for targets p in ``rows`` against all nodes.
+def kernel_values(spec: KernelSpec, cloud: QuadratureCloud, p, q) -> np.ndarray:
+    """Kernel values K(x_p, y_q) on the broadcast shape of ``p`` and ``q``:
+    ``kernel_block`` times, on the cross-square mode, side^d of the source
+    node (forward) or the target node (transposed).
 
     Structurally-zero entries are exact zeros; the diagonal of the singular
-    variants is zeroed (midpoint principal-value convention).
+    variants is zeroed (midpoint principal-value convention).  side^d is
+    taken by ``np.power``, whose array loop gives a scalar index the bits of
+    an array one (a numpy scalar's ``**`` calls the C library's pow).
     """
-    vals = cauchy_square_block(cloud, rows, spec.rule[0])
-    side = _side_factor(spec, cloud, np.asarray(rows)[:, None], np.arange(len(cloud))[None, :])
-    if side is not None:
-        vals *= side
+    mode, transposed = spec.rule
+    vals = kernel_block(cloud, mode, p, q)
+    if mode == "cross_square":
+        vals *= np.power(cloud.node_side[p if transposed else q], spec.d)
     return vals
 
 
@@ -240,14 +221,14 @@ def cz_constants(
 
     if exhaustive:
         dm = np.abs(z[:, None] - z[None, :])
-        km = kernel_rows(spec, cloud, np.arange(n))
+        km = kernel_values(spec, cloud, np.arange(n)[:, None], slice(None))
         # read by flat index: numpy gathers one index array faster than two
         dist = lambda p, q: dm.ravel()[p * n + q]
         kern = lambda p, q: km.ravel()[p * n + q]
         ii_triples, iii_triples = _passing_triples(dm), _passing_triples(dm)
     else:
         dist = lambda p, q: np.abs(z[p] - z[q])
-        kern = partial(_kernel_pairs, spec, cloud)
+        kern = lambda p, q: kernel_values(spec, cloud, p, q)
         # each draw is (x, x', y), visited pivot first
         ii_triples = ((y, x, x2) for x, x2, y in _triple_chunks(rng, n, budget))
         iii_triples = _triple_chunks(rng, n, budget)
@@ -329,27 +310,23 @@ def _size_scan(spec, cloud, s):
     value and the witness are those of the full scan, bit for bit.
     Same-square pairs hold only zeros and are never evaluated.
     """
-    z, sq = cloud.z, cloud.square_index
-    n, m, nn = len(cloud), len(cloud.family), cloud.n_per_side**2
-    side = _side_factor(spec, cloud, None, np.arange(n))  # the kernel's side^d per source node
-    flat = _size_bounds(cloud, side[::nn], spec.d).ravel()
+    z, m, nn = cloud.z, len(cloud.family), cloud.n_per_side**2
+    side = np.power(cloud.node_side, spec.d)[::nn]  # the modified kernel's side^d per source square
+    flat = _size_bounds(cloud, side, spec.d).ravel()
     best, wit = 0.0, (0, 0)
     for t in np.argsort(-flat, kind="stable"):
         if flat[t] < best:
             break
         i, q = divmod(int(t), m)
-        p = np.arange(i * nn, (i + 1) * nn)  # square i's node slice
+        p = np.arange(i * nn, (i + 1) * nn)[:, None]  # square i's nodes
         cols = slice(q * nn, (q + 1) * nn)
-        zp, sq_p = z[p][:, None], sq[p][:, None]
-        drop = lambda dz: exclusion_mask(spec.rule[0], dz, sq_p, sq[cols])
-        kern = cauchy_square_into(np.empty((p.size, nn), np.complex128), zp, z[cols], drop)
-        kern *= side[cols]
+        kern = kernel_values(spec, cloud, p, cols)
         vals = np.abs(kern)
-        dist = np.abs(np.subtract(zp, z[cols], out=kern))
+        dist = np.abs(np.subtract(z[p], z[cols], out=kern))
         vals *= dist**s
         np.copyto(vals, 0.0, where=~(dist > 0))
         top = int(np.argmax(vals))
-        value, at = float(vals.flat[top]), (int(p[top // nn]), q * nn + top % nn)
+        value, at = float(vals.flat[top]), (int(p[top // nn, 0]), q * nn + top % nn)
         if value > best or (value == best and at < wit):
             best, wit = value, at
     return best, wit
@@ -379,14 +356,6 @@ def _passing_triples(dm):
     for p in range(len(dm)):
         a, b = np.nonzero(dm <= 0.5 * dm[p][:, None])
         yield np.full(a.size, p), a, b
-
-
-def _kernel_pairs(spec, cloud, p_idx, q_idx):
-    sq, z = cloud.square_index, cloud.z
-    side = _side_factor(spec, cloud, p_idx, q_idx)
-    drop = lambda dz: exclusion_mask(spec.rule[0], dz, sq[p_idx], sq[q_idx])
-    out = np.empty(p_idx.shape, dtype=np.complex128)
-    return cauchy_square_into(out, z[p_idx], z[q_idx], drop, 1.0 if side is None else side)
 
 
 def _triple_chunks(rng, n, budget):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nhcz.geometry import SquareFamily
-from nhcz.kernels import KernelSpec, cauchy_square_block, source_charges, target_scale
+from nhcz.kernels import KernelSpec, kernel_block, source_charges, target_scale
 from nhcz.measure import BallQuery, QuadratureCloud, _square_ball_sums, ball_mass, dyadic_radius_ladder
 
 # largest cloud whose dense kernel is cached, as upper strips of about
@@ -97,8 +97,8 @@ def _cauchy_square_apply(cloud, charges, mode, targets=None, cache=None):
         out = np.empty((tgt.size, cols.shape[0]), dtype=np.complex128)
         buf = np.empty((min(block, tgt.size), len(cloud)), dtype=np.complex128)
         for b0 in range(0, tgt.size, block):
-            rows = tgt[b0 : b0 + block]
-            kernel = cauchy_square_block(cloud, rows, mode, buf[: rows.size])
+            rows = tgt[b0 : b0 + block, None]
+            kernel = kernel_block(cloud, mode, rows, slice(None), buf[: rows.size])
             for j, col in enumerate(cols):
                 out[b0 : b0 + rows.size, j] = kernel @ col
         return out.reshape((tgt.size,) + charges.shape[1:])
@@ -125,11 +125,11 @@ def _upper_strips(cloud, mode, cache):
     n = len(cloud)
     buf = np.empty((min(_ROW_BLOCK, n), n), dtype=np.complex128) if cache is None else None
     for s in range(0, n, _ROW_BLOCK):
-        rows = np.arange(s, min(s + _ROW_BLOCK, n))
+        rows, cols = np.arange(s, min(s + _ROW_BLOCK, n))[:, None], slice(s, None)
         if cache is None:
-            strip = cauchy_square_block(cloud, rows, mode, buf[: rows.size, : n - s], s)
+            strip = kernel_block(cloud, mode, rows, cols, buf[: rows.size, : n - s])
         elif (strip := cache.get(s)) is None:
-            strip = cache[s] = cauchy_square_block(cloud, rows, mode, first=s)
+            strip = cache[s] = kernel_block(cloud, mode, rows, cols)
         yield s, strip
 
 
@@ -213,7 +213,7 @@ def _maximal_many(cloud, fields, targets=None, ratio_of=None):
     holds one block's sums at a time.
 
     At or below it the candidate radii are the node distances, and the
-    ladder radii drop out of them: a radius R has the same numerator as the
+    ladder radii drop out of them: a radius R has the same |f|-mass as the
     largest node distance r <= R, while D(kappa r) <= D(kappa R), since
     float products, cumulative sums of nonnegative weights and IEEE division
     are monotone.  Bracket i = (l_{i-1}, l_i], with bracket 0 = [0, l_0],
@@ -222,13 +222,13 @@ def _maximal_many(cloud, fields, targets=None, ratio_of=None):
     is refined only when that bound exceeds lb_f (1 + ``_MARGIN``).  A
     refined target sorts its nodes within kappa times the outer edge of its
     last refined bracket (stably, so ties keep a full sort's order) and takes
-    prefix sums of the weights and of the refined fields' numerators, so each
+    prefix sums of the weights and of the refined fields' |f|-masses, so each
     refined ratio is bit-identical to a full sort's.  A field's value is the
     larger of lb_f and its best ratio on its own refined brackets, so it does
     not depend on the other fields of the call.
 
     ``ratio_of`` (exact mode only; ignored above ``EXACT_LIMIT``) holds one
-    nonnegative array per field over the targets, the numerators a caller
+    nonnegative array per field over the targets, the values a caller
     will divide by M f, as ``verify.check_domination`` divides |T'f|.  The
     engine pass then also keeps ub_f = max(lb_f, bracket bounds)
     (1 + ``_MARGIN``), which bounds the exact value from above (see

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from nhcz.geometry import SquareFamily, _scaled_centers_halves, generate_cascade_family
-from nhcz.kernels import KernelSpec, kernel_rows
+from nhcz.kernels import KernelSpec, kernel_values
 from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature, growth_constant
 from nhcz.operators import (
     FAST_NODE_THRESHOLD,
@@ -242,7 +242,7 @@ def _domination(family, n_per_side, trials, seed):
                 by_a.setdefault(a, []).append(i)
         partition_ok = sum(len(v) for v in by_a.values()) == len(family) - 1
         adj = KernelSpec("adjoint", family)
-        contrib = kernel_rows(adj, cloud, [node])[0] * witness_f.values * cloud.mu_weight
+        contrib = kernel_values(adj, cloud, node, slice(None)) * witness_f.values * cloud.mu_weight
         total = 0j
         x = (float(cloud.xy[node, 0]), float(cloud.xy[node, 1]))
         ell_j = family.squares[j].side

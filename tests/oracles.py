@@ -30,7 +30,7 @@ import numpy as np
 
 from nhcz.fastsum import _ENTRY_BLOCK, _binomial_table, _run_positions
 from nhcz.geometry import DisjointnessVerdict, DyadicSquare, _dilates_meet, _scaled_centers_halves, _scaled_dilate
-from nhcz.kernels import _best, exclusion_mask, kernel_rows
+from nhcz.kernels import _best, exclusion_mask, kernel_values
 from nhcz.measure import _PAIR_BLOCK, _add_to_bins, _square_ball_sums, dyadic_radius_ladder
 from nhcz.operators import KAPPA, Operator, _maximal_many
 from nhcz.verify import _annulus_of
@@ -148,21 +148,26 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def inverse_square_reference(dz, drop, numerator=1.0):
-    """``numerator / dz^2`` with exact zeros on ``drop``, each step into a
-    fresh array: the formula ``kernels.cauchy_square_into`` runs in place."""
+def inverse_square_reference(dz, drop):
+    """``1 / dz^2`` with exact zeros on ``drop``, each step into a fresh
+    array: the formula ``kernels.kernel_block`` runs in place."""
     dz = np.where(drop, 1.0, dz)
-    vals = numerator / (dz * dz)
+    vals = 1.0 / (dz * dz)
     vals[drop] = 0.0
     return vals
 
 
+def kernel_block_reference(cloud, mode, p, q, out=None):
+    """``kernels.kernel_block`` allocated anew at every step; ``out`` is
+    ignored, so the reference can stand in for the in-place routine."""
+    z, sq = cloud.z, cloud.square_index
+    dz = z[p] - z[q]
+    return inverse_square_reference(dz, exclusion_mask(mode, dz, sq[p], sq[q]))
+
+
 def cauchy_square_block_reference(cloud, rows, mode):
     """The raw kernel block of ``rows`` against all nodes, allocated anew."""
-    z, sq = cloud.z, cloud.square_index
-    rows = np.asarray(rows)
-    dz = z[rows][:, None] - z[None, :]
-    return inverse_square_reference(dz, exclusion_mask(mode, dz, sq[rows][:, None], sq[None, :]))
+    return kernel_block_reference(cloud, mode, np.asarray(rows)[:, None], slice(None))
 
 
 def summation_gap_bound(kernel, charges):
@@ -553,7 +558,7 @@ def size_scan_rows(spec, cloud, pair_rows, s):
     kern_buf, vals_buf, dist_buf = np.empty((block, n), np.complex128), np.empty((block, n)), np.empty((block, n))
     for b0 in range(0, pair_rows.size, block):
         rows = pair_rows[b0 : b0 + block]
-        vals = np.abs(kernel_rows(spec, cloud, rows), out=vals_buf[: rows.size])
+        vals = np.abs(kernel_values(spec, cloud, rows[:, None], slice(None)), out=vals_buf[: rows.size])
         pair_dist = np.abs(np.subtract(z[rows][:, None], z, out=kern_buf[: rows.size]), out=dist_buf[: rows.size])
         vals *= pair_dist**s
         np.copyto(vals, 0.0, where=~(pair_dist > 0))

@@ -25,7 +25,7 @@ from nhcz.geometry import (
     generate_family,
     suggest_generation_range,
 )
-from nhcz.kernels import KernelSpec, kernel_rows
+from nhcz.kernels import KernelSpec, kernel_values
 from nhcz.measure import build_measure, build_quadrature
 from nhcz.operators import Field, apply_direct
 from oracles import (
@@ -308,7 +308,7 @@ def test_treecode_matches_direct_and_batches_columns(case):
             for j in range(values.shape[1]):
                 single = apply(Field(values[:, j], "mu"))
                 assert np.abs(batched[:, j] - single).max() <= 1e-15 * np.abs(single).max()
-        rows = kernel_rows(spec, cloud, np.arange(len(cloud)))
+        rows = kernel_values(spec, cloud, np.arange(len(cloud))[:, None], slice(None))
         for j in range(values.shape[1]):
             f = Field(values[:, j], "mu")
             direct = backends["direct"](f)

@@ -12,14 +12,11 @@ from nhcz.kernels import (
     VARIANT_RULES,
     CzReport,
     KernelSpec,
-    _kernel_pairs,
-    _side_factor,
     _size_bounds,
     _size_scan,
-    cauchy_square_block,
     cz_constants,
-    exclusion_mask,
-    kernel_rows,
+    kernel_block,
+    kernel_values,
 )
 from nhcz.measure import build_measure, build_quadrature
 from nhcz.operators import Field, Operator, apply_direct
@@ -27,7 +24,7 @@ from nhcz.operators import Field, Operator, apply_direct
 from oracles import (
     assert_same_bits,
     cauchy_square_block_reference,
-    inverse_square_reference,
+    kernel_block_reference,
     kernel_eval,
     locate_square,
     size_scan_rows,
@@ -114,12 +111,12 @@ def test_pointwise_decomposition_identity():
         checked += 1
 
 
-def test_kernel_rows_matches_scalar_eval():
+def test_kernel_values_match_scalar_eval():
     fam = generate_family(seed=9, count=3, d=1.5, packing_target=4.0, k_range=(2, 3))
     cloud = build_quadrature(build_measure(fam), 2)
-    for variant in ("full", "modified", "adjoint", "local"):
+    for variant in VARIANT_RULES:
         spec = KernelSpec(variant, fam)
-        rows = kernel_rows(spec, cloud, np.arange(len(cloud)))
+        rows = kernel_values(spec, cloud, np.arange(len(cloud))[:, None], slice(None))
         for p in range(len(cloud)):
             for q in range(len(cloud)):
                 if p == q:
@@ -138,11 +135,17 @@ def reference_cloud():
 
 @pytest.mark.parametrize("mode", ["off_diagonal", "same_square", "cross_square"])
 def test_kernel_blocks_match_allocating_reference(mode):
-    """The in-place blocks carry the bits of the allocating formula: each
-    upper strip the dense operator caches, kernel_rows' side-scaled rows and
-    the scattered pairs."""
+    """The in-place blocks carry the bits of the allocating formula, and a
+    kernel value has one bit pattern at any shape: each upper strip the
+    dense operator caches, and ``kernel_values`` at rows against all nodes,
+    at a scalar target in every square and at scattered pairs, each against
+    the reference times side^d.  The reference takes side^d over the whole
+    side array, so a scalar index must give the array's power bits (a numpy
+    scalar's ``**`` calls the C library's pow, which differs from numpy's
+    array pow on 3 of the 40 powers 2^-1 ... 2^-40 at d = 1.2 on an AVX512
+    host, 2^-6 among them, a side this cloud holds)."""
     fam, cloud = reference_cloud()
-    n = len(cloud)
+    n, nn = len(cloud), cloud.n_per_side**2
     ref = cauchy_square_block_reference(cloud, np.arange(n), mode)
     op = Operator(cloud, "dense")
     op.apply(next(v for v, (m, _) in VARIANT_RULES.items() if m == mode), Field(np.ones(n), "mu"))
@@ -151,19 +154,21 @@ def test_kernel_blocks_match_allocating_reference(mode):
     assert sorted(cached) == list(range(0, n, block))
     for s, strip in cached.items():
         assert_same_bits(strip, ref[s : s + block, s:])
-    z, sq = cloud.z, cloud.square_index
+        assert_same_bits(strip, kernel_block(cloud, mode, np.arange(s, min(s + block, n))[:, None], slice(s, None)))
     rng = np.random.default_rng(3)
     p, q = rng.integers(0, n, 4000), rng.integers(0, n, 4000)
     p[:n], q[:n] = np.arange(n), np.arange(n)  # coincident pairs too
+    pairs = kernel_block_reference(cloud, mode, p, q)
+    side = np.power(cloud.node_side, fam.d) if mode == "cross_square" else np.ones(n)
+    rows, cols = np.arange(1, n, 4), np.arange(n)
     for variant in [v for v, (m, _) in VARIANT_RULES.items() if m == mode]:
         spec = KernelSpec(variant, fam)
-        rows = np.arange(1, n, 4)
-        side = _side_factor(spec, cloud, rows[:, None], np.arange(n)[None, :])
-        assert_same_bits(kernel_rows(spec, cloud, rows), ref[rows] if side is None else ref[rows] * side)
-        side = _side_factor(spec, cloud, p, q)
-        dz = z[p] - z[q]
-        pairs = inverse_square_reference(dz, exclusion_mask(mode, dz, sq[p], sq[q]), 1.0 if side is None else side)
-        assert_same_bits(_kernel_pairs(spec, cloud, p, q), pairs)
+        side_of = lambda p, q: side[p if spec.rule[1] else q]  # the source's side, or the target's
+        got = kernel_values(spec, cloud, rows[:, None], slice(None))
+        assert_same_bits(got, ref[rows] * side_of(rows[:, None], cols))
+        for t in range(0, n, nn):
+            assert_same_bits(kernel_values(spec, cloud, t, slice(None)), ref[t] * side_of(t, cols))
+        assert_same_bits(kernel_values(spec, cloud, p, q), pairs * side_of(p, q))
 
 
 def _squares_cloud(squares, d, n):
@@ -204,14 +209,14 @@ def test_every_exclusion_mode_is_listed_as_symmetric():
 @given(symmetry_clouds())
 @example(_squares_cloud([(0, 0, 0)], 1.3, 1))
 @example(_squares_cloud([(2, 1, 1), (2, 1, 3), (2, 1, 2), (2, 2, 1)], 1.5, 2))
-def test_cauchy_square_block_is_bitwise_symmetric(cloud):
+def test_kernel_block_is_bitwise_symmetric(cloud):
     n, first = len(cloud), len(cloud) // 2
     for mode in SYMMETRIC_MODES:
         # cross_square keeps a coincident pair of two squares, which disjoint
         # squares never hold: its entry is not finite, and still symmetric
         with np.errstate(divide="ignore", invalid="ignore"):
-            kernel = cauchy_square_block(cloud, np.arange(n), mode)
-            strip = cauchy_square_block(cloud, np.arange(first, n), mode, first=first)
+            kernel = kernel_block(cloud, mode, np.arange(n)[:, None], slice(None))
+            strip = kernel_block(cloud, mode, np.arange(first, n)[:, None], slice(first, None))
         assert_same_bits(kernel, np.ascontiguousarray(kernel.T))
         assert_same_bits(strip, kernel[first:, first:])  # a strip from any first column has the same bits
 
@@ -230,11 +235,7 @@ def test_apply_direct_matches_allocating_reference(monkeypatch, variant, block):
         monkeypatch.setattr(operators, "_ROW_BLOCK", block)
     monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", len(cloud) - 1)
     got = Operator(cloud, "dense").apply(variant, f).values
-
-    def allocating(cloud, rows, mode, out=None, first=0):
-        return cauchy_square_block_reference(cloud, rows, mode)[:, first:]
-
-    monkeypatch.setattr(operators, "cauchy_square_block", allocating)
+    monkeypatch.setattr(operators, "kernel_block", kernel_block_reference)
     assert_same_bits(got, apply_direct(spec, cloud, f).values)
 
 
@@ -247,12 +248,7 @@ def test_near_sums_match_allocating_reference(monkeypatch, variant):
     f = Field(np.random.default_rng(5).standard_normal(len(cloud)) + 0j, "mu")
     spec = KernelSpec(variant, fam)
     got = apply_fast(spec, tree, f, params).values
-
-    def allocating(out, z_target, z_source, drop, numerator=1.0):
-        dz = z_target - z_source
-        return inverse_square_reference(dz, drop(dz), numerator)
-
-    monkeypatch.setattr(fastsum, "cauchy_square_into", allocating)
+    monkeypatch.setattr(fastsum, "kernel_block", kernel_block_reference)
     assert_same_bits(got, apply_fast(spec, tree, f, params).values)
 
 
@@ -481,11 +477,10 @@ def test_size_bounds_hold_every_scanned_value(case):
     cloud, rows = case
     spec, m, nn = KernelSpec("modified", cloud.family), len(cloud.family), cloud.n_per_side**2
     dist = np.abs(cloud.z[rows][:, None] - cloud.z)
-    vals = np.where(dist > 0, np.abs(kernel_rows(spec, cloud, rows)) * dist ** (2.0 - cloud.d), 0.0)
+    vals = np.where(dist > 0, np.abs(kernel_values(spec, cloud, rows[:, None], slice(None))) * dist ** (2.0 - cloud.d), 0.0)
     # each scanned row's values against its own square's row of the full
     # (square, square) bound matrix
-    side = _side_factor(spec, cloud, None, np.arange(len(cloud)))
-    bound = _size_bounds(cloud, side[::nn], cloud.d)
+    bound = _size_bounds(cloud, np.power(cloud.node_side[::nn], cloud.d), cloud.d)
     assert bound.shape == (m, m)
     assert np.all(np.diag(bound) == -np.inf)
     owner = cloud.square_index[rows]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_cascade_family, generate_family, suggest_generation_range
-from nhcz.kernels import VARIANT_RULES, VARIANTS, KernelSpec, source_charges, target_scale
+from nhcz.kernels import VARIANT_RULES, KernelSpec, source_charges, target_scale
 from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature, dyadic_radius_ladder
 from nhcz import operators
 from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
@@ -292,7 +292,7 @@ def sweep_cloud():
 # 144 nodes: with strips of 16, 13, 29 and 64 rows, N mod the strip is 0, 1,
 # one short of a strip, and a quarter strip
 @pytest.mark.parametrize("block", [16, 13, 29, 64])
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", list(VARIANT_RULES))
 def test_sweep_bits_at_every_last_strip_and_cache(monkeypatch, block, variant):
     fam, cloud = sweep_cloud()
     n = len(cloud)
@@ -593,14 +593,14 @@ def test_dense_operator_keeps_one_matrix_slot(monkeypatch):
     firsts = list(range(0, len(cloud), 16))
     assert len(firsts) == 3
     op = Operator(cloud, "dense")
-    filled, fill = [], operators.cauchy_square_block
+    filled, fill = [], operators.kernel_block
 
-    def counting_fill(cloud, rows, mode, out=None, first=0):
+    def counting_fill(cloud, mode, p, q, out=None):
         assert op._strips[0] == mode  # the old mode's strips went before this one is built
-        filled.append((mode, first))
-        return fill(cloud, rows, mode, out, first)
+        filled.append((mode, q.start))
+        return fill(cloud, mode, p, q, out)
 
-    monkeypatch.setattr(operators, "cauchy_square_block", counting_fill)
+    monkeypatch.setattr(operators, "kernel_block", counting_fill)
     assert op._strips[1] == {}
     f = Field(np.arange(len(cloud), dtype=np.complex128), "mu")
     op.apply("modified", f)
@@ -620,12 +620,12 @@ def test_dense_operator_keeps_one_matrix_slot(monkeypatch):
 def test_dense_apply_that_raises_leaves_only_whole_blocks(monkeypatch):
     fam, cloud = small_family(seed=6, count=3, n=4)
     monkeypatch.setattr(operators, "_ROW_BLOCK", 16)
-    fill, calls = operators.cauchy_square_block, []
+    fill, calls = operators.kernel_block, []
 
-    def failing_fill(cloud, rows, mode, out=None, first=0):
-        calls.append(first)
-        strip = fill(cloud, rows, mode, out, first)
-        if first == 16 and calls.count(16) == 1:
+    def failing_fill(cloud, mode, p, q, out=None):
+        calls.append(q.start)
+        strip = fill(cloud, mode, p, q, out)
+        if q.start == 16 and calls.count(16) == 1:
             strip[:] = np.nan  # a half-written strip must never be read again
             raise MemoryError("second strip")
         return strip
@@ -633,7 +633,7 @@ def test_dense_apply_that_raises_leaves_only_whole_blocks(monkeypatch):
     f = Field(np.arange(len(cloud), dtype=np.complex128), "mu")
     ref = apply_direct(KernelSpec("modified", fam), cloud, f).values
     kernel = cauchy_square_block_reference(cloud, np.arange(len(cloud)), "cross_square")
-    monkeypatch.setattr(operators, "cauchy_square_block", failing_fill)
+    monkeypatch.setattr(operators, "kernel_block", failing_fill)
     op = Operator(cloud, "dense")
     with pytest.raises(MemoryError):
         op.apply("modified", f)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhcz.geometry import DyadicSquare, SquareFamily, generate_family, suggest_generation_range
-from nhcz.kernels import VARIANTS, KernelSpec
+from nhcz.kernels import VARIANT_RULES, KernelSpec
 from nhcz.measure import build_measure, build_quadrature, growth_constant
 from nhcz.operators import (
     _COLUMN_BLOCK,
@@ -252,7 +252,7 @@ def test_dense_pair_matches_on_the_fly_applies_bit_for_bit(monkeypatch, seed, co
     for threshold, matrix in [(FAST_NODE_THRESHOLD, True), (0, False)]:
         monkeypatch.setattr(operators, "FAST_NODE_THRESHOLD", threshold)
         op = verify._direct_apply_pair(fam, cloud)
-        for variant in VARIANTS:
+        for variant in VARIANT_RULES:
             spec = KernelSpec(variant, fam)
             for op_fn, ref_fn in [(op.apply, apply_direct), (op.adjoint, adjoint_apply_direct)]:
                 batched = op_fn(variant, Field(vals, "mu")).values
@@ -275,7 +275,7 @@ def _counting_dense_sums(monkeypatch):
     ``_cauchy_square_apply`` call (whether it passes a cache) and each kernel
     fill (mode, first column, whether it goes to the cache)."""
     seen = {"applies": [], "sums": [], "fills": []}
-    sums, cauchy, fill = Operator._sums, operators._cauchy_square_apply, operators.cauchy_square_block
+    sums, cauchy, fill = Operator._sums, operators._cauchy_square_apply, operators.kernel_block
 
     def counting_sums(self, *args, **kwargs):
         seen["applies"].append(self.backend)
@@ -285,13 +285,13 @@ def _counting_dense_sums(monkeypatch):
         seen["sums"].append(cache is not None)
         return cauchy(*args, cache=cache, **kwargs)
 
-    def counting_fill(cloud, rows, mode, out=None, first=0):
-        seen["fills"].append((mode, first, out is None))
-        return fill(cloud, rows, mode, out, first)
+    def counting_fill(cloud, mode, p, q, out=None):
+        seen["fills"].append((mode, q.start or 0, out is None))
+        return fill(cloud, mode, p, q, out)
 
     monkeypatch.setattr(Operator, "_sums", counting_sums)
     monkeypatch.setattr(operators, "_cauchy_square_apply", counting_cauchy)
-    monkeypatch.setattr(operators, "cauchy_square_block", counting_fill)
+    monkeypatch.setattr(operators, "kernel_block", counting_fill)
     return seen
 
 

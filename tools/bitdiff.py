@@ -58,6 +58,8 @@ MATRIX = [
     ("dominate-6144", [*_CLI, "dominate", *_F96, "--trials", "2"]),
     ("czcheck", [*_CLI, "czcheck", *_F16]),
     ("czcheck-3008", [*_CLI, "czcheck", *_F47]),
+    # 144 nodes, within EXHAUSTIVE_LIMIT: the exhaustive smoothness scans
+    ("czcheck-144", [*_CLI, "czcheck", "--family", "f16/family.json", "--n", "3"]),
     ("growth", [*_CLI, "growth", *_F16]),
     ("a2", [*_CLI, "a2", *_F16]),
     ("t1", [*_CLI, "t1", *_F16]),
