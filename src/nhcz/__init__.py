@@ -12,7 +12,6 @@ from nhcz.geometry import (
 )
 from nhcz.measure import (
     BallQuery,
-    NonHomogeneousMeasure,
     QuadratureCloud,
     a2_constant,
     ball_mass,

@@ -26,7 +26,7 @@ import numpy as np
 
 from nhcz import fastsum, kernels, measure, operators, verify
 from nhcz.geometry import SquareFamily, check_disjointness, generate_family, suggest_generation_range
-from nhcz.measure import borderline_exponent, build_measure, build_quadrature
+from nhcz.measure import borderline_exponent, build_quadrature
 from nhcz.reports import SCHEMA, VerificationReport, family_digest, run_check, write_csv_atomic, write_json_atomic
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
@@ -72,7 +72,7 @@ def _on_cloud(work):
     ``n_per_side``, which ``verify.run_on_cloud`` adds."""
 
     def on_cloud(fam, n, args):
-        return work(build_quadrature(build_measure(fam), n), args)
+        return work(build_quadrature(fam, n), args)
 
     return lambda args: verify.run_on_cloud(args.command, on_cloud, _load_family(args.family), args.n, args)
 
@@ -219,9 +219,10 @@ def _cmd_scaling(args) -> int:
         ["M", "seconds"],
         [[m, f"{t:.3f}"] for m, t in zip(ladder, timings)],
     )
-    for row in rows:
-        print(f"scaling: M={row[0]} nodes={row[3]} sigma_max={row[8]} converged={row[9]}")
-    return PASS if all(row[2] and row[9] for row in rows) else FAIL  # complete, sigma_converged
+    named = [dict(zip(verify.SCALING_HEADER, row)) for row in rows]
+    for r in named:
+        print(f"scaling: M={r['M']} nodes={r['n_nodes']} sigma_max={r['sigma_max']} converged={r['sigma_converged']}")
+    return PASS if all(r["complete"] and r["sigma_converged"] for r in named) else FAIL
 
 
 def _cmd_exponent(args) -> int:

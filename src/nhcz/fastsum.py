@@ -60,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nhcz.kernels import KernelSpec, kernel_block, source_charges, target_scale
-from nhcz.measure import QuadratureCloud, build_measure, build_quadrature
+from nhcz.measure import QuadratureCloud, build_quadrature
 from nhcz.geometry import generate_family, suggest_generation_range
 from nhcz.operators import Field, apply_direct, apply_direct_targets
 
@@ -428,8 +428,6 @@ def apply_fast(spec: KernelSpec, tree: QuadTree, f: Field, params: ExpansionPara
     if spec.rule[0] != "cross_square":
         raise ValueError("fast summation supports the modified/adjoint variants; use apply_direct")
     cloud = tree.cloud
-    if len(f.values) != len(cloud):
-        raise ValueError("field length does not match the cloud")
     transposed = spec.rule[1]
     plan = tree.plan(params.theta)
     cols = source_charges(cloud, f.values, transposed).reshape(len(cloud), -1)
@@ -438,7 +436,7 @@ def apply_fast(spec: KernelSpec, tree: QuadTree, f: Field, params: ExpansionPara
     _near_sums(tree, plan, cols, out)
     del cols  # frees the charges before the output copies below
     out = out[tree.rank].reshape(f.values.shape)
-    return Field(target_scale(cloud, spec.d, out, transposed), "mu")
+    return Field(target_scale(cloud, out, transposed), "mu")
 
 
 def _run_positions(start, length):
@@ -627,7 +625,7 @@ def benchmark(sizes, params: ExpansionParams | None = None, seed: int = 0, d: fl
             packing_target=BENCH_PACKING_TARGET,
             k_range=suggest_generation_range(m_count, d, BENCH_PACKING_TARGET),
         )
-        cloud = build_quadrature(build_measure(fam), BENCH_N_PER_SIDE)
+        cloud = build_quadrature(fam, BENCH_N_PER_SIDE)
         n = len(cloud)
         rng = np.random.default_rng(seed + si)
         f = Field(rng.standard_normal(n) + 1j * rng.standard_normal(n), "mu")

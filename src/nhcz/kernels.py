@@ -5,7 +5,7 @@ numbers.  The full kernel is ``1/(x-y)^2``; the modified kernel multiplies
 it by ``side(Q)^d`` of the *source* square and vanishes on same-square
 pairs; the adjoint kernel swaps the arguments; the local kernel keeps only
 the same-square part.  Every kernel value comes from ``kernel_block`` (the
-raw kernel) or ``kernel_values`` (times side^d).  The modified kernel
+raw kernel) or ``kernel_values`` (times the cloud's ``side_d``).  The modified kernel
 satisfies size and smoothness bounds with singularity ``s = 2 - d`` and
 exponent ``eps = min(1, tau*d)``; this module measures the implied
 constants by scanning node pairs/triples.
@@ -62,16 +62,21 @@ def _per_node(weights, values):
 
 
 def source_charges(cloud: QuadratureCloud, values, transposed: bool):
-    """Field values times the forward (area) or transposed (measure) weight."""
+    """Field values times the forward (area) or transposed (measure) weight;
+    every apply starts here, so this is where a field of the wrong length
+    is refused."""
+    if len(values) != len(cloud):
+        raise ValueError("field length does not match the cloud")
     return values * _per_node(cloud.mu_weight if transposed else cloud.area_weight, values)
 
 
-def target_scale(cloud: QuadratureCloud, d: float, out, transposed: bool, targets=None):
-    """Raw sums at the targets, times side^d when the rule is transposed."""
+def target_scale(cloud: QuadratureCloud, out, transposed: bool, targets=None):
+    """Raw sums at the targets, times the cloud's side^d of each target's
+    square when the rule is transposed."""
     if not transposed:
         return out
-    side = cloud.node_side if targets is None else cloud.node_side[targets]
-    return out * _per_node(side**d, out)
+    squares = cloud.square_index if targets is None else cloud.square_index[targets]
+    return out * _per_node(cloud.side_d[squares], out)
 
 
 @dataclass(frozen=True)
@@ -125,14 +130,14 @@ def kernel_values(spec: KernelSpec, cloud: QuadratureCloud, p, q) -> np.ndarray:
     node (forward) or the target node (transposed).
 
     Structurally-zero entries are exact zeros; the diagonal of the singular
-    variants is zeroed (midpoint principal-value convention).  side^d is
-    taken by ``np.power``, whose array loop gives a scalar index the bits of
-    an array one (a numpy scalar's ``**`` calls the C library's pow).
+    variants is zeroed (midpoint principal-value convention).  side^d is the
+    cloud's ``side_d`` of the node's square, so a scalar index gets the bits
+    of an array one.
     """
     mode, transposed = spec.rule
     vals = kernel_block(cloud, mode, p, q)
     if mode == "cross_square":
-        vals *= np.power(cloud.node_side[p if transposed else q], spec.d)
+        vals *= cloud.side_d[cloud.square_index[p if transposed else q]]
     return vals
 
 
@@ -276,12 +281,10 @@ _SIZE_MARGIN = 1e-13
 def _size_bounds(cloud, factor, d):
     """Bounds of the size scan's values on every square pair: row P, column
     Q holds factor_Q dmin(P, Q)^(-d) (1 + ``_SIZE_MARGIN``), dmin from the
-    gaps between the squares' extreme node coordinates, and -inf where
-    P = Q.  ``factor`` is the kernel's side^d per square.  The pairs run in
-    blocks of rows, as the ball-sum engine's (centre, square) pairs do."""
-    m, nn = len(cloud.family), cloud.n_per_side**2
-    grid = cloud.xy.reshape(m, nn, 2)
-    lo, hi = grid.min(axis=1), grid.max(axis=1)
+    gaps between the squares' node boxes, and -inf where P = Q.  ``factor``
+    is the kernel's side^d per square.  The pairs run in blocks of rows, as
+    the ball-sum engine's (centre, square) pairs do."""
+    m, lo, hi = len(cloud.family), cloud.square_lo, cloud.square_hi
     bound = np.empty((m, m))
     step = max(1, _PAIR_BLOCK // m)
     with np.errstate(divide="ignore"):
@@ -311,8 +314,7 @@ def _size_scan(spec, cloud, s):
     Same-square pairs hold only zeros and are never evaluated.
     """
     z, m, nn = cloud.z, len(cloud.family), cloud.n_per_side**2
-    side = np.power(cloud.node_side, spec.d)[::nn]  # the modified kernel's side^d per source square
-    flat = _size_bounds(cloud, side, spec.d).ravel()
+    flat = _size_bounds(cloud, cloud.side_d, spec.d).ravel()
     best, wit = 0.0, (0, 0)
     for t in np.argsort(-flat, kind="stable"):
         if flat[t] < best:

@@ -1,10 +1,12 @@
 """The non-doubling measure, its quadrature clouds, and measure-level checks.
 
 Each family square carries the density ``side^-d`` against planar area, so
-its total mass is ``side^(2-d)``.  Clouds discretize both the area measure
-and the weighted measure with composite midpoint nodes; discrete balls are
-node-inclusion balls, and their accuracy contract is refinement convergence
-rather than exact disc geometry.
+its total mass is ``side^(2-d)``; the family is the measure, and
+``build_quadrature`` takes it directly.  Clouds discretize both the area
+measure and the weighted measure with composite midpoint nodes, and hold
+the per-square data every module reads: each square's side, side^d and node
+box, computed once.  Discrete balls are node-inclusion balls, and their
+accuracy contract is refinement convergence rather than exact disc geometry.
 
 Growth, a2 and the ladder maximal function share one ball-sum engine
 (``_square_ball_sums``); its ladder sums also bound which node distances
@@ -35,56 +37,41 @@ import numpy as np
 from nhcz.geometry import SquareFamily
 
 
-@dataclass(frozen=True)
-class NonHomogeneousMeasure:
-    """Family measure: density side^-d on each member square."""
-
-    family: SquareFamily
-
-    @property
-    def d(self) -> float:
-        return self.family.d
-
-
-def build_measure(family: SquareFamily) -> NonHomogeneousMeasure:
-    return NonHomogeneousMeasure(family)
+def build_measure(family: SquareFamily) -> SquareFamily:
+    """The family's measure, which the family itself carries (density
+    side^-d on each member square): the family, unchanged."""
+    return family
 
 
 @dataclass
 class QuadratureCloud:
-    """Midpoint nodes of a uniform n x n subgrid of every family square.
+    """Midpoint nodes of a uniform n x n subgrid of every family square,
+    with each square's data computed once at build time: its side, its
+    side^d (the modified kernel's factor) and its node box.
 
     Node order is family order, row-major within each square, so nodes of
-    square m occupy the contiguous slice [m*n^2, (m+1)*n^2).
+    square m occupy the contiguous slice [m*n^2, (m+1)*n^2), and its first
+    and last nodes hold the box's lowest and highest coordinates.
     """
 
-    measure: NonHomogeneousMeasure
+    family: SquareFamily
     n_per_side: int
     xy: np.ndarray  # (N, 2)
     z: np.ndarray  # (N,) complex view of the positions
     square_index: np.ndarray  # (N,) int
     area_weight: np.ndarray  # (N,)
     mu_weight: np.ndarray  # (N,)
-
-    @property
-    def family(self) -> SquareFamily:
-        return self.measure.family
+    square_sides: np.ndarray  # (M,)
+    side_d: np.ndarray  # (M,) side^d, from one np.power over the sides
+    square_lo: np.ndarray  # (M, 2) lowest node coordinates of each square
+    square_hi: np.ndarray  # (M, 2) highest node coordinates of each square
 
     @property
     def d(self) -> float:
-        return self.measure.d
+        return self.family.d
 
     def __len__(self) -> int:
         return self.xy.shape[0]
-
-    @property
-    def square_sides(self) -> np.ndarray:
-        return self.family.sides()
-
-    @property
-    def node_side(self) -> np.ndarray:
-        """Side of the square owning each node."""
-        return self.square_sides[self.square_index]
 
     @property
     def finest_spacing(self) -> float:
@@ -96,32 +83,35 @@ class QuadratureCloud:
 
     @property
     def diameter(self) -> float:
-        lo = self.xy.min(axis=0)
-        hi = self.xy.max(axis=0)
+        lo = self.square_lo.min(axis=0)
+        hi = self.square_hi.max(axis=0)
         return float(np.hypot(*(hi - lo)))
 
 
-def build_quadrature(measure: NonHomogeneousMeasure, n_per_side: int) -> QuadratureCloud:
-    """Composite midpoint discretization with per-square mass kept exact."""
+def build_quadrature(family: SquareFamily, n_per_side: int) -> QuadratureCloud:
+    """Composite midpoint discretization with per-square mass kept exact;
+    the one place that computes the cloud's per-square data."""
     if n_per_side < 1:
         raise ValueError(f"n_per_side must be >= 1, got {n_per_side}")
     n = n_per_side
-    fam = measure.family
-    m_count = len(fam)
+    m_count = len(family)
     nodes = np.empty((m_count * n * n, 2))
     sq_idx = np.repeat(np.arange(m_count, dtype=np.int64), n * n)
     offs = (np.arange(n) + 0.5) / n
     ux, uy = np.meshgrid(offs, offs)  # row-major: y varies along axis 0
     unit = np.column_stack([ux.ravel(), uy.ravel()])
-    for m, sq in enumerate(fam.squares):
+    for m, sq in enumerate(family.squares):
         side = sq.side
         origin = np.array([sq.i * side, sq.j * side])
         nodes[m * n * n : (m + 1) * n * n] = origin + unit * side
-    sides = fam.sides()[sq_idx]
-    area_w = (sides / n) ** 2
-    mu_w = area_w * sides ** (-measure.d)
+    sides = family.sides()
+    per_node = sides[sq_idx]
+    area_w = (per_node / n) ** 2
+    mu_w = area_w * per_node ** (-family.d)
     z = nodes[:, 0] + 1j * nodes[:, 1]
-    return QuadratureCloud(measure, n, nodes, z, sq_idx, area_w, mu_w)
+    grid = nodes.reshape(m_count, n * n, 2)
+    lo, hi = grid[:, 0].copy(), grid[:, -1].copy()
+    return QuadratureCloud(family, n, nodes, z, sq_idx, area_w, mu_w, sides, np.power(sides, family.d), lo, hi)
 
 
 @dataclass(frozen=True)
@@ -204,7 +194,7 @@ def _square_ball_sums(cloud, r2, weights, centers):
     nn = n * n
     m_count = len(cloud.family)
     grid = cloud.xy.reshape(m_count, nn, 2)
-    lo, hi = grid[:, 0], grid[:, -1]  # lowest and highest node coordinates
+    lo, hi = cloud.square_lo, cloud.square_hi
     col_x, row_y = grid[:, :n, 0], grid[:, ::n, 1]  # row-major grids: y varies by row
     w_sq = w.reshape(w.shape[0], m_count, nn)
     totals = w_sq.sum(axis=2)
@@ -292,7 +282,7 @@ def a2_constant(cloud: QuadratureCloud) -> tuple[float, BallQuery]:
     radius ladder (growth's default sample), as ``growth_constant`` reports
     its ratio and ball."""
     radii = dyadic_radius_ladder(cloud)
-    inv_density_w = cloud.area_weight * cloud.node_side**cloud.d
+    inv_density_w = cloud.area_weight * cloud.side_d[cloud.square_index]
     sums = _ladder_ball_sums(cloud, radii, [cloud.mu_weight, inv_density_w])
     disc = math.pi * radii**2
     ratios = (sums[:, :, 0] / disc[None, :]) * (sums[:, :, 1] / disc[None, :])

@@ -137,7 +137,7 @@ def _apply_rule(spec, cloud, values, transposed, targets=None, cache=None):
     """Dense sums of the spec's exclusion mode read forward or transposed."""
     charges = source_charges(cloud, values, transposed)
     out = _cauchy_square_apply(cloud, charges, spec.rule[0], targets=targets, cache=cache)
-    return target_scale(cloud, spec.d, out, transposed, targets)
+    return target_scale(cloud, out, transposed, targets)
 
 
 def apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, targets=None) -> Field:
@@ -153,8 +153,6 @@ def apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, targets=Non
     ``_TARGET_BLOCK`` full kernel rows in one reused (``_TARGET_BLOCK``, N)
     buffer (8 MiB at 2,048 nodes).
     """
-    if len(f.values) != len(cloud):
-        raise ValueError("field length does not match the cloud")
     return Field(_apply_rule(spec, cloud, f.values, spec.rule[1], targets), "mu")
 
 
@@ -165,8 +163,6 @@ def apply_direct_targets(spec: KernelSpec, cloud: QuadratureCloud, f: Field, tar
 
 def adjoint_apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field) -> Field:
     """The measure-weighted adjoint of ``apply_direct`` for the same spec."""
-    if len(f.values) != len(cloud):
-        raise ValueError("field length does not match the cloud")
     out = _apply_rule(spec, cloud, np.conj(f.values), not spec.rule[1])
     return Field(np.conj(out), "mu")
 
@@ -435,8 +431,6 @@ class Operator:
 
     def _sums(self, variant, values, flip):
         cloud = self.cloud
-        if len(values) != len(cloud):
-            raise ValueError("field length does not match the cloud")
         spec = KernelSpec(variant, cloud.family)
         mode, transposed = spec.rule[0], spec.rule[1] != flip
         if self.backend == "tree":

@@ -25,7 +25,7 @@ import numpy as np
 
 from nhcz.geometry import SquareFamily, _scaled_centers_halves, generate_cascade_family
 from nhcz.kernels import KernelSpec, kernel_values
-from nhcz.measure import BallQuery, ball_mass, build_measure, build_quadrature, growth_constant
+from nhcz.measure import BallQuery, ball_mass, build_quadrature, growth_constant
 from nhcz.operators import (
     FAST_NODE_THRESHOLD,
     Field,
@@ -100,7 +100,7 @@ def check_main_inequality(family: SquareFamily, n_per_side: int = 8, seed: int =
 
 def _main_inequality(family, n_per_side, seed):
     trials, tol = MAIN_TRIALS, MAIN_NORM_TOL
-    cloud = build_quadrature(build_measure(family), n_per_side)
+    cloud = build_quadrature(family, n_per_side)
     op = _check_operator(cloud)
     est = op.norm("adjoint", tol, MAIN_NORM_MAX_ITER, seed)
     rng = np.random.default_rng(seed + 1)
@@ -211,7 +211,7 @@ def check_domination(
 
 
 def _domination(family, n_per_side, trials, seed):
-    cloud = build_quadrature(build_measure(family), n_per_side)
+    cloud = build_quadrature(family, n_per_side)
     op = _check_operator(cloud)
     fields = _domination_fields(cloud, trials, seed)
     tfs = [np.abs(image) for image in op.images("adjoint", [f for _, f in fields])]
@@ -301,7 +301,7 @@ def check_decomposition(
 
 
 def _decomposition(family, n_per_side, trials, seed, rel_tol):
-    cloud = build_quadrature(build_measure(family), n_per_side)
+    cloud = build_quadrature(family, n_per_side)
     rng = np.random.default_rng(seed)
     full = KernelSpec("full", family)
     mod = KernelSpec("modified", family)
@@ -352,7 +352,7 @@ def scaling_study(d: float, packing_target: float, m_ladder, n_per_side: int = 8
         t0 = time.perf_counter()
         fam_seed = 1_000_003 * seed + m_req
         fam = generate_cascade_family(seed=fam_seed, count=m_req, d=d, packing_target=packing_target)
-        cloud = build_quadrature(build_measure(fam), n_per_side)
+        cloud = build_quadrature(fam, n_per_side)
         # growth centres and maximal targets: a sorted draw of at most
         # MAXIMAL_TARGET_CAP nodes, which is every node in order on a small
         # cloud; the exhaustive per-node audit lives in check_domination

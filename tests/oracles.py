@@ -89,7 +89,7 @@ def a2_ratio(cloud, ball):
     inside = d2 <= ball.radius**2
     disc = math.pi * ball.radius**2
     fwd = float(cloud.mu_weight[inside].sum())  # integral of w over B cap X
-    ell_d = cloud.node_side ** cloud.d
+    ell_d = cloud.square_sides[cloud.square_index] ** cloud.d
     inv = float((cloud.area_weight[inside] * ell_d[inside]).sum())  # integral of 1/w
     return (fwd / disc) * (inv / disc)
 

@@ -17,6 +17,7 @@ from nhcz.kernels import (
     cz_constants,
     kernel_block,
     kernel_values,
+    target_scale,
 )
 from nhcz.measure import build_measure, build_quadrature
 from nhcz.operators import Field, Operator, apply_direct
@@ -139,7 +140,8 @@ def test_kernel_blocks_match_allocating_reference(mode):
     kernel value has one bit pattern at any shape: each upper strip the
     dense operator caches, and ``kernel_values`` at rows against all nodes,
     at a scalar target in every square and at scattered pairs, each against
-    the reference times side^d.  The reference takes side^d over the whole
+    the reference times side^d, and the target scale at each such scalar
+    target against its array call.  The reference takes side^d over the whole
     side array, so a scalar index must give the array's power bits (a numpy
     scalar's ``**`` calls the C library's pow, which differs from numpy's
     array pow on 3 of the 40 powers 2^-1 ... 2^-40 at d = 1.2 on an AVX512
@@ -159,7 +161,8 @@ def test_kernel_blocks_match_allocating_reference(mode):
     p, q = rng.integers(0, n, 4000), rng.integers(0, n, 4000)
     p[:n], q[:n] = np.arange(n), np.arange(n)  # coincident pairs too
     pairs = kernel_block_reference(cloud, mode, p, q)
-    side = np.power(cloud.node_side, fam.d) if mode == "cross_square" else np.ones(n)
+    raw = rng.standard_normal(n) + 1j * rng.standard_normal(n)  # sums for the target scale
+    side = np.power(cloud.square_sides[cloud.square_index], fam.d) if mode == "cross_square" else np.ones(n)
     rows, cols = np.arange(1, n, 4), np.arange(n)
     for variant in [v for v, (m, _) in VARIANT_RULES.items() if m == mode]:
         spec = KernelSpec(variant, fam)
@@ -168,6 +171,7 @@ def test_kernel_blocks_match_allocating_reference(mode):
         assert_same_bits(got, ref[rows] * side_of(rows[:, None], cols))
         for t in range(0, n, nn):
             assert_same_bits(kernel_values(spec, cloud, t, slice(None)), ref[t] * side_of(t, cols))
+            assert_same_bits(target_scale(cloud, raw[t], True, targets=t), target_scale(cloud, raw, True)[t])
         assert_same_bits(kernel_values(spec, cloud, p, q), pairs * side_of(p, q))
 
 
@@ -278,7 +282,7 @@ def _cz_bruteforce(spec, cloud, tau):
     n = len(cloud)
     z = cloud.z
     sq = cloud.square_index
-    side = cloud.node_side
+    side = cloud.square_sides[cloud.square_index]
 
     def kval(p, q):
         if sq[p] == sq[q]:
@@ -480,7 +484,7 @@ def test_size_bounds_hold_every_scanned_value(case):
     vals = np.where(dist > 0, np.abs(kernel_values(spec, cloud, rows[:, None], slice(None))) * dist ** (2.0 - cloud.d), 0.0)
     # each scanned row's values against its own square's row of the full
     # (square, square) bound matrix
-    bound = _size_bounds(cloud, np.power(cloud.node_side[::nn], cloud.d), cloud.d)
+    bound = _size_bounds(cloud, np.power(cloud.square_sides, cloud.d), cloud.d)
     assert bound.shape == (m, m)
     assert np.all(np.diag(bound) == -np.inf)
     owner = cloud.square_index[rows]

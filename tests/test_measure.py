@@ -180,7 +180,7 @@ def nearest_nodes_on_a_circle():
 @example(nearest_nodes_on_a_circle())
 def test_ball_sum_engine_matches_mask_oracle(case):
     cloud, centers, radii = case
-    weights = [np.ones(len(cloud)), cloud.mu_weight, cloud.area_weight * cloud.node_side**cloud.d]
+    weights = [np.ones(len(cloud)), cloud.mu_weight, cloud.area_weight * cloud.square_sides[cloud.square_index] ** cloud.d]
     got = _ladder_ball_sums(cloud, radii, weights, centers=centers)
     ref = ball_sums_bruteforce(cloud, centers, radii, weights)
     # unit weights count the nodes in each ball: membership must be identical
@@ -252,7 +252,7 @@ def test_one_pass_binning_keeps_every_bit_on_the_small_direct_clouds(seed, d):
     # the three families of the small_direct benchmark, every node a centre
     fam = generate_family(seed=seed, count=32, d=d, packing_target=4.0, k_range=suggest_generation_range(32, d, 4.0))
     cloud = build_quadrature(build_measure(fam), 8)
-    a2_weights = np.stack([cloud.mu_weight, cloud.area_weight * cloud.node_side**cloud.d])
+    a2_weights = np.stack([cloud.mu_weight, cloud.area_weight * cloud.square_sides[cloud.square_index] ** cloud.d])
     for r2, weights in (
         (maximal_radii2(cloud), field_weights(cloud, 39, seed=2)),
         (dyadic_radius_ladder(cloud) ** 2, a2_weights),
@@ -296,7 +296,7 @@ def test_growth_and_a2_witnesses_do_not_depend_on_summation_order():
     fam = generate_family(seed=1, count=12, d=1.2, packing_target=4, k_range=(3, 5))
     cloud = build_quadrature(build_measure(fam), 8)
     radii = dyadic_radius_ladder(cloud)
-    weights = [cloud.mu_weight, cloud.area_weight * cloud.node_side**cloud.d]
+    weights = [cloud.mu_weight, cloud.area_weight * cloud.square_sides[cloud.square_index] ** cloud.d]
     engine = _ladder_ball_sums(cloud, radii, weights)
     brute = ball_sums_bruteforce(cloud, cloud.xy, radii, weights)
     disc = math.pi * radii**2

@@ -93,9 +93,27 @@ def test_apply_direct_targets_subset(variant):
 
 
 def test_apply_rejects_mismatched_lengths():
+    """Every apply path refuses a field one node short, and a one-node field
+    that numpy would otherwise broadcast over the cloud."""
     fam, cloud = small_family()
-    with pytest.raises(ValueError):
-        apply_direct(KernelSpec("full", fam), cloud, Field(np.zeros(3), "mu"))
+    dense, tree = Operator(cloud, "dense"), Operator(cloud, "tree")
+    built = build_tree(cloud, ExpansionParams().leaf_cap)
+    calls = [
+        lambda f: apply_direct(KernelSpec("full", fam), cloud, f),
+        lambda f: adjoint_apply_direct(KernelSpec("modified", fam), cloud, f),
+        lambda f: apply_direct_targets(KernelSpec("adjoint", fam), cloud, f, np.array([0, 3])),
+        lambda f: dense.apply("full", f),
+        lambda f: dense.adjoint("modified", f),
+        lambda f: list(dense.images("local", [f, f])),
+        lambda f: tree.apply("modified", f),
+        lambda f: tree.adjoint("adjoint", f),
+        lambda f: apply_fast(KernelSpec("modified", fam), built, f, ExpansionParams()),
+    ]
+    for length in (len(cloud) - 1, 1):
+        f = Field(np.ones(length), "mu")
+        for call in calls:
+            with pytest.raises(ValueError, match="field length"):
+                call(f)
 
 
 def test_maximal_constant_field_saturates_at_one():
@@ -319,7 +337,7 @@ def test_sweep_bits_at_every_last_strip_and_cache(monkeypatch, block, variant):
     # against the one dense product, the sweep's sums differ by rounding alone
     charges = source_charges(cloud, vals, transposed)
     raw = operators._cauchy_square_apply(cloud, charges, mode)
-    assert_same_bits(target_scale(cloud, spec.d, raw, transposed), want)
+    assert_same_bits(target_scale(cloud, raw, transposed), want)
     assert np.all(np.abs(raw - kernel @ charges) <= summation_gap_bound(kernel, charges))
 
 
