@@ -12,6 +12,7 @@ from nhcz.geometry import (
 )
 from nhcz.measure import (
     BallQuery,
+    Field,
     QuadratureCloud,
     a2_constant,
     ball_mass,
@@ -22,7 +23,6 @@ from nhcz.measure import (
 )
 from nhcz.kernels import CzReport, KernelSpec, cz_constants
 from nhcz.operators import (
-    Field,
     NormEstimate,
     Operator,
     apply_direct,
@@ -30,9 +30,10 @@ from nhcz.operators import (
     operator_norm,
     t1_testing,
 )
-from nhcz.fastsum import ExpansionParams, QuadTree, apply_fast, benchmark, build_tree
+from nhcz.fastsum import ExpansionParams, QuadTree, apply_fast, build_tree
 from nhcz.verify import (
     VerificationReport,
+    benchmark,
     check_decomposition,
     check_domination,
     check_main_inequality,

@@ -187,10 +187,10 @@ def _beurling(args):
 def _cmd_bench(args) -> int:
     sizes = _parse_int_list(args.sizes)
     params = fastsum.ExpansionParams(order=args.p, theta=args.theta)
-    rows = fastsum.benchmark(sizes, params, seed=args.seed, d=args.d)
+    rows = verify.benchmark(sizes, params, seed=args.seed, d=args.d)
     os.makedirs(args.out, exist_ok=True)
     write_csv_atomic(
-        os.path.join(args.out, "bench.csv"), fastsum.BENCH_HEADER, [r.csv_row() for r in rows]
+        os.path.join(args.out, "bench.csv"), verify.BENCH_HEADER, [r.csv_row() for r in rows]
     )
     for r in rows:
         print(

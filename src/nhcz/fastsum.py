@@ -1,5 +1,9 @@
 """Treecode acceleration of the cross-square kernel application.
 
+The module holds the treecode only and reads ``kernels`` and ``measure``
+alone: ``operators.Operator``'s tree backend calls it, and
+``verify.benchmark`` times it against the direct sums.
+
 Sources in a far cell are compressed with the expansion
 ``1/(z-w)^2 = sum_k (k+1) (w-c)^k / (z-c)^(k+2)`` (valid for |w-c| < |z-c|)
 truncated at ``order`` terms.  The opening test applies ``theta`` to the
@@ -54,15 +58,12 @@ send at most ``operators._COLUMN_BLOCK`` through ``Operator.images``.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from nhcz.kernels import KernelSpec, kernel_block, source_charges, target_scale
-from nhcz.measure import QuadratureCloud, build_quadrature
-from nhcz.geometry import generate_family, suggest_generation_range
-from nhcz.operators import Field, apply_direct, apply_direct_targets
+from nhcz.measure import Field, QuadratureCloud
 
 _MAX_DEPTH = 48
 _ENTRY_BLOCK = 256  # far runs per power matrix (at most 256 x leaf width rows)
@@ -259,12 +260,7 @@ class QuadTree:
 
 
 def _binomial_table(p: int) -> np.ndarray:
-    b = np.zeros((p, p))
-    b[:, 0] = 1.0
-    for r in range(1, p):
-        for c in range(1, r + 1):
-            b[r, c] = b[r - 1, c - 1] + b[r - 1, c]
-    return b
+    return np.array([[math.comb(r, c) for c in range(p)] for r in range(p)], dtype=np.float64)
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -568,91 +564,6 @@ def _near_sums(tree, plan, charges, out):
         vals = kernel_block(tree.cloud, "cross_square", tree.perm[pos][:, None], src)
         np.copyto(vals, 0.0, where=~valid)
         np.add.at(out, pos, np.einsum("ts,tsc->tc", vals, charges[src]))
-
-
-@dataclass
-class BenchRow:
-    n: int
-    t_direct_ms: float
-    t_fast_ms: float
-    speedup: float
-    max_rel_err: float
-    p: int
-    theta: float
-    seed: int
-    direct_exact: bool  # False when the direct timing is extrapolated from a target subsample
-
-    def csv_row(self):
-        return [
-            self.n,
-            repr(self.t_direct_ms),
-            repr(self.t_fast_ms),
-            repr(self.speedup),
-            repr(self.max_rel_err),
-            self.p,
-            repr(self.theta),
-            self.seed,
-            self.direct_exact,
-        ]
-
-
-BENCH_HEADER = ["N", "t_direct_ms", "t_fast_ms", "speedup", "max_rel_err", "p", "theta", "seed", "direct_exact"]
-# the benchmark's families and clouds, and the node count above which its
-# direct pass runs on BENCH_ORACLE_TARGETS seeded targets; read at call time
-BENCH_PACKING_TARGET = 4.0
-BENCH_N_PER_SIDE = 16
-BENCH_ORACLE_TARGETS = 512
-BENCH_DIRECT_LIMIT = 12_000
-
-
-def benchmark(sizes, params: ExpansionParams | None = None, seed: int = 0, d: float = 1.2) -> list[BenchRow]:
-    """Direct-vs-fast timing and accuracy ladder on generated clouds.
-
-    Above ``BENCH_DIRECT_LIMIT`` nodes the direct pass runs on a seeded
-    target subsample; its wall time is scaled up to full size and the row is
-    marked as extrapolated.
-    """
-    if not sizes:
-        raise ValueError("need at least one benchmark size")
-    params = params or ExpansionParams()
-    rows = []
-    for si, size in enumerate(sizes):
-        m_count = max(int(math.ceil(size / BENCH_N_PER_SIDE**2)), 2)
-        fam = generate_family(
-            seed=1_000_003 * seed + si,
-            count=m_count,
-            d=d,
-            packing_target=BENCH_PACKING_TARGET,
-            k_range=suggest_generation_range(m_count, d, BENCH_PACKING_TARGET),
-        )
-        cloud = build_quadrature(fam, BENCH_N_PER_SIDE)
-        n = len(cloud)
-        rng = np.random.default_rng(seed + si)
-        f = Field(rng.standard_normal(n) + 1j * rng.standard_normal(n), "mu")
-        spec = KernelSpec("modified", fam)
-
-        t0 = time.perf_counter()
-        tree = build_tree(cloud, params.leaf_cap)
-        fast = apply_fast(spec, tree, f, params)
-        t_fast = (time.perf_counter() - t0) * 1e3
-
-        if n <= BENCH_DIRECT_LIMIT:
-            t0 = time.perf_counter()
-            direct = apply_direct(spec, cloud, f).values
-            t_direct = (time.perf_counter() - t0) * 1e3
-            err = _max_rel_err(fast.values, direct)
-            exact = True
-        else:
-            targets = np.sort(rng.choice(n, size=min(BENCH_ORACLE_TARGETS, n), replace=False))
-            t0 = time.perf_counter()
-            direct_sub = apply_direct_targets(spec, cloud, f, targets)
-            t_direct = (time.perf_counter() - t0) * 1e3 * (n / targets.size)
-            err = _max_rel_err(fast.values[targets], direct_sub)
-            exact = False
-        rows.append(
-            BenchRow(n, t_direct, t_fast, t_direct / t_fast, err, params.order, params.theta, seed, exact)
-        )
-    return rows
 
 
 def _max_rel_err(approx, reference):

@@ -26,7 +26,11 @@ import numpy as np
 
 from nhcz.reports import write_json_atomic
 
-# Generations are capped so scaled coordinates fit comfortably in int64.
+# A family file's generations are capped so every side 2^-k, and each power
+# of it that the measure and the kernels take, lies far inside float64's
+# range.  Its lattice indices must lie below 2^53 in absolute value, so that
+# a square's corner i * side, an integer times a power of two, is an exact
+# float64.
 MAX_ABS_GENERATION = 40
 
 
@@ -242,6 +246,8 @@ class SquareFamily:
         squares = [DyadicSquare(*(_lattice_int(s, key) for key in "kij")) for s in obj["squares"]]
         if any(abs(sq.k) > MAX_ABS_GENERATION for sq in squares):
             raise ValueError(f"|generation| must be <= {MAX_ABS_GENERATION}")
+        if any(max(abs(sq.i), abs(sq.j)) >= 2**53 for sq in squares):
+            raise ValueError("|i| and |j| must be below 2^53")
         d, target = obj["d"], obj["packing_target"]
         if not all(type(v) in (int, float) and abs(v) <= 1e300 for v in (d, target)):
             raise ValueError(f"d and packing_target must be finite numbers, got {d!r} and {target!r}")

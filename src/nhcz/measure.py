@@ -5,8 +5,10 @@ its total mass is ``side^(2-d)``; the family is the measure, and
 ``build_quadrature`` takes it directly.  Clouds discretize both the area
 measure and the weighted measure with composite midpoint nodes, and hold
 the per-square data every module reads: each square's side, side^d and node
-box, computed once.  Discrete balls are node-inclusion balls, and their
-accuracy contract is refinement convergence rather than exact disc geometry.
+box, computed once.  A ``Field`` holds values on a cloud's nodes, whose
+inner product the cloud's measure weights define.  Discrete balls are
+node-inclusion balls, and their accuracy contract is refinement
+convergence rather than exact disc geometry.
 
 Growth, a2 and the ladder maximal function share one ball-sum engine
 (``_square_ball_sums``); its ladder sums also bound which node distances
@@ -112,6 +114,20 @@ def build_quadrature(family: SquareFamily, n_per_side: int) -> QuadratureCloud:
     grid = nodes.reshape(m_count, n * n, 2)
     lo, hi = grid[:, 0].copy(), grid[:, -1].copy()
     return QuadratureCloud(family, n, nodes, z, sq_idx, area_w, mu_w, sides, np.power(sides, family.d), lo, hi)
+
+
+@dataclass
+class Field:
+    """Complex values on cloud nodes, in the measure-weighted inner product;
+    ``"mu"`` is the only ``weight`` tag."""
+
+    values: np.ndarray
+    weight: str = "mu"
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.complex128)
+        if self.weight != "mu":
+            raise ValueError(f"unknown weight tag {self.weight!r}")
 
 
 @dataclass(frozen=True)

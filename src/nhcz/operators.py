@@ -30,9 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
 from nhcz.geometry import SquareFamily
 from nhcz.kernels import KernelSpec, kernel_block, source_charges, target_scale
-from nhcz.measure import BallQuery, QuadratureCloud, _square_ball_sums, ball_mass, dyadic_radius_ladder
+from nhcz.measure import BallQuery, Field, QuadratureCloud, _square_ball_sums, ball_mass, dyadic_radius_ladder
 
 # largest cloud whose dense kernel is cached, as upper strips of about
 # 8 N (N + 64) bytes (33 MiB at 2,048 nodes); the checks' treecode switch
@@ -51,20 +52,6 @@ _ROW_BLOCK = 64
 # fields per apply of ``Operator.images``; bounds every multi-field apply's
 # transients at O(N * _COLUMN_BLOCK), however many fields there are
 _COLUMN_BLOCK = 8
-
-
-@dataclass
-class Field:
-    """Complex values on cloud nodes, in the measure-weighted inner product;
-    ``"mu"`` is the only ``weight`` tag."""
-
-    values: np.ndarray
-    weight: str = "mu"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.weight != "mu":
-            raise ValueError(f"unknown weight tag {self.weight!r}")
 
 
 def field_norm(cloud: QuadratureCloud, f: Field) -> float:
@@ -434,8 +421,6 @@ class Operator:
         spec = KernelSpec(variant, cloud.family)
         mode, transposed = spec.rule[0], spec.rule[1] != flip
         if self.backend == "tree":
-            from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
-
             if mode != "cross_square":
                 raise ValueError("the tree backend carries the modified/adjoint variants only")
             params = ExpansionParams()

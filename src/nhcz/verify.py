@@ -14,24 +14,32 @@ dense otherwise.  Trial and domination fields go through ``Operator.images``,
 which sets how many ride in one apply.  The decomposition check and the
 domination reconstruction reference stay on the on-the-fly ``apply_direct``
 sums.
+
+``benchmark`` is the direct-vs-treecode timing and accuracy ladder of
+``nhcz bench``; it sits here, above both sums, rather than in ``fastsum``,
+which holds the treecode alone.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
-from nhcz.geometry import SquareFamily, _scaled_centers_halves, generate_cascade_family
+from nhcz.fastsum import ExpansionParams, _max_rel_err, apply_fast, build_tree
+from nhcz.geometry import (
+    SquareFamily, _scaled_centers_halves, generate_cascade_family, generate_family, suggest_generation_range
+)
 from nhcz.kernels import KernelSpec, kernel_values
-from nhcz.measure import BallQuery, ball_mass, build_quadrature, growth_constant
+from nhcz.measure import BallQuery, Field, ball_mass, build_quadrature, growth_constant
 from nhcz.operators import (
     FAST_NODE_THRESHOLD,
-    Field,
     Operator,
     _maximal_many,
     apply_direct,
+    apply_direct_targets,
     default_t1_balls,
     field_norm,
     t1_testing,
@@ -406,3 +414,88 @@ def scaling_study(d: float, packing_target: float, m_ladder, n_per_side: int = 8
         )
         timings.append(time.perf_counter() - t0)
     return rows, timings
+
+
+@dataclass
+class BenchRow:
+    n: int
+    t_direct_ms: float
+    t_fast_ms: float
+    speedup: float
+    max_rel_err: float
+    p: int
+    theta: float
+    seed: int
+    direct_exact: bool  # False when the direct timing is extrapolated from a target subsample
+
+    def csv_row(self):
+        return [
+            self.n,
+            repr(self.t_direct_ms),
+            repr(self.t_fast_ms),
+            repr(self.speedup),
+            repr(self.max_rel_err),
+            self.p,
+            repr(self.theta),
+            self.seed,
+            self.direct_exact,
+        ]
+
+
+BENCH_HEADER = ["N", "t_direct_ms", "t_fast_ms", "speedup", "max_rel_err", "p", "theta", "seed", "direct_exact"]
+# the benchmark's families and clouds, and the node count above which its
+# direct pass runs on BENCH_ORACLE_TARGETS seeded targets; read at call time
+BENCH_PACKING_TARGET = 4.0
+BENCH_N_PER_SIDE = 16
+BENCH_ORACLE_TARGETS = 512
+BENCH_DIRECT_LIMIT = 12_000
+
+
+def benchmark(sizes, params: ExpansionParams | None = None, seed: int = 0, d: float = 1.2) -> list[BenchRow]:
+    """Direct-vs-fast timing and accuracy ladder on generated clouds.
+
+    Above ``BENCH_DIRECT_LIMIT`` nodes the direct pass runs on a seeded
+    target subsample; its wall time is scaled up to full size and the row is
+    marked as extrapolated.
+    """
+    if not sizes:
+        raise ValueError("need at least one benchmark size")
+    params = params or ExpansionParams()
+    rows = []
+    for si, size in enumerate(sizes):
+        m_count = max(int(math.ceil(size / BENCH_N_PER_SIDE**2)), 2)
+        fam = generate_family(
+            seed=1_000_003 * seed + si,
+            count=m_count,
+            d=d,
+            packing_target=BENCH_PACKING_TARGET,
+            k_range=suggest_generation_range(m_count, d, BENCH_PACKING_TARGET),
+        )
+        cloud = build_quadrature(fam, BENCH_N_PER_SIDE)
+        n = len(cloud)
+        rng = np.random.default_rng(seed + si)
+        f = Field(rng.standard_normal(n) + 1j * rng.standard_normal(n), "mu")
+        spec = KernelSpec("modified", fam)
+
+        t0 = time.perf_counter()
+        tree = build_tree(cloud, params.leaf_cap)
+        fast = apply_fast(spec, tree, f, params)
+        t_fast = (time.perf_counter() - t0) * 1e3
+
+        if n <= BENCH_DIRECT_LIMIT:
+            t0 = time.perf_counter()
+            direct = apply_direct(spec, cloud, f).values
+            t_direct = (time.perf_counter() - t0) * 1e3
+            err = _max_rel_err(fast.values, direct)
+            exact = True
+        else:
+            targets = np.sort(rng.choice(n, size=min(BENCH_ORACLE_TARGETS, n), replace=False))
+            t0 = time.perf_counter()
+            direct_sub = apply_direct_targets(spec, cloud, f, targets)
+            t_direct = (time.perf_counter() - t0) * 1e3 * (n / targets.size)
+            err = _max_rel_err(fast.values[targets], direct_sub)
+            exact = False
+        rows.append(
+            BenchRow(n, t_direct, t_fast, t_direct / t_fast, err, params.order, params.theta, seed, exact)
+        )
+    return rows

@@ -19,7 +19,7 @@ from oracles import (
     weighted_sigma_max,
 )
 
-from nhcz.fastsum import ExpansionParams, apply_fast, benchmark, build_tree
+from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
 from nhcz.geometry import (
     DyadicSquare,
     check_disjointness,
@@ -46,7 +46,7 @@ from nhcz.operators import (
     maximal_function,
     t1_testing,
 )
-from nhcz.verify import check_decomposition, check_domination, scaling_study
+from nhcz.verify import benchmark, check_decomposition, check_domination, scaling_study
 
 D_VALUES = (0.8, 1.2, 1.6)
 

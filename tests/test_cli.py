@@ -203,6 +203,17 @@ def test_validate_rejects_bad_lattice_coordinates(tmp_path, capsys, square):
     assert not (tmp_path / "validate.json").exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "norm"])
+@pytest.mark.parametrize("index", [10**400, -(2**53)], ids=["beyond_float", "two_to_53"])
+def test_lattice_index_without_exact_float_coordinate_is_input_error(tmp_path, capsys, command, index):
+    # i * side is a node coordinate in float64, exact only for |i| < 2^53
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"d": 1.2, "packing_target": 4.0, "squares": [{"k": 2, "i": index, "j": 0}]}))
+    assert run([command, "--family", str(path), "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"] == "ValueError"
+    assert not (tmp_path / f"{command}.json").exists()
+
+
 def test_validate_accepts_integral_float_coordinates(tmp_path):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({"d": 1.0, "packing_target": 4.0, "squares": [{"k": 40.0, "i": -3.0, "j": 2**45}]}))

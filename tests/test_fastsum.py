@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nhcz import fastsum
+from nhcz import fastsum, verify
 from nhcz.fastsum import (
     _ENTRY_BLOCK,
     _MAX_DEPTH,
-    BENCH_HEADER,
     ExpansionParams,
     _max_rel_err,
     apply_fast,
-    benchmark,
     build_tree,
 )
 from nhcz.geometry import (
@@ -28,6 +26,7 @@ from nhcz.geometry import (
 from nhcz.kernels import KernelSpec, kernel_values
 from nhcz.measure import build_measure, build_quadrature
 from nhcz.operators import Field, apply_direct
+from nhcz.verify import BENCH_HEADER, benchmark
 from oracles import (
     assert_same_bits,
     far_sums_per_cell,
@@ -186,7 +185,7 @@ def test_expansion_params_validation():
 
 
 def test_benchmark_small_ladder(monkeypatch):
-    monkeypatch.setattr(fastsum, "BENCH_N_PER_SIDE", 8)
+    monkeypatch.setattr(verify, "BENCH_N_PER_SIDE", 8)
     rows = benchmark([256, 1024], seed=1)
     assert len(rows) == 2
     assert all(r.max_rel_err <= 1e-6 for r in rows)

@@ -23,21 +23,23 @@ from pathlib import Path
 import numpy as np
 
 import nhcz
-from nhcz import fastsum
+
+# the rung settings of ``nhcz bench``: nodes per square side and packing target
+N_PER_SIDE, PACKING_TARGET = 16, 4.0
 
 
 def outputs(n: int) -> dict:
     """{variant: {"re": [...], "im": [...]}} of ``apply_fast`` on the family
-    and field of ``fastsum.benchmark``'s rung of ``n`` nodes at seed 0."""
-    d, count = 1.2, max(math.ceil(n / fastsum.BENCH_N_PER_SIDE**2), 2)
+    and field of ``verify.benchmark``'s rung of ``n`` nodes at seed 0."""
+    d, count = 1.2, max(math.ceil(n / N_PER_SIDE**2), 2)
     fam = nhcz.generate_family(
         seed=0,
         count=count,
         d=d,
-        packing_target=fastsum.BENCH_PACKING_TARGET,
-        k_range=nhcz.suggest_generation_range(count, d, fastsum.BENCH_PACKING_TARGET),
+        packing_target=PACKING_TARGET,
+        k_range=nhcz.suggest_generation_range(count, d, PACKING_TARGET),
     )
-    cloud = nhcz.build_quadrature(nhcz.build_measure(fam), fastsum.BENCH_N_PER_SIDE)
+    cloud = nhcz.build_quadrature(nhcz.build_measure(fam), N_PER_SIDE)
     rng = np.random.default_rng(0)
     f = nhcz.Field(rng.standard_normal(len(cloud)) + 1j * rng.standard_normal(len(cloud)), "mu")
     params = nhcz.ExpansionParams(order=12, theta=0.5)
