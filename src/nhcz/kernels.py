@@ -195,7 +195,8 @@ def cz_constants(
     budget: int = 200_000,
     seed: int = 0,
 ) -> CzReport:
-    """Measure the size/smoothness constants of the modified kernel.
+    """Measure the size/smoothness constants of the modified kernel.  As
+    on every apply path, d (so s, eps and side^d) is the cloud's.
 
     The size constant is the largest |K(x, y)| d(x, y)^s over every pair
     of nodes.  ``_size_scan`` takes it over square pairs: each pair's bound
@@ -215,7 +216,7 @@ def cz_constants(
         raise ValueError("condition constants are defined for the modified kernel")
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    d = spec.d
+    d = cloud.d
     s = 2.0 - d
     eps = min(1.0, tau * d)
     n = len(cloud)
@@ -314,7 +315,7 @@ def _size_scan(spec, cloud, s):
     Same-square pairs hold only zeros and are never evaluated.
     """
     z, m, nn = cloud.z, len(cloud.family), cloud.n_per_side**2
-    flat = _size_bounds(cloud, cloud.side_d, spec.d).ravel()
+    flat = _size_bounds(cloud, cloud.side_d, cloud.d).ravel()
     best, wit = 0.0, (0, 0)
     for t in np.argsort(-flat, kind="stable"):
         if flat[t] < best:

@@ -155,9 +155,13 @@ def dyadic_radius_ladder(cloud: QuadratureCloud, base: float | None = None) -> n
     """
     if base is None:
         base = cloud.finest_side
-    diam = max(cloud.diameter, base)
-    steps = max(int(math.ceil(math.log2(diam / base))), 0) + 1
-    return base * 2.0 ** np.arange(steps + 1)
+    return _dyadic_radii(base, cloud.diameter)
+
+
+def _dyadic_radii(base: float, diameter: float) -> np.ndarray:
+    """base * 2^i for i < ceil(log2(max(diameter / base, 1))) + 2: the one
+    dyadic radius ladder, of the cloud's balls and of the t1 ball sample."""
+    return base * 2.0 ** np.arange(math.ceil(math.log2(max(diameter / base, 1.0))) + 2)
 
 
 # (centre, square) pairs classified per block of centres, and straddling

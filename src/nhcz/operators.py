@@ -10,17 +10,20 @@ symmetry the omitted cell's principal value is zero.
 
 ``Operator(cloud, backend)`` is the one apply object behind every check,
 norm and testing condition; its docstring describes the dense and tree
-backends.  Every dense sum, ``apply_direct``'s and the dense backend's,
-runs through ``_cauchy_square_apply``.  Over all targets it sweeps the
-upper strips of the kernel, which is bitwise symmetric in every exclusion
-mode: ``_ROW_BLOCK`` rows each, against the columns from the strip's
-first row on, so about 8 N (N + 64) bytes in all.  ``apply_direct``
-computes each strip on the fly into one reused 64 x N buffer at any cloud
-size, and the dense backend reads the same strips from its cache (above
-``FAST_NODE_THRESHOLD`` nodes it recomputes them per apply), with the
-same bits.  Norm estimates run power iteration in the measure-weighted
-inner product, where the adjoint of a variant is the same exclusion mode
-with the transposition flipped, taken between complex conjugations.
+backends.  Every dense sum, ``apply_direct``'s, ``apply_direct_targets``'
+and the dense backend's, runs through ``_cauchy_square_apply``.  Over all
+targets it sweeps the upper strips of the kernel, which is bitwise
+symmetric in every exclusion mode: ``_ROW_BLOCK`` rows each, against the
+columns from the strip's first row on, so about 8 N (N + 64) bytes in all.
+``apply_direct`` computes each strip on the fly into one reused 64 x N
+buffer at any cloud size, and the dense backend reads the same strips from
+its cache (above ``FAST_NODE_THRESHOLD`` nodes it recomputes them per
+apply), with the same bits.  ``apply_direct_targets``, the one entry point
+for a subset of targets, reads their full kernel rows in blocks of
+``_ROW_BLOCK`` into one such buffer.  Norm estimates run power iteration
+in the measure-weighted inner product, where the adjoint of a variant is
+the same exclusion mode with the transposition flipped, taken between
+complex conjugations.
 """
 
 from __future__ import annotations
@@ -33,21 +36,24 @@ import numpy as np
 from nhcz.fastsum import ExpansionParams, apply_fast, build_tree
 from nhcz.geometry import SquareFamily
 from nhcz.kernels import KernelSpec, kernel_block, source_charges, target_scale
-from nhcz.measure import BallQuery, Field, QuadratureCloud, _square_ball_sums, ball_mass, dyadic_radius_ladder
+from nhcz.measure import BallQuery, Field, QuadratureCloud, ball_mass, dyadic_radius_ladder
+from nhcz.measure import _dyadic_radii, _square_ball_sums
 
 # largest cloud whose dense kernel is cached, as upper strips of about
 # 8 N (N + 64) bytes (33 MiB at 2,048 nodes); the checks' treecode switch
 FAST_NODE_THRESHOLD = 2048
 KAPPA = 3.0  # dilation of the maximal operator M_{mu,3}
 EXACT_LIMIT = 4096  # largest cloud whose maximal function takes every node distance as a radius
-# targets per block of the target-subset dense sums and of every maximal
-# pass; bounds their (targets x N) arrays.  Read at call time, as are KAPPA,
+# centres per ball-sum engine call of the maximal pass; bounds its
+# (targets x radii x fields) arrays.  Read at call time, as are KAPPA,
 # EXACT_LIMIT and _ROW_BLOCK.
 _TARGET_BLOCK = 256
-# kernel rows per upper strip.  Each strip costs a few numpy calls per
-# column: on a 2,048-node cloud a cached single-column apply took 2.0 ms with
-# 64-row strips and 2.5 ms with 32 (one thread, 300 MiB L3), and a 64-row
-# strip (2 MiB there) still stays in cache between its two products.
+# kernel rows per upper strip and per block of a target-subset sum, so no
+# dense sum holds more than one (_ROW_BLOCK, N) kernel block.  Each strip
+# costs a few numpy calls per column: on a 2,048-node cloud a cached
+# single-column apply took 2.0 ms with 64-row strips and 2.5 ms with 32 (one
+# thread, 300 MiB L3), and a 64-row strip (2 MiB there) still stays in cache
+# between its two products.
 _ROW_BLOCK = 64
 # fields per apply of ``Operator.images``; bounds every multi-field apply's
 # transients at O(N * _COLUMN_BLOCK), however many fields there are
@@ -74,13 +80,13 @@ def _cauchy_square_apply(cloud, charges, mode, targets=None, cache=None):
     columns beside it.
 
     ``targets`` restricts the output to the given node indices.  Those sums
-    run over blocks of ``_TARGET_BLOCK`` full kernel rows written into one
-    reused (``_TARGET_BLOCK``, N) buffer, one product ``kernel @ col`` per
+    run over blocks of ``_ROW_BLOCK`` full kernel rows written into one
+    reused (``_ROW_BLOCK``, N) buffer, one product ``kernel @ col`` per
     block and column.
     """
     cols = np.ascontiguousarray(charges.reshape(len(charges), -1).T)
     if targets is not None:
-        tgt, block = np.asarray(targets), _TARGET_BLOCK
+        tgt, block = np.asarray(targets), _ROW_BLOCK
         out = np.empty((tgt.size, cols.shape[0]), dtype=np.complex128)
         buf = np.empty((min(block, tgt.size), len(cloud)), dtype=np.complex128)
         for b0 in range(0, tgt.size, block):
@@ -127,25 +133,29 @@ def _apply_rule(spec, cloud, values, transposed, targets=None, cache=None):
     return target_scale(cloud, out, transposed, targets)
 
 
-def apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field, targets=None) -> Field:
+def apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field) -> Field:
     """Dense kernel application in a fixed order to a field of shape (N,) or
-    (N, k); each kernel strip or block is computed once for all columns.
+    (N, k); each kernel strip is computed once for all columns.
 
-    Over all targets this is the sweep of ``_cauchy_square_apply``: one
-    reused (``_ROW_BLOCK``, N) complex buffer holds every strip, so the peak
-    is 16 * 64 * N bytes (2 MiB at 2,048 nodes) plus one strip's exclusion
+    This is the sweep of ``_cauchy_square_apply``: one reused
+    (``_ROW_BLOCK``, N) complex buffer holds every strip, so the peak is
+    16 * 64 * N bytes (2 MiB at 2,048 nodes) plus one strip's exclusion
     mask, the charges and the (N, k) sums.  The dense ``Operator`` runs the
-    same sweep, with the same bits, with or without its cache.  ``targets``
-    restricts the output to those node indices, summed in blocks of
-    ``_TARGET_BLOCK`` full kernel rows in one reused (``_TARGET_BLOCK``, N)
-    buffer (8 MiB at 2,048 nodes).
+    same sweep, with the same bits, with or without its cache.
     """
-    return Field(_apply_rule(spec, cloud, f.values, spec.rule[1], targets), "mu")
+    return Field(_apply_rule(spec, cloud, f.values, spec.rule[1]), "mu")
 
 
 def apply_direct_targets(spec: KernelSpec, cloud: QuadratureCloud, f: Field, targets) -> np.ndarray:
-    """``apply_direct`` restricted to the given target nodes (oracle helper)."""
-    return apply_direct(spec, cloud, f, targets=targets).values
+    """The dense sums of ``apply_direct`` at the given target nodes only, as
+    an array of shape (len(targets),) or (len(targets), k); the one entry
+    point for a subset of targets.  Their full kernel rows are read in
+    blocks of ``_ROW_BLOCK`` into one reused (``_ROW_BLOCK``, N) buffer, so
+    beyond the output the peak is that of ``apply_direct`` at any target
+    count.  A block's bits are one product ``kernel @ col`` per column; a
+    lone-row block takes numpy's one-row product.
+    """
+    return _apply_rule(spec, cloud, f.values, spec.rule[1], targets)
 
 
 def adjoint_apply_direct(spec: KernelSpec, cloud: QuadratureCloud, f: Field) -> Field:
@@ -487,11 +497,9 @@ def default_t1_balls(family: SquareFamily, seed: int = 0, max_balls: int = 32) -
     same sample is reusable across quadrature refinements."""
     centers = family.centers()
     sides = family.sides()
-    base = float(sides.min())
     corners = np.concatenate([centers - sides[:, None] / 2, centers + sides[:, None] / 2])
     diam = float(np.hypot(*(corners.max(axis=0) - corners.min(axis=0))))
-    steps = max(int(math.ceil(math.log2(max(diam / base, 1.0)))), 0) + 2
-    radii = base * 2.0 ** np.arange(steps)
+    radii = _dyadic_radii(float(sides.min()), diam)  # the squares' diameter, fixed across refinements
     rng = np.random.default_rng(seed)
     balls = []
     for _ in range(max_balls):

@@ -30,19 +30,11 @@ SCHEMA = "nhcz/1"
 
 def jsonable(obj):
     """Recursively convert report payloads to plain JSON types."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    if isinstance(obj, np.generic):  # numpy scalars, float64 and complex128 included
+        return jsonable(obj.item())
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, float):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     if isinstance(obj, complex):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, np.complexfloating):
         return {"re": float(obj.real), "im": float(obj.imag)}
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]

@@ -11,9 +11,9 @@ scale ladders, so the scaling study is the main consumer.
 Each check picks the backend of its one ``operators.Operator`` once
 (``_check_operator``): the treecode above ``FAST_NODE_THRESHOLD`` nodes,
 dense otherwise.  Trial and domination fields go through ``Operator.images``,
-which sets how many ride in one apply.  The decomposition check and the
-domination reconstruction reference stay on the on-the-fly ``apply_direct``
-sums.
+which sets how many ride in one apply.  The decomposition check stays on
+the on-the-fly ``apply_direct`` sums, and the domination reconstruction
+reference on ``apply_direct_targets``.
 
 ``benchmark`` is the direct-vs-treecode timing and accuracy ladder of
 ``nhcz bench``; it sits here, above both sums, rather than in ``fastsum``,
@@ -270,7 +270,7 @@ def _domination(family, n_per_side, trials, seed):
                     "ball_mass_3R_a": ball_mass(cloud, BallQuery(x[0], x[1], 3.0 * r_a)),
                 }
             )
-        full = complex(apply_direct(adj, cloud, witness_f, targets=[node]).values[0])
+        full = complex(apply_direct_targets(adj, cloud, witness_f, [node])[0])
         reconstruction_ok = abs(total - full) <= 1e-12 * max(abs(full), 1e-300) + 1e-300
 
     passed = (

@@ -394,6 +394,20 @@ def test_cz_rejects_bad_inputs():
         cz_constants(KernelSpec("modified", fam), cloud, tau=1.0)
 
 
+def test_cz_constants_take_d_from_the_cloud():
+    """s, eps, the size bound and side^d all come from the cloud's family, as
+    on every apply path, whatever d the spec's family carries."""
+    fa = generate_family(seed=2, count=6, d=1.2, packing_target=4.0, k_range=(3, 5))
+    fb = SquareFamily.build(fa.squares, 0.8, 4.0)
+    cloud_a, cloud_b = build_quadrature(fa, 3), build_quadrature(fb, 3)
+    own_a = cz_constants(KernelSpec("modified", fa), cloud_a, tau=0.5)
+    assert cz_constants(KernelSpec("modified", fb), cloud_a, tau=0.5) == own_a
+    assert cz_constants(KernelSpec("modified", fa), cloud_b, tau=0.5) == cz_constants(
+        KernelSpec("modified", fb), cloud_b, tau=0.5
+    )
+    assert own_a.a_i != cz_constants(KernelSpec("modified", fb), cloud_b, tau=0.5).a_i
+
+
 @st.composite
 def size_scan_clouds(draw):
     """A generated family of 1 to 14 squares and its cloud at n = 1 to 8."""

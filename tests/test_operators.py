@@ -222,7 +222,7 @@ def _traced_peak(fn):
 
 
 def one_node_squares():
-    """257 one-node squares: one node past a whole ``_TARGET_BLOCK``."""
+    """257 one-node squares: one node past four whole ``_ROW_BLOCK`` blocks."""
     fam = SquareFamily.build([DyadicSquare(5, i % 32, i // 32) for i in range(257)], 1.2, 1e9)
     return fam, build_quadrature(build_measure(fam), 1)
 
@@ -235,8 +235,8 @@ def test_column_products_equal_full_matrix_products(monkeypatch, n, k):
     rng = np.random.default_rng(n * k)
     vals = rng.standard_normal((len(cloud), k)) + 1j * rng.standard_normal((len(cloud), k))
     targets = rng.permutation(len(cloud))[:n]
-    monkeypatch.setattr(operators, "_TARGET_BLOCK", 32)
-    got = apply_direct(KernelSpec("modified", fam), cloud, Field(vals, "mu"), targets=targets).values
+    monkeypatch.setattr(operators, "_ROW_BLOCK", 32)
+    got = apply_direct_targets(KernelSpec("modified", fam), cloud, Field(vals, "mu"), targets)
     cols = np.ascontiguousarray(source_charges(cloud, vals, transposed=False).T)
     for b0 in range(0, n, 32):
         kernel = cauchy_square_block_reference(cloud, targets[b0 : b0 + 32], "cross_square")
@@ -244,7 +244,7 @@ def test_column_products_equal_full_matrix_products(monkeypatch, n, k):
         assert_same_bits(got[b0 : b0 + 32], expected)
 
 
-# one target, two, one past a whole _TARGET_BLOCK, and a short second block
+# one target, two, one past whole _ROW_BLOCK blocks, and a short last block
 # (300 targets, repeats among them)
 @pytest.mark.parametrize("size", [1, 2, 257, 300])
 @pytest.mark.parametrize("variant", ["modified", "full"])
@@ -255,8 +255,8 @@ def test_target_blocks_are_one_product_each(variant, size):
     targets = np.array([256]) if size == 1 else rng.integers(0, len(cloud), size)
     spec = KernelSpec(variant, fam)
     charges = source_charges(cloud, f.values, transposed=False)  # both variants are forward
-    got = apply_direct(spec, cloud, f, targets=targets).values
-    block = operators._TARGET_BLOCK
+    got = apply_direct_targets(spec, cloud, f, targets)
+    block = operators._ROW_BLOCK
     for b0 in range(0, size, block):
         rows = targets[b0 : b0 + block]
         assert_same_bits(got[b0 : b0 + block], cauchy_square_block_reference(cloud, rows, spec.rule[0]) @ charges)
@@ -298,6 +298,10 @@ def test_apply_direct_memory_holds_one_block(cloud_2048, variant):
     # one reused (64, N) complex strip, plus that strip's exclusion mask and
     # indices and the (N,) charges and sums
     peak = _traced_peak(lambda: apply_direct(KernelSpec(variant, fam), cloud, f))
+    assert peak < 16 * operators._ROW_BLOCK * n + 2**20
+    # 300 targets read their rows in 64-row blocks through one such buffer
+    targets = np.random.default_rng(3).permutation(n)[:300]
+    peak = _traced_peak(lambda: apply_direct_targets(KernelSpec(variant, fam), cloud, f, targets))
     assert peak < 16 * operators._ROW_BLOCK * n + 2**20
 
 

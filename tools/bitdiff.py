@@ -70,6 +70,9 @@ MATRIX = [
     ("bench-8192", [*_CLI, "bench", "--sizes", "8192", "--tol", "1e-6"]),
     # every output of that rung's fast applies, as re/im leaves
     ("apply-8192", [str(ROOT / "tools" / "treecode_probe.py"), "--n", "8192"]),
+    # above BENCH_DIRECT_LIMIT: its direct check sums 512 sampled targets in
+    # several kernel-row blocks
+    ("bench-16384", [*_CLI, "bench", "--sizes", "16384", "--tol", "1e-6"]),
 ]
 
 
