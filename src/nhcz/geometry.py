@@ -110,6 +110,27 @@ def check_disjointness(squares: list[DyadicSquare]) -> DisjointnessVerdict:
     return DisjointnessVerdict(True, None)
 
 
+def overlapping_pair(squares: list[DyadicSquare]) -> tuple[int, int] | None:
+    """The first pair (a, b), a < b, in row-major order, of squares whose
+    interiors meet, or None.  Two dyadic squares overlap exactly when one
+    is the other or one of its ancestors, so each square looks up itself
+    and its ancestors at the list's generations among the earlier squares,
+    and itself among the earlier squares' ancestors.  Each square's first
+    hit is its smallest a, so the smallest pair over the squares is the
+    row-major first."""
+    gens = sorted({sq.k for sq in squares})
+    first, under, pairs = {}, {}, []  # key -> first square with that key / at or below it
+    for b, sq in enumerate(squares):
+        keys = [(g, sq.i >> (sq.k - g), sq.j >> (sq.k - g)) for g in gens if g <= sq.k]
+        near = [a for a in (*map(first.get, keys[:-1]), under.get(keys[-1])) if a is not None]
+        if near:
+            pairs.append((min(near), b))
+        first.setdefault(keys[-1], b)
+        for key in keys:
+            under.setdefault(key, b)
+    return min(pairs, default=None)
+
+
 class PackingState:
     """Packing sums of a growing square list, keyed by integer ancestor (k, i, j).
 
@@ -248,6 +269,9 @@ class SquareFamily:
             raise ValueError(f"|generation| must be <= {MAX_ABS_GENERATION}")
         if any(max(abs(sq.i), abs(sq.j)) >= 2**53 for sq in squares):
             raise ValueError("|i| and |j| must be below 2^53")
+        if (pair := overlapping_pair(squares)) is not None:
+            a, b = pair
+            raise ValueError(f"squares {a} and {b} overlap ({squares[a]}, {squares[b]}): none may repeat or nest")
         d, target = obj["d"], obj["packing_target"]
         if not all(type(v) in (int, float) and abs(v) <= 1e300 for v in (d, target)):
             raise ValueError(f"d and packing_target must be finite numbers, got {d!r} and {target!r}")

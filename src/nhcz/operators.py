@@ -24,6 +24,11 @@ for a subset of targets, reads their full kernel rows in blocks of
 in the measure-weighted inner product, where the adjoint of a variant is
 the same exclusion mode with the transposition flipped, taken between
 complex conjugations.
+
+``domination_constant`` is the one reading of c_dom, the largest
+|T'f| / M f with its witness: ``verify.check_domination`` and the scaling
+rows read it, and ``_maximal_many``'s ``ratio_of`` pruning takes its floor
+from it.
 """
 
 from __future__ import annotations
@@ -222,12 +227,13 @@ def _maximal_many(cloud, fields, targets=None, ratio_of=None):
 
     ``ratio_of`` (exact mode only; ignored above ``EXACT_LIMIT``) holds one
     nonnegative array per field over the targets, the values a caller
-    will divide by M f, as ``verify.check_domination`` divides |T'f|.  The
-    engine pass then also keeps ub_f = max(lb_f, bracket bounds)
-    (1 + ``_MARGIN``), which bounds the exact value from above (see
-    ``_MARGIN``), and takes the floor L, the largest ratio_of / ub_f over
-    the fields whose ratios are all numbers (ratio 0 where lb_f = 0, as the
-    caller reads a zero M f).  Only the (target, field) pairs without
+    will divide by M f and read with ``domination_constant``, as
+    ``verify.check_domination`` reads |T'f|; the pruning assumes that
+    reading.  The engine pass then also keeps ub_f = max(lb_f, bracket
+    bounds) (1 + ``_MARGIN``), which bounds the exact value from above (see
+    ``_MARGIN``), and takes the floor L, ``domination_constant``'s reading
+    of ratio_of over ub_f, with ub_f taken as 0 where lb_f = 0 (the caller
+    reads a zero M f there).  Only the (target, field) pairs without
     ratio_of / lb_f < L are refined; every other pair returns ub_f.  Such a
     pair's true ratio is at most ratio_of / lb_f < L, and its returned ratio
     ratio_of / ub_f is no larger than the true one, so no pair left out can
@@ -266,8 +272,7 @@ def _maximal_many(cloud, fields, targets=None, ratio_of=None):
     if ratio_of is not None:
         tf = np.stack(ratio_of)
         with np.errstate(divide="ignore", invalid="ignore"):
-            low = np.divide(tf, ub, out=np.zeros_like(ub), where=lb > 0)
-            floor = low[~np.isnan(low).any(axis=1)].max(initial=0.0)
+            floor = domination_constant(tf, np.where(lb > 0, ub, 0.0))[0]
             exact = ~(tf / lb < floor)
         refine &= exact.T[:, None, :]
         outs = np.where(exact, lb, ub)
@@ -279,6 +284,21 @@ def _maximal_many(cloud, fields, targets=None, ratio_of=None):
         best = _refined_maximum(d2, refine[t], wanted[t], live, den_w, num_w, ladder2, kappa2, flags)
         outs[live, t] = np.maximum(lb[live, t], best)
     return list(outs)
+
+
+def domination_constant(tfs, maximal):
+    """The largest ratio tf / M f over fields and nodes, with its first
+    occurrence in field order, then node order: (c_dom, field index, node),
+    or (0.0, None, -1) when no ratio is positive.  A ratio is 0 where M f
+    is 0, and a field holding a NaN ratio adds nothing.  ``tfs`` and
+    ``maximal`` hold one array per field over the same nodes."""
+    c_dom, field, node = 0.0, None, -1
+    for fi, (tf, denom) in enumerate(zip(tfs, maximal, strict=True)):
+        ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)
+        p = int(np.argmax(ratios))
+        if ratios[p] > c_dom:
+            c_dom, field, node = float(ratios[p]), fi, p
+    return c_dom, field, node
 
 
 def _refined_maximum(d2, refine, wanted, live, den_w, num_w, ladder2, kappa2, flags):

@@ -13,7 +13,9 @@ Each check picks the backend of its one ``operators.Operator`` once
 dense otherwise.  Trial and domination fields go through ``Operator.images``,
 which sets how many ride in one apply.  The decomposition check stays on
 the on-the-fly ``apply_direct`` sums, and the domination reconstruction
-reference on ``apply_direct_targets``.
+reference on ``apply_direct_targets``.  ``check_domination`` and the
+scaling rows read c_dom, and the former its witness, with
+``operators.domination_constant``.
 
 ``benchmark`` is the direct-vs-treecode timing and accuracy ladder of
 ``nhcz bench``; it sits here, above both sums, rather than in ``fastsum``,
@@ -41,6 +43,7 @@ from nhcz.operators import (
     apply_direct,
     apply_direct_targets,
     default_t1_balls,
+    domination_constant,
     field_norm,
     t1_testing,
 )
@@ -208,7 +211,8 @@ def check_domination(
 
     c_dom is the largest |T'f(x)| / M f(x) over the trial fields and nodes
     (0 where M f is 0), and the witness is its first occurrence in field
-    order, then node order.  The images come first and go to
+    order, then node order, as ``operators.domination_constant`` reads
+    them.  The images come first and go to
     ``_maximal_many`` as ``ratio_of``, so M f is exact only at the pairs
     whose ratio the ladder bounds cannot rule out: every other pair gets an
     upper bound of M f, which lowers a ratio already below the largest.
@@ -226,23 +230,15 @@ def _domination(family, n_per_side, trials, seed):
     fast = op.backend == "tree"
     del op  # a cached dense kernel goes with it, before the maximal pass
     maximal = _maximal_many(cloud, [f for _, f in fields], ratio_of=tfs)
-    c_dom = 0.0
-    witness = {"field": None, "node": -1}
-    witness_f = None
-    for (label, f), denom, tf in zip(fields, maximal, tfs):
-        ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)
-        node = int(np.argmax(ratios))
-        if ratios[node] > c_dom:
-            c_dom = float(ratios[node])
-            witness = {"field": label, "node": node}
-            witness_f = f
+    c_dom, fi, node = domination_constant(tfs, maximal)
+    label, witness_f = (None, None) if fi is None else fields[fi]
+    witness = {"field": label, "node": node}
     min_a, containment_violations, annuli = _annulus_audits(family)
 
     diagnostics = []
     partition_ok = True
     reconstruction_ok = True
     if witness_f is not None and len(family) > 1:
-        node = witness["node"]
         j = int(cloud.square_index[node])
         by_a: dict[int, list[int]] = {}
         for i, a in enumerate(annuli[j]):
@@ -378,12 +374,8 @@ def scaling_study(d: float, packing_target: float, m_ladder, n_per_side: int = 8
         all_fields = dom_fields + norm_fields
         targets = np.sort(rng.choice(len(cloud), picks, replace=False))
         maximal = _maximal_many(cloud, [f for _, f in all_fields], targets=targets)
-        c_dom = 0.0
-        images = op.images("adjoint", [f for _, f in dom_fields])
-        for denom, image in zip(maximal[: len(dom_fields)], images):
-            tf = np.abs(image[targets])
-            ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)
-            c_dom = max(c_dom, float(ratios.max()))
+        tfs = [np.abs(image[targets]) for image in op.images("adjoint", [f for _, f in dom_fields])]
+        c_dom = domination_constant(tfs, maximal[: len(dom_fields)])[0]
         c_max_op = 0.0
         mu_t = cloud.mu_weight[targets]
         for (label, f), mf in zip(all_fields, maximal):

@@ -321,7 +321,8 @@ def witness_loop(tfs, maximal):
     """The largest ratio tf / M f over fields and nodes (0 where M f is 0)
     and its first occurrence, field order then node order, as
     (c_dom, field index or None, node or -1).  A field with a NaN ratio
-    contributes nothing, as in ``verify.check_domination``'s loop."""
+    contributes nothing.  The independent reference of
+    ``operators.domination_constant``."""
     c_dom, field, node = 0.0, None, -1
     for fi, (tf, denom) in enumerate(zip(tfs, maximal)):
         ratios = np.divide(tf, denom, out=np.zeros_like(tf), where=denom > 0)

@@ -1,10 +1,14 @@
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import bitdiff  # noqa: E402
 from bitdiff import compare, flatten, ordered_bits, read_outputs, same_leaf  # noqa: E402
 from treecode_probe import outputs  # noqa: E402
 
@@ -94,3 +98,35 @@ def test_treecode_probe_writes_one_leaf_per_output_component(tmp_path):
     for v in want:
         for part in ("re", "im"):
             assert all(same_leaf(leaves[f"apply.json/{v}/{part}[{i}]"], x) for i, x in enumerate(want[v][part]))
+
+
+# writes the probe variables it sees into <out>/env.json
+_ENV_PROBE = (
+    "import json, os, pathlib, sys; out = pathlib.Path(sys.argv[-1]); out.mkdir();"
+    "(out / 'env.json').write_text(json.dumps({k: os.environ.get(k) for k in ('NHCZ_A', 'NHCZ_B')}))"
+)
+
+
+def test_change_env_reaches_only_the_change_side(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("NHCZ_A", raising=False)
+    monkeypatch.delenv("NHCZ_B", raising=False)
+    monkeypatch.setattr(bitdiff, "MATRIX", [("probe", ["-c", _ENV_PROBE])])
+    monkeypatch.setattr(bitdiff, "export", lambda rev, into: bitdiff.ROOT)
+    record_path = tmp_path / "moved.json"
+    args = ["--parent", "HEAD", "--change-env", "NHCZ_A=x=1", "--change-env", "NHCZ_B=", "--json", str(record_path)]
+    assert bitdiff.main(args) == 1
+    record = json.loads(record_path.read_text())
+    assert record["change_env"] == {"NHCZ_A": "x=1", "NHCZ_B": ""}
+    moves = record["commands"]["probe"]["moves"]
+    assert {k: (m["parent"], m["change"]) for k, m in moves.items()} == {
+        "env.json/NHCZ_A": (None, "x=1"),
+        "env.json/NHCZ_B": (None, ""),
+    }
+    assert "change-side environment: NHCZ_A=x=1 NHCZ_B=" in capsys.readouterr().out
+
+
+def test_change_env_without_equals_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bitdiff.main(["--parent", "HEAD", "--change-env", "OPENBLAS_CORETYPE"])
+    assert exc.value.code == 2
+    assert "expected NAME=VALUE" in capsys.readouterr().err

@@ -51,6 +51,19 @@ def test_validate_flags_dilate_overlap(tmp_path):
     assert report["witnesses"]["dilate_overlap"] == [0, 1]
 
 
+@pytest.mark.parametrize("squares", [[(3, 1, 1), (3, 1, 1)], [(2, 0, 0), (3, 0, 0)]], ids=["repeat", "nested"])
+@pytest.mark.parametrize("command", ["validate", "norm", "dominate", "czcheck", "growth", "a2", "t1", "decompose"])
+def test_overlapping_family_is_input_error(tmp_path, capsys, command, squares):
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps({"d": 1.2, "packing_target": 4.0, "squares": [dict(zip("kij", s)) for s in squares]}))
+    out = tmp_path / "reports"
+    n = [] if command == "validate" else ["--n", "2"]
+    assert run([command, "--family", str(path), *n, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "ValueError" and "squares 0 and 1 overlap" in err["detail"]
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_empty_family_is_input_error(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"d": 1.0, "packing_target": 4.0, "squares": []}))

@@ -19,6 +19,7 @@ from nhcz.geometry import (
     check_disjointness,
     generate_cascade_family,
     generate_family,
+    overlapping_pair,
     packing_constant,
     suggest_generation_range,
 )
@@ -238,6 +239,32 @@ def test_disjointness_sweep_matches_the_pair_loop_on_cascades():
         moved = squares + [DyadicSquare(s.k, s.i + 1, s.j) for s in squares[::7]]
         assert check_disjointness(moved) == disjointness_loop(moved)
         assert not disjointness_loop(moved).ok
+
+
+def _interiors_meet(a, b):
+    """Open-square overlap, in integer units of the finer generation."""
+    k = max(a.k, b.k)
+    (ax, ay, asz), (bx, by, bsz) = ((s.i << (k - s.k), s.j << (k - s.k), 1 << (k - s.k)) for s in (a, b))
+    return max(ax, bx) < min(ax + asz, bx + bsz) and max(ay, by) < min(ay + asz, by + bsz)
+
+
+@given(square_lists(k_lo=-2, k_hi=4, reach=8, size=10))
+@example([DyadicSquare(3, 1, 1), DyadicSquare(3, 1, 1)])
+@example([DyadicSquare(3, 0, 0), DyadicSquare(2, 0, 0), DyadicSquare(3, 5, 5), DyadicSquare(-1, -1, -1)])
+def test_overlapping_pair_matches_the_interior_pair_loop(squares):
+    pairs = [(a, b) for b in range(len(squares)) for a in range(b) if _interiors_meet(squares[a], squares[b])]
+    assert overlapping_pair(squares) == min(pairs, default=None)
+
+
+@pytest.mark.parametrize(
+    "squares, pair",
+    [([(3, 1, 1), (3, 1, 1)], (0, 1)), ([(2, 0, 0), (3, 0, 0)], (0, 1)), ([(3, 4, 4), (3, 1, 1), (1, 0, 0)], (1, 2))],
+)
+def test_family_file_with_overlapping_squares_is_refused(squares, pair):
+    obj = {"d": 1.2, "packing_target": 4.0, "squares": [dict(zip("kij", sq)) for sq in squares]}
+    with pytest.raises(ValueError, match=f"squares {pair[0]} and {pair[1]} overlap"):
+        SquareFamily.from_json_dict(obj)
+    SquareFamily.build([DyadicSquare(*sq) for sq in squares], 1.2, 4.0)  # the constructor stays permissive
 
 
 @given(square_lists(k_lo=-6, k_hi=12, reach=2**8, size=10), st.integers(0, 3))

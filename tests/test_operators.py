@@ -21,6 +21,7 @@ from nhcz.operators import (
     apply_direct_targets,
     beurling_multiplier,
     default_t1_balls,
+    domination_constant,
     field_norm,
     maximal_function,
     operator_norm,
@@ -489,6 +490,35 @@ def test_ratio_of_keeps_nan_and_zero_fields(exact_limit, monkeypatch):
     # a field with a NaN ratio adds nothing to the largest ratio, however large its others
     tfs[2][:2] = np.nan, 1e300
     assert witness_loop(tfs, _maximal_many(cloud, fields, ratio_of=tfs)) == witness_loop(tfs, plain)
+
+
+@st.composite
+def ratio_arrays(draw):
+    """(|T'f|, M f) over fields x targets, from a few values so that ties
+    within and across fields and exact zeros of M f come up, with at times
+    an all-zero field and a NaN in one field."""
+    shape = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    values = st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 10.0)
+    size = shape[0] * shape[1]
+    tf, mf = (np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape) for _ in "tm")
+    if draw(st.booleans()):
+        tf[draw(st.integers(0, shape[0] - 1))] = 0.0
+    if draw(st.booleans()):
+        which = draw(st.sampled_from([tf, mf]))
+        which[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = np.nan
+    return tf, mf
+
+
+@given(ratio_arrays())
+@example((np.array([[1.0, 2.0], [4.0, 2.0]]), np.array([[0.0, 1.0], [2.0, 1.0]])))  # ties across and within fields
+@example((np.array([[np.nan, 9.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [1.0, 1.0]])))  # the NaN field adds nothing
+@example((np.zeros((2, 3)), np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])))  # no positive ratio
+def test_domination_constant_equals_the_witness_loop(case):
+    tf, mf = case
+    with np.errstate(over="ignore"):  # a subnormal M f may take a ratio to inf
+        want = witness_loop(list(tf), list(mf))
+        for got in (domination_constant(list(tf), list(mf)), domination_constant(tf, mf)):
+            assert got[0].hex() == want[0].hex() and got[1:] == want[1:]
 
 
 def test_aligned_row_has_distances_on_ladder_and_dilated_radii():

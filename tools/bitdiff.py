@@ -1,9 +1,14 @@
 """The output values that move between two revisions, leaf by leaf.
 
     python3 tools/bitdiff.py --parent HEAD~1 [--change REV] [--json moved.json]
+        [--change-env NAME=VALUE ...]
 
 Each revision is exported with ``git archive`` into a temporary directory;
-the change defaults to the working tree as it stands.  The committed
+the change defaults to the working tree as it stands.  Each
+``--change-env NAME=VALUE`` (the flag repeats) is set in the change side's
+runs only, so one revision against itself with, say,
+``OPENBLAS_CORETYPE=Sandybridge`` shows which leaves hang on the kernels
+numpy and OpenBLAS pick.  The committed
 command matrix ``MATRIX`` then runs on each side with ``PYTHONPATH`` at
 that side's ``src``, always from the same working directory, so paths
 written into the reports agree.  A row is a whole interpreter argv: an
@@ -13,7 +18,8 @@ each command's output directory is compared, except ``IGNORED_KEYS``,
 ``IGNORED_COLUMNS`` and ``IGNORED_FILES`` (wall-clock times).  For each
 command the summary gives both exit codes, the number of moved, added and
 removed leaves, and the largest absolute, relative and ulp move with its
-key path; ``--json`` writes the summary with every moved leaf.  Exit
+key path, after a line naming the change side's variables; ``--json``
+writes the summary, those variables and every moved leaf.  Exit
 status 0 means nothing moved, 1 that something did.  Only the standard
 library is used.
 """
@@ -66,6 +72,9 @@ MATRIX = [
     ("decompose", [*_CLI, "decompose", *_F16]),
     ("beurling", [*_CLI, "beurling", "--n", "16", "--trials", "2"]),
     ("scaling", [*_CLI, "scaling", "--M", "4,16", "--d", "1.2", "--n", "6"]),
+    # the benchmark's scaling row: the tree backend, the ladder maximal pass
+    # and 4,096 sampled targets
+    ("scaling-16384", [*_CLI, "scaling", "--M", "256", "--d", "1.2", "--n", "8"]),
     # a uniform 8,192-node treecode ladder rung, whose plan has split leaves
     ("bench-8192", [*_CLI, "bench", "--sizes", "8192", "--tol", "1e-6"]),
     # every output of that rung's fast applies, as re/im leaves
@@ -196,9 +205,10 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
-def run_matrix(checkout: Path, work: Path) -> dict:
-    """Run ``MATRIX`` with ``checkout``'s sources in ``work``: {name: exit code}."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+def run_matrix(checkout: Path, work: Path, extra_env=None) -> dict:
+    """Run ``MATRIX`` with ``checkout``'s sources in ``work``, with the
+    variables of ``extra_env`` set on top of this process's: {name: exit code}."""
+    env = {**os.environ, **(extra_env or {}), "PYTHONPATH": str(checkout / "src")}
     work.mkdir(parents=True)
     exits = {}
     for name, args in MATRIX:
@@ -216,12 +226,30 @@ def summary_line(name: str, report: dict) -> str:
     return ", ".join(parts)
 
 
+def env_assignment(text: str) -> tuple[str, str]:
+    """(NAME, VALUE) of a ``--change-env NAME=VALUE`` argument."""
+    name, sep, value = text.partition("=")
+    if not (sep and name):
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="revision of the parent")
     p.add_argument("--change", help="revision of the change (default: the working tree)")
     p.add_argument("--json", type=Path, help="write the summary and every moved leaf here")
+    p.add_argument(
+        "--change-env",
+        type=env_assignment,
+        action="append",
+        default=[],
+        metavar="NAME=VALUE",
+        help="set in the change side's runs only; repeatable",
+    )
     args = p.parse_args(argv)
+    change_env = dict(args.change_env)
+    print("change-side environment: " + (" ".join(f"{k}={v}" for k, v in change_env.items()) or "as the parent's"))
     t0 = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="bitdiff-") as tmp:
         tmp = Path(tmp)
@@ -229,7 +257,7 @@ def main(argv=None) -> int:
         sides["change"] = ROOT if args.change is None else export(args.change, tmp / "change-src")
         exits, outputs = {}, {}
         for side, checkout in sides.items():
-            exits[side] = run_matrix(checkout, tmp / "work")
+            exits[side] = run_matrix(checkout, tmp / "work", change_env if side == "change" else None)
             outputs[side] = (tmp / "work").rename(tmp / f"{side}-out")
         commands = {}
         for name, _ in MATRIX:
@@ -239,6 +267,7 @@ def main(argv=None) -> int:
     record = {
         "parent": args.parent,
         "change": args.change or "working tree",
+        "change_env": change_env,
         "matrix_s": round(time.perf_counter() - t0, 1),
         "commands": commands,
     }
