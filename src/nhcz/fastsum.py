@@ -48,6 +48,15 @@ The plan is the one a per-target walk down the tree would record:
 Moments are built leaf by leaf and then shifted up one depth at a time,
 with one shift matrix per distinct child offset, applied to all columns in
 one stacked product; on dyadic clouds those are the four quadrant offsets.
+
+What depends on the tree alone is computed once and kept on it: the plan
+per opening parameter, the upward pass's offset groups and shift matrices
+per order, and, on the plan, the far pairs' decoded ``perm`` positions and
+1/(z - c) when they fit ``_FAR_CACHE_BYTES`` (4 MiB at 20 B a pair).  The
+M=256 cascade of the scaling study holds 3.9 MB there; a cloud whose far
+pairs exceed the budget, such as the benchmark ladder's 32k and 100k
+rungs, decodes them again in every far pass.  Cached or not, each pass
+makes the same operations on the same values, so no bit depends on it.
 Charges of shape (N,) or (N, k) go through the same plan in one pass:
 the moments are built once, and one far pass and one near pass cover every
 column of the call.  Each column's sums run in the same order whatever
@@ -58,7 +67,7 @@ send at most ``operators._COLUMN_BLOCK`` through ``Operator.images``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +78,9 @@ _MAX_DEPTH = 48
 _ENTRY_BLOCK = 256  # far runs per power matrix (at most 256 x leaf width rows)
 _NEAR_BLOCK = 64  # near runs per dense kernel evaluation
 _MARGIN = 1e-12  # relative slack that keeps a whole-pair decision clear of rounding
+# bytes a plan may hold for its far pairs, 20 a pair (an int32 perm position
+# and a complex 1/(z - c)): the M=256 cascade's 196,608 pairs take 3.9 MB
+_FAR_CACHE_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -106,10 +118,10 @@ class InteractionPlan:
     near_blocks_skipped: int  # (source leaf, target leaf) blocks whose pairs all share a square
     cell_pairs: int  # (target cell, source cell) pairs decided as a whole
     target_tests: int  # (target node, source cell) opening tests made one by one
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+    # the far pairs' perm positions and 1/(z - c), in run order, and each
+    # far chunk's layout in them; the first far pass fills it when the
+    # pairs fit ``_FAR_CACHE_BYTES`` (see ``_far_pairs``)
+    far_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 class QuadTree:
@@ -157,7 +169,11 @@ class QuadTree:
             c = np.empty(m, dtype=np.complex128)
             c.real, c.imag = x, y
             radius = np.maximum.reduceat(np.abs(z[nodes] - c[cell]), np.cumsum(size) - size)
-            pairs = np.unique(cell * n_sq + sq[nodes])  # (cell, square) keys
+            # (cell, square) keys ascend: cells run in ``perm`` order, and within a
+            # cell the nodes keep cloud order, which is square-major, since every
+            # split is a stable sort; so each key's first occurrence is a run start
+            keys = cell * n_sq + sq[nodes]
+            pairs = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
             n_squares = np.bincount(pairs // n_sq, minlength=m)
             levels.append((c, start, size, np.full(m, dep), up, radius, n_squares, pairs % n_sq))
             if dep >= _MAX_DEPTH:
@@ -212,6 +228,7 @@ class QuadTree:
         # leaves in id order tile ``perm`` from left to right
         self.leaf_diff = self.cloud.z[self.perm] - np.repeat(self.centers[self.leaf_ids], sizes)
         self._plans: dict[float, InteractionPlan] = {}
+        self._upward: dict[int, list] = {}  # order -> ``_upward_plan``
 
     def moments(self, charges: np.ndarray, order: int) -> np.ndarray:
         """Per-cell moment sums sum_q c_q (w_q - center)^k, k < order.
@@ -223,6 +240,9 @@ class QuadTree:
         matrix per distinct child-to-parent offset and one stacked product
         over all columns.  A stacked product is one product per column, so
         a column's moments do not depend on how many columns come with it.
+        The upward pass's groups and shift matrices depend only on the tree
+        and ``order``, so ``_upward_plan`` builds them once per order and
+        keeps them on the tree.
         """
         cols = charges.reshape(len(charges), -1).T
         mom = np.zeros((cols.shape[0], self.n_cells, order), dtype=np.complex128)
@@ -232,24 +252,37 @@ class QuadTree:
             for k in range(order):
                 m[self.leaf_ids, k] = np.add.reduceat(ch, leaf_start)
                 if k + 1 < order:
-                    ch = ch * self.leaf_diff
-        binom = _binomial_table(order)
-        tri_r, tri_c = np.tril_indices(order)
-        ks = np.arange(order)
-        for dep in range(int(self.depth.max()), 0, -1):
-            kids = np.flatnonzero(self.depth == dep)
-            ups = self.parent[kids]
-            offsets, group = np.unique(self.centers[kids] - self.centers[ups], return_inverse=True)
-            by_group = np.argsort(group, kind="stable")
-            bounds = np.searchsorted(group[by_group], np.arange(offsets.size + 1))
-            for g, t in enumerate(offsets):
-                sel = by_group[bounds[g] : bounds[g + 1]]
-                shift = np.zeros((order, order), dtype=np.complex128)
-                shift[tri_r, tri_c] = binom[tri_r, tri_c] * (t**ks)[tri_r - tri_c]
-                # siblings have distinct offsets, so ups[sel] holds no repeats
-                mom[:, ups[sel]] += mom[:, kids[sel]] @ shift.T
+                    np.multiply(ch, self.leaf_diff, out=ch)
+        for ups, kids, shift in self._upward_plan(order):
+            # siblings have distinct offsets, so ``ups`` holds no repeats; the
+            # product takes ``shift.T`` as a view, whose bits a contiguous copy
+            # would not keep
+            mom[:, ups] += mom[:, kids] @ shift.T
         mom = np.moveaxis(mom, 0, -1)
         return mom if charges.ndim > 1 else mom[:, :, 0]
+
+    def _upward_plan(self, order: int) -> list:
+        """(parents, children, shift matrix) of each child-to-parent offset
+        group, depth by depth from the deepest, in the order ``moments``
+        adds them; built on first use and cached per order."""
+        if order not in self._upward:
+            binom = _binomial_table(order)
+            tri_r, tri_c = np.tril_indices(order)
+            ks = np.arange(order)
+            steps = []
+            for dep in range(int(self.depth.max()), 0, -1):
+                kids = np.flatnonzero(self.depth == dep)
+                ups = self.parent[kids]
+                offsets, group = np.unique(self.centers[kids] - self.centers[ups], return_inverse=True)
+                by_group = np.argsort(group, kind="stable")
+                bounds = np.searchsorted(group[by_group], np.arange(offsets.size + 1))
+                for g, t in enumerate(offsets):
+                    sel = by_group[bounds[g] : bounds[g + 1]]
+                    shift = np.zeros((order, order), dtype=np.complex128)
+                    shift[tri_r, tri_c] = binom[tri_r, tri_c] * (t**ks)[tri_r - tri_c]
+                    steps.append((ups[sel], kids[sel], shift))
+            self._upward[order] = steps
+        return self._upward[order]
 
     def plan(self, theta: float) -> InteractionPlan:
         """The interaction plan at opening parameter ``theta``, built on
@@ -430,9 +463,10 @@ def apply_fast(spec: KernelSpec, tree: QuadTree, f: Field, params: ExpansionPara
     out = np.zeros(cols.shape, dtype=np.complex128)  # rows in ``perm`` order
     _far_sums(tree, plan, tree.moments(cols, params.order), out)
     _near_sums(tree, plan, cols, out)
-    del cols  # frees the charges before the output copies below
-    out = out[tree.rank].reshape(f.values.shape)
-    return Field(target_scale(cloud, out, transposed), "mu")
+    del cols  # frees the charges before the output copy below
+    if transposed:  # ``target_scale``'s products, in place and in ``perm`` order
+        out *= cloud.side_d[cloud.square_index[tree.perm]][:, None]
+    return Field(out[tree.rank].reshape(f.values.shape), "mu")
 
 
 def _run_positions(start, length):
@@ -473,6 +507,55 @@ def _far_chunks(ptr):
         c = c1
 
 
+def _decoded_chunks(tree, plan, n_live=None):
+    """(first cell, segment bounds, perm positions, 1/(z - c)) of each far
+    chunk, in ``_far_chunks`` order, skipping a chunk none of whose cells
+    has ``n_live`` > 0.  Each chunk decodes its runs and takes each cell's
+    centre from its segment as a scalar; 1/(z - c) is written to a buffer
+    that the next chunk overwrites."""
+    centers = tree.centers[plan.far_cells].tolist()
+    buf = np.empty(_ENTRY_BLOCK * tree.leaf_width, dtype=np.complex128)
+    for c0, b0, b1, cut in _far_chunks(plan.far_ptr):
+        if n_live is not None and not any(n_live[c0 : c0 + len(cut) - 1]):
+            continue
+        pos, ends = _run_positions(plan.far_start[b0:b1], plan.far_len[b0:b1])
+        # each cell's targets are a stretch of ``pos``, in cell order
+        seg = np.append(0, ends)[cut].tolist()
+        inv = np.take(tree.cloud.z, tree.perm[pos], out=buf[: pos.size], mode="clip")
+        for c, s0, s1 in zip(range(c0, c0 + len(cut) - 1), seg, seg[1:]):
+            np.subtract(inv[s0:s1], centers[c], out=inv[s0:s1])
+        yield c0, seg, pos, np.divide(1.0, inv, out=inv)
+
+
+def _far_pairs(tree, plan, n_live):
+    """``_decoded_chunks(tree, plan, n_live)``, read from the plan's cache
+    when it holds one.
+
+    Positions and 1/(z - c) depend on the tree and the plan alone.  The
+    first pass over a plan whose far pairs fit ``_FAR_CACHE_BYTES`` decodes
+    every chunk into ``plan.far_cache``: the positions in one int32 array,
+    1/(z - c) in one complex array, and each chunk's first cell, offset and
+    segment bounds.  A plan over the budget holds no cache and decodes its
+    chunks in every pass.  Either way the values are the decode's, so the
+    bits are the same; a chunk's positions are handed out as intp, since
+    numpy's fancy indexing casts any other index type on every call."""
+    cache = plan.far_cache
+    if not cache and 20 * (n := int(plan.far_len.sum())) <= _FAR_CACHE_BYTES:
+        pos, inv, chunks, p0 = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.complex128), [], 0
+        for c0, seg, p, v in _decoded_chunks(tree, plan):
+            pos[p0 : p0 + p.size], inv[p0 : p0 + p.size] = p, v
+            chunks.append((c0, p0, seg))
+            p0 += p.size
+        cache.update(pos=pos, inv=inv, chunks=chunks)
+    if not cache:
+        yield from _decoded_chunks(tree, plan, n_live)
+        return
+    for c0, p0, seg in cache["chunks"]:
+        if any(n_live[c0 : c0 + len(seg) - 1]):
+            p1 = p0 + seg[-1]
+            yield c0, seg, cache["pos"][p0:p1].astype(np.intp), cache["inv"][p0:p1]
+
+
 def _far_sums(tree, plan, mom, out):
     """Adds every expanded interaction to ``out`` (N, k), whose rows are in
     ``perm`` order, for all k columns of ``mom`` in one pass.  The power
@@ -480,69 +563,56 @@ def _far_sums(tree, plan, mom, out):
     stays below 1 and the moments are rescaled by exact powers of two, all
     far cells' at once; neither overflows at any order.
 
-    The runs are evaluated in ``_far_chunks``: each chunk makes one run
-    decode, one 1/(z - c) with each pair's own centre and 2^e, and one
-    power matrix in a buffer all chunks reuse, so the number of numpy calls
-    follows the runs rather than the far cells.  Each cell's segment of
-    the chunk then takes one product per column and adds to ``out`` on its
-    own, so every target's sum is added in cell order and each column's
-    sums do not depend on the chunk or on the other columns.
+    The runs are evaluated in ``_far_chunks``: ``_far_pairs`` gives each
+    chunk's perm positions and 1/(z - c), from the plan's cache when it
+    holds one, and the chunk makes u, with each cell's 2^e as a scalar, and
+    one power matrix in a buffer all chunks reuse, so the number of numpy
+    calls follows the runs and the cells rather than the pairs.  Each
+    cell's segment of the chunk then takes one product per column and adds
+    to ``out`` on its own, so every target's sum is added in cell order and
+    each column's sums do not depend on the chunk or on the other columns.
 
     Only live (cell, column) pairs, whose rescaled moments are not all
-    zero, take a product and an addition; a cell with every column live
-    adds whole rows, any other adds its live columns one by one, and a
-    chunk without a live pair is skipped before its decode.  A dead
-    pair's product with the finite powers is +-0.  ``out`` starts at +0 and
-    a sum that starts at +0 never reaches -0 under round-to-nearest, so
-    adding +-0 would change no bit and the skip is exact.  Liveness is read
-    on the rescaled moments, the ones multiplied; a radius-0 cell's higher
-    moments, which it does not multiply, are exact zeros."""
-    z = tree.cloud.z[tree.perm]
+    zero, take a product and a scatter into their column of ``out``, and
+    a chunk without a live pair is skipped.  A dead pair's product with the
+    finite powers is +-0.  ``out`` starts at +0 and a sum that starts at +0
+    never reaches -0 under round-to-nearest, so adding +-0 would change no
+    bit and the skip is exact.  Liveness is read on the rescaled moments,
+    the ones multiplied; a radius-0 cell's higher moments, which it does
+    not multiply, are exact zeros."""
     width = tree.leaf_width
     order = mom.shape[1]
     ks = np.arange(order)
     cells = plan.far_cells
-    centers, radius = tree.centers[cells], tree.radius[cells]
-    e = np.frexp(radius)[1]
-    scale = np.ldexp(1.0, e)
+    e = np.frexp(tree.radius[cells])[1]
+    scale = np.ldexp(1.0, e).tolist()
     m = mom[cells].transpose(0, 2, 1) * (ks + 1)  # (cell, column, power)
     m = np.ldexp(m.real, -e[:, None, None] * ks) + 1j * np.ldexp(m.imag, -e[:, None, None] * ks)
     # sources that all sit at the center have only a zeroth moment
-    powers = np.where(radius > 0, order, 1).tolist()
+    powers = np.where(tree.radius[cells] > 0, order, 1).tolist()
     live = (m != 0).any(axis=2)  # (cell, column) pairs whose product can be nonzero
     n_live = live.sum(axis=1).tolist()
     n_cols = m.shape[1]
     pw_buf = np.empty(order * _ENTRY_BLOCK * width, dtype=np.complex128)
-    sums_buf = np.empty(n_cols * _ENTRY_BLOCK * width, dtype=np.complex128)
-    for c0, b0, b1, cut in _far_chunks(plan.far_ptr):
-        c1 = c0 + len(cut) - 1
-        if not any(n_live[c0:c1]):
-            continue
-        pos, ends = _run_positions(plan.far_start[b0:b1], plan.far_len[b0:b1])
-        # each cell's targets are a stretch of ``pos``, in cell order
-        seg = np.append(0, ends)[cut]
-        counts = np.diff(seg)
-        inv = 1.0 / (z[pos] - np.repeat(centers[c0:c1], counts))
-        u = inv * np.repeat(scale[c0:c1], counts)
+    u_buf = np.empty(_ENTRY_BLOCK * width, dtype=np.complex128)
+    sums_buf = np.empty(_ENTRY_BLOCK * width, dtype=np.complex128)
+    out_cols = out.T
+    for c0, seg, pos, inv in _far_pairs(tree, plan, n_live):
         pw = pw_buf[: order * pos.size].reshape(order, pos.size)  # rows inv^2 u^k
+        u = u_buf[: pos.size]
         np.multiply(inv, inv, out=pw[0])
+        bounds = list(zip(range(c0, c0 + len(seg) - 1), seg, seg[1:]))
+        for c, s0, s1 in bounds:
+            np.multiply(inv[s0:s1], scale[c], out=u[s0:s1])
         for k in range(1, order):
             np.multiply(pw[k - 1], u, out=pw[k])
-        seg = seg.tolist()
-        for c, s0, s1 in zip(range(c0, c1), seg, seg[1:]):
+        for c, s0, s1 in bounds:
             p, k = powers[c], n_live[c]
             if not k:
                 continue
-            cols = range(n_cols) if k == n_cols else np.flatnonzero(live[c]).tolist()
-            sums = sums_buf[: k * (s1 - s0)].reshape(k, s1 - s0)
-            for j, sj in zip(cols, sums):
-                np.matmul(m[c, j, :p], pw[:p, s0:s1], out=sj)
-            # a cell expands each target once, so ``pos`` has no repeats
-            if k == n_cols:
-                out[pos[s0:s1]] += sums.T
-            else:  # one scatter per live column beats a 2-D gather
-                for j, sj in zip(cols, sums):
-                    out[pos[s0:s1], j] += sj
+            sums, target = sums_buf[: s1 - s0], pos[s0:s1]
+            for j in range(n_cols) if k == n_cols else np.flatnonzero(live[c]).tolist():
+                np.add.at(out_cols[j], target, np.matmul(m[c, j, :p], pw[:p, s0:s1], out=sums))
 
 
 def _near_sums(tree, plan, charges, out):

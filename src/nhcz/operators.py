@@ -407,7 +407,10 @@ class Operator:
     it); above it they are recomputed per apply into one reused 64 x N
     buffer.  The bits are ``apply_direct``'s either way.  ``"tree"``:
     ``apply_fast`` at the default ``ExpansionParams`` on a tree built at the
-    first apply; modified and adjoint only.
+    first apply; modified and adjoint only.  The tree keeps, for the
+    operator's life, its plan, its upward shift matrices and, when the far
+    pairs fit ``fastsum._FAR_CACHE_BYTES``, their positions and 1/(z - c):
+    3.9 MB on the M=256 cascade, nothing on clouds over the budget.
 
     ``images`` streams many fields through ``apply``, ``_COLUMN_BLOCK`` at
     a time; it is the one place that sets the width of a multi-field apply.

@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -249,7 +251,7 @@ def test_plan_counters_and_memory_on_the_ladder_family(ladder_cloud):
     assert tree.plan(0.5) is plan
     far_pairs = int(plan.far_len.sum())
     assert far_pairs * 8 > 1.4e6  # what per-pair int64 target lists would hold
-    assert plan.nbytes < 0.5e6
+    assert sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray)) < 0.5e6  # the run arrays
     assert plan.far_start.size > 0
     assert plan.near_start.size > 0 and plan.near_blocks_skipped > plan.near_start.size
     # the walk decides whole cell pairs and tests few targets one by one; a
@@ -323,19 +325,33 @@ def test_treecode_matches_direct_and_batches_columns(case):
 def _check_batched_passes_match_references(fam, tree, values, params):
     """The moments and the chunked far pass equal their one-column and
     one-cell references bit for bit, and every column of a batched apply
-    equals its single-column apply bit for bit."""
+    equals its single-column apply bit for bit; each on a fresh tree whose
+    far passes all decode their chunks (budget 0), and on one whose first
+    pass fills the plan's cache and whose later passes read it (no limit).
+    That first pass has all moments zero, so no chunk of it is live, and
+    the cache must still hold every chunk."""
     mom = tree.moments(values, params.order)
     assert_same_bits(mom, moments_per_column(tree, values, params.order))
-    plan = tree.plan(params.theta)
-    got, want = np.zeros(values.shape, complex), np.zeros(values.shape, complex)
-    fastsum._far_sums(tree, plan, mom, got)
-    far_sums_per_cell(tree, plan, mom, want)
-    assert_same_bits(got, want)
-    for variant in ("modified", "adjoint"):
-        spec = KernelSpec(variant, fam)
-        batched = apply_fast(spec, tree, Field(values, "mu"), params).values
-        for j in range(values.shape[1]):
-            assert_same_bits(batched[:, j], apply_fast(spec, tree, Field(values[:, j], "mu"), params).values)
+    want = np.zeros(values.shape, complex)
+    far_sums_per_cell(tree, tree.plan(params.theta), mom, want)
+    applies = []
+    for budget in (0, math.inf):
+        with mock.patch.object(fastsum, "_FAR_CACHE_BYTES", budget):
+            fresh = build_tree(tree.cloud, tree.leaf_cap)
+            plan = fresh.plan(params.theta)
+            for moments, sums in ((np.zeros_like(mom), np.zeros_like(want)), (mom, want), (mom, want)):
+                got = np.zeros(values.shape, complex)
+                fastsum._far_sums(fresh, plan, moments, got)
+                assert_same_bits(got, sums)
+            assert bool(plan.far_cache) == (budget > 0 or plan.far_start.size == 0)
+            for variant in ("modified", "adjoint"):
+                spec = KernelSpec(variant, fam)
+                batched = apply_fast(spec, fresh, Field(values, "mu"), params).values
+                for j in range(values.shape[1]):
+                    assert_same_bits(batched[:, j], apply_fast(spec, fresh, Field(values[:, j], "mu"), params).values)
+                applies.append(batched)
+    for uncached, cached in zip(applies[:2], applies[2:]):
+        assert_same_bits(uncached, cached)
 
 
 @given(treecode_cases(), st.integers(1, 5), st.sampled_from([1, 5, 12]), st.sampled_from([0.3, 0.5, 0.9]))
@@ -391,6 +407,28 @@ def test_chunked_far_pass_keeps_every_bit_on_benchmark_clouds(cloud_name, column
         rng = np.random.default_rng(columns)
         values = rng.standard_normal((len(cloud), columns)) + 1j * rng.standard_normal((len(cloud), columns))
     _check_batched_passes_match_references(fam, tree, values, ExpansionParams())
+
+
+def test_far_cache_holds_only_plans_within_its_budget(monkeypatch):
+    fam = generate_cascade_family(seed=0, count=256, d=1.2, packing_target=4.0)
+    cascade = build_quadrature(build_measure(fam), 8)  # scaling_row's cloud
+    f = Field(np.ones(len(cascade)), "mu")
+    plan = build_tree(cascade, 32).plan(0.5)
+    pairs = int(plan.far_len.sum())
+    assert pairs == 196_608 and plan.far_cache == {}
+    for budget, cached in ((pairs * 20, True), (pairs * 20 - 1, False)):
+        monkeypatch.setattr(fastsum, "_FAR_CACHE_BYTES", budget)
+        tree = build_tree(cascade, 32)
+        for _ in range(2):
+            apply_fast(KernelSpec("modified", fam), tree, f, ExpansionParams())
+        cache = tree.plan(0.5).far_cache
+        assert bool(cache) == cached
+        if cached:
+            assert cache["pos"].dtype == np.int32 and cache["inv"].dtype == np.complex128
+            assert cache["pos"].size == cache["inv"].size == pairs
+            assert cache["pos"].nbytes + cache["inv"].nbytes <= budget
+    monkeypatch.undo()
+    assert pairs * 20 <= fastsum._FAR_CACHE_BYTES  # the module's budget holds the cascade
 
 
 @given(treecode_cases(), st.sampled_from([1, 5, 12]), st.sampled_from([0.3, 0.5, 0.9]), st.integers(0, 2**16))

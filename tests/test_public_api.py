@@ -34,8 +34,6 @@ MEMBER_EXEMPT = {
     "fastsum.InteractionPlan.near_blocks_skipped",
     "fastsum.InteractionPlan.cell_pairs",
     "fastsum.InteractionPlan.target_tests",
-    # ROADMAP item 8: the memory a cached plan holds
-    "fastsum.InteractionPlan.nbytes",
     # ROADMAP item 2: the iteration history a residual bound reads
     "operators.NormEstimate.rayleigh_history",
 }
