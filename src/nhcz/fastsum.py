@@ -50,13 +50,15 @@ with one shift matrix per distinct child offset, applied to all columns in
 one stacked product; on dyadic clouds those are the four quadrant offsets.
 
 What depends on the tree alone is computed once and kept on it: the plan
-per opening parameter, the upward pass's offset groups and shift matrices
-per order, and, on the plan, the far pairs' decoded ``perm`` positions and
-1/(z - c) when they fit ``_FAR_CACHE_BYTES`` (4 MiB at 20 B a pair).  The
-M=256 cascade of the scaling study holds 3.9 MB there; a cloud whose far
-pairs exceed the budget, such as the benchmark ladder's 32k and 100k
-rungs, decodes them again in every far pass.  Cached or not, each pass
-makes the same operations on the same values, so no bit depends on it.
+per opening parameter and the upward pass's offset groups and shift
+matrices per order.  The plan is built with everything the far pass reads
+of it and never changes after: its far evaluation chunks and, when the far
+pairs fit ``_FAR_CACHE_BYTES`` (4 MiB at 20 B a pair), their decoded
+``perm`` positions and 1/(z - c).  The M=256 cascade of the scaling study
+holds 3.9 MB there; a cloud whose far pairs exceed the budget, such as the
+benchmark ladder's 32k and 100k rungs, decodes each chunk again in every
+far pass.  Held or not, each pass makes the same operations on the same
+values, so no bit depends on it.
 Charges of shape (N,) or (N, k) go through the same plan in one pass:
 the moments are built once, and one far pass and one near pass cover every
 column of the call.  Each column's sums run in the same order whatever
@@ -67,7 +69,7 @@ send at most ``operators._COLUMN_BLOCK`` through ``Operator.images``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,7 +107,9 @@ class InteractionPlan:
     of ``perm`` positions within one target leaf that the cell serves, so it
     is at most the tree's ``leaf_width`` long; ``_run_positions`` decodes
     runs.  Far cells expand their runs; near cells are source leaves whose
-    nodes are summed directly against theirs."""
+    nodes are summed directly against theirs.  ``_build_plan`` also lays
+    out the far chunks and, within ``_FAR_CACHE_BYTES``, decodes the far
+    pairs; no field changes after it returns."""
 
     far_cells: np.ndarray  # cells that serve some target by expansion
     far_ptr: np.ndarray  # far_cells[i] owns runs far_ptr[i]:far_ptr[i + 1]
@@ -118,10 +122,14 @@ class InteractionPlan:
     near_blocks_skipped: int  # (source leaf, target leaf) blocks whose pairs all share a square
     cell_pairs: int  # (target cell, source cell) pairs decided as a whole
     target_tests: int  # (target node, source cell) opening tests made one by one
-    # the far pairs' perm positions and 1/(z - c), in run order, and each
-    # far chunk's layout in them; the first far pass fills it when the
-    # pairs fit ``_FAR_CACHE_BYTES`` (see ``_far_pairs``)
-    far_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # (first cell, first run, end run, first pair, segment bounds) of each
+    # far evaluation chunk of ``_far_chunks``; the bounds count pairs from
+    # the chunk's first pair, one segment per cell
+    far_chunks: tuple = field(repr=False)
+    # the far pairs' perm positions (int32) and 1/(z - c), in run order,
+    # when they fit ``_FAR_CACHE_BYTES``; None when the far pass decodes them
+    far_pos: np.ndarray | None = field(repr=False)
+    far_inv: np.ndarray | None = field(repr=False)
 
 
 class QuadTree:
@@ -441,13 +449,21 @@ def _build_plan(tree: QuadTree, theta: float) -> InteractionPlan:
     skipped += int(np.unique(block).size - np.unique(block[live]).size)
     near = runs([], [(src[live], pos[live])])
     del near_pts, src, pos, live, block  # free the points before the far runs
-    return InteractionPlan(
-        *runs(far, far_pts),  # far_cells, far_ptr, far_start, far_len
-        *near,  # the near fields, in the same order
-        near_blocks_skipped=skipped,
-        cell_pairs=cell_pairs,
-        target_tests=target_tests,
-    )
+    # the run fields and counters in field order; the far chunks and pairs,
+    # left empty here, are read off the far runs and set before the plan is returned
+    plan = InteractionPlan(*runs(far, far_pts), *near, skipped, cell_pairs, target_tests, (), None, None)
+    chunks, n = [], 0  # chunks hold their bounds in pairs; n pairs come before each
+    for c0, b0, b1, cut in _far_chunks(plan.far_ptr):
+        seg = np.append(0, np.cumsum(plan.far_len[b0:b1], dtype=np.int64))[cut].tolist()
+        chunks.append((c0, b0, b1, n, seg))
+        n += seg[-1]
+    pos = inv = None
+    if 20 * n <= _FAR_CACHE_BYTES:  # the budget holds the far pairs; decoded a chunk at a time
+        pos, inv = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.complex128)
+        for chunk in chunks:
+            _, _, _, p0, seg = chunk
+            pos[p0 : p0 + seg[-1]], inv[p0 : p0 + seg[-1]] = _far_decode(tree, plan, chunk)
+    return replace(plan, far_chunks=tuple(chunks), far_pos=pos, far_inv=inv)
 
 
 def apply_fast(spec: KernelSpec, tree: QuadTree, f: Field, params: ExpansionParams) -> Field:
@@ -461,7 +477,9 @@ def apply_fast(spec: KernelSpec, tree: QuadTree, f: Field, params: ExpansionPara
     plan = tree.plan(params.theta)
     cols = source_charges(cloud, f.values, transposed).reshape(len(cloud), -1)
     out = np.zeros(cols.shape, dtype=np.complex128)  # rows in ``perm`` order
-    _far_sums(tree, plan, tree.moments(cols, params.order), out)
+    # the whole moment array is a temporary: only the far cells' rows
+    # live through the far pass
+    _far_sums(tree, plan, _far_moments(tree, plan, tree.moments(cols, params.order)), out)
     _near_sums(tree, plan, cols, out)
     del cols  # frees the charges before the output copy below
     if transposed:  # ``target_scale``'s products, in place and in ``perm`` order
@@ -485,7 +503,8 @@ def _far_chunks(ptr):
     entry.  A cell with at least ``_ENTRY_BLOCK`` entries gets chunks of
     that many entries of its own; a stretch of smaller consecutive cells
     shares chunks of at most ``_ENTRY_BLOCK`` entries, each holding whole
-    cells.  The plan's entries are its far runs.
+    cells.  The plan's entries are its far runs, and ``_build_plan`` lays
+    its chunks out once.
 
     The segments fix the output bits: a cell's product runs on its own
     slice of the power matrix, and a zgemv over a column slice ``x @
@@ -507,101 +526,76 @@ def _far_chunks(ptr):
         c = c1
 
 
-def _decoded_chunks(tree, plan, n_live=None):
-    """(first cell, segment bounds, perm positions, 1/(z - c)) of each far
-    chunk, in ``_far_chunks`` order, skipping a chunk none of whose cells
-    has ``n_live`` > 0.  Each chunk decodes its runs and takes each cell's
-    centre from its segment as a scalar; 1/(z - c) is written to a buffer
-    that the next chunk overwrites."""
-    centers = tree.centers[plan.far_cells].tolist()
-    buf = np.empty(_ENTRY_BLOCK * tree.leaf_width, dtype=np.complex128)
-    for c0, b0, b1, cut in _far_chunks(plan.far_ptr):
-        if n_live is not None and not any(n_live[c0 : c0 + len(cut) - 1]):
-            continue
-        pos, ends = _run_positions(plan.far_start[b0:b1], plan.far_len[b0:b1])
-        # each cell's targets are a stretch of ``pos``, in cell order
-        seg = np.append(0, ends)[cut].tolist()
-        inv = np.take(tree.cloud.z, tree.perm[pos], out=buf[: pos.size], mode="clip")
-        for c, s0, s1 in zip(range(c0, c0 + len(cut) - 1), seg, seg[1:]):
-            np.subtract(inv[s0:s1], centers[c], out=inv[s0:s1])
-        yield c0, seg, pos, np.divide(1.0, inv, out=inv)
+def _far_decode(tree, plan, chunk):
+    """The perm positions of one far chunk's pairs and 1/(z - c) at each,
+    with each cell's centre c subtracted over its own segment."""
+    c0, b0, b1, _, seg = chunk
+    pos, _ = _run_positions(plan.far_start[b0:b1], plan.far_len[b0:b1])
+    inv = tree.cloud.z[tree.perm[pos]]
+    np.subtract(inv, np.repeat(tree.centers[plan.far_cells[c0 : c0 + len(seg) - 1]], np.diff(seg)), out=inv)
+    return pos, np.divide(1.0, inv, out=inv)
 
 
-def _far_pairs(tree, plan, n_live):
-    """``_decoded_chunks(tree, plan, n_live)``, read from the plan's cache
-    when it holds one.
-
-    Positions and 1/(z - c) depend on the tree and the plan alone.  The
-    first pass over a plan whose far pairs fit ``_FAR_CACHE_BYTES`` decodes
-    every chunk into ``plan.far_cache``: the positions in one int32 array,
-    1/(z - c) in one complex array, and each chunk's first cell, offset and
-    segment bounds.  A plan over the budget holds no cache and decodes its
-    chunks in every pass.  Either way the values are the decode's, so the
-    bits are the same; a chunk's positions are handed out as intp, since
-    numpy's fancy indexing casts any other index type on every call."""
-    cache = plan.far_cache
-    if not cache and 20 * (n := int(plan.far_len.sum())) <= _FAR_CACHE_BYTES:
-        pos, inv, chunks, p0 = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.complex128), [], 0
-        for c0, seg, p, v in _decoded_chunks(tree, plan):
-            pos[p0 : p0 + p.size], inv[p0 : p0 + p.size] = p, v
-            chunks.append((c0, p0, seg))
-            p0 += p.size
-        cache.update(pos=pos, inv=inv, chunks=chunks)
-    if not cache:
-        yield from _decoded_chunks(tree, plan, n_live)
-        return
-    for c0, p0, seg in cache["chunks"]:
-        if any(n_live[c0 : c0 + len(seg) - 1]):
-            p1 = p0 + seg[-1]
-            yield c0, seg, cache["pos"][p0:p1].astype(np.intp), cache["inv"][p0:p1]
+def _far_moments(tree, plan, mom):
+    """The far cells' moments of ``mom`` (cells, order, k), as the far pass
+    multiplies them: (far cell, column, power), each power k times k + 1
+    and 2^(-e k), with 2^e >= the cell radius (see ``_far_sums``)."""
+    ks = np.arange(mom.shape[1])
+    e = np.frexp(tree.radius[plan.far_cells])[1][:, None, None]
+    m = mom[plan.far_cells].transpose(0, 2, 1) * (ks + 1)
+    return np.ldexp(m.real, -e * ks) + 1j * np.ldexp(m.imag, -e * ks)
 
 
-def _far_sums(tree, plan, mom, out):
+def _far_sums(tree, plan, m, out):
     """Adds every expanded interaction to ``out`` (N, k), whose rows are in
-    ``perm`` order, for all k columns of ``mom`` in one pass.  The power
-    matrix runs in u = 2^e / (z - c) with 2^e >= the cell radius, so |u|
-    stays below 1 and the moments are rescaled by exact powers of two, all
-    far cells' at once; neither overflows at any order.
+    ``perm`` order, for all k columns of the far moments ``m`` of
+    ``_far_moments`` in one pass.  The power matrix runs in u = 2^e / (z -
+    c) with 2^e >= the cell radius, so |u| stays below 1 and the moments
+    are rescaled by exact powers of two; neither overflows at any order.
 
-    The runs are evaluated in ``_far_chunks``: ``_far_pairs`` gives each
-    chunk's perm positions and 1/(z - c), from the plan's cache when it
-    holds one, and the chunk makes u, with each cell's 2^e as a scalar, and
-    one power matrix in a buffer all chunks reuse, so the number of numpy
-    calls follows the runs and the cells rather than the pairs.  Each
-    cell's segment of the chunk then takes one product per column and adds
-    to ``out`` on its own, so every target's sum is added in cell order and
-    each column's sums do not depend on the chunk or on the other columns.
+    The pass walks the plan's ``far_chunks``.  Each chunk's perm positions
+    and 1/(z - c) are sliced from the plan when it holds them and decoded
+    from its runs by ``_far_decode`` otherwise, the same operations on the
+    same values, so no bit depends on which.  The chunk makes u, with each
+    cell's 2^e as a scalar, and one power matrix in a buffer all chunks
+    reuse, so the number of numpy calls follows the runs and the cells
+    rather than the pairs.  Each cell's segment of the chunk then takes
+    one product per column and adds to ``out`` on its own, so every
+    target's sum is added in cell order and each column's sums do not
+    depend on the chunk or on the other columns.
 
     Only live (cell, column) pairs, whose rescaled moments are not all
     zero, take a product and a scatter into their column of ``out``, and
     a chunk without a live pair is skipped.  A dead pair's product with the
     finite powers is +-0.  ``out`` starts at +0 and a sum that starts at +0
     never reaches -0 under round-to-nearest, so adding +-0 would change no
-    bit and the skip is exact.  Liveness is read on the rescaled moments,
-    the ones multiplied; a radius-0 cell's higher moments, which it does
-    not multiply, are exact zeros."""
+    bit and the skip is exact.  A radius-0 cell's higher moments, which it
+    does not multiply, are exact zeros."""
+    n_cols, order = m.shape[1:]
     width = tree.leaf_width
-    order = mom.shape[1]
-    ks = np.arange(order)
-    cells = plan.far_cells
-    e = np.frexp(tree.radius[cells])[1]
-    scale = np.ldexp(1.0, e).tolist()
-    m = mom[cells].transpose(0, 2, 1) * (ks + 1)  # (cell, column, power)
-    m = np.ldexp(m.real, -e[:, None, None] * ks) + 1j * np.ldexp(m.imag, -e[:, None, None] * ks)
+    radius = tree.radius[plan.far_cells]
+    scale = np.ldexp(1.0, np.frexp(radius)[1]).tolist()
     # sources that all sit at the center have only a zeroth moment
-    powers = np.where(tree.radius[cells] > 0, order, 1).tolist()
+    powers = np.where(radius > 0, order, 1).tolist()
     live = (m != 0).any(axis=2)  # (cell, column) pairs whose product can be nonzero
     n_live = live.sum(axis=1).tolist()
-    n_cols = m.shape[1]
     pw_buf = np.empty(order * _ENTRY_BLOCK * width, dtype=np.complex128)
     u_buf = np.empty(_ENTRY_BLOCK * width, dtype=np.complex128)
     sums_buf = np.empty(_ENTRY_BLOCK * width, dtype=np.complex128)
     out_cols = out.T
-    for c0, seg, pos, inv in _far_pairs(tree, plan, n_live):
+    for chunk in plan.far_chunks:
+        c0, _, _, p0, seg = chunk
+        c1 = c0 + len(seg) - 1
+        if not any(n_live[c0:c1]):
+            continue
+        if plan.far_inv is None:
+            pos, inv = _far_decode(tree, plan, chunk)
+        else:  # positions as intp: fancy indexing casts any other type on every use
+            pos, inv = plan.far_pos[p0 : p0 + seg[-1]].astype(np.intp), plan.far_inv[p0 : p0 + seg[-1]]
         pw = pw_buf[: order * pos.size].reshape(order, pos.size)  # rows inv^2 u^k
         u = u_buf[: pos.size]
         np.multiply(inv, inv, out=pw[0])
-        bounds = list(zip(range(c0, c0 + len(seg) - 1), seg, seg[1:]))
+        bounds = list(zip(range(c0, c1), seg, seg[1:]))
         for c, s0, s1 in bounds:
             np.multiply(inv[s0:s1], scale[c], out=u[s0:s1])
         for k in range(1, order):

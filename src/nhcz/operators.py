@@ -408,9 +408,10 @@ class Operator:
     buffer.  The bits are ``apply_direct``'s either way.  ``"tree"``:
     ``apply_fast`` at the default ``ExpansionParams`` on a tree built at the
     first apply; modified and adjoint only.  The tree keeps, for the
-    operator's life, its plan, its upward shift matrices and, when the far
-    pairs fit ``fastsum._FAR_CACHE_BYTES``, their positions and 1/(z - c):
-    3.9 MB on the M=256 cascade, nothing on clouds over the budget.
+    operator's life, its upward shift matrices and its plan, which is built
+    with its far chunk layout and, when the far pairs fit
+    ``fastsum._FAR_CACHE_BYTES``, their positions and 1/(z - c): 3.9 MB on
+    the M=256 cascade, nothing on clouds over the budget.
 
     ``images`` streams many fields through ``apply``, ``_COLUMN_BLOCK`` at
     a time; it is the one place that sets the width of a multi-field apply.

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import math
@@ -251,7 +252,8 @@ def test_plan_counters_and_memory_on_the_ladder_family(ladder_cloud):
     assert tree.plan(0.5) is plan
     far_pairs = int(plan.far_len.sum())
     assert far_pairs * 8 > 1.4e6  # what per-pair int64 target lists would hold
-    assert sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray)) < 0.5e6  # the run arrays
+    runs = ("far_cells", "far_ptr", "far_start", "far_len", "near_cells", "near_ptr", "near_start", "near_len")
+    assert sum(getattr(plan, name).nbytes for name in runs) < 0.5e6  # the run arrays
     assert plan.far_start.size > 0
     assert plan.near_start.size > 0 and plan.near_blocks_skipped > plan.near_start.size
     # the walk decides whole cell pairs and tests few targets one by one; a
@@ -326,10 +328,11 @@ def _check_batched_passes_match_references(fam, tree, values, params):
     """The moments and the chunked far pass equal their one-column and
     one-cell references bit for bit, and every column of a batched apply
     equals its single-column apply bit for bit; each on a fresh tree whose
-    far passes all decode their chunks (budget 0), and on one whose first
-    pass fills the plan's cache and whose later passes read it (no limit).
-    That first pass has all moments zero, so no chunk of it is live, and
-    the cache must still hold every chunk."""
+    plan holds no decoded far pairs, so every pass decodes its chunks
+    (budget 0), and on one whose plan holds them all (no limit).  The first
+    far pass on each has all moments zero, so every chunk is dead: it must
+    skip them all and add nothing, and the live passes after it must still
+    match the reference, whatever the skipped chunks left behind."""
     mom = tree.moments(values, params.order)
     assert_same_bits(mom, moments_per_column(tree, values, params.order))
     want = np.zeros(values.shape, complex)
@@ -341,9 +344,9 @@ def _check_batched_passes_match_references(fam, tree, values, params):
             plan = fresh.plan(params.theta)
             for moments, sums in ((np.zeros_like(mom), np.zeros_like(want)), (mom, want), (mom, want)):
                 got = np.zeros(values.shape, complex)
-                fastsum._far_sums(fresh, plan, moments, got)
+                fastsum._far_sums(fresh, plan, fastsum._far_moments(fresh, plan, moments), got)
                 assert_same_bits(got, sums)
-            assert bool(plan.far_cache) == (budget > 0 or plan.far_start.size == 0)
+            assert (plan.far_inv is not None) == (budget > 0 or plan.far_start.size == 0)
             for variant in ("modified", "adjoint"):
                 spec = KernelSpec(variant, fam)
                 batched = apply_fast(spec, fresh, Field(values, "mu"), params).values
@@ -409,26 +412,46 @@ def test_chunked_far_pass_keeps_every_bit_on_benchmark_clouds(cloud_name, column
     _check_batched_passes_match_references(fam, tree, values, ExpansionParams())
 
 
-def test_far_cache_holds_only_plans_within_its_budget(monkeypatch):
+def _plan_bytes(plan):
+    """Every field of ``plan``: its arrays as (dtype, bytes), the rest as deep copies."""
+    return [
+        (v.dtype, v.tobytes()) if isinstance(v, np.ndarray) else copy.deepcopy(v)
+        for v in (getattr(plan, f.name) for f in dataclasses.fields(plan))
+    ]
+
+
+def test_plan_holds_its_far_pairs_within_its_budget_and_applies_leave_it_unchanged(monkeypatch):
     fam = generate_cascade_family(seed=0, count=256, d=1.2, packing_target=4.0)
     cascade = build_quadrature(build_measure(fam), 8)  # scaling_row's cloud
-    f = Field(np.ones(len(cascade)), "mu")
-    plan = build_tree(cascade, 32).plan(0.5)
+    tree = build_tree(cascade, 32)
+    plan = tree.plan(0.5)  # built before any apply, at the module's budget
     pairs = int(plan.far_len.sum())
-    assert pairs == 196_608 and plan.far_cache == {}
+    assert pairs == 196_608 and pairs * 20 <= fastsum._FAR_CACHE_BYTES
+    # the held pairs are each far cell's runs and 1/(z - c), as the
+    # one-cell reference decodes them
+    assert plan.far_pos.dtype == np.int32 and plan.far_inv.dtype == np.complex128
+    assert plan.far_pos.size == plan.far_inv.size == pairs
+    z = cascade.z[tree.perm]
+    for cell, e0, e1 in zip(plan.far_cells, plan.far_ptr[:-1], plan.far_ptr[1:]):
+        pos, _ = fastsum._run_positions(plan.far_start[e0:e1], plan.far_len[e0:e1])
+        p0 = int(plan.far_len[:e0].sum())
+        assert np.array_equal(plan.far_pos[p0 : p0 + pos.size], pos)
+        assert_same_bits(plan.far_inv[p0 : p0 + pos.size], 1.0 / (z[pos] - tree.centers[cell]))
+    rng = np.random.default_rng(41)
+    dense = rng.standard_normal((len(cascade), 3)) + 1j * rng.standard_normal((len(cascade), 3))
     for budget, cached in ((pairs * 20, True), (pairs * 20 - 1, False)):
         monkeypatch.setattr(fastsum, "_FAR_CACHE_BYTES", budget)
         tree = build_tree(cascade, 32)
-        for _ in range(2):
-            apply_fast(KernelSpec("modified", fam), tree, f, ExpansionParams())
-        cache = tree.plan(0.5).far_cache
-        assert bool(cache) == cached
+        held = tree.plan(0.5)
+        assert (held.far_pos is not None, held.far_inv is not None) == (cached, cached)
         if cached:
-            assert cache["pos"].dtype == np.int32 and cache["inv"].dtype == np.complex128
-            assert cache["pos"].size == cache["inv"].size == pairs
-            assert cache["pos"].nbytes + cache["inv"].nbytes <= budget
-    monkeypatch.undo()
-    assert pairs * 20 <= fastsum._FAR_CACHE_BYTES  # the module's budget holds the cascade
+            assert held.far_pos.nbytes + held.far_inv.nbytes <= budget
+        assert held.far_chunks == plan.far_chunks  # the layout does not hang on the budget
+        before = _plan_bytes(held)
+        for values in (sparse_columns(tree, rng), dense):
+            apply_fast(KernelSpec("modified", fam), tree, Field(values, "mu"), ExpansionParams())
+        assert tree.plan(0.5) is held
+        assert _plan_bytes(held) == before
 
 
 @given(treecode_cases(), st.sampled_from([1, 5, 12]), st.sampled_from([0.3, 0.5, 0.9]), st.integers(0, 2**16))
@@ -448,7 +471,7 @@ def test_zero_moment_skip_keeps_every_bit(case, order, theta, seed):
     mom[pick == 3] = complex(-0.0, -0.0)
     plan = tree.plan(theta)
     got, want = np.zeros(values.shape, complex), np.zeros(values.shape, complex)
-    fastsum._far_sums(tree, plan, mom, got)
+    fastsum._far_sums(tree, plan, fastsum._far_moments(tree, plan, mom), got)
     far_sums_per_cell(tree, plan, mom, want)
     assert_same_bits(got, want)
 

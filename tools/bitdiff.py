@@ -82,6 +82,9 @@ MATRIX = [
     # above BENCH_DIRECT_LIMIT: its direct check sums 512 sampled targets in
     # several kernel-row blocks
     ("bench-16384", [*_CLI, "bench", "--sizes", "16384", "--tol", "1e-6"]),
+    # every output of that rung's fast applies: its 537,857 far pairs take
+    # 10.8 MB, past ``fastsum._FAR_CACHE_BYTES``, so each far pass decodes them
+    ("apply-16384", [str(ROOT / "tools" / "treecode_probe.py"), "--n", "16384"]),
 ]
 
 
